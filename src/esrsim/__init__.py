@@ -2,8 +2,8 @@
 
 The package splits into:
 
-- :mod:`esrsim.linalg` - dense complex Hermitian matrices, Jacobi
-  eigendecomposition, density/observable validators;
+- :mod:`esrsim.linalg` - dense complex Hermitian matrices, density/observable
+  validators and the package's two numeric tolerances;
 - :mod:`esrsim.measurement` - generalized observables with a no-registration
   outcome, detection models, the (overall, detection, conditional) probability
   triple, generalized Lueders update, unitary evolution, seeded sampling;
@@ -19,12 +19,11 @@ The package splits into:
 """
 
 from .linalg import (
-    DEFAULT_POLICY,
+    ARITHMETIC_TOL,
+    STRUCTURAL_TOL,
     DensityOperator,
-    NumericPolicy,
     SpectralObservable,
     ValidityReport,
-    hermitian_eigendecomposition,
     tensor_product,
     validate_density_operator,
     validate_spectral_observable,
@@ -54,7 +53,6 @@ from .mixtures import (
 )
 from .hidden_variables import (
     CorrelationTarget,
-    LocalStrategy,
     MicroPropertySet,
     MicrostateModel,
     build_feasibility_lp,

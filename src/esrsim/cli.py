@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import correlations, hidden_variables, mixtures, selftest
-from .linalg import DensityOperator, SpectralObservable, validate_spectral_observable
+from .linalg import DensityOperator, SpectralObservable
 from .measurement import (
     DetectionModel,
     GeneralizedObservable,
@@ -31,7 +31,7 @@ from .measurement import (
     luders_update,
     outcome_distribution,
     probability_triple,
-    sample_outcomes,
+    sample_indices,
     unitary_evolve,
 )
 
@@ -136,7 +136,8 @@ def _parse_density(config: dict, key: str, dim: int | None) -> DensityOperator:
         raise ConfigError(f"field '{key}': {exc}") from exc
 
 
-def _parse_observable(node, path: str, dim: int | None) -> SpectralObservable:
+def _parse_observable(node, path: str, dim: int | None) -> GeneralizedObservable:
+    """Parse a spectral decomposition; ``GeneralizedObservable`` validates it."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object with eigenvalues and projectors")
     eigenvalues = node.get("eigenvalues")
@@ -152,13 +153,11 @@ def _parse_observable(node, path: str, dim: int | None) -> SpectralObservable:
         for k, p in enumerate(projectors)
     ]
     try:
-        obs = SpectralObservable(eigenvalues=eigenvalues, projectors=mats)
+        return GeneralizedObservable(
+            SpectralObservable(eigenvalues=eigenvalues, projectors=mats)
+        )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    report = validate_spectral_observable(obs)
-    if not report.valid:
-        raise ConfigError(f"{path}: not a spectral decomposition: {report.describe()}")
-    return obs
 
 
 def _parse_detection(node, path: str) -> DetectionModel:
@@ -225,12 +224,7 @@ def _state_label(config: dict):
 def _prep_triple_inputs(config: dict) -> dict:
     dim = _get_int(config, "dimension")
     rho = _parse_density(config, "state", dim)
-    obs_node = _get(config, "observable")
-    obs = _parse_observable(obs_node, "field 'observable'", dim)
-    try:
-        gen = GeneralizedObservable(obs)
-    except ValueError as exc:
-        raise ConfigError(f"field 'observable': {exc}") from exc
+    gen = _parse_observable(_get(config, "observable"), "field 'observable'", dim)
     sigma = _get(config, "sigma")
     if not isinstance(sigma, list) or not sigma or not all(_is_number(v) for v in sigma):
         raise ConfigError("field 'sigma': expected a non-empty list of eigenvalues")
@@ -242,7 +236,17 @@ def _prep_triple_inputs(config: dict) -> dict:
     return {"rho": rho, "prop": prop, "dm": dm, "label": _state_label(config)}
 
 
-def _run_probability_triple(prepared: dict, config: dict):
+def _prep_monte_carlo(config: dict) -> dict:
+    prepared = _prep_triple_inputs(config)
+    samples = _get_int(config, "samples", required=False, default=DEFAULT_SAMPLES)
+    if samples < 1:
+        raise ConfigError(f"field 'samples': expected a positive integer, got {samples}")
+    prepared["samples"] = samples
+    prepared["seed"] = _get_int(config, "seed", required=False, default=DEFAULT_SEED)
+    return prepared
+
+
+def _run_probability_triple(prepared: dict):
     triple = probability_triple(
         prepared["rho"], prepared["prop"], prepared["dm"], prepared["label"]
     )
@@ -255,7 +259,7 @@ def _run_probability_triple(prepared: dict, config: dict):
     return records, {}
 
 
-def _run_luders(prepared: dict, config: dict):
+def _run_luders(prepared: dict):
     triple = probability_triple(
         prepared["rho"], prepared["prop"], prepared["dm"], prepared["label"]
     )
@@ -274,12 +278,12 @@ def _run_luders(prepared: dict, config: dict):
 def _prep_evolve(config: dict) -> dict:
     dim = _get_int(config, "dimension")
     rho = _parse_density(config, "state", dim)
-    ham = _parse_observable(_get(config, "hamiltonian"), "field 'hamiltonian'", dim)
+    ham = _parse_observable(_get(config, "hamiltonian"), "field 'hamiltonian'", dim).base
     t = _get_number(config, "time")
     return {"rho": rho, "ham": ham, "t": t}
 
 
-def _run_evolve(prepared: dict, config: dict):
+def _run_evolve(prepared: dict):
     rho = prepared["rho"]
     evolved = unitary_evolve(rho, prepared["ham"], prepared["t"])
     before = np.sort(np.linalg.eigvalsh(rho.matrix))
@@ -298,21 +302,17 @@ def _run_evolve(prepared: dict, config: dict):
     return records, {}
 
 
-def _run_monte_carlo(prepared: dict, config: dict):
-    samples = _get_int(config, "samples", required=False, default=DEFAULT_SAMPLES)
-    seed = _get_int(config, "seed", required=False, default=DEFAULT_SEED)
-    rho, prop, dm, label = (
-        prepared["rho"], prepared["prop"], prepared["dm"], prepared["label"],
+def _run_monte_carlo(prepared: dict):
+    samples = prepared["samples"]
+    outcome_set, exact = outcome_distribution(
+        prepared["rho"], prepared["prop"].observable, prepared["dm"], prepared["label"]
     )
-    obs = prop.observable
-    outcome_set, exact = outcome_distribution(rho, obs, dm, label)
-    rng = np.random.default_rng(seed)
-    draws = sample_outcomes(rho, obs, dm, rng, samples, label)
+    rng = np.random.default_rng(prepared["seed"])
+    counts = np.bincount(sample_indices(exact, rng, samples), minlength=len(exact))
     records = []
     worst = 0.0
-    for outcome, p_exact in zip(outcome_set, exact):
-        count = sum(1 for d in draws if d == outcome)
-        freq = count / samples
+    for outcome, p_exact, count in zip(outcome_set, exact, counts):
+        freq = int(count) / samples
         deviation = abs(freq - p_exact)
         worst = max(worst, deviation)
         name = outcome if isinstance(outcome, str) else _fmt(outcome)
@@ -347,9 +347,8 @@ def _prep_mixture(config: dict) -> dict:
         mixture = mixtures.ProperMixture(comps)
     except ValueError as exc:
         raise ConfigError(f"field 'components': {exc}") from exc
-    obs = _parse_observable(_get(config, "observable"), "field 'observable'", dim)
+    gen = _parse_observable(_get(config, "observable"), "field 'observable'", dim)
     try:
-        gen = GeneralizedObservable(obs)
         sigma = _get(config, "sigma")
         if not isinstance(sigma, list) or not all(_is_number(v) for v in sigma):
             raise ConfigError("field 'sigma': expected a list of eigenvalues")
@@ -360,7 +359,7 @@ def _prep_mixture(config: dict) -> dict:
     return {"mixture": mixture, "prop": prop, "dm": dm}
 
 
-def _run_mixture_divergence(prepared: dict, config: dict):
+def _run_mixture_divergence(prepared: dict):
     mixture, prop, dm = prepared["mixture"], prepared["prop"], prepared["dm"]
     overall = mixtures.proper_overall_probability(mixture, prop, dm)
     conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
@@ -386,7 +385,7 @@ def _prep_two_party(config: dict, n_angles: int) -> dict:
     return {"angles": angles, "state": state, "grid": grid}
 
 
-def _run_bell_scan(prepared: dict, config: dict):
+def _run_bell_scan(prepared: dict):
     a, b, c = prepared["angles"]
     records = []
     for d in prepared["grid"]:
@@ -405,7 +404,7 @@ def _run_bell_scan(prepared: dict, config: dict):
     return records, {}
 
 
-def _run_chsh_scan(prepared: dict, config: dict):
+def _run_chsh_scan(prepared: dict):
     a, d_angle, b, c = prepared["angles"]
     scan = correlations.efficiency_scan(
         prepared["state"],
@@ -429,7 +428,7 @@ def _prep_ghz(config: dict) -> dict:
     return {"scenario": correlations.GHZScenario(joint_state=state)}
 
 
-def _run_ghz_quantum(prepared: dict, config: dict):
+def _run_ghz_quantum(prepared: dict):
     values = correlations.ghz_quantum_correlations(prepared["scenario"])
     records = [
         Record(f"E_{name}", value)
@@ -442,7 +441,8 @@ _PARTY_NAMES = ("A", "B", "C")
 _SETTING_NAMES = ("X", "Y")
 
 
-def _run_ghz_local_model(prepared: dict, config: dict):
+def _prep_ghz_local_model(config: dict) -> dict:
+    prepared = _prep_ghz(config)
     min_eff = _get_number(config, "min_efficiency", required=False, default=0.0)
     if not 0.0 <= min_eff <= 1.0:
         raise ConfigError(f"field 'min_efficiency': {min_eff} outside [0, 1]")
@@ -452,10 +452,15 @@ def _run_ghz_local_model(prepared: dict, config: dict):
         required=False,
         default=hidden_variables.DEFAULT_MIN_JOINT_DETECTION,
     )
+    if min_joint < 0.0:
+        raise ConfigError(f"field 'min_joint_detection': {min_joint} is negative")
+    prepared["search"] = {"min_efficiency": min_eff, "min_joint_detection": min_joint}
+    return prepared
+
+
+def _run_ghz_local_model(prepared: dict):
     scenario = prepared["scenario"]
-    found = correlations.ghz_local_model_search(
-        scenario, min_efficiency=min_eff, min_joint_detection=min_joint
-    )
+    found = correlations.ghz_local_model_search(scenario, **prepared["search"])
     records = [Record("feasible", 1.0 if found.feasible else 0.0)]
     if found.feasible:
         targets = correlations.ghz_quantum_correlations(scenario)
@@ -523,7 +528,7 @@ def _prep_hv_verify(config: dict) -> dict:
     return {"model": model, "target": target}
 
 
-def _run_hv_verify(prepared: dict, config: dict):
+def _run_hv_verify(prepared: dict):
     triple = hidden_variables.macro_from_micro(prepared["model"], prepared["target"])
     records = [
         Record("p_t", triple.overall),
@@ -534,7 +539,7 @@ def _run_hv_verify(prepared: dict, config: dict):
     return records, {}
 
 
-def _run_self_test(prepared: dict, config: dict):
+def _run_self_test(prepared: dict):
     report = selftest.run_self_test()
     records = []
     for suite in report.suites:
@@ -553,19 +558,19 @@ _SCENARIOS = {
     "probability-triple": (_prep_triple_inputs, _run_probability_triple),
     "luders": (_prep_triple_inputs, _run_luders),
     "evolve": (_prep_evolve, _run_evolve),
-    "monte-carlo": (_prep_triple_inputs, _run_monte_carlo),
+    "monte-carlo": (_prep_monte_carlo, _run_monte_carlo),
     "mixture-divergence": (_prep_mixture, _run_mixture_divergence),
     "bell-scan": (lambda c: _prep_two_party(c, 3), _run_bell_scan),
     "chsh-scan": (lambda c: _prep_two_party(c, 4), _run_chsh_scan),
     "ghz-quantum": (_prep_ghz, _run_ghz_quantum),
-    "ghz-local-model": (_prep_ghz, _run_ghz_local_model),
+    "ghz-local-model": (_prep_ghz_local_model, _run_ghz_local_model),
     "hv-verify": (_prep_hv_verify, _run_hv_verify),
     "self-test": (lambda c: {}, _run_self_test),
 }
 
 
-def validate_config(config) -> str:
-    """Run the parse/validation phase only; returns the scenario type."""
+def _prepare(config) -> tuple[str, dict]:
+    """Parse and validate ``config``; return its scenario type and runner inputs."""
     if not isinstance(config, dict):
         raise ConfigError("top level: expected a JSON object")
     scenario_type = config.get("scenario_type")
@@ -575,17 +580,20 @@ def validate_config(config) -> str:
             f"field 'scenario_type': got {scenario_type!r}, expected one of: {known}"
         )
     prep, _ = _SCENARIOS[scenario_type]
-    prep(config)
-    return scenario_type
+    return scenario_type, prep(config)
+
+
+def validate_config(config) -> str:
+    """Run the parse/validation phase only; returns the scenario type."""
+    return _prepare(config)[0]
 
 
 def run_scenario(config: dict) -> RunReport:
     """Validate, dispatch and time one scenario."""
-    scenario_type = validate_config(config)
-    prep, runner = _SCENARIOS[scenario_type]
-    prepared = prep(config)
+    scenario_type, prepared = _prepare(config)
+    runner = _SCENARIOS[scenario_type][1]
     start = time.perf_counter()
-    records, diagnostics = runner(prepared, config)
+    records, diagnostics = runner(prepared)
     elapsed = time.perf_counter() - start
     for record in records:
         for v in (record.value, record.residual):

@@ -25,12 +25,16 @@ import numpy as np
 from .hidden_variables import (
     DEFAULT_MIN_JOINT_DETECTION,
     CorrelationTarget,
-    LocalStrategy,
     build_feasibility_lp,
     enumerate_local_strategies,
-    strategy_outcome_array,
 )
-from .linalg import DEFAULT_POLICY, DensityOperator, SpectralObservable, tensor_product
+from .linalg import (
+    ARITHMETIC_TOL,
+    DensityOperator,
+    SpectralObservable,
+    clamp,
+    tensor_product,
+)
 from .measurement import DEFAULT_STATE_LABEL, DetectionModel
 from .simplex import feasibility_residuals, solve_lp_simplex
 
@@ -41,7 +45,6 @@ __all__ = [
     "singlet_state",
     "ghz_state",
     "spin_observable",
-    "pauli_observable",
     "TwoPartyScenario",
     "CorrelationResult",
     "InequalityReport",
@@ -98,16 +101,6 @@ def spin_observable(angle: float) -> SpectralObservable:
     )
 
 
-def pauli_observable(axis: str) -> SpectralObservable:
-    sigma = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}.get(axis.upper())
-    if sigma is None:
-        raise ValueError(f"unknown axis {axis!r}")
-    return SpectralObservable(
-        eigenvalues=(1.0, -1.0),
-        projectors=((_ID2 + sigma) / 2.0, (_ID2 - sigma) / 2.0),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class TwoPartyScenario:
     """Bipartite state with labelled measurement angles and per-wing detection.
@@ -145,9 +138,7 @@ class CorrelationResult:
     kind: str  # "overall" | "conditional-on-detection"
 
     def __post_init__(self):
-        if abs(self.value) > 1.0 + DEFAULT_POLICY.arithmetic_tol:
-            raise ValueError(f"correlation {self.value} outside [-1, 1]")
-        object.__setattr__(self, "value", float(min(max(self.value, -1.0), 1.0)))
+        object.__setattr__(self, "value", clamp(self.value, -1.0, 1.0, "correlation"))
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,7 @@ class InequalityReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.margin >= -DEFAULT_POLICY.arithmetic_tol
+        return self.margin >= -ARITHMETIC_TOL
 
 
 def _wing_operators(
@@ -193,15 +184,14 @@ def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> Correlation
     rho = sc.joint_state.matrix
     numerator = float(np.trace(rho @ tensor_product(m_a, m_b)).real)
     mass = float(np.trace(rho @ tensor_product(n_a, n_b)).real)
-    if mass <= DEFAULT_POLICY.arithmetic_tol:
+    if mass <= ARITHMETIC_TOL:
         raise ValueError(f"zero joint-detection mass ({mass:.3e})")
     return CorrelationResult(value=numerator / mass, kind="conditional-on-detection")
 
 
 def _check_correlation_inputs(**values: float) -> None:
     for name, v in values.items():
-        if abs(v) > 1.0 + DEFAULT_POLICY.arithmetic_tol:
-            raise ValueError(f"{name} = {v} outside [-1, 1]")
+        clamp(v, -1.0, 1.0, name)
 
 
 def modified_bell_report(e_ab: float, e_ac: float, e_bc: float) -> InequalityReport:
@@ -250,14 +240,14 @@ def efficiency_scan(
     joint_state: DensityOperator,
     angles: Mapping[str, float],
     d_grid: Sequence[float],
-    threshold_tolerance: float = 1e-6,
 ) -> EfficiencyScan:
     """Sweep a uniform wing efficiency over the modified CHSH expression.
 
     ``angles`` must provide the four settings a, d (first wing) and b, c
-    (second wing).  The overall lhs is monotone in the efficiency, so the
-    satisfied/violated threshold (if any) is located by bisection on
-    lhs(d) = 2 to the requested tolerance.
+    (second wing).  Under uniform detection d every overall correlation is
+    d^2 times its unit-efficiency value, so lhs(d) = d^2 lhs(1) and, when
+    lhs(1) violates the bound of 2, the threshold is sqrt(2 / lhs(1)) in
+    closed form, exact to ``ARITHMETIC_TOL``.
     """
     grid = [float(d) for d in d_grid]
     if not grid:
@@ -274,19 +264,10 @@ def efficiency_scan(
         report = _chsh_lhs_at_efficiency(joint_state, angles, d)
         rows.append(ScanRow(efficiency=d, lhs=report.lhs, satisfied=report.satisfied))
 
-    threshold = None
     top = _chsh_lhs_at_efficiency(joint_state, angles, 1.0)
-    if not top.satisfied:
-        lo, hi = 0.0, 1.0  # lhs(0) = 0 <= 2 < lhs(1)
-        while hi - lo > threshold_tolerance:
-            mid = (lo + hi) / 2.0
-            if _chsh_lhs_at_efficiency(joint_state, angles, mid).satisfied:
-                lo = mid
-            else:
-                hi = mid
-        threshold = (lo + hi) / 2.0
+    threshold = None if top.satisfied else math.sqrt(top.rhs / top.lhs)
     return EfficiencyScan(
-        rows=tuple(rows), threshold=threshold, threshold_tolerance=threshold_tolerance
+        rows=tuple(rows), threshold=threshold, threshold_tolerance=ARITHMETIC_TOL
     )
 
 
@@ -321,12 +302,6 @@ def _ghz_product_operator(context: Sequence[int]) -> np.ndarray:
     return op
 
 
-def _clamp_correlation(value: float) -> float:
-    if abs(value) > 1.0 + DEFAULT_POLICY.arithmetic_tol:
-        raise ValueError(f"correlation {value} outside [-1, 1]")
-    return float(min(max(value, -1.0), 1.0))
-
-
 def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float]:
     """Conditional correlations for the XXX, XYY, YXY, YYX contexts.
 
@@ -336,7 +311,10 @@ def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float
     """
     rho = g.joint_state.matrix
     return tuple(
-        _clamp_correlation(float(np.trace(rho @ _ghz_product_operator(ctx)).real))
+        clamp(
+            float(np.trace(rho @ _ghz_product_operator(ctx)).real),
+            -1.0, 1.0, "correlation",
+        )
         for ctx in GHZ_CONTEXTS
     )
 
@@ -375,14 +353,14 @@ def ghz_local_model_search(
     correlations, so the verdict flips to infeasible.  Feasible outputs are
     re-verified by direct constraint evaluation, independent of the solver.
     """
-    strategies = enumerate_local_strategies(parties=3, settings=2)
+    outcomes = enumerate_local_strategies(parties=3, settings=2)
     target_values = ghz_quantum_correlations(g)
     targets = [
         CorrelationTarget(settings=ctx, value=val, tolerance=tolerance)
         for ctx, val in zip(GHZ_CONTEXTS, target_values)
     ]
     problem = build_feasibility_lp(
-        strategies,
+        outcomes,
         targets,
         min_joint_detection=min_joint_detection,
         min_efficiency=min_efficiency if min_efficiency > 0.0 else None,
@@ -403,8 +381,6 @@ def ghz_local_model_search(
 
     weights = result.x
     certificate = feasibility_residuals(problem, weights)
-    outcomes = strategy_outcome_array(strategies)
-
     correlations = []
     joint = {}
     for ctx in GHZ_CONTEXTS:

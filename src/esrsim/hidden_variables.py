@@ -15,13 +15,12 @@ joint-detection mass, which is kept away from zero by an explicit lower bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_POLICY, NumericPolicy
+from .linalg import ARITHMETIC_TOL
 from .measurement import ProbabilityTriple
 from .simplex import FeasibilityProblem
 
@@ -29,11 +28,9 @@ __all__ = [
     "MicroPropertySet",
     "MicrostateModel",
     "macro_from_micro",
-    "LocalStrategy",
     "enumerate_local_strategies",
     "CorrelationTarget",
     "build_feasibility_lp",
-    "strategy_outcome_array",
     "MAX_ENUMERATION_SLOTS",
     "DEFAULT_MIN_JOINT_DETECTION",
 ]
@@ -81,7 +78,7 @@ class MicrostateModel:
             raise ValueError(f"{len(states)} microstates but {len(weights)} weights")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > DEFAULT_POLICY.arithmetic_tol:
+        if abs(sum(weights) - 1.0) > ARITHMETIC_TOL:
             raise ValueError(f"weights sum to {sum(weights)}, not 1")
         detection = {}
         for (idx, label), value in dict(self.micro_detection).items():
@@ -107,7 +104,6 @@ class MicrostateModel:
 def macro_from_micro(
     model: MicrostateModel,
     property_label: Hashable,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ProbabilityTriple:
     """Deduce the macroscopic probability triple for one property.
 
@@ -124,39 +120,17 @@ def macro_from_micro(
         detection += weight * d
         if property_label in state:
             overall += weight * d
-    conditional = overall / detection if detection > policy.arithmetic_tol else None
+    conditional = overall / detection if detection > ARITHMETIC_TOL else None
     return ProbabilityTriple(overall=overall, detection=detection, conditional=conditional)
 
 
-@dataclass(frozen=True)
-class LocalStrategy:
-    """Deterministic outcomes per (party, setting); 0 means undetected."""
+def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
+    """All 3^(parties*settings) deterministic strategies as an int array.
 
-    outcomes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for row in self.outcomes:
-            for o in row:
-                if o not in (-1, 0, 1):
-                    raise ValueError(f"outcome {o} not in {{-1, 0, +1}}")
-
-    def outcome(self, party: int, setting: int) -> int:
-        return self.outcomes[party][setting]
-
-    def joint_product(self, settings: Sequence[int]) -> int:
-        value = 1
-        for party, setting in enumerate(settings):
-            value *= self.outcomes[party][setting]
-        return value
-
-    def all_detected(self, settings: Sequence[int]) -> bool:
-        return all(self.outcomes[p][s] != 0 for p, s in enumerate(settings))
-
-
-def enumerate_local_strategies(parties: int, settings: int) -> list[LocalStrategy]:
-    """All 3^(parties*settings) assignments, lexicographic in (-1, 0, +1).
-
-    Slots are ordered party-major, setting-minor.
+    Row k of the ``(3^slots, parties, settings)`` result holds the outcome in
+    {-1, 0, +1} (0 means undetected) of every (party, setting) slot.  Rows are
+    lexicographic in (-1, 0, +1) over the slots, which are ordered
+    party-major, setting-minor.
     """
     slots = parties * settings
     if parties < 1 or settings < 1:
@@ -166,18 +140,8 @@ def enumerate_local_strategies(parties: int, settings: int) -> list[LocalStrateg
             f"{parties} parties x {settings} settings = {slots} slots "
             f"exceeds the enumeration bound {MAX_ENUMERATION_SLOTS}"
         )
-    strategies = []
-    for flat in itertools.product((-1, 0, 1), repeat=slots):
-        rows = tuple(
-            tuple(flat[p * settings : (p + 1) * settings]) for p in range(parties)
-        )
-        strategies.append(LocalStrategy(rows))
-    return strategies
-
-
-def strategy_outcome_array(strategies: Sequence[LocalStrategy]) -> np.ndarray:
-    """(n_strategies, parties, settings) integer array of outcomes."""
-    return np.asarray([s.outcomes for s in strategies], dtype=int)
+    digits = np.indices((3,) * slots).reshape(slots, -1).T - 1
+    return digits.reshape(-1, parties, settings)
 
 
 @dataclass(frozen=True)
@@ -197,7 +161,7 @@ class CorrelationTarget:
 
 
 def build_feasibility_lp(
-    strategies: Sequence[LocalStrategy],
+    strategies: np.ndarray,
     targets: Sequence[CorrelationTarget] = (),
     min_joint_detection: float = DEFAULT_MIN_JOINT_DETECTION,
     min_efficiency: float | Mapping[tuple[int, int], float] | None = None,
@@ -213,11 +177,11 @@ def build_feasibility_lp(
     lower-bounds the per-(party, setting) marginal detection probability,
     either uniformly (a float) or per slot (a mapping).
     """
-    if not strategies:
+    if len(strategies) == 0:
         raise ValueError("no strategies supplied")
     if min_joint_detection < 0.0:
         raise ValueError("min_joint_detection must be nonnegative")
-    outcomes = strategy_outcome_array(strategies)
+    outcomes = np.asarray(strategies, dtype=int)
     n, parties, settings = outcomes.shape
 
     a_eq_rows = [np.ones(n)]

@@ -2,9 +2,13 @@
 
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128`` in
 row-major layout; a complex entry is a pair of IEEE doubles.  Everything here
-is sized for desk-scale problems (dimension <= 64): dense storage, a cyclic
-Jacobi eigensolver, and report-style validators for density operators and
-projector-valued spectral decompositions.
+is sized for desk-scale problems (dimension <= 64): dense storage, LAPACK
+eigenvalues through ``numpy.linalg.eigvalsh``, and report-style validators for
+density operators and projector-valued spectral decompositions.
+
+Two tolerances serve the whole package: ``ARITHMETIC_TOL`` guards exact
+identities (traces, probability sums, the product law) and ``STRUCTURAL_TOL``
+guards structural invariants (idempotence, orthogonality, positivity).
 """
 
 from __future__ import annotations
@@ -15,38 +19,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "NumericPolicy",
-    "DEFAULT_POLICY",
+    "ARITHMETIC_TOL",
+    "STRUCTURAL_TOL",
     "DensityOperator",
     "SpectralObservable",
     "InvariantViolation",
     "ValidityReport",
     "tensor_product",
-    "hermitian_eigendecomposition",
     "validate_density_operator",
     "validate_spectral_observable",
     "asymmetry",
     "as_complex_matrix",
+    "clamp",
 ]
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Global numeric tolerances.
+ARITHMETIC_TOL = 1e-12
+STRUCTURAL_TOL = 1e-10
 
-    ``arithmetic_tol`` guards exact identities (traces, probability sums),
-    ``structural_tol`` guards structural invariants (idempotence,
-    orthogonality, positivity).  The Jacobi parameters bound the eigensolver
-    sweep loop.
+
+def clamp(x: float, lo: float, hi: float, what: str) -> float:
+    """Clip roundoff excursions of ``x`` outside [lo, hi]; reject larger ones.
+
+    Values within ``ARITHMETIC_TOL`` of the interval are clipped into it;
+    anything farther out (or NaN) raises ``ValueError``.
     """
-
-    arithmetic_tol: float = 1e-12
-    structural_tol: float = 1e-10
-    jacobi_off_norm_tol: float = 1e-13
-    jacobi_max_sweeps: int = 100
-
-
-DEFAULT_POLICY = NumericPolicy()
+    if not lo - ARITHMETIC_TOL <= x <= hi + ARITHMETIC_TOL:
+        raise ValueError(f"{what} = {x} is outside [{lo:g}, {hi:g}]")
+    return float(min(max(x, lo), hi))
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -73,74 +73,6 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def hermitian_eigendecomposition(
-    m, policy: NumericPolicy = DEFAULT_POLICY
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
-    descending and eigenvectors as orthonormal columns, so that
-    ``m = V diag(w) V^dagger``.  Sweeps run until the off-diagonal Frobenius
-    norm drops below ``policy.jacobi_off_norm_tol`` or the sweep budget is
-    exhausted.
-
-    Raises ``ValueError`` for non-Hermitian input, reporting the measured
-    asymmetry.
-    """
-    a = as_complex_matrix(m)
-    n, n2 = a.shape
-    if n != n2:
-        raise ValueError(f"matrix must be square, got {n}x{n2}")
-    asym = asymmetry(a)
-    if asym > policy.structural_tol:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-
-    for _ in range(policy.jacobi_max_sweeps):
-        if _off_diagonal_norm(a) <= policy.jacobi_off_norm_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary plane rotation G: G[p,p]=c, G[p,q]=s*phase,
-                # G[q,p]=-s*conj(phase), G[q,q]=c; apply a <- G^dagger a G.
-                gpq = s * phase
-                gqp = -s * np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + gqp * col_q
-                a[:, q] = gpq * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + np.conj(gqp) * row_q
-                a[q, :] = np.conj(gpq) * row_p + c * row_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p + gqp * vec_q
-                v[:, q] = gpq * vec_p + c * vec_q
-
-    w = np.real(np.diag(a))
-    order = np.argsort(-w, kind="stable")
-    return w[order].copy(), v[:, order].copy()
-
-
 @dataclass(frozen=True)
 class InvariantViolation:
     invariant: str
@@ -161,13 +93,11 @@ class ValidityReport:
         return "; ".join(v.message for v in self.violations)
 
 
-def validate_density_operator(
-    m, policy: NumericPolicy = DEFAULT_POLICY
-) -> ValidityReport:
+def validate_density_operator(m) -> ValidityReport:
     """Check hermiticity, unit trace, and positivity of a candidate density matrix.
 
-    Positivity is measured on the Hermitian part via the Jacobi eigensolver so
-    the report stays meaningful even when hermiticity itself fails.
+    Positivity is measured on the Hermitian part so the report stays
+    meaningful even when hermiticity itself fails.
     """
     a = as_complex_matrix(m)
     violations: list[InvariantViolation] = []
@@ -179,21 +109,19 @@ def validate_density_operator(
         return ValidityReport(False, tuple(violations))
 
     asym = asymmetry(a)
-    if asym > policy.arithmetic_tol:
+    if asym > ARITHMETIC_TOL:
         violations.append(
             InvariantViolation(
                 "hermiticity", asym, f"not Hermitian: max |M - M^dagger| = {asym:.3e}"
             )
         )
     trace_dev = abs(float(np.trace(a).real) - 1.0) + abs(float(np.trace(a).imag))
-    if trace_dev > policy.arithmetic_tol:
+    if trace_dev > ARITHMETIC_TOL:
         violations.append(
             InvariantViolation("trace", trace_dev, f"trace deviates from 1 by {trace_dev:.3e}")
         )
-    herm = (a + a.conj().T) / 2.0
-    eigenvalues, _ = hermitian_eigendecomposition(herm, policy)
-    min_eig = float(np.min(eigenvalues))
-    if min_eig < -policy.structural_tol:
+    min_eig = float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2.0)))
+    if min_eig < -STRUCTURAL_TOL:
         violations.append(
             InvariantViolation(
                 "positivity", -min_eig, f"negative eigenvalue {min_eig:.3e}"
@@ -212,20 +140,19 @@ class DensityOperator:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, matrix):
         a = as_complex_matrix(matrix)
         n, n2 = a.shape
         if n != n2:
             raise ValueError(f"density operator must be square, got {n}x{n2}")
         asym = asymmetry(a)
-        if asym > policy.arithmetic_tol:
+        if asym > ARITHMETIC_TOL:
             raise ValueError(f"density operator not Hermitian: asymmetry {asym:.3e}")
         trace = complex(np.trace(a))
-        if abs(trace - 1.0) > policy.arithmetic_tol:
+        if abs(trace - 1.0) > ARITHMETIC_TOL:
             raise ValueError(f"density operator trace {trace} deviates from 1")
-        # Fast positivity gate; the full Jacobi path lives in the validator.
         min_eig = float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2.0)))
-        if min_eig < -policy.structural_tol:
+        if min_eig < -STRUCTURAL_TOL:
             raise ValueError(f"density operator has negative eigenvalue {min_eig:.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -297,12 +224,9 @@ class SpectralObservable:
         return out
 
 
-def validate_spectral_observable(
-    o: SpectralObservable, policy: NumericPolicy = DEFAULT_POLICY
-) -> ValidityReport:
+def validate_spectral_observable(o: SpectralObservable) -> ValidityReport:
     """Report on idempotence, orthogonality, completeness and eigenvalue distinctness."""
     violations: list[InvariantViolation] = []
-    tol = policy.structural_tol
 
     seen: set[float] = set()
     for ev in o.eigenvalues:
@@ -316,7 +240,7 @@ def validate_spectral_observable(
         herm_dev = asymmetry(p)
         idem_dev = float(np.max(np.abs(p @ p - p)))
         dev = max(herm_dev, idem_dev)
-        if dev > tol:
+        if dev > STRUCTURAL_TOL:
             violations.append(
                 InvariantViolation(
                     "idempotence",
@@ -329,7 +253,7 @@ def validate_spectral_observable(
     for i in range(k):
         for j in range(i + 1, k):
             dev = float(np.max(np.abs(o.projectors[i] @ o.projectors[j])))
-            if dev > tol:
+            if dev > STRUCTURAL_TOL:
                 violations.append(
                     InvariantViolation(
                         "orthogonality",
@@ -341,7 +265,7 @@ def validate_spectral_observable(
 
     total = sum(o.projectors)
     dev = float(np.max(np.abs(total - np.eye(o.dimension))))
-    if dev > tol:
+    if dev > STRUCTURAL_TOL:
         violations.append(
             InvariantViolation(
                 "completeness", dev, f"projectors sum deviates from identity by {dev:.3e}"

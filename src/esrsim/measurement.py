@@ -25,12 +25,13 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from .linalg import (
-    DEFAULT_POLICY,
+    ARITHMETIC_TOL,
+    STRUCTURAL_TOL,
     DensityOperator,
-    NumericPolicy,
     SpectralObservable,
     as_complex_matrix,
     asymmetry,
+    clamp,
     validate_spectral_observable,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
     "outcome_distribution",
     "luders_update",
     "unitary_evolve",
+    "sample_indices",
     "sample_outcome",
     "sample_outcomes",
     "DEFAULT_STATE_LABEL",
@@ -55,17 +57,6 @@ __all__ = [
 
 DEFAULT_STATE_LABEL = "S"
 NO_REGISTRATION = "a0"
-
-
-def _clamp_probability(x: float, tol: float, what: str) -> float:
-    """Clamp roundoff excursions outside [0, 1]; reject anything larger."""
-    if -tol <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + tol:
-        return 1.0
-    if 0.0 <= x <= 1.0:
-        return float(x)
-    raise ValueError(f"{what} = {x} is outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +164,15 @@ class Effect:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, matrix):
         a = as_complex_matrix(matrix)
         asym = asymmetry(a)
-        if asym > policy.structural_tol:
+        if asym > STRUCTURAL_TOL:
             raise ValueError(f"effect not Hermitian: asymmetry {asym:.3e}")
         eigenvalues = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
         lo = float(np.min(eigenvalues))
         hi = float(np.max(eigenvalues))
-        if lo < -policy.structural_tol or hi > 1.0 + policy.structural_tol:
+        if lo < -STRUCTURAL_TOL or hi > 1.0 + STRUCTURAL_TOL:
             raise ValueError(f"effect spectrum [{lo:.3e}, {hi:.3e}] not within [0, 1]")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -200,17 +191,14 @@ class ProbabilityTriple:
     conditional: float | None
 
     def __post_init__(self):
-        tol = DEFAULT_POLICY.arithmetic_tol
-        object.__setattr__(
-            self, "overall", _clamp_probability(float(self.overall), tol, "overall")
-        )
+        object.__setattr__(self, "overall", clamp(self.overall, 0.0, 1.0, "overall"))
         for name in ("detection", "conditional"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, _clamp_probability(float(v), tol, name))
+                object.__setattr__(self, name, clamp(v, 0.0, 1.0, name))
         if self.detection is not None and self.conditional is not None:
             residual = abs(self.overall - self.detection * self.conditional)
-            if residual > tol:
+            if residual > ARITHMETIC_TOL:
                 raise ValueError(
                     f"product law violated: |overall - detection*conditional| = {residual:.3e}"
                 )
@@ -233,14 +221,13 @@ def build_effect(
     state_label: Hashable,
     prop: Property,
     dm: DetectionModel,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Effect:
     """Assemble T = sum_{ev in sigma} p_detect(state, ev) P_ev."""
     base = prop.observable.base
     t = np.zeros((base.dimension, base.dimension), dtype=complex)
     for ev in prop.sigma:
         t = t + dm.value(state_label, ev) * base.projector_for(ev)
-    return Effect(t, policy)
+    return Effect(t)
 
 
 def probability_triple(
@@ -248,7 +235,6 @@ def probability_triple(
     prop: Property,
     dm: DetectionModel,
     state_label: Hashable = DEFAULT_STATE_LABEL,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ProbabilityTriple:
     """Compute (overall, detection, conditional) for a state/property pair.
 
@@ -258,14 +244,14 @@ def probability_triple(
     """
     _check_dimensions(rho, prop.observable)
     p_sigma = prop.observable.base.restriction(prop.sigma)
-    conditional = _clamp_probability(
-        float(np.trace(rho.matrix @ p_sigma).real), policy.arithmetic_tol, "conditional"
+    conditional = clamp(
+        float(np.trace(rho.matrix @ p_sigma).real), 0.0, 1.0, "conditional"
     )
-    effect = build_effect(state_label, prop, dm, policy)
-    overall = _clamp_probability(
-        float(np.trace(rho.matrix @ effect.matrix).real), policy.arithmetic_tol, "overall"
+    effect = build_effect(state_label, prop, dm)
+    overall = clamp(
+        float(np.trace(rho.matrix @ effect.matrix).real), 0.0, 1.0, "overall"
     )
-    detection = overall / conditional if conditional > policy.arithmetic_tol else None
+    detection = overall / conditional if conditional > ARITHMETIC_TOL else None
     return ProbabilityTriple(overall=overall, detection=detection, conditional=conditional)
 
 
@@ -274,10 +260,9 @@ def no_detection_probability(
     obs: GeneralizedObservable,
     dm: DetectionModel,
     state_label: Hashable = DEFAULT_STATE_LABEL,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float:
     """Probability of the a0 outcome: 1 - sum_ev p_detect(ev) Tr[rho P_ev]."""
-    return 1.0 - detection_mass(rho, obs, dm, state_label, policy)
+    return 1.0 - detection_mass(rho, obs, dm, state_label)
 
 
 def detection_mass(
@@ -285,7 +270,6 @@ def detection_mass(
     obs: GeneralizedObservable,
     dm: DetectionModel,
     state_label: Hashable = DEFAULT_STATE_LABEL,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float:
     """Probability that the object is detected at all in a measurement of ``obs``."""
     _check_dimensions(rho, obs)
@@ -293,7 +277,7 @@ def detection_mass(
     for ev, p in zip(obs.base.eigenvalues, obs.base.projectors):
         weight = float(np.trace(rho.matrix @ p).real)
         total += dm.value(state_label, ev) * weight
-    return _clamp_probability(total, policy.arithmetic_tol, "detection mass")
+    return clamp(total, 0.0, 1.0, "detection mass")
 
 
 def outcome_distribution(
@@ -301,7 +285,6 @@ def outcome_distribution(
     obs: GeneralizedObservable,
     dm: DetectionModel,
     state_label: Hashable = DEFAULT_STATE_LABEL,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[tuple, np.ndarray]:
     """Outcome values (eigenvalues then a0) with their probabilities.
 
@@ -312,15 +295,11 @@ def outcome_distribution(
     probs = []
     for ev, p in zip(obs.base.eigenvalues, obs.base.projectors):
         weight = float(np.trace(rho.matrix @ p).real)
-        probs.append(
-            _clamp_probability(
-                dm.value(state_label, ev) * weight, policy.arithmetic_tol, f"p({ev})"
-            )
-        )
+        probs.append(clamp(dm.value(state_label, ev) * weight, 0.0, 1.0, f"p({ev})"))
     a0_prob = 1.0 - sum(probs)
-    probs.append(_clamp_probability(a0_prob, policy.arithmetic_tol, "p(a0)"))
+    probs.append(clamp(a0_prob, 0.0, 1.0, "p(a0)"))
     arr = np.asarray(probs, dtype=float)
-    if abs(float(arr.sum()) - 1.0) > policy.arithmetic_tol:
+    if abs(float(arr.sum()) - 1.0) > ARITHMETIC_TOL:
         raise ValueError(f"outcome distribution sums to {arr.sum()}, not 1")
     return obs.outcome_set, arr
 
@@ -330,37 +309,35 @@ def luders_update(
     prop: Property,
     dm: DetectionModel,
     state_label: Hashable = DEFAULT_STATE_LABEL,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DensityOperator:
     """Post-measurement state on the yes branch: T rho T^dagger / Tr[...].
 
     With unit detection this reduces to the standard projective update
     P rho P / Tr[P rho P].  Raises when the yes outcome has no weight.
     """
-    effect = build_effect(state_label, prop, dm, policy)
+    effect = build_effect(state_label, prop, dm)
     t = effect.matrix
     updated = t @ rho.matrix @ t.conj().T
     norm = float(np.trace(updated).real)
-    if norm <= policy.arithmetic_tol:
+    if norm <= ARITHMETIC_TOL:
         raise ValueError(
             f"yes-outcome impossible: Tr[T rho T^dagger] = {norm:.3e}"
         )
     updated = (updated + updated.conj().T) / 2.0
-    return DensityOperator(updated / norm, policy)
+    return DensityOperator(updated / norm)
 
 
 def unitary_evolve(
     rho: DensityOperator,
     hamiltonian: SpectralObservable,
     t: float,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DensityOperator:
     """Evolve rho by U = sum_k exp(-i E_k t) P_k (hbar = 1).
 
     The Hamiltonian arrives spectrally, so no matrix exponential is needed;
     trace and eigenvalue multiset are preserved.
     """
-    report = validate_spectral_observable(hamiltonian, policy)
+    report = validate_spectral_observable(hamiltonian)
     if not report.valid:
         raise ValueError(f"hamiltonian invalid: {report.describe()}")
     if rho.dimension != hamiltonian.dimension:
@@ -373,7 +350,16 @@ def unitary_evolve(
         u = u + np.exp(-1j * energy * float(t)) * proj
     evolved = u @ rho.matrix @ u.conj().T
     evolved = (evolved + evolved.conj().T) / 2.0
-    return DensityOperator(evolved, policy)
+    return DensityOperator(evolved)
+
+
+def sample_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Indices into ``probs`` of ``n`` draws by inverting the cumulative sum.
+
+    Consumes exactly ``n`` uniforms from ``rng``, one per draw.
+    """
+    indices = np.searchsorted(np.cumsum(probs), rng.random(int(n)), side="right")
+    return np.minimum(indices, len(probs) - 1)
 
 
 def sample_outcome(
@@ -384,14 +370,7 @@ def sample_outcome(
     state_label: Hashable = DEFAULT_STATE_LABEL,
 ):
     """Draw one outcome from the exact distribution over eigenvalues and a0."""
-    outcomes, probs = outcome_distribution(rho, obs, dm, state_label)
-    u = rng.random()
-    cumulative = 0.0
-    for outcome, p in zip(outcomes, probs):
-        cumulative += p
-        if u < cumulative:
-            return outcome
-    return outcomes[-1]
+    return sample_outcomes(rho, obs, dm, rng, 1, state_label)[0]
 
 
 def sample_outcomes(
@@ -404,8 +383,4 @@ def sample_outcomes(
 ) -> list:
     """Draw ``n`` outcomes at once; same stream as ``n`` single draws."""
     outcomes, probs = outcome_distribution(rho, obs, dm, state_label)
-    cumulative = np.cumsum(probs)
-    draws = rng.random(int(n))
-    indices = np.searchsorted(cumulative, draws, side="right")
-    indices = np.minimum(indices, len(outcomes) - 1)
-    return [outcomes[i] for i in indices]
+    return [outcomes[i] for i in sample_indices(probs, rng, n)]

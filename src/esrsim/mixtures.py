@@ -17,7 +17,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .linalg import DEFAULT_POLICY, DensityOperator, NumericPolicy
+from .linalg import ARITHMETIC_TOL, STRUCTURAL_TOL, DensityOperator
 from .measurement import (
     DEFAULT_STATE_LABEL,
     DetectionModel,
@@ -65,7 +65,7 @@ class ProperMixture:
 
     components: tuple[ProperComponent, ...]
 
-    def __init__(self, components, policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, components):
         comps = tuple(components)
         if not comps:
             raise ValueError("proper mixture needs at least one component")
@@ -77,12 +77,12 @@ class ProperMixture:
             if c.state.dimension != dim:
                 raise ValueError("component dimensions differ")
             purity = c.state.purity()
-            if abs(purity - 1.0) > policy.structural_tol:
+            if abs(purity - 1.0) > STRUCTURAL_TOL:
                 raise ValueError(
                     f"component {c.state_label!r} is not pure: Tr[rho^2] = {purity}"
                 )
             total += c.weight
-        if abs(total - 1.0) > DEFAULT_POLICY.arithmetic_tol:
+        if abs(total - 1.0) > ARITHMETIC_TOL:
             raise ValueError(f"component weights sum to {total}, not 1")
         object.__setattr__(self, "components", comps)
 
@@ -102,32 +102,28 @@ def improper_probability_triple(
     m: ImproperMixture,
     prop: Property,
     dm: DetectionModel,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ProbabilityTriple:
     """Improper mixtures behave as generalized pure states: same path as usual."""
-    return probability_triple(m.rho, prop, dm, state_label=m.state_label, policy=policy)
+    return probability_triple(m.rho, prop, dm, state_label=m.state_label)
 
 
 def proper_overall_probability(
     m: ProperMixture,
     prop: Property,
     dm: DetectionModel,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float:
     """Epistemic average of component overall probabilities."""
     return sum(
         c.weight
-        * probability_triple(c.state, prop, dm, c.state_label, policy).overall
+        * probability_triple(c.state, prop, dm, c.state_label).overall
         for c in m.components
     )
 
 
-def _aggregate_detection(
-    m: ProperMixture, prop: Property, dm: DetectionModel, policy: NumericPolicy
-) -> float:
+def _aggregate_detection(m: ProperMixture, prop: Property, dm: DetectionModel) -> float:
     obs = prop.observable
     return sum(
-        c.weight * detection_mass(c.state, obs, dm, c.state_label, policy)
+        c.weight * detection_mass(c.state, obs, dm, c.state_label)
         for c in m.components
     )
 
@@ -136,7 +132,6 @@ def proper_conditional_probability(
     m: ProperMixture,
     prop: Property,
     dm: DetectionModel,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float | None:
     """Yes-fraction among detected objects of the whole family.
 
@@ -146,10 +141,10 @@ def proper_conditional_probability(
     differ from the Born value of the averaged density operator.  Returns
     ``None`` when the aggregate detected mass vanishes.
     """
-    denominator = _aggregate_detection(m, prop, dm, policy)
-    if denominator <= policy.arithmetic_tol:
+    denominator = _aggregate_detection(m, prop, dm)
+    if denominator <= ARITHMETIC_TOL:
         return None
-    numerator = proper_overall_probability(m, prop, dm, policy)
+    numerator = proper_overall_probability(m, prop, dm)
     value = numerator / denominator
     return min(max(value, 0.0), 1.0)
 
@@ -158,14 +153,13 @@ def esr_qm_divergence(
     m: ProperMixture,
     prop: Property,
     dm: DetectionModel,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float | None:
     """|proper conditional - Born value of the averaged density operator|.
 
     Zero under uniform detection; propagates ``None`` when the conditional is
     undefined.
     """
-    conditional = proper_conditional_probability(m, prop, dm, policy)
+    conditional = proper_conditional_probability(m, prop, dm)
     if conditional is None:
         return None
     p_sigma = prop.observable.base.restriction(prop.sigma)

@@ -23,7 +23,7 @@ from .correlations import (
     brute_force_trichotomic_bound,
     ghz_local_model_search,
 )
-from .hidden_variables import enumerate_local_strategies, strategy_outcome_array
+from .hidden_variables import enumerate_local_strategies
 from .linalg import DensityOperator, SpectralObservable, validate_density_operator
 from .measurement import (
     DetectionModel,
@@ -202,8 +202,7 @@ def chsh_bound_suite(n_mixtures: int = 1000, seed: int = 20240403) -> SuiteResul
             "chsh-bound", False, 1, abs(bound.value - 2.0),
             f"exhaustive maximum is {bound.value}, expected 2",
         )
-    strategies = enumerate_local_strategies(parties=2, settings=2)
-    outcomes = strategy_outcome_array(strategies)
+    outcomes = enumerate_local_strategies(parties=2, settings=2)
     e_ab = (outcomes[:, 0, 0] * outcomes[:, 1, 0]).astype(float)
     e_ac = (outcomes[:, 0, 0] * outcomes[:, 1, 1]).astype(float)
     e_db = (outcomes[:, 0, 1] * outcomes[:, 1, 0]).astype(float)
@@ -211,7 +210,7 @@ def chsh_bound_suite(n_mixtures: int = 1000, seed: int = 20240403) -> SuiteResul
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_mixtures):
-        w = rng.random(len(strategies))
+        w = rng.random(len(outcomes))
         w /= w.sum()
         lhs = abs(w @ e_ab - w @ e_ac) + abs(w @ e_db + w @ e_dc)
         worst = max(worst, lhs - 2.0)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import plus_density, z_generalized
 from esrsim.cli import (
     ConfigError,
     Record,
@@ -17,6 +18,7 @@ from esrsim.cli import (
     run_scenario,
     validate_config,
 )
+from esrsim.measurement import DetectionModel, sample_outcomes
 
 Z_OBSERVABLE = {
     "eigenvalues": [1.0, -1.0],
@@ -25,6 +27,9 @@ Z_OBSERVABLE = {
         [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     ],
 }
+
+# Repeated eigenvalue: not a spectral decomposition.
+DEGENERATE_OBSERVABLE = {**Z_OBSERVABLE, "eigenvalues": [1.0, 1.0]}
 
 PLUS_STATE = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
 
@@ -88,7 +93,7 @@ class TestRunScenario:
         }
         report = run_scenario(config)
         threshold = {r.name: r.value for r in report.records}["threshold"]
-        assert threshold == pytest.approx(2.0 ** (-0.25), abs=1e-6)
+        assert threshold == pytest.approx(2.0 ** (-0.25), abs=1e-12)
 
     def test_luders_scenario_emits_post_state(self):
         config = triple_config()
@@ -219,6 +224,17 @@ class TestDeterminism:
         jb = render_report(run_scenario(monte_carlo_config()), "json")
         assert ja == jb
 
+    def test_monte_carlo_counts_match_sample_outcomes(self):
+        # The runner's counts and sample_outcomes consume the same draws.
+        report = run_scenario(monte_carlo_config(seed=7, samples=5000))
+        freqs = {r.name: r.value for r in report.records}
+        dm = DetectionModel.per_eigenvalue({1.0: 0.9, -1.0: 0.5})
+        draws = sample_outcomes(
+            plus_density(), z_generalized(), dm, np.random.default_rng(7), 5000
+        )
+        for outcome, name in ((1.0, "freq[1]"), (-1.0, "freq[-1]"), ("a0", "freq[a0]")):
+            assert freqs[name] == draws.count(outcome) / 5000
+
     def test_different_seeds_differ(self):
         a = render_report(run_scenario(monte_carlo_config(seed=1)), "csv")
         b = render_report(run_scenario(monte_carlo_config(seed=2)), "csv")
@@ -285,6 +301,36 @@ class TestCommandLine:
         assert result.returncode == 2
         assert "config error" in result.stderr
         assert "state" in result.stderr
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({**monte_carlo_config(), "samples": 0}, "samples"),
+            ({"scenario_type": "ghz-local-model", "min_efficiency": 2.0}, "min_efficiency"),
+            (
+                {"scenario_type": "ghz-local-model", "min_joint_detection": -0.5},
+                "min_joint_detection",
+            ),
+            ({**triple_config(), "observable": DEGENERATE_OBSERVABLE}, "observable"),
+            (
+                {
+                    "scenario_type": "evolve",
+                    "dimension": 2,
+                    "state": PLUS_STATE,
+                    "hamiltonian": DEGENERATE_OBSERVABLE,
+                    "time": 1.0,
+                },
+                "hamiltonian",
+            ),
+        ],
+    )
+    def test_validate_and_run_agree_on_invalid_fields(self, tmp_path, config, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        for command in ("validate", "run"):
+            result = self._run(command, "--scenario", str(path))
+            assert result.returncode == 2, (command, result.stderr)
+            assert field in result.stderr
 
     def test_malformed_json_exits_2_with_line(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from esrsim.hidden_variables import enumerate_local_strategies, strategy_outcome_array
+from esrsim.hidden_variables import enumerate_local_strategies
 from esrsim.linalg import DensityOperator
 from esrsim.measurement import DetectionModel
 from esrsim.correlations import (
@@ -206,7 +206,7 @@ class TestInequalityReports:
 class TestEfficiencyScan:
     def test_threshold_location(self):
         scan = efficiency_scan(singlet_state(), TSIRELSON, [0.5, 1.0])
-        assert scan.threshold == pytest.approx(2.0 ** (-0.25), abs=1e-6)
+        assert scan.threshold == pytest.approx(2.0 ** (-0.25), abs=1e-12)
 
     def test_grid_rows(self):
         scan = efficiency_scan(singlet_state(), TSIRELSON, [0.25, 0.5, 0.75, 1.0])
@@ -281,8 +281,7 @@ class TestGHZLocalModelSearch:
     def test_no_perfect_strategy_exists_at_unit_detection(self):
         # Exhaustive cross-check of the infeasibility verdict: no always-
         # detecting strategy satisfies all four sign constraints.
-        strategies = enumerate_local_strategies(3, 2)
-        outcomes = strategy_outcome_array(strategies)
+        outcomes = enumerate_local_strategies(3, 2)
         contexts = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
         wanted = (1, -1, -1, -1)
         for s in outcomes:
@@ -314,8 +313,7 @@ class TestBruteForceBounds:
             brute_force_trichotomic_bound("ghz")
 
     def test_random_mixtures_respect_chsh(self, rng):
-        strategies = enumerate_local_strategies(2, 2)
-        outcomes = strategy_outcome_array(strategies)
+        outcomes = enumerate_local_strategies(2, 2)
         e_ab = (outcomes[:, 0, 0] * outcomes[:, 1, 0]).astype(float)
         e_ac = (outcomes[:, 0, 0] * outcomes[:, 1, 1]).astype(float)
         e_db = (outcomes[:, 0, 1] * outcomes[:, 1, 0]).astype(float)

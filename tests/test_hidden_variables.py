@@ -1,5 +1,6 @@
 """Microstate models, strategy enumeration, and LP construction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from esrsim.hidden_variables import (
     CorrelationTarget,
-    LocalStrategy,
     MicroPropertySet,
     MicrostateModel,
     build_feasibility_lp,
@@ -94,27 +94,15 @@ class TestEnumeration:
         assert len(enumerate_local_strategies(3, 2)) == 729
 
     def test_distinct_and_lexicographic(self):
+        # Party-major, setting-minor slots in itertools.product order.
         strategies = enumerate_local_strategies(2, 2)
-        flattened = [sum(s.outcomes, ()) for s in strategies]
-        assert len(set(flattened)) == 81
-        assert flattened == sorted(flattened)
-        assert flattened[0] == (-1, -1, -1, -1)
-        assert flattened[-1] == (1, 1, 1, 1)
+        assert strategies.shape == (81, 2, 2)
+        flattened = [tuple(s.reshape(-1).tolist()) for s in strategies]
+        assert flattened == list(itertools.product((-1, 0, 1), repeat=4))
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="enumeration bound"):
             enumerate_local_strategies(5, 3)
-
-    def test_strategy_accessors(self):
-        s = LocalStrategy(((1, 0), (-1, 1)))
-        assert s.outcome(0, 0) == 1
-        assert s.joint_product((0, 0)) == -1
-        assert s.all_detected((0, 0))
-        assert not s.all_detected((1, 0))
-
-    def test_outcome_alphabet_enforced(self):
-        with pytest.raises(ValueError, match="outcome"):
-            LocalStrategy(((2, 0), (0, 0)))
 
 
 class TestBuildFeasibilityLP:
@@ -175,6 +163,8 @@ class TestBuildFeasibilityLP:
             CorrelationTarget(settings=(0,), value=0.5, tolerance=-0.1)
         with pytest.raises(ValueError, match="efficiency bound"):
             build_feasibility_lp(strategies, (), min_efficiency=1.2)
+        with pytest.raises(ValueError, match="no strategies"):
+            build_feasibility_lp(strategies[:0])
 
     def test_tolerance_band_becomes_inequalities(self):
         strategies = enumerate_local_strategies(2, 2)
@@ -185,7 +175,7 @@ class TestBuildFeasibilityLP:
         assert problem.a_ub.shape[0] == 3
         result = solve_lp_simplex(problem)
         assert result.feasible
-        outcomes = np.asarray([s.outcomes for s in strategies], dtype=float)
+        outcomes = strategies.astype(float)
         prod = outcomes[:, 0, 0] * outcomes[:, 1, 0]
         det = (outcomes[:, 0, 0] != 0) & (outcomes[:, 1, 0] != 0)
         achieved = float(result.x @ prod) / float(result.x @ det.astype(float))

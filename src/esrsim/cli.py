@@ -77,6 +77,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite_number(x) -> bool:
+    return _is_number(x) and math.isfinite(float(x))
+
+
 def _get(config: dict, key: str, required: bool = True, default=None):
     if key not in config:
         if required:
@@ -89,7 +93,7 @@ def _get_number(config: dict, key: str, required: bool = True, default=None) -> 
     value = _get(config, key, required, default)
     if value is default and not required:
         return default
-    if not _is_number(value) or not math.isfinite(float(value)):
+    if not _is_finite_number(value):
         raise ConfigError(f"field '{key}': expected a finite number, got {value!r}")
     return float(value)
 
@@ -107,7 +111,7 @@ def _parse_complex_entry(node, path: str) -> complex:
     if (
         not isinstance(node, list)
         or len(node) != 2
-        or not all(_is_number(v) and math.isfinite(float(v)) for v in node)
+        or not all(_is_finite_number(v) for v in node)
     ):
         raise ConfigError(f"{path}: expected a finite [re, im] pair, got {node!r}")
     return complex(float(node[0]), float(node[1]))
@@ -195,7 +199,7 @@ def _parse_angles(config: dict, count: int) -> list[float]:
     if (
         not isinstance(node, list)
         or len(node) != count
-        or not all(_is_number(v) and math.isfinite(float(v)) for v in node)
+        or not all(_is_finite_number(v) for v in node)
     ):
         raise ConfigError(f"field 'angles_deg': expected {count} finite numbers")
     return [math.radians(float(v)) for v in node]
@@ -331,8 +335,10 @@ def _prep_mixture(config: dict) -> dict:
         if not isinstance(entry, dict):
             raise ConfigError(f"field 'components'[{k}]: expected an object")
         weight = entry.get("weight")
-        if not _is_number(weight):
-            raise ConfigError(f"field 'components'[{k}].weight: expected a number")
+        if not _is_finite_number(weight):
+            raise ConfigError(
+                f"field 'components'[{k}].weight: expected a finite number, got {weight!r}"
+            )
         state = _parse_complex_matrix(
             entry.get("state"), f"field 'components'[{k}].state", dim
         )
@@ -492,9 +498,17 @@ def _prep_hv_verify(config: dict) -> dict:
     states_node = _get(config, "microstates")
     if not isinstance(states_node, list):
         raise ConfigError("field 'microstates': expected a list of label lists")
+    for k, state in enumerate(states_node):
+        if not isinstance(state, list):
+            raise ConfigError(
+                f"field 'microstates'[{k}]: expected a list of labels, got {state!r}"
+            )
     weights = _get(config, "weights")
-    if not isinstance(weights, list) or not all(_is_number(w) for w in weights):
+    if not isinstance(weights, list):
         raise ConfigError("field 'weights': expected a list of numbers")
+    for k, w in enumerate(weights):
+        if not _is_finite_number(w):
+            raise ConfigError(f"field 'weights'[{k}]: expected a finite number, got {w!r}")
     detection_node = config.get("micro_detection", {})
     if not isinstance(detection_node, dict):
         raise ConfigError("field 'micro_detection': expected an object")

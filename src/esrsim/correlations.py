@@ -33,7 +33,6 @@ from .linalg import (
     DensityOperator,
     SpectralObservable,
     clamp,
-    tensor_product,
 )
 from .measurement import DEFAULT_STATE_LABEL, DetectionModel
 from .simplex import feasibility_residuals, solve_lp_simplex
@@ -92,13 +91,15 @@ def ghz_state(sign: int = +1) -> DensityOperator:
     return DensityOperator.from_state_vector(vec)
 
 
+def _spin_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """((I + n.sigma)/2, (I - n.sigma)/2) for n = (sin(angle), 0, cos(angle))."""
+    direction = math.cos(angle) * PAULI_Z + math.sin(angle) * PAULI_X
+    return (_ID2 + direction) / 2.0, (_ID2 - direction) / 2.0
+
+
 def spin_observable(angle: float) -> SpectralObservable:
     """Spin along cos(angle) Z + sin(angle) X, eigenvalues +1 and -1."""
-    direction = math.cos(angle) * PAULI_Z + math.sin(angle) * PAULI_X
-    return SpectralObservable(
-        eigenvalues=(1.0, -1.0),
-        projectors=((_ID2 + direction) / 2.0, (_ID2 - direction) / 2.0),
-    )
+    return SpectralObservable(eigenvalues=(1.0, -1.0), projectors=_spin_projectors(angle))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,21 +160,26 @@ def _wing_operators(
     sc: TwoPartyScenario, label: str, dm: DetectionModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(weighted outcome operator, detection operator) for one wing setting."""
-    obs = spin_observable(sc.angle(label))
     weighted = np.zeros((2, 2), dtype=complex)
     detect = np.zeros((2, 2), dtype=complex)
-    for ev, proj in zip(obs.eigenvalues, obs.projectors):
+    for ev, proj in zip((1.0, -1.0), _spin_projectors(sc.angle(label))):
         d = dm.value(sc.state_label, ev)
         weighted = weighted + ev * d * proj
         detect = detect + d * proj
     return weighted, detect
 
 
+def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """4x4 Kronecker product of two 2x2 arrays: the broadcast multiply that
+    ``np.kron`` runs, without re-validating arrays built in this module."""
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
+
+
 def trichotomic_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
     """Overall expectation of the product, with a0 counted as 0."""
     m_a, _ = _wing_operators(sc, a, sc.detection_a)
     m_b, _ = _wing_operators(sc, b, sc.detection_b)
-    value = float(np.trace(sc.joint_state.matrix @ tensor_product(m_a, m_b)).real)
+    value = float(np.trace(sc.joint_state.matrix @ _kron2(m_a, m_b)).real)
     return CorrelationResult(value=value, kind="overall")
 
 
@@ -182,8 +188,8 @@ def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> Correlation
     m_a, n_a = _wing_operators(sc, a, sc.detection_a)
     m_b, n_b = _wing_operators(sc, b, sc.detection_b)
     rho = sc.joint_state.matrix
-    numerator = float(np.trace(rho @ tensor_product(m_a, m_b)).real)
-    mass = float(np.trace(rho @ tensor_product(n_a, n_b)).real)
+    numerator = float(np.trace(rho @ _kron2(m_a, m_b)).real)
+    mass = float(np.trace(rho @ _kron2(n_a, n_b)).real)
     if mass <= ARITHMETIC_TOL:
         raise ValueError(f"zero joint-detection mass ({mass:.3e})")
     return CorrelationResult(value=numerator / mass, kind="conditional-on-detection")

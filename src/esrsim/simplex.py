@@ -1,9 +1,13 @@
 """Dense two-phase simplex for LP feasibility on strategy simplices.
 
 Problems are small (hundreds of variables, tens of rows) and deterministic
-reproducibility matters more than speed, so this is a plain dense tableau with
-Bland's anti-cycling rule: entering column is the lowest-index negative
-reduced cost, leaving row breaks ratio ties by lowest basic-variable index.
+reproducibility matters most, so this is a dense tableau with Bland's
+anti-cycling rule: entering column is the lowest-index negative reduced cost,
+leaving row breaks ratio ties by lowest basic-variable index.  Each pivot is
+vectorized over the tableau (candidate masks, one division for the ratios,
+one outer-product elimination) yet makes the same choices and the same
+floating-point operations as an entry-by-entry loop, so results are
+bit-identical to it.
 Phase one minimizes the sum of artificial variables; a strictly positive
 optimum certifies infeasibility.  No phase-two objective is needed because the
 callers only ask for feasibility plus a residual certificate, which is
@@ -198,27 +202,23 @@ def solve_lp_simplex(
 
     pivots = 0
     while True:
-        reduced = tableau[m, : n_tot + m]
-        entering = -1
-        for j in range(n_tot + m):
-            if eligible[j] and reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        candidates = np.flatnonzero(eligible & (tableau[m, : n_tot + m] < -_PIVOT_TOL))
+        if candidates.size == 0:
             break
+        entering = int(candidates[0])
 
+        column = tableau[:m, entering]
+        rows = np.flatnonzero(column > _PIVOT_TOL)
+        ratios = (tableau[rows, -1] / column[rows]).tolist()
         leaving = -1
         best_ratio = np.inf
-        for i in range(m):
-            coeff = tableau[i, entering]
-            if coeff > _PIVOT_TOL:
-                ratio = tableau[i, -1] / coeff
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        for i, ratio in zip(rows.tolist(), ratios):
+            if ratio < best_ratio - 1e-15 or (
+                abs(ratio - best_ratio) <= 1e-15
+                and (leaving < 0 or basis[i] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = i
         if leaving < 0:
             raise RuntimeError("phase-one unbounded: no valid pivot row")
 
@@ -226,11 +226,11 @@ def solve_lp_simplex(
         if pivots > max_pivots:
             raise RuntimeError(f"pivot budget {max_pivots} exhausted")
 
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        for i in range(m + 1):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i, :] -= tableau[i, entering] * tableau[leaving, :]
+        tableau[leaving, :] /= tableau[leaving, entering]
+        factors = tableau[:, entering].copy()
+        factors[leaving] = 0.0
+        others = np.flatnonzero(factors)
+        tableau[others] -= np.outer(factors[others], tableau[leaving])
 
         left_var = basis[leaving]
         if left_var >= n_tot:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from esrsim.cli import (
     validate_config,
 )
 from esrsim.measurement import DetectionModel, sample_outcomes
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 Z_OBSERVABLE = {
     "eigenvalues": [1.0, -1.0],
@@ -51,6 +54,12 @@ def triple_config() -> dict:
         "sigma": [1.0],
         "detection_model": SKEWED_DETECTION,
     }
+
+
+def nan_weight_mixture_config() -> dict:
+    config = json.loads((CONFIG_DIR / "mixture_divergence.json").read_text())
+    config["components"][1]["weight"] = float("nan")
+    return config
 
 
 def monte_carlo_config(seed=42, samples=20000) -> dict:
@@ -249,10 +258,7 @@ class TestDeterminism:
 
 class TestShippedConfigs:
     def test_all_sample_configs_validate(self):
-        from pathlib import Path
-
-        config_dir = Path(__file__).resolve().parents[1] / "configs"
-        paths = sorted(config_dir.glob("*.json"))
+        paths = sorted(CONFIG_DIR.glob("*.json"))
         assert paths, "sample configs missing"
         for path in paths:
             validate_config(json.loads(path.read_text()))
@@ -322,6 +328,27 @@ class TestCommandLine:
                 },
                 "hamiltonian",
             ),
+            (
+                {
+                    "scenario_type": "hv-verify",
+                    "properties": ["f", "g"],
+                    "microstates": ["fg", []],
+                    "weights": [0.5, 0.5],
+                    "property": "f",
+                },
+                "field 'microstates'[0]",
+            ),
+            (
+                {
+                    "scenario_type": "hv-verify",
+                    "properties": ["f"],
+                    "microstates": [["f"], []],
+                    "weights": [float("nan"), 0.4],
+                    "property": "f",
+                },
+                "field 'weights'[0]",
+            ),
+            (nan_weight_mixture_config(), "field 'components'[1].weight"),
         ],
     )
     def test_validate_and_run_agree_on_invalid_fields(self, tmp_path, config, field):

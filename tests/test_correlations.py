@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from esrsim.hidden_variables import enumerate_local_strategies
-from esrsim.linalg import DensityOperator
+from esrsim.linalg import DensityOperator, tensor_product
 from esrsim.measurement import DetectionModel
 from esrsim.correlations import (
     GHZScenario,
@@ -83,6 +83,64 @@ class TestTrichotomicExpectation:
         sc = singlet_scenario({"a": 0.0, "b": 0.0})
         with pytest.raises(ValueError, match="unknown setting"):
             trichotomic_expectation(sc, "a", "x")
+
+
+def _reference_wing(angle, dm, state_label):
+    """Wing operators as built from the public ``spin_observable`` before the
+    correlation kernels read the projectors directly."""
+    obs = spin_observable(angle)
+    weighted = np.zeros((2, 2), dtype=complex)
+    detect = np.zeros((2, 2), dtype=complex)
+    for ev, proj in zip(obs.eigenvalues, obs.projectors):
+        d = dm.value(state_label, ev)
+        weighted = weighted + ev * d * proj
+        detect = detect + d * proj
+    return weighted, detect
+
+
+def _random_mixed_state(rng) -> DensityOperator:
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return DensityOperator(m / np.trace(m).real)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestBitEquivalenceWithPublicOperators:
+    """The correlation kernels give exactly the bits of the formula written
+    with ``spin_observable`` and ``tensor_product``."""
+
+    @pytest.mark.parametrize("efficiency", ["zero", "random", "one", "outcome-dependent"])
+    def test_matches_reference_formula(self, rng, efficiency):
+        for _ in range(40):
+            rho = _random_mixed_state(rng)
+            angles = dict(zip("ab", rng.uniform(-2 * math.pi, 2 * math.pi, size=2)))
+            if efficiency == "outcome-dependent":
+                dm_a, dm_b = (
+                    DetectionModel.per_eigenvalue(dict(zip((1.0, -1.0), rng.uniform(size=2))))
+                    for _ in range(2)
+                )
+            else:
+                d_a, d_b = {"zero": (0.0, 0.0), "one": (1.0, 1.0)}.get(
+                    efficiency, tuple(rng.uniform(size=2))
+                )
+                dm_a, dm_b = DetectionModel.uniform(d_a), DetectionModel.uniform(d_b)
+            sc = TwoPartyScenario(rho, angles, dm_a, dm_b)
+            m_a, n_a = _reference_wing(angles["a"], dm_a, sc.state_label)
+            m_b, n_b = _reference_wing(angles["b"], dm_b, sc.state_label)
+            numerator = float(np.trace(rho.matrix @ tensor_product(m_a, m_b)).real)
+            mass = float(np.trace(rho.matrix @ tensor_product(n_a, n_b)).real)
+
+            overall = trichotomic_expectation(sc, "a", "b").value
+            assert _bits(overall) == _bits(min(max(numerator, -1.0), 1.0))
+            if efficiency == "zero":
+                with pytest.raises(ValueError, match="joint-detection"):
+                    conditional_expectation(sc, "a", "b")
+            else:
+                conditional = conditional_expectation(sc, "a", "b").value
+                assert _bits(conditional) == _bits(min(max(numerator / mass, -1.0), 1.0))
 
 
 class TestConditionalExpectation:

@@ -1,13 +1,26 @@
-"""Two-phase simplex: trivial cases, certificates, determinism, scipy oracle."""
+"""Two-phase simplex: trivial cases, certificates, determinism, scipy oracle,
+bit equivalence with the scalar Bland loop."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from esrsim.correlations import (
+    GHZ_CONTEXTS,
+    GHZScenario,
+    ghz_quantum_correlations,
+)
+from esrsim.hidden_variables import (
+    CorrelationTarget,
+    build_feasibility_lp,
+    enumerate_local_strategies,
+)
 from esrsim.simplex import (
     MAX_CONSTRAINTS,
+    MAX_PIVOTS,
     MAX_VARIABLES,
     FeasibilityProblem,
+    LPResult,
     feasibility_residuals,
     solve_lp_simplex,
 )
@@ -185,3 +198,187 @@ class TestAgainstScipy:
             assert ours.feasible == ref.success
             if ours.feasible:
                 assert feasibility_residuals(problem, ours.x).satisfied()
+
+
+def _scalar_bland_oracle(problem, feas_tol=1e-9, max_pivots=10**6):
+    """The element-by-element Bland loop the solver used before its pivots
+    were vectorized; kept only as a bit-for-bit reference.
+
+    Returns ``(LPResult, ties)``; ``ties`` counts ratio-test rows that fell
+    within 1e-15 of the running best, i.e. reached the basic-index rule.
+    """
+    tol = 1e-10
+    n = problem.n_vars
+    m_eq = problem.a_eq.shape[0]
+    m_ub = problem.a_ub.shape[0]
+    m = m_eq + m_ub
+    n_tot = n + m_ub
+    if m == 0:
+        return LPResult("feasible", np.zeros(n), 0.0, 0), 0
+
+    a = np.zeros((m, n_tot))
+    b = np.zeros(m)
+    a[:m_eq, :n] = problem.a_eq
+    b[:m_eq] = problem.b_eq
+    a[m_eq:, :n] = problem.a_ub
+    a[m_eq:, n:n_tot] = np.eye(m_ub)
+    b[m_eq:] = problem.b_ub
+    neg = b < 0.0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+
+    tableau = np.zeros((m + 1, n_tot + m + 1))
+    tableau[:m, :n_tot] = a
+    tableau[:m, n_tot:n_tot + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[m, :n_tot] = -a.sum(axis=0)
+    tableau[m, -1] = -b.sum()
+    basis = list(range(n_tot, n_tot + m))
+    eligible = np.ones(n_tot + m, dtype=bool)
+
+    pivots = 0
+    ties = 0
+    while True:
+        reduced = tableau[m, :n_tot + m]
+        entering = -1
+        for j in range(n_tot + m):
+            if eligible[j] and reduced[j] < -tol:
+                entering = j
+                break
+        if entering < 0:
+            break
+
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(m):
+            coeff = tableau[i, entering]
+            if coeff > tol:
+                ratio = tableau[i, -1] / coeff
+                if leaving >= 0 and abs(ratio - best_ratio) <= 1e-15:
+                    ties += 1
+                if ratio < best_ratio - 1e-15 or (
+                    abs(ratio - best_ratio) <= 1e-15
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise RuntimeError("phase-one unbounded: no valid pivot row")
+
+        pivots += 1
+        if pivots > max_pivots:
+            raise RuntimeError(f"pivot budget {max_pivots} exhausted")
+
+        pivot = tableau[leaving, entering]
+        tableau[leaving, :] /= pivot
+        for i in range(m + 1):
+            if i != leaving and tableau[i, entering] != 0.0:
+                tableau[i, :] -= tableau[i, entering] * tableau[leaving, :]
+
+        left_var = basis[leaving]
+        if left_var >= n_tot:
+            eligible[left_var] = False
+        basis[leaving] = entering
+
+    objective = -float(tableau[m, -1])
+    if objective > feas_tol:
+        return LPResult("infeasible", None, objective, pivots), ties
+    x_full = np.zeros(n_tot)
+    for i, var in enumerate(basis):
+        if var < n_tot:
+            x_full[var] = tableau[i, -1]
+    x = np.maximum(x_full[:n], 0.0)
+    return LPResult("feasible", x, max(objective, 0.0), pivots), ties
+
+
+def _fields(result):
+    """Result fields with the point as exact bytes."""
+    x = None if result.x is None else result.x.tobytes()
+    return (result.status, result.pivots, result.phase1_objective, x)
+
+
+def _outcome(solve, problem, max_pivots):
+    try:
+        return _fields(solve(problem, max_pivots=max_pivots))
+    except RuntimeError as exc:
+        return ("error", str(exc))
+
+
+def _oracle(problem, max_pivots):
+    return _scalar_bland_oracle(problem, max_pivots=max_pivots)[0]
+
+
+def _ghz_problem(min_efficiency, tolerance, min_joint_detection):
+    targets = [
+        CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
+        for ctx, value in zip(GHZ_CONTEXTS, ghz_quantum_correlations(GHZScenario.standard()))
+    ]
+    return build_feasibility_lp(
+        enumerate_local_strategies(parties=3, settings=2),
+        targets,
+        min_joint_detection=min_joint_detection,
+        min_efficiency=min_efficiency if min_efficiency > 0.0 else None,
+    )
+
+
+class TestBitEquivalenceWithScalarOracle:
+    """The vectorized pivots make the same Bland choices and the same
+    floating-point operations as the scalar loop, so every output matches
+    to the bit."""
+
+    # 300 of the 369 grid LPs finish within this budget. The rest need up to
+    # ~2,200 pivots, cycle under the 1e-15 tie rule or hit a numerically
+    # unbounded phase one; both solvers must then fail alike.
+    BUDGET = 250
+
+    @pytest.mark.parametrize("min_joint_detection", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-6, 1e-3])
+    def test_ghz_grid(self, tolerance, min_joint_detection):
+        for min_efficiency in np.linspace(0.0, 1.0, 41):
+            problem = _ghz_problem(float(min_efficiency), tolerance, min_joint_detection)
+            fast = _outcome(solve_lp_simplex, problem, self.BUDGET)
+            slow = _outcome(_oracle, problem, self.BUDGET)
+            assert fast == slow, (min_efficiency, fast[:2], slow[:2])
+
+    @pytest.mark.parametrize(
+        "min_efficiency, tolerance, min_joint_detection",
+        [(0.2, 1e-6, 0.0), (0.3, 1e-6, 0.0), (0.45, 1e-3, 0.0), (0.6, 1e-3, 1e-6)],
+    )
+    def test_ghz_long_pivot_paths(self, min_efficiency, tolerance, min_joint_detection):
+        problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
+        fast = _outcome(solve_lp_simplex, problem, MAX_PIVOTS)
+        slow = _outcome(_oracle, problem, MAX_PIVOTS)
+        assert fast[0] != "error"
+        assert fast == slow
+
+    def test_random_lps_with_tied_ratios(self):
+        rng = np.random.default_rng(7)
+        ties = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 30))
+            k_eq = int(rng.integers(0, 8))
+            k_ub = int(rng.integers(0, 5))
+            # Small integer data makes many ratios equal to the last bit;
+            # repeated rows and zero right-hand sides add degenerate ties.
+            a_eq = rng.integers(-2, 3, size=(k_eq, n)).astype(float)
+            b_eq = rng.integers(-2, 3, size=k_eq).astype(float)
+            if k_eq > 1:
+                a_eq[-1] = a_eq[0]
+                b_eq[-1] = b_eq[0]
+            a_ub = rng.integers(-2, 3, size=(k_ub, n)).astype(float)
+            b_ub = rng.integers(0, 3, size=k_ub).astype(float)
+            problem = FeasibilityProblem(
+                n_vars=n,
+                a_eq=np.vstack([np.ones(n), a_eq]),
+                b_eq=np.concatenate([[1.0], b_eq]),
+                a_ub=a_ub,
+                b_ub=b_ub,
+            )
+            try:
+                result, result_ties = _scalar_bland_oracle(problem, max_pivots=2000)
+                slow = _fields(result)
+                ties += result_ties
+            except RuntimeError as exc:
+                slow = ("error", str(exc))
+            assert _outcome(solve_lp_simplex, problem, 2000) == slow
+        assert ties > 0

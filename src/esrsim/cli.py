@@ -8,7 +8,22 @@ CSV layout is exactly ``scenario,record_name,value,residual`` with floats at
 round-trips numerically.  Wall time is measured but deliberately kept out of
 the emitted bytes so identical runs emit identical reports.
 
-Exit codes: 0 success, 2 config error, 3 computation error.
+Config keys per scenario type, besides ``scenario_type`` (* = required; the
+field tables below are their source): probability-triple and luders take
+dimension*, state*, observable*, sigma*, detection_model and state_label;
+monte-carlo adds samples and seed; evolve takes dimension*, state*,
+hamiltonian* and time*; mixture-divergence takes dimension*, components*,
+observable*, sigma* and detection_model; bell-scan and chsh-scan take
+angles_deg*, d_grid* and state; ghz-quantum takes state, and ghz-local-model
+adds min_efficiency and min_joint_detection; hv-verify takes properties*,
+microstates*, weights*, micro_detection and property*; self-test takes none.
+Any other key, at any depth, is a config error, so the ``run --seed`` and
+``--samples`` overrides are valid for monte-carlo only.  ``dimension`` is an
+integer in 1..64 (``MAX_DIMENSION``).  Labels are strings: ``state_label``
+(default "S", read by the triple, luders and monte-carlo scenarios) and the
+detection-entry, component and property labels.
+
+Exit codes: 0 success, 2 config error (with a field path), 3 computation error.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ EXIT_COMPUTE = 3
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 10000
+MAX_DIMENSION = 64
 
 
 class ConfigError(Exception):
@@ -70,190 +86,300 @@ def _fmt(x: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# config parsing
+# config reading
 # ----------------------------------------------------------------------
+#
+# Every object in a config is read by ``_read`` against a field table that
+# maps each accepted key to ``(parser, default)``.  A ``_REQUIRED`` default
+# makes the key mandatory and a callable default is called for a fresh value;
+# a key the table does not list is rejected.  Parsers are called as
+# ``parser(value, path, top)``, where ``top`` holds the top-level fields read
+# so far.  Tables are read in order, so a parser can use an earlier field:
+# ``state`` reads ``dimension`` and ``sigma`` reads ``observable``.
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+_REQUIRED = object()
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else f"field '{key}'"
+
+
+def _read(node, fields: dict, path: str, top: dict | None = None) -> dict:
+    """Parse the object ``node`` against ``fields``; every error names its path."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected an object, got {node!r}")
+    unknown = next((key for key in node if key not in fields), None)
+    if unknown is not None:
+        raise ConfigError(
+            f"{_at(path, unknown)}: unknown field; expected one of: {', '.join(fields)}"
+        )
+    parsed = {}
+    top = parsed if top is None else top
+    for key, (parse, default) in fields.items():
+        if key in node:
+            parsed[key] = parse(node[key], _at(path, key), top)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required {_at(path, key)}")
+        else:
+            parsed[key] = default() if callable(default) else default
+    return parsed
 
 
 def _is_finite_number(x) -> bool:
-    return _is_number(x) and math.isfinite(float(x))
+    # abs(x) <= max is False for NaN, infinities and integers too large for a float.
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return number and abs(x) <= sys.float_info.max
 
 
-def _get(config: dict, key: str, required: bool = True, default=None):
-    if key not in config:
-        if required:
-            raise ConfigError(f"missing required field '{key}'")
-        return default
-    return config[key]
+def _number(lo: float = -math.inf, hi: float = math.inf, integer: bool = False):
+    """Parser of a finite number, or of an integer, in [lo, hi]."""
+    want = "an integer" if integer else "a finite number"
+    if hi < math.inf:
+        want += f" in [{lo:g}, {hi:g}]"
+    elif lo > -math.inf:
+        want += f" >= {lo:g}"
+
+    def parse(value, path, top):
+        number = _is_finite_number(value) and (isinstance(value, int) or not integer)
+        if not number or not lo <= value <= hi:
+            raise ConfigError(f"{path}: expected {want}, got {value!r}")
+        return value if integer else float(value)
+
+    return parse
 
 
-def _get_number(config: dict, key: str, required: bool = True, default=None) -> float:
-    value = _get(config, key, required, default)
-    if value is default and not required:
-        return default
-    if not _is_finite_number(value):
-        raise ConfigError(f"field '{key}': expected a finite number, got {value!r}")
-    return float(value)
+_PROBABILITY = _number(0.0, 1.0)
 
 
-def _get_int(config: dict, key: str, required: bool = True, default=None) -> int:
-    value = _get(config, key, required, default)
-    if value is default and not required:
-        return default
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"field '{key}': expected a nonnegative integer, got {value!r}")
-    return int(value)
+def _label(value, path, top) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string label, got {value!r}")
+    return value
 
 
-def _parse_complex_entry(node, path: str) -> complex:
-    if (
-        not isinstance(node, list)
-        or len(node) != 2
-        or not all(_is_finite_number(v) for v in node)
-    ):
-        raise ConfigError(f"{path}: expected a finite [re, im] pair, got {node!r}")
-    return complex(float(node[0]), float(node[1]))
+def _list(item, nonempty: bool = True):
+    """Parser of a list whose entries ``item`` parses."""
+    def parse(value, path, top):
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ConfigError(f"{path}: expected a {'non-empty ' * nonempty}list")
+        return [item(v, f"{path}[{k}]", top) for k, v in enumerate(value)]
+
+    return parse
 
 
-def _parse_complex_matrix(node, path: str, dim: int | None = None) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise ConfigError(f"{path}: expected a nested array of [re, im] pairs")
-    rows = len(node)
-    matrix = np.zeros((rows, rows), dtype=complex)
+def _object(fields: dict):
+    return lambda value, path, top: _read(value, fields, path, top)
+
+
+_NUMBERS = _list(_number())
+
+
+def _complex_matrix(node, path: str, dim: int) -> np.ndarray:
+    """A dim x dim row-major nested array of finite [re, im] pairs."""
+    if not isinstance(node, list) or len(node) != dim:
+        raise ConfigError(f"{path}: expected {dim} rows of {dim} [re, im] pairs")
+    rows = []
     for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != rows:
-            raise ConfigError(f"{path}[{i}]: expected a row of {rows} entries")
+        if not isinstance(row, list) or len(row) != dim:
+            raise ConfigError(f"{path}[{i}]: expected a row of {dim} entries")
+        entries = []
         for j, entry in enumerate(row):
-            matrix[i, j] = _parse_complex_entry(entry, f"{path}[{i}][{j}]")
-    if dim is not None and rows != dim:
-        raise ConfigError(f"{path}: matrix is {rows}x{rows}, expected {dim}x{dim}")
-    return matrix
+            pair = isinstance(entry, list) and len(entry) == 2
+            if not (pair and all(map(_is_finite_number, entry))):
+                raise ConfigError(
+                    f"{path}[{i}][{j}]: expected a finite [re, im] pair, got {entry!r}"
+                )
+            entries.append(complex(entry[0], entry[1]))
+        rows.append(entries)
+    return np.array(rows, dtype=complex)
 
 
-def _parse_density(config: dict, key: str, dim: int | None) -> DensityOperator:
-    matrix = _parse_complex_matrix(_get(config, key), f"field '{key}'", dim)
-    try:
-        return DensityOperator(matrix)
-    except ValueError as exc:
-        raise ConfigError(f"field '{key}': {exc}") from exc
+def _projector(value, path, top) -> np.ndarray:
+    return _complex_matrix(value, path, top["dimension"])
 
 
-def _parse_observable(node, path: str, dim: int | None) -> GeneralizedObservable:
-    """Parse a spectral decomposition; ``GeneralizedObservable`` validates it."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object with eigenvalues and projectors")
-    eigenvalues = node.get("eigenvalues")
-    projectors = node.get("projectors")
-    if not isinstance(eigenvalues, list) or not all(_is_number(v) for v in eigenvalues):
-        raise ConfigError(f"{path}.eigenvalues: expected a list of numbers")
-    if not isinstance(projectors, list) or len(projectors) != len(eigenvalues):
-        raise ConfigError(
-            f"{path}.projectors: expected {len(eigenvalues or [])} projector matrices"
-        )
-    mats = [
-        _parse_complex_matrix(p, f"{path}.projectors[{k}]", dim)
-        for k, p in enumerate(projectors)
-    ]
+def _density(dim: int | None = None):
+    """Parser of a density matrix of size ``dim``, or of the ``dimension`` field."""
+    def parse(value, path, top):
+        matrix = _complex_matrix(value, path, top["dimension"] if dim is None else dim)
+        try:
+            return DensityOperator(matrix)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+    return parse
+
+
+_SPECTRUM = {
+    "eigenvalues": (_NUMBERS, _REQUIRED),
+    "projectors": (_list(_projector), _REQUIRED),
+}
+
+
+def _observable(value, path, top) -> GeneralizedObservable:
+    """A spectral decomposition; ``GeneralizedObservable`` validates it."""
+    node = _read(value, _SPECTRUM, path, top)
     try:
         return GeneralizedObservable(
-            SpectralObservable(eigenvalues=eigenvalues, projectors=mats)
+            SpectralObservable(node["eigenvalues"], node["projectors"])
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_detection(node, path: str) -> DetectionModel:
-    if node is None:
-        return DetectionModel.uniform(1.0)
-    if _is_number(node):
-        value = float(node)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{path}: detection probability {value} outside [0, 1]")
-        return DetectionModel.uniform(value)
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a number or an object")
-    default = node.get("default", 1.0)
-    if not _is_number(default) or not 0.0 <= float(default) <= 1.0:
-        raise ConfigError(f"{path}.default: expected a probability, got {default!r}")
-    table = {}
-    for k, entry in enumerate(node.get("entries", [])):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}.entries[{k}]: expected an object")
-        state = entry.get("state")
-        ev = entry.get("eigenvalue")
-        value = entry.get("value")
-        if state is None or not _is_number(ev) or not _is_number(value):
-            raise ConfigError(
-                f"{path}.entries[{k}]: need 'state', numeric 'eigenvalue' and 'value'"
-            )
-        if not 0.0 <= float(value) <= 1.0:
-            raise ConfigError(f"{path}.entries[{k}].value: {value} outside [0, 1]")
-        table[(state, float(ev))] = float(value)
-    return DetectionModel(assignment=table, default_value=float(default))
-
-
-def _parse_angles(config: dict, count: int) -> list[float]:
-    node = _get(config, "angles_deg")
-    if (
-        not isinstance(node, list)
-        or len(node) != count
-        or not all(_is_finite_number(v) for v in node)
-    ):
-        raise ConfigError(f"field 'angles_deg': expected {count} finite numbers")
-    return [math.radians(float(v)) for v in node]
-
-
-def _parse_grid(config: dict) -> list[float]:
-    node = _get(config, "d_grid")
-    if not isinstance(node, list) or not node:
-        raise ConfigError("field 'd_grid': expected a non-empty list of efficiencies")
-    grid = []
-    for k, v in enumerate(node):
-        if not _is_number(v) or not 0.0 <= float(v) <= 1.0:
-            raise ConfigError(f"field 'd_grid'[{k}]: expected a value in [0, 1]")
-        grid.append(float(v))
-    return grid
-
-
-def _state_label(config: dict):
-    return _get(config, "state_label", required=False, default="S")
-
-
-# ----------------------------------------------------------------------
-# scenario preparation and execution
-# ----------------------------------------------------------------------
-
-def _prep_triple_inputs(config: dict) -> dict:
-    dim = _get_int(config, "dimension")
-    rho = _parse_density(config, "state", dim)
-    gen = _parse_observable(_get(config, "observable"), "field 'observable'", dim)
-    sigma = _get(config, "sigma")
-    if not isinstance(sigma, list) or not sigma or not all(_is_number(v) for v in sigma):
-        raise ConfigError("field 'sigma': expected a non-empty list of eigenvalues")
+def _sigma(value, path, top) -> Property:
+    """The outcome subset of the ``observable`` field, as a ``Property``."""
     try:
-        prop = Property(gen, tuple(float(v) for v in sigma))
+        return Property(top["observable"], _NUMBERS(value, path, top))
     except ValueError as exc:
-        raise ConfigError(f"field 'sigma': {exc}") from exc
-    dm = _parse_detection(config.get("detection_model"), "field 'detection_model'")
-    return {"rho": rho, "prop": prop, "dm": dm, "label": _state_label(config)}
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _prep_monte_carlo(config: dict) -> dict:
-    prepared = _prep_triple_inputs(config)
-    samples = _get_int(config, "samples", required=False, default=DEFAULT_SAMPLES)
-    if samples < 1:
-        raise ConfigError(f"field 'samples': expected a positive integer, got {samples}")
-    prepared["samples"] = samples
-    prepared["seed"] = _get_int(config, "seed", required=False, default=DEFAULT_SEED)
-    return prepared
+_DETECTION_ENTRY = {
+    "state": (_label, _REQUIRED),
+    "eigenvalue": (_number(), _REQUIRED),
+    "value": (_PROBABILITY, _REQUIRED),
+}
+_DETECTION = {
+    "default": (_PROBABILITY, 1.0),
+    "entries": (_list(_object(_DETECTION_ENTRY), nonempty=False), ()),
+}
+
+
+def _detection(value, path, top) -> DetectionModel:
+    """A uniform detection probability, or a per-(state, eigenvalue) table."""
+    if not isinstance(value, dict):
+        return DetectionModel.uniform(_PROBABILITY(value, path, top))
+    node = _read(value, _DETECTION, path, top)
+    table = {(e["state"], e["eigenvalue"]): e["value"] for e in node["entries"]}
+    return DetectionModel(assignment=table, default_value=node["default"])
+
+
+def _angles(count: int):
+    """Parser of exactly ``count`` angles in degrees."""
+    def parse(value, path, top):
+        angles = _NUMBERS(value, path, top)
+        if len(angles) != count:
+            raise ConfigError(f"{path}: expected {count} angles, got {len(angles)}")
+        return angles
+
+    return parse
+
+
+_COMPONENT = {
+    "weight": (_number(mixtures.MIN_COMPONENT_WEIGHT, 1.0), _REQUIRED),
+    "state": (_density(), _REQUIRED),
+    "label": (_label, None),
+}
+
+
+def _components(value, path, top) -> mixtures.ProperMixture:
+    comps = []
+    for k, entry in enumerate(_list(_object(_COMPONENT))(value, path, top)):
+        label = f"component{k}" if entry["label"] is None else entry["label"]
+        comps.append(mixtures.ProperComponent(entry["weight"], entry["state"], label))
+    try:
+        return mixtures.ProperMixture(comps)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# scenario field tables and runners
+# ----------------------------------------------------------------------
+
+_DIMENSION = (_number(1, MAX_DIMENSION, integer=True), _REQUIRED)
+_DETECTION_MODEL = (_detection, lambda: DetectionModel.uniform(1.0))
+
+_TRIPLE = {
+    "dimension": _DIMENSION,
+    "state": (_density(), _REQUIRED),
+    "observable": (_observable, _REQUIRED),
+    "sigma": (_sigma, _REQUIRED),
+    "detection_model": _DETECTION_MODEL,
+    "state_label": (_label, "S"),
+}
+
+_MONTE_CARLO = {
+    **_TRIPLE,
+    "samples": (_number(1, integer=True), DEFAULT_SAMPLES),
+    "seed": (_number(0, integer=True), DEFAULT_SEED),
+}
+
+_EVOLVE = {
+    "dimension": _DIMENSION,
+    "state": (_density(), _REQUIRED),
+    "hamiltonian": (_observable, _REQUIRED),
+    "time": (_number(), _REQUIRED),
+}
+
+_MIXTURE = {
+    "dimension": _DIMENSION,
+    "components": (_components, _REQUIRED),
+    "observable": (_observable, _REQUIRED),
+    "sigma": (_sigma, _REQUIRED),
+    "detection_model": _DETECTION_MODEL,
+}
+
+_BELL = {
+    "angles_deg": (_angles(3), _REQUIRED),
+    "state": (_density(4), correlations.singlet_state),
+    "d_grid": (_list(_PROBABILITY), _REQUIRED),
+}
+_CHSH = {**_BELL, "angles_deg": (_angles(4), _REQUIRED)}
+
+_GHZ = {"state": (_density(8), correlations.ghz_state)}
+_GHZ_LOCAL_MODEL = {
+    **_GHZ,
+    "min_efficiency": (_PROBABILITY, 0.0),
+    "min_joint_detection": (_number(0.0), hidden_variables.DEFAULT_MIN_JOINT_DETECTION),
+}
+
+_MICRO_DETECTION_ENTRY = {
+    "microstate": (_number(0, integer=True), _REQUIRED),
+    "property": (_label, _REQUIRED),
+    "value": (_PROBABILITY, _REQUIRED),
+}
+_MICRO_DETECTION = {
+    "default": (_PROBABILITY, 1.0),
+    "entries": (_list(_object(_MICRO_DETECTION_ENTRY), nonempty=False), ()),
+}
+_HV_VERIFY = {
+    "properties": (_list(_label), _REQUIRED),
+    "microstates": (_list(_list(_label, nonempty=False)), _REQUIRED),
+    "weights": (_NUMBERS, _REQUIRED),
+    "micro_detection": (_object(_MICRO_DETECTION), lambda: {"default": 1.0, "entries": ()}),
+    "property": (_label, _REQUIRED),
+}
+
+
+def _microstate_model(prepared: dict) -> hidden_variables.MicrostateModel:
+    """The one cross-field step: hv-verify's fields make one microstate model."""
+    labels = prepared["properties"]
+    if prepared["property"] not in labels:
+        raise ConfigError(f"field 'property': {prepared['property']!r} not among {labels}")
+    detection = prepared["micro_detection"]
+    try:
+        return hidden_variables.MicrostateModel(
+            property_set=hidden_variables.MicroPropertySet(tuple(labels)),
+            microstates=tuple(frozenset(s) for s in prepared["microstates"]),
+            weights=tuple(prepared["weights"]),
+            micro_detection={
+                (e["microstate"], e["property"]): e["value"] for e in detection["entries"]
+            },
+            default_detection=detection["default"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"microstate model: {exc}") from exc
+
+
+def _measurement(p: dict) -> tuple:
+    """(state, property, detection model, state label) of a measurement scenario."""
+    return p["state"], p["sigma"], p["detection_model"], p["state_label"]
 
 
 def _run_probability_triple(prepared: dict):
-    triple = probability_triple(
-        prepared["rho"], prepared["prop"], prepared["dm"], prepared["label"]
-    )
+    triple = probability_triple(*_measurement(prepared))
     records = [
         Record("overall", triple.overall),
         Record("detection", triple.detection),
@@ -264,12 +390,8 @@ def _run_probability_triple(prepared: dict):
 
 
 def _run_luders(prepared: dict):
-    triple = probability_triple(
-        prepared["rho"], prepared["prop"], prepared["dm"], prepared["label"]
-    )
-    updated = luders_update(
-        prepared["rho"], prepared["prop"], prepared["dm"], prepared["label"]
-    )
+    triple = probability_triple(*_measurement(prepared))
+    updated = luders_update(*_measurement(prepared))
     records = [Record("yes_probability", triple.overall)]
     matrix = updated.matrix
     for i in range(matrix.shape[0]):
@@ -279,17 +401,9 @@ def _run_luders(prepared: dict):
     return records, {}
 
 
-def _prep_evolve(config: dict) -> dict:
-    dim = _get_int(config, "dimension")
-    rho = _parse_density(config, "state", dim)
-    ham = _parse_observable(_get(config, "hamiltonian"), "field 'hamiltonian'", dim).base
-    t = _get_number(config, "time")
-    return {"rho": rho, "ham": ham, "t": t}
-
-
 def _run_evolve(prepared: dict):
-    rho = prepared["rho"]
-    evolved = unitary_evolve(rho, prepared["ham"], prepared["t"])
+    rho = prepared["state"]
+    evolved = unitary_evolve(rho, prepared["hamiltonian"].base, prepared["time"])
     before = np.sort(np.linalg.eigvalsh(rho.matrix))
     after = np.sort(np.linalg.eigvalsh(evolved.matrix))
     records = [
@@ -308,9 +422,8 @@ def _run_evolve(prepared: dict):
 
 def _run_monte_carlo(prepared: dict):
     samples = prepared["samples"]
-    outcome_set, exact = outcome_distribution(
-        prepared["rho"], prepared["prop"].observable, prepared["dm"], prepared["label"]
-    )
+    rho, prop, dm, label = _measurement(prepared)
+    outcome_set, exact = outcome_distribution(rho, prop.observable, dm, label)
     rng = np.random.default_rng(prepared["seed"])
     counts = np.bincount(sample_indices(exact, rng, samples), minlength=len(exact))
     records = []
@@ -325,48 +438,9 @@ def _run_monte_carlo(prepared: dict):
     return records, {}
 
 
-def _prep_mixture(config: dict) -> dict:
-    dim = _get_int(config, "dimension")
-    node = _get(config, "components")
-    if not isinstance(node, list) or not node:
-        raise ConfigError("field 'components': expected a non-empty list")
-    comps = []
-    for k, entry in enumerate(node):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"field 'components'[{k}]: expected an object")
-        weight = entry.get("weight")
-        if not _is_finite_number(weight):
-            raise ConfigError(
-                f"field 'components'[{k}].weight: expected a finite number, got {weight!r}"
-            )
-        state = _parse_complex_matrix(
-            entry.get("state"), f"field 'components'[{k}].state", dim
-        )
-        label = entry.get("label", f"component{k}")
-        try:
-            comps.append(
-                mixtures.ProperComponent(float(weight), DensityOperator(state), label)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"field 'components'[{k}]: {exc}") from exc
-    try:
-        mixture = mixtures.ProperMixture(comps)
-    except ValueError as exc:
-        raise ConfigError(f"field 'components': {exc}") from exc
-    gen = _parse_observable(_get(config, "observable"), "field 'observable'", dim)
-    try:
-        sigma = _get(config, "sigma")
-        if not isinstance(sigma, list) or not all(_is_number(v) for v in sigma):
-            raise ConfigError("field 'sigma': expected a list of eigenvalues")
-        prop = Property(gen, tuple(float(v) for v in sigma))
-    except ValueError as exc:
-        raise ConfigError(f"field 'sigma': {exc}") from exc
-    dm = _parse_detection(config.get("detection_model"), "field 'detection_model'")
-    return {"mixture": mixture, "prop": prop, "dm": dm}
-
-
 def _run_mixture_divergence(prepared: dict):
-    mixture, prop, dm = prepared["mixture"], prepared["prop"], prepared["dm"]
+    mixture = prepared["components"]
+    prop, dm = prepared["sigma"], prepared["detection_model"]
     overall = mixtures.proper_overall_probability(mixture, prop, dm)
     conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
     p_sigma = prop.observable.base.restriction(prop.sigma)
@@ -381,20 +455,10 @@ def _run_mixture_divergence(prepared: dict):
     return records, {}
 
 
-def _prep_two_party(config: dict, n_angles: int) -> dict:
-    angles = _parse_angles(config, n_angles)
-    if "state" in config:
-        state = _parse_density(config, "state", 4)
-    else:
-        state = correlations.singlet_state()
-    grid = _parse_grid(config)
-    return {"angles": angles, "state": state, "grid": grid}
-
-
 def _run_bell_scan(prepared: dict):
-    a, b, c = prepared["angles"]
+    a, b, c = (math.radians(v) for v in prepared["angles_deg"])
     records = []
-    for d in prepared["grid"]:
+    for d in prepared["d_grid"]:
         dm = DetectionModel.uniform(d)
         sc = correlations.TwoPartyScenario(
             joint_state=prepared["state"],
@@ -411,11 +475,11 @@ def _run_bell_scan(prepared: dict):
 
 
 def _run_chsh_scan(prepared: dict):
-    a, d_angle, b, c = prepared["angles"]
+    a, d_angle, b, c = (math.radians(v) for v in prepared["angles_deg"])
     scan = correlations.efficiency_scan(
         prepared["state"],
         {"a": a, "d": d_angle, "b": b, "c": c},
-        prepared["grid"],
+        prepared["d_grid"],
     )
     records = [
         Record(f"lhs[d={_fmt(row.efficiency)}]", row.lhs, 2.0 - row.lhs)
@@ -426,16 +490,9 @@ def _run_chsh_scan(prepared: dict):
     return records, diagnostics
 
 
-def _prep_ghz(config: dict) -> dict:
-    if "state" in config:
-        state = _parse_density(config, "state", 8)
-    else:
-        state = correlations.ghz_state(+1)
-    return {"scenario": correlations.GHZScenario(joint_state=state)}
-
-
 def _run_ghz_quantum(prepared: dict):
-    values = correlations.ghz_quantum_correlations(prepared["scenario"])
+    scenario = correlations.GHZScenario(joint_state=prepared["state"])
+    values = correlations.ghz_quantum_correlations(scenario)
     records = [
         Record(f"E_{name}", value)
         for name, value in zip(correlations.GHZ_CONTEXT_NAMES, values)
@@ -447,26 +504,11 @@ _PARTY_NAMES = ("A", "B", "C")
 _SETTING_NAMES = ("X", "Y")
 
 
-def _prep_ghz_local_model(config: dict) -> dict:
-    prepared = _prep_ghz(config)
-    min_eff = _get_number(config, "min_efficiency", required=False, default=0.0)
-    if not 0.0 <= min_eff <= 1.0:
-        raise ConfigError(f"field 'min_efficiency': {min_eff} outside [0, 1]")
-    min_joint = _get_number(
-        config,
-        "min_joint_detection",
-        required=False,
-        default=hidden_variables.DEFAULT_MIN_JOINT_DETECTION,
-    )
-    if min_joint < 0.0:
-        raise ConfigError(f"field 'min_joint_detection': {min_joint} is negative")
-    prepared["search"] = {"min_efficiency": min_eff, "min_joint_detection": min_joint}
-    return prepared
-
-
 def _run_ghz_local_model(prepared: dict):
-    scenario = prepared["scenario"]
-    found = correlations.ghz_local_model_search(scenario, **prepared["search"])
+    scenario = correlations.GHZScenario(joint_state=prepared["state"])
+    found = correlations.ghz_local_model_search(
+        scenario, prepared["min_efficiency"], prepared["min_joint_detection"]
+    )
     records = [Record("feasible", 1.0 if found.feasible else 0.0)]
     if found.feasible:
         targets = correlations.ghz_quantum_correlations(scenario)
@@ -491,59 +533,8 @@ def _run_ghz_local_model(prepared: dict):
     return records, {"verdict": verdict}
 
 
-def _prep_hv_verify(config: dict) -> dict:
-    labels = _get(config, "properties")
-    if not isinstance(labels, list) or not labels:
-        raise ConfigError("field 'properties': expected a non-empty list of labels")
-    states_node = _get(config, "microstates")
-    if not isinstance(states_node, list):
-        raise ConfigError("field 'microstates': expected a list of label lists")
-    for k, state in enumerate(states_node):
-        if not isinstance(state, list):
-            raise ConfigError(
-                f"field 'microstates'[{k}]: expected a list of labels, got {state!r}"
-            )
-    weights = _get(config, "weights")
-    if not isinstance(weights, list):
-        raise ConfigError("field 'weights': expected a list of numbers")
-    for k, w in enumerate(weights):
-        if not _is_finite_number(w):
-            raise ConfigError(f"field 'weights'[{k}]: expected a finite number, got {w!r}")
-    detection_node = config.get("micro_detection", {})
-    if not isinstance(detection_node, dict):
-        raise ConfigError("field 'micro_detection': expected an object")
-    default = detection_node.get("default", 1.0)
-    table = {}
-    for k, entry in enumerate(detection_node.get("entries", [])):
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("microstate"), int)
-            or "property" not in entry
-            or not _is_number(entry.get("value"))
-        ):
-            raise ConfigError(
-                f"field 'micro_detection'.entries[{k}]: need integer 'microstate', "
-                "'property' and numeric 'value'"
-            )
-        table[(entry["microstate"], entry["property"])] = float(entry["value"])
-    try:
-        model = hidden_variables.MicrostateModel(
-            property_set=hidden_variables.MicroPropertySet(tuple(labels)),
-            microstates=tuple(frozenset(s) for s in states_node),
-            weights=tuple(float(w) for w in weights),
-            micro_detection=table,
-            default_detection=float(default),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"microstate model: {exc}") from exc
-    target = _get(config, "property")
-    if target not in labels:
-        raise ConfigError(f"field 'property': {target!r} not among {labels}")
-    return {"model": model, "target": target}
-
-
 def _run_hv_verify(prepared: dict):
-    triple = hidden_variables.macro_from_micro(prepared["model"], prepared["target"])
+    triple = hidden_variables.macro_from_micro(prepared["model"], prepared["property"])
     records = [
         Record("p_t", triple.overall),
         Record("p_d", triple.detection),
@@ -569,17 +560,17 @@ def _run_self_test(prepared: dict):
 
 
 _SCENARIOS = {
-    "probability-triple": (_prep_triple_inputs, _run_probability_triple),
-    "luders": (_prep_triple_inputs, _run_luders),
-    "evolve": (_prep_evolve, _run_evolve),
-    "monte-carlo": (_prep_monte_carlo, _run_monte_carlo),
-    "mixture-divergence": (_prep_mixture, _run_mixture_divergence),
-    "bell-scan": (lambda c: _prep_two_party(c, 3), _run_bell_scan),
-    "chsh-scan": (lambda c: _prep_two_party(c, 4), _run_chsh_scan),
-    "ghz-quantum": (_prep_ghz, _run_ghz_quantum),
-    "ghz-local-model": (_prep_ghz_local_model, _run_ghz_local_model),
-    "hv-verify": (_prep_hv_verify, _run_hv_verify),
-    "self-test": (lambda c: {}, _run_self_test),
+    "probability-triple": (_TRIPLE, _run_probability_triple),
+    "luders": (_TRIPLE, _run_luders),
+    "evolve": (_EVOLVE, _run_evolve),
+    "monte-carlo": (_MONTE_CARLO, _run_monte_carlo),
+    "mixture-divergence": (_MIXTURE, _run_mixture_divergence),
+    "bell-scan": (_BELL, _run_bell_scan),
+    "chsh-scan": (_CHSH, _run_chsh_scan),
+    "ghz-quantum": (_GHZ, _run_ghz_quantum),
+    "ghz-local-model": (_GHZ_LOCAL_MODEL, _run_ghz_local_model),
+    "hv-verify": (_HV_VERIFY, _run_hv_verify),
+    "self-test": ({}, _run_self_test),
 }
 
 
@@ -588,13 +579,16 @@ def _prepare(config) -> tuple[str, dict]:
     if not isinstance(config, dict):
         raise ConfigError("top level: expected a JSON object")
     scenario_type = config.get("scenario_type")
-    if scenario_type not in _SCENARIOS:
+    if not isinstance(scenario_type, str) or scenario_type not in _SCENARIOS:
         known = ", ".join(sorted(_SCENARIOS))
         raise ConfigError(
             f"field 'scenario_type': got {scenario_type!r}, expected one of: {known}"
         )
-    prep, _ = _SCENARIOS[scenario_type]
-    return scenario_type, prep(config)
+    fields, _ = _SCENARIOS[scenario_type]
+    prepared = _read(config, {"scenario_type": (_label, _REQUIRED), **fields}, "")
+    if scenario_type == "hv-verify":
+        prepared["model"] = _microstate_model(prepared)
+    return scenario_type, prepared
 
 
 def validate_config(config) -> str:

@@ -413,7 +413,7 @@ def ghz_local_model_search(
         efficiencies=efficiencies,
         joint_detection=joint,
         max_residual=max_residual,
-        support_size=int(np.sum(weights > 1e-12)),
+        support_size=int(np.sum(weights > ARITHMETIC_TOL)),
         phase1_objective=result.phase1_objective,
         pivots=result.pivots,
     )

@@ -17,7 +17,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, STRUCTURAL_TOL, DensityOperator
+from .linalg import ARITHMETIC_TOL, STRUCTURAL_TOL, DensityOperator, clamp
 from .measurement import (
     DEFAULT_STATE_LABEL,
     DetectionModel,
@@ -145,8 +145,7 @@ def proper_conditional_probability(
     if denominator <= ARITHMETIC_TOL:
         return None
     numerator = proper_overall_probability(m, prop, dm)
-    value = numerator / denominator
-    return min(max(value, 0.0), 1.0)
+    return clamp(numerator / denominator, 0.0, 1.0, "proper conditional probability")
 
 
 def esr_qm_divergence(

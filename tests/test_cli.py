@@ -1,5 +1,6 @@
 """CLI surface: config validation, reports, determinism, exit codes."""
 
+import copy
 import json
 import math
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import plus_density, z_generalized
 from esrsim.cli import (
@@ -22,6 +25,7 @@ from esrsim.cli import (
 from esrsim.measurement import DetectionModel, sample_outcomes
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
 
 Z_OBSERVABLE = {
     "eigenvalues": [1.0, -1.0],
@@ -60,6 +64,37 @@ def nan_weight_mixture_config() -> dict:
     config = json.loads((CONFIG_DIR / "mixture_divergence.json").read_text())
     config["components"][1]["weight"] = float("nan")
     return config
+
+
+def node_at(config, path: tuple):
+    for key in path:
+        config = config[key]
+    return config
+
+
+def mutated(name: str, path: tuple, value) -> dict:
+    """A shipped config with the node at ``path`` set to ``value``."""
+    config = copy.deepcopy(SHIPPED[name])
+    node_at(config, path[:-1])[path[-1]] = value
+    return config
+
+
+def dimension_65_config() -> dict:
+    # Consistent 65x65 inputs, so only the dimension bound can reject them.
+    def diagonal(values):
+        n = len(values)
+        return [[[values[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+    rest = [0.0] + [1.0] * 64
+    return {
+        **triple_config(),
+        "dimension": 65,
+        "state": diagonal([1.0 / 65] * 65),
+        "observable": {
+            "eigenvalues": [1.0, -1.0],
+            "projectors": [diagonal([1.0 - r for r in rest]), diagonal(rest)],
+        },
+    }
 
 
 def monte_carlo_config(seed=42, samples=20000) -> dict:
@@ -349,6 +384,35 @@ class TestCommandLine:
                 "field 'weights'[0]",
             ),
             (nan_weight_mixture_config(), "field 'components'[1].weight"),
+            (
+                mutated("probability_triple", ("detection_model", "entries", 0, "state"), ["S"]),
+                "field 'detection_model'.entries[0].state",
+            ),
+            (
+                mutated("probability_triple", ("detection_model", "entries"), 5),
+                "field 'detection_model'.entries",
+            ),
+            (
+                mutated("hv_verify", ("micro_detection", "entries"), 3),
+                "field 'micro_detection'.entries",
+            ),
+            (mutated("probability_triple", ("state_label",), [1]), "field 'state_label'"),
+            (
+                mutated("mixture_divergence", ("components", 0, "label"), ["w0"]),
+                "field 'components'[0].label",
+            ),
+            (
+                {**triple_config(), "detection_modle": SKEWED_DETECTION},
+                "field 'detection_modle'",
+            ),
+            (dimension_65_config(), "field 'dimension'"),
+            (mutated("bell_scan", ("seed",), 3), "field 'seed'"),
+            (
+                mutated("hv_verify", ("micro_detection", "entries", 0, "microstate"), True),
+                "field 'micro_detection'.entries[0].microstate",
+            ),
+            (mutated("mixture_divergence", ("sigma",), []), "field 'sigma'"),
+            ({"scenario_type": []}, "field 'scenario_type'"),
         ],
     )
     def test_validate_and_run_agree_on_invalid_fields(self, tmp_path, config, field):
@@ -358,6 +422,13 @@ class TestCommandLine:
             result = self._run(command, "--scenario", str(path))
             assert result.returncode == 2, (command, result.stderr)
             assert field in result.stderr
+
+    def test_seed_and_samples_flags_only_for_monte_carlo(self):
+        path = CONFIG_DIR / "bell_scan.json"
+        for flag in ("seed", "samples"):
+            result = self._run("run", "--scenario", str(path), f"--{flag}", "3")
+            assert result.returncode == 2, result.stderr
+            assert f"field '{flag}'" in result.stderr
 
     def test_malformed_json_exits_2_with_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -400,3 +471,47 @@ class TestCommandLine:
         parsed = json.loads(out.read_text())
         assert parsed["scenario"] == "ghz-quantum"
         assert parsed["results"][0]["value"] == 1.0
+
+
+SWAP_VALUES = [None, True, "x", [], {}, float("nan"), float("inf"), -1, 0, 65]
+
+
+def node_paths(node, prefix=()):
+    """The path of ``node`` and of every value nested in it."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, prefix + (key,))
+
+
+class TestConfigFuzz:
+    """Mutated shipped configs: rejected with ConfigError, or run without a crash."""
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_mutated_shipped_configs(self, data):
+        name = data.draw(st.sampled_from(sorted(SHIPPED)))
+        config = copy.deepcopy(SHIPPED[name])
+        paths = list(node_paths(config))
+        kind = data.draw(st.sampled_from(["drop", "add", "swap"]))
+        if kind == "add":
+            objects = [p for p in paths if isinstance(node_at(config, p), dict)]
+            node_at(config, data.draw(st.sampled_from(objects)))["unknown_key"] = 1
+            with pytest.raises(ConfigError, match="unknown_key"):
+                validate_config(config)
+            return
+        if kind == "drop":
+            keyed = [p for p in paths if p and isinstance(p[-1], str)]
+            path = data.draw(st.sampled_from(keyed))
+            del node_at(config, path[:-1])[path[-1]]
+        else:
+            path = data.draw(st.sampled_from(paths[1:]))
+            node_at(config, path[:-1])[path[-1]] = data.draw(st.sampled_from(SWAP_VALUES))
+        try:
+            validate_config(config)
+        except ConfigError:
+            return
+        try:
+            run_scenario(config)
+        except (ValueError, RuntimeError):
+            pass  # a numeric failure of an accepted config: exit 3, not a crash

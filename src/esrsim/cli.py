@@ -23,6 +23,11 @@ integer in 1..64 (``MAX_DIMENSION``).  Labels are strings: ``state_label``
 (default "S", read by the triple, luders and monte-carlo scenarios) and the
 detection-entry, component and property labels.
 
+Only the modules a scenario runs are imported: ``correlations``,
+``hidden_variables`` (with ``simplex``) and ``selftest`` are imported inside
+the parsers and runners that use them, so a probability-triple run never
+loads the LP code.
+
 Exit codes: 0 success, 2 config error (with a field path), 3 computation error.
 """
 
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import correlations, hidden_variables, mixtures, selftest
+from . import mixtures
 from .linalg import DensityOperator, SpectralObservable
 from .measurement import (
     DetectionModel,
@@ -59,6 +64,7 @@ EXIT_COMPUTE = 3
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 10000
 MAX_DIMENSION = 64
+_MC_CHUNK = 1 << 16  # Monte Carlo draws per sample_indices call
 
 
 class ConfigError(Exception):
@@ -321,18 +327,38 @@ _MIXTURE = {
     "detection_model": _DETECTION_MODEL,
 }
 
+# Defaults owned by correlations and hidden_variables are read when a config
+# omits the field, so that importing this module imports neither.
+def _singlet_state():
+    from .correlations import singlet_state
+
+    return singlet_state()
+
+
+def _ghz_state():
+    from .correlations import ghz_state
+
+    return ghz_state()
+
+
+def _min_joint_detection() -> float:
+    from .hidden_variables import DEFAULT_MIN_JOINT_DETECTION
+
+    return DEFAULT_MIN_JOINT_DETECTION
+
+
 _BELL = {
     "angles_deg": (_angles(3), _REQUIRED),
-    "state": (_density(4), correlations.singlet_state),
+    "state": (_density(4), _singlet_state),
     "d_grid": (_list(_PROBABILITY), _REQUIRED),
 }
 _CHSH = {**_BELL, "angles_deg": (_angles(4), _REQUIRED)}
 
-_GHZ = {"state": (_density(8), correlations.ghz_state)}
+_GHZ = {"state": (_density(8), _ghz_state)}
 _GHZ_LOCAL_MODEL = {
     **_GHZ,
     "min_efficiency": (_PROBABILITY, 0.0),
-    "min_joint_detection": (_number(0.0), hidden_variables.DEFAULT_MIN_JOINT_DETECTION),
+    "min_joint_detection": (_number(0.0), _min_joint_detection),
 }
 
 _MICRO_DETECTION_ENTRY = {
@@ -353,8 +379,10 @@ _HV_VERIFY = {
 }
 
 
-def _microstate_model(prepared: dict) -> hidden_variables.MicrostateModel:
+def _microstate_model(prepared: dict):
     """The one cross-field step: hv-verify's fields make one microstate model."""
+    from . import hidden_variables
+
     labels = prepared["properties"]
     if prepared["property"] not in labels:
         raise ConfigError(f"field 'property': {prepared['property']!r} not among {labels}")
@@ -425,7 +453,11 @@ def _run_monte_carlo(prepared: dict):
     rho, prop, dm, label = _measurement(prepared)
     outcome_set, exact = outcome_distribution(rho, prop.observable, dm, label)
     rng = np.random.default_rng(prepared["seed"])
-    counts = np.bincount(sample_indices(exact, rng, samples), minlength=len(exact))
+    # Fixed-size chunks draw the same stream as one call, in bounded memory.
+    counts = np.zeros(len(exact), dtype=np.int64)
+    for start in range(0, samples, _MC_CHUNK):
+        drawn = sample_indices(exact, rng, min(_MC_CHUNK, samples - start))
+        counts += np.bincount(drawn, minlength=len(exact))
     records = []
     worst = 0.0
     for outcome, p_exact, count in zip(outcome_set, exact, counts):
@@ -456,6 +488,8 @@ def _run_mixture_divergence(prepared: dict):
 
 
 def _run_bell_scan(prepared: dict):
+    from . import correlations
+
     a, b, c = (math.radians(v) for v in prepared["angles_deg"])
     records = []
     for d in prepared["d_grid"]:
@@ -475,6 +509,8 @@ def _run_bell_scan(prepared: dict):
 
 
 def _run_chsh_scan(prepared: dict):
+    from . import correlations
+
     a, d_angle, b, c = (math.radians(v) for v in prepared["angles_deg"])
     scan = correlations.efficiency_scan(
         prepared["state"],
@@ -491,6 +527,8 @@ def _run_chsh_scan(prepared: dict):
 
 
 def _run_ghz_quantum(prepared: dict):
+    from . import correlations
+
     scenario = correlations.GHZScenario(joint_state=prepared["state"])
     values = correlations.ghz_quantum_correlations(scenario)
     records = [
@@ -505,6 +543,8 @@ _SETTING_NAMES = ("X", "Y")
 
 
 def _run_ghz_local_model(prepared: dict):
+    from . import correlations
+
     scenario = correlations.GHZScenario(joint_state=prepared["state"])
     found = correlations.ghz_local_model_search(
         scenario, prepared["min_efficiency"], prepared["min_joint_detection"]
@@ -515,7 +555,10 @@ def _run_ghz_local_model(prepared: dict):
         for name, got, want in zip(
             correlations.GHZ_CONTEXT_NAMES, found.correlations, targets
         ):
-            records.append(Record(f"correlation_{name}", got, abs(got - want)))
+            if math.isnan(got):  # never jointly detected: no conditional correlation
+                records.append(Record(f"correlation_{name}", None))
+            else:
+                records.append(Record(f"correlation_{name}", got, abs(got - want)))
         for (party, setting), value in sorted(found.efficiencies.items()):
             records.append(
                 Record(
@@ -534,6 +577,8 @@ def _run_ghz_local_model(prepared: dict):
 
 
 def _run_hv_verify(prepared: dict):
+    from . import hidden_variables
+
     triple = hidden_variables.macro_from_micro(prepared["model"], prepared["property"])
     records = [
         Record("p_t", triple.overall),
@@ -545,6 +590,8 @@ def _run_hv_verify(prepared: dict):
 
 
 def _run_self_test(prepared: dict):
+    from . import selftest
+
     report = selftest.run_self_test()
     records = []
     for suite in report.suites:
@@ -715,6 +762,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "self-test":
+        from . import selftest
+
         report = selftest.run_self_test()
         for suite in report.suites:
             status = "PASS" if suite.passed else "FAIL"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import plus_density, z_generalized
 from esrsim.cli import (
+    _MC_CHUNK,
     ConfigError,
     Record,
     RunReport,
@@ -269,15 +270,17 @@ class TestDeterminism:
         assert ja == jb
 
     def test_monte_carlo_counts_match_sample_outcomes(self):
-        # The runner's counts and sample_outcomes consume the same draws.
-        report = run_scenario(monte_carlo_config(seed=7, samples=5000))
-        freqs = {r.name: r.value for r in report.records}
+        # The runner's counts, drawn in chunks, and one sample_outcomes call
+        # consume the same draws; the second count ends in a partial chunk.
         dm = DetectionModel.per_eigenvalue({1.0: 0.9, -1.0: 0.5})
-        draws = sample_outcomes(
-            plus_density(), z_generalized(), dm, np.random.default_rng(7), 5000
-        )
-        for outcome, name in ((1.0, "freq[1]"), (-1.0, "freq[-1]"), ("a0", "freq[a0]")):
-            assert freqs[name] == draws.count(outcome) / 5000
+        for samples in (5000, 2 * _MC_CHUNK + 3):
+            report = run_scenario(monte_carlo_config(seed=7, samples=samples))
+            freqs = {r.name: r.value for r in report.records}
+            draws = sample_outcomes(
+                plus_density(), z_generalized(), dm, np.random.default_rng(7), samples
+            )
+            for outcome, name in ((1.0, "freq[1]"), (-1.0, "freq[-1]"), ("a0", "freq[a0]")):
+                assert freqs[name] == draws.count(outcome) / samples
 
     def test_different_seeds_differ(self):
         a = render_report(run_scenario(monte_carlo_config(seed=1)), "csv")
@@ -458,6 +461,42 @@ class TestCommandLine:
         assert a.returncode == b.returncode == c.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout != c.stdout
+
+    def test_ghz_context_never_jointly_detected_is_undefined(self, tmp_path):
+        # With no joint-detection floor the model found leaves XXX and YYX
+        # undetected; their conditional correlations are 0/0, reported empty.
+        path = tmp_path / "ghz.json"
+        path.write_text(
+            json.dumps({"scenario_type": "ghz-local-model", "min_joint_detection": 0})
+        )
+        result = self._run("run", "--scenario", str(path))
+        assert result.returncode == 0, result.stderr
+        rows = dict(line.split(",", 2)[1:] for line in result.stdout.splitlines()[1:])
+        assert rows["feasible"] == "1,"
+        assert rows["correlation_XXX"] == rows["correlation_YYX"] == ","
+        assert rows["correlation_XYY"] == "-1,0"
+
+    def test_run_imports_only_the_modules_its_scenario_needs(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "import esrsim\n"
+            "bare = sorted(m for m in sys.modules if m.startswith('esrsim.'))\n"
+            "from esrsim.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, bare, sorted(sys.modules)]))\n"
+        )
+        scenario = str(CONFIG_DIR / "probability_triple.json")
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run", "--scenario", scenario,
+             "--output", str(tmp_path / "report.csv")],
+            capture_output=True,
+            text=True,
+        )
+        exit_code, bare, loaded = json.loads(result.stdout)
+        assert exit_code == 0, result.stderr
+        assert bare == []
+        for name in ("correlations", "hidden_variables", "simplex", "selftest"):
+            assert f"esrsim.{name}" not in loaded
 
     def test_output_file_and_json_format(self, tmp_path):
         scenario = tmp_path / "ghz.json"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,12 +28,7 @@ from .hidden_variables import (
     build_feasibility_lp,
     enumerate_local_strategies,
 )
-from .linalg import (
-    ARITHMETIC_TOL,
-    DensityOperator,
-    SpectralObservable,
-    clamp,
-)
+from .linalg import ARITHMETIC_TOL, DensityOperator, clamp
 from .measurement import DEFAULT_STATE_LABEL, DetectionModel
 from .simplex import feasibility_residuals, solve_lp_simplex
 
@@ -43,7 +38,6 @@ __all__ = [
     "PAULI_Z",
     "singlet_state",
     "ghz_state",
-    "spin_observable",
     "TwoPartyScenario",
     "CorrelationResult",
     "InequalityReport",
@@ -55,7 +49,6 @@ __all__ = [
     "efficiency_scan",
     "GHZScenario",
     "ghz_quantum_correlations",
-    "ghz_overall_correlations",
     "GHZLocalModelResult",
     "ghz_local_model_search",
     "BruteForceBound",
@@ -97,24 +90,19 @@ def _spin_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
     return (_ID2 + direction) / 2.0, (_ID2 - direction) / 2.0
 
 
-def spin_observable(angle: float) -> SpectralObservable:
-    """Spin along cos(angle) Z + sin(angle) X, eigenvalues +1 and -1."""
-    return SpectralObservable(eigenvalues=(1.0, -1.0), projectors=_spin_projectors(angle))
-
-
 @dataclass(frozen=True, eq=False)
 class TwoPartyScenario:
     """Bipartite state with labelled measurement angles and per-wing detection.
 
     Each setting label maps to a polar angle; the wing observable is
-    cos(angle) Z + sin(angle) X.
+    cos(angle) Z + sin(angle) X.  Detection values are looked up under
+    ``DEFAULT_STATE_LABEL``.
     """
 
     joint_state: DensityOperator
     settings: Mapping[str, float]
     detection_a: DetectionModel
     detection_b: DetectionModel
-    state_label: Hashable = DEFAULT_STATE_LABEL
 
     def __post_init__(self):
         if self.joint_state.dimension != 4:
@@ -136,7 +124,6 @@ class TwoPartyScenario:
 @dataclass(frozen=True)
 class CorrelationResult:
     value: float
-    kind: str  # "overall" | "conditional-on-detection"
 
     def __post_init__(self):
         object.__setattr__(self, "value", clamp(self.value, -1.0, 1.0, "correlation"))
@@ -163,7 +150,7 @@ def _wing_operators(
     weighted = np.zeros((2, 2), dtype=complex)
     detect = np.zeros((2, 2), dtype=complex)
     for ev, proj in zip((1.0, -1.0), _spin_projectors(sc.angle(label))):
-        d = dm.value(sc.state_label, ev)
+        d = dm.value(DEFAULT_STATE_LABEL, ev)
         weighted = weighted + ev * d * proj
         detect = detect + d * proj
     return weighted, detect
@@ -180,7 +167,7 @@ def trichotomic_expectation(sc: TwoPartyScenario, a: str, b: str) -> Correlation
     m_a, _ = _wing_operators(sc, a, sc.detection_a)
     m_b, _ = _wing_operators(sc, b, sc.detection_b)
     value = float(np.trace(sc.joint_state.matrix @ _kron2(m_a, m_b)).real)
-    return CorrelationResult(value=value, kind="overall")
+    return CorrelationResult(value=value)
 
 
 def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
@@ -192,7 +179,7 @@ def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> Correlation
     mass = float(np.trace(rho @ _kron2(n_a, n_b)).real)
     if mass <= ARITHMETIC_TOL:
         raise ValueError(f"zero joint-detection mass ({mass:.3e})")
-    return CorrelationResult(value=numerator / mass, kind="conditional-on-detection")
+    return CorrelationResult(value=numerator / mass)
 
 
 def _check_correlation_inputs(**values: float) -> None:
@@ -279,21 +266,15 @@ def efficiency_scan(
 
 @dataclass(frozen=True, eq=False)
 class GHZScenario:
-    """Three qubits measured along X or Y per party, with per-party efficiencies."""
+    """Three qubits, each measured along X or Y."""
 
     joint_state: DensityOperator
-    efficiencies: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    state_label: Hashable = DEFAULT_STATE_LABEL
 
     def __post_init__(self):
         if self.joint_state.dimension != 8:
             raise ValueError(
                 f"GHZ state must be 8-dimensional, got {self.joint_state.dimension}"
             )
-        effs = tuple(float(e) for e in self.efficiencies)
-        if len(effs) != 3 or any(not 0.0 <= e <= 1.0 for e in effs):
-            raise ValueError(f"efficiencies {effs} must be three values in [0, 1]")
-        object.__setattr__(self, "efficiencies", effs)
 
     @classmethod
     def standard(cls) -> "GHZScenario":
@@ -323,12 +304,6 @@ def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float
         )
         for ctx in GHZ_CONTEXTS
     )
-
-
-def ghz_overall_correlations(g: GHZScenario) -> tuple[float, float, float, float]:
-    """Overall correlations: conditional values scaled by the detection product."""
-    scale = g.efficiencies[0] * g.efficiencies[1] * g.efficiencies[2]
-    return tuple(scale * value for value in ghz_quantum_correlations(g))
 
 
 @dataclass(frozen=True, eq=False)

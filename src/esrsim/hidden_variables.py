@@ -164,7 +164,7 @@ def build_feasibility_lp(
     strategies: np.ndarray,
     targets: Sequence[CorrelationTarget] = (),
     min_joint_detection: float = DEFAULT_MIN_JOINT_DETECTION,
-    min_efficiency: float | Mapping[tuple[int, int], float] | None = None,
+    min_efficiency: float | None = None,
 ) -> FeasibilityProblem:
     """LP whose feasible points are strategy distributions hitting the targets.
 
@@ -174,8 +174,7 @@ def build_feasibility_lp(
     splits it into two inequalities).  Every referenced context keeps
     joint-detection mass >= ``min_joint_detection`` so the all-undetected
     distribution cannot satisfy the constraints vacuously.  ``min_efficiency``
-    lower-bounds the per-(party, setting) marginal detection probability,
-    either uniformly (a float) or per slot (a mapping).
+    lower-bounds every (party, setting) marginal detection probability.
     """
     if len(strategies) == 0:
         raise ValueError("no strategies supplied")
@@ -226,21 +225,16 @@ def build_feasibility_lp(
             b_ub.append(-min_joint_detection)
             ub_labels.append(f"joint-detection{settings_tuple}>={min_joint_detection}")
 
-    if min_efficiency is not None:
-        if isinstance(min_efficiency, Mapping):
-            slots = dict(min_efficiency)
-        else:
-            bound = float(min_efficiency)
-            slots = {(p, s): bound for p in range(parties) for s in range(settings)}
-        for (party, setting), bound in sorted(slots.items()):
-            if not 0.0 <= bound <= 1.0:
-                raise ValueError(f"efficiency bound {bound} outside [0, 1]")
-            if bound == 0.0:
-                continue
-            marginal = (outcomes[:, party, setting] != 0).astype(float)
-            a_ub_rows.append(-marginal)
-            b_ub.append(-bound)
-            ub_labels.append(f"efficiency[party={party},setting={setting}]>={bound}")
+    bound = 0.0 if min_efficiency is None else float(min_efficiency)
+    if not 0.0 <= bound <= 1.0:
+        raise ValueError(f"efficiency bound {bound} outside [0, 1]")
+    if bound > 0.0:
+        for party in range(parties):
+            for setting in range(settings):
+                marginal = (outcomes[:, party, setting] != 0).astype(float)
+                a_ub_rows.append(-marginal)
+                b_ub.append(-bound)
+                ub_labels.append(f"efficiency[party={party},setting={setting}]>={bound}")
 
     return FeasibilityProblem(
         n_vars=n,

@@ -25,7 +25,6 @@ __all__ = [
     "SpectralObservable",
     "InvariantViolation",
     "ValidityReport",
-    "tensor_product",
     "validate_density_operator",
     "validate_spectral_observable",
     "asymmetry",
@@ -62,15 +61,6 @@ def as_complex_matrix(m) -> np.ndarray:
 def asymmetry(m: np.ndarray) -> float:
     """Max entrywise deviation |M - M^dagger|."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with row-major index convention.
-
-    The composite index of (i (x) j) is i * dim(b) + j, which is exactly
-    numpy's ``kron`` ordering.
-    """
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 @dataclass(frozen=True)
@@ -134,26 +124,17 @@ def validate_density_operator(m) -> ValidityReport:
 class DensityOperator:
     """Positive unit-trace Hermitian matrix: a pure state or improper mixture.
 
-    Construction enforces the invariants (raising ``ValueError``); use
-    ``validate_density_operator`` when a non-aborting report is wanted.
+    Construction raises ``ValueError`` with the description of any
+    violation that ``validate_density_operator`` reports.
     """
 
     matrix: np.ndarray
 
     def __init__(self, matrix):
         a = as_complex_matrix(matrix)
-        n, n2 = a.shape
-        if n != n2:
-            raise ValueError(f"density operator must be square, got {n}x{n2}")
-        asym = asymmetry(a)
-        if asym > ARITHMETIC_TOL:
-            raise ValueError(f"density operator not Hermitian: asymmetry {asym:.3e}")
-        trace = complex(np.trace(a))
-        if abs(trace - 1.0) > ARITHMETIC_TOL:
-            raise ValueError(f"density operator trace {trace} deviates from 1")
-        min_eig = float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2.0)))
-        if min_eig < -STRUCTURAL_TOL:
-            raise ValueError(f"density operator has negative eigenvalue {min_eig:.3e}")
+        report = validate_density_operator(a)
+        if not report.valid:
+            raise ValueError(report.describe())
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 

@@ -26,11 +26,8 @@ import numpy as np
 
 from .linalg import (
     ARITHMETIC_TOL,
-    STRUCTURAL_TOL,
     DensityOperator,
     SpectralObservable,
-    as_complex_matrix,
-    asymmetry,
     clamp,
     validate_spectral_observable,
 )
@@ -39,17 +36,14 @@ __all__ = [
     "GeneralizedObservable",
     "Property",
     "DetectionModel",
-    "Effect",
     "ProbabilityTriple",
     "build_effect",
     "probability_triple",
-    "no_detection_probability",
     "detection_mass",
     "outcome_distribution",
     "luders_update",
     "unitary_evolve",
     "sample_indices",
-    "sample_outcome",
     "sample_outcomes",
     "DEFAULT_STATE_LABEL",
     "NO_REGISTRATION",
@@ -61,23 +55,17 @@ NO_REGISTRATION = "a0"
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedObservable:
-    """A validated spectral observable plus the distinguished no-registration token.
+    """A validated spectral observable plus the no-registration outcome ``a0``.
 
-    The value set is the base spectrum together with ``a0_label``, which must
-    not collide with any eigenvalue.
+    The value set is the base spectrum followed by ``NO_REGISTRATION``.
     """
 
     base: SpectralObservable
-    a0_label: Hashable = NO_REGISTRATION
 
     def __post_init__(self):
         report = validate_spectral_observable(self.base)
         if not report.valid:
             raise ValueError(f"base observable invalid: {report.describe()}")
-        if any(self.a0_label == ev for ev in self.base.eigenvalues):
-            raise ValueError(
-                f"no-registration label {self.a0_label!r} collides with an eigenvalue"
-            )
 
     @property
     def dimension(self) -> int:
@@ -85,7 +73,7 @@ class GeneralizedObservable:
 
     @property
     def outcome_set(self) -> tuple:
-        return self.base.eigenvalues + (self.a0_label,)
+        return self.base.eigenvalues + (NO_REGISTRATION,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,26 +146,6 @@ class DetectionModel:
         return cls(assignment=table)
 
 
-@dataclass(frozen=True, eq=False)
-class Effect:
-    """Positive operator bounded between 0 and the identity."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix):
-        a = as_complex_matrix(matrix)
-        asym = asymmetry(a)
-        if asym > STRUCTURAL_TOL:
-            raise ValueError(f"effect not Hermitian: asymmetry {asym:.3e}")
-        eigenvalues = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-        lo = float(np.min(eigenvalues))
-        hi = float(np.max(eigenvalues))
-        if lo < -STRUCTURAL_TOL or hi > 1.0 + STRUCTURAL_TOL:
-            raise ValueError(f"effect spectrum [{lo:.3e}, {hi:.3e}] not within [0, 1]")
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
-
-
 @dataclass(frozen=True)
 class ProbabilityTriple:
     """(overall, detection, conditional) bound by overall = detection * conditional.
@@ -221,13 +189,17 @@ def build_effect(
     state_label: Hashable,
     prop: Property,
     dm: DetectionModel,
-) -> Effect:
-    """Assemble T = sum_{ev in sigma} p_detect(state, ev) P_ev."""
+) -> np.ndarray:
+    """Assemble the effect T = sum_{ev in sigma} p_detect(state, ev) P_ev.
+
+    The projectors come from a validated PVM and every detection value lies
+    in [0, 1], so 0 <= T <= I holds by construction and is not re-checked.
+    """
     base = prop.observable.base
     t = np.zeros((base.dimension, base.dimension), dtype=complex)
     for ev in prop.sigma:
         t = t + dm.value(state_label, ev) * base.projector_for(ev)
-    return Effect(t)
+    return t
 
 
 def probability_triple(
@@ -248,21 +220,9 @@ def probability_triple(
         float(np.trace(rho.matrix @ p_sigma).real), 0.0, 1.0, "conditional"
     )
     effect = build_effect(state_label, prop, dm)
-    overall = clamp(
-        float(np.trace(rho.matrix @ effect.matrix).real), 0.0, 1.0, "overall"
-    )
+    overall = clamp(float(np.trace(rho.matrix @ effect).real), 0.0, 1.0, "overall")
     detection = overall / conditional if conditional > ARITHMETIC_TOL else None
     return ProbabilityTriple(overall=overall, detection=detection, conditional=conditional)
-
-
-def no_detection_probability(
-    rho: DensityOperator,
-    obs: GeneralizedObservable,
-    dm: DetectionModel,
-    state_label: Hashable = DEFAULT_STATE_LABEL,
-) -> float:
-    """Probability of the a0 outcome: 1 - sum_ev p_detect(ev) Tr[rho P_ev]."""
-    return 1.0 - detection_mass(rho, obs, dm, state_label)
 
 
 def detection_mass(
@@ -315,8 +275,8 @@ def luders_update(
     With unit detection this reduces to the standard projective update
     P rho P / Tr[P rho P].  Raises when the yes outcome has no weight.
     """
-    effect = build_effect(state_label, prop, dm)
-    t = effect.matrix
+    _check_dimensions(rho, prop.observable)
+    t = build_effect(state_label, prop, dm)
     updated = t @ rho.matrix @ t.conj().T
     norm = float(np.trace(updated).real)
     if norm <= ARITHMETIC_TOL:
@@ -362,17 +322,6 @@ def sample_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.nd
     return np.minimum(indices, len(probs) - 1)
 
 
-def sample_outcome(
-    rho: DensityOperator,
-    obs: GeneralizedObservable,
-    dm: DetectionModel,
-    rng: np.random.Generator,
-    state_label: Hashable = DEFAULT_STATE_LABEL,
-):
-    """Draw one outcome from the exact distribution over eigenvalues and a0."""
-    return sample_outcomes(rho, obs, dm, rng, 1, state_label)[0]
-
-
 def sample_outcomes(
     rho: DensityOperator,
     obs: GeneralizedObservable,
@@ -381,6 +330,6 @@ def sample_outcomes(
     n: int,
     state_label: Hashable = DEFAULT_STATE_LABEL,
 ) -> list:
-    """Draw ``n`` outcomes at once; same stream as ``n`` single draws."""
+    """Draw ``n`` outcomes (eigenvalues or a0); same stream as ``n`` one-draw calls."""
     outcomes, probs = outcome_distribution(rho, obs, dm, state_label)
     return [outcomes[i] for i in sample_indices(probs, rng, n)]

@@ -1,9 +1,9 @@
 """Improper versus proper mixtures.
 
-Improper mixtures (reduced states) keep their density-operator representation
-and go through the same computation path as pure states.  Proper mixtures are
-epistemic weighted families of pure states and get their own aggregation:
-overall probabilities average component overalls, while the
+Improper mixtures (reduced states) are plain ``DensityOperator`` values and
+go through ``measurement.probability_triple`` like pure states.  Proper
+mixtures are epistemic weighted families of pure states and get their own
+aggregation: overall probabilities average component overalls, while the
 conditional-on-detection value renormalizes by the aggregate detected mass.
 The two treatments disagree exactly when the components' detection
 probabilities differ, which is what makes proper mixtures an experimental
@@ -18,34 +18,17 @@ from typing import Hashable
 import numpy as np
 
 from .linalg import ARITHMETIC_TOL, STRUCTURAL_TOL, DensityOperator, clamp
-from .measurement import (
-    DEFAULT_STATE_LABEL,
-    DetectionModel,
-    ProbabilityTriple,
-    Property,
-    detection_mass,
-    probability_triple,
-)
+from .measurement import DetectionModel, Property, detection_mass, probability_triple
 
 __all__ = [
-    "ImproperMixture",
     "ProperComponent",
     "ProperMixture",
-    "improper_probability_triple",
     "proper_overall_probability",
     "proper_conditional_probability",
     "esr_qm_divergence",
 ]
 
 MIN_COMPONENT_WEIGHT = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class ImproperMixture:
-    """A density operator with the label used for detection-model lookup."""
-
-    rho: DensityOperator
-    state_label: Hashable = DEFAULT_STATE_LABEL
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +79,6 @@ class ProperMixture:
         for c in self.components:
             acc = acc + c.weight * c.state.matrix
         return DensityOperator(acc)
-
-
-def improper_probability_triple(
-    m: ImproperMixture,
-    prop: Property,
-    dm: DetectionModel,
-) -> ProbabilityTriple:
-    """Improper mixtures behave as generalized pure states: same path as usual."""
-    return probability_triple(m.rho, prop, dm, state_label=m.state_label)
 
 
 def proper_overall_probability(

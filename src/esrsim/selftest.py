@@ -1,10 +1,12 @@
 """Cross-module invariant suites, runnable without a test harness.
 
-Four suites cover the load-bearing identities: the overall = detection *
+Five suites cover the load-bearing identities: the overall = detection *
 conditional product law (with a post-update certainty leg), the reduction to
 unmodified quantum values at unit detection, the exhaustive and randomized
-CHSH strategy bound, and the GHZ LP feasibility certificate.  The random
-instance generators here are shared with the pytest suite.
+CHSH strategy bound, the GHZ LP feasibility certificate, and the equality of
+detection-conditioned and Born correlations (why post-selected Bell tests do
+not conflict with quantum mechanics).  The random instance generators here
+are shared with the pytest suite.
 
 ``run_self_test`` accepts an alternative Lueders updater so a deliberately
 broken update can be injected to prove the suites have teeth; production code
@@ -13,18 +15,29 @@ never passes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .correlations import (
+    PAULI_X,
+    PAULI_Z,
     GHZScenario,
+    TwoPartyScenario,
     brute_force_trichotomic_bound,
+    conditional_expectation,
     ghz_local_model_search,
 )
 from .hidden_variables import enumerate_local_strategies
-from .linalg import DensityOperator, SpectralObservable, validate_density_operator
+from .linalg import (
+    ARITHMETIC_TOL,
+    STRUCTURAL_TOL,
+    DensityOperator,
+    SpectralObservable,
+    validate_density_operator,
+)
 from .measurement import (
     DetectionModel,
     GeneralizedObservable,
@@ -45,6 +58,7 @@ __all__ = [
     "qm_reduction_suite",
     "chsh_bound_suite",
     "lp_certificate_suite",
+    "conditional_correlation_suite",
 ]
 
 
@@ -134,12 +148,12 @@ def fundamental_equation_suite(
         dm = random_detection_model(rng, "S", obs.base.eigenvalues)
         prop = Property(obs, random_sigma(rng, obs.base.eigenvalues))
         triple = probability_triple(rho, prop, dm)
-        if triple.conditional is not None and triple.conditional > 1e-12:
+        if triple.conditional is not None and triple.conditional > ARITHMETIC_TOL:
             residual = triple.product_law_residual()
             if residual is None:
                 return SuiteResult(
                     "fundamental-equation", False, checks, np.inf,
-                    "detection undefined despite conditional > 1e-12",
+                    f"detection undefined despite conditional > {ARITHMETIC_TOL:g}",
                 )
             worst = max(worst, residual)
             checks += 1
@@ -154,13 +168,13 @@ def fundamental_equation_suite(
             p_sigma = obs.base.restriction(prop.sigma)
             certainty = float(np.trace(updated.matrix @ p_sigma).real)
             dev = abs(certainty - 1.0)
-            if dev > 1e-10:
+            if dev > STRUCTURAL_TOL:
                 return SuiteResult(
                     "fundamental-equation", False, checks, dev,
                     f"post-update probability of sigma is {certainty}, expected 1",
                 )
             checks += 1
-    passed = worst <= 1e-12
+    passed = worst <= ARITHMETIC_TOL
     return SuiteResult("fundamental-equation", passed, checks, worst)
 
 
@@ -190,7 +204,7 @@ def qm_reduction_suite(
             standard = projected / float(np.trace(projected).real)
             worst = max(worst, float(np.max(np.abs(updated.matrix - standard))))
             checks += 1
-    passed = worst <= 1e-10
+    passed = worst <= STRUCTURAL_TOL
     return SuiteResult("qm-reduction", passed, checks, worst)
 
 
@@ -214,7 +228,7 @@ def chsh_bound_suite(n_mixtures: int = 1000, seed: int = 20240403) -> SuiteResul
         w /= w.sum()
         lhs = abs(w @ e_ab - w @ e_ac) + abs(w @ e_db + w @ e_dc)
         worst = max(worst, lhs - 2.0)
-    passed = worst <= 1e-12
+    passed = worst <= ARITHMETIC_TOL
     return SuiteResult("chsh-bound", passed, n_mixtures + 1, max(worst, 0.0))
 
 
@@ -237,11 +251,35 @@ def lp_certificate_suite() -> SuiteResult:
     return SuiteResult("lp-certificate", passed, 2, worst)
 
 
+def _spin(angle: float) -> np.ndarray:
+    return math.cos(angle) * PAULI_Z + math.sin(angle) * PAULI_X
+
+
+def conditional_correlation_suite(n: int = 200, seed: int = 20240404) -> SuiteResult:
+    """With outcome-independent wing efficiencies, the correlation among
+    both-detected pairs equals the Born value Tr[rho (A (x) B)]."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        rho = random_density(rng, 4)
+        alpha, beta = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        eff_a, eff_b = rng.uniform(0.05, 1.0, size=2)
+        sc = TwoPartyScenario(
+            rho, {"a": alpha, "b": beta},
+            DetectionModel.uniform(eff_a), DetectionModel.uniform(eff_b),
+        )
+        conditional = conditional_expectation(sc, "a", "b").value
+        born = float(np.trace(rho.matrix @ np.kron(_spin(alpha), _spin(beta))).real)
+        worst = max(worst, abs(conditional - born))
+    return SuiteResult("conditional-correlation", worst <= ARITHMETIC_TOL, n, worst)
+
+
 def run_self_test(luders: Callable = luders_update) -> SelfTestReport:
     suites = (
         fundamental_equation_suite(luders=luders),
         qm_reduction_suite(luders=luders),
         chsh_bound_suite(),
         lp_certificate_suite(),
+        conditional_correlation_suite(),
     )
     return SelfTestReport(suites=suites)

@@ -315,7 +315,7 @@ class TestCommandLine:
         result = self._run("self-test")
         assert result.returncode == 0
         assert "self-test: PASS" in result.stdout
-        assert result.stdout.count("PASS") >= 5  # four suites plus summary
+        assert result.stdout.count("PASS") >= 6  # five suites plus summary
 
     def test_run_and_validate_and_exit_codes(self, tmp_path):
         path = tmp_path / "scan.json"

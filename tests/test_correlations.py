@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from esrsim.hidden_variables import enumerate_local_strategies
-from esrsim.linalg import DensityOperator, tensor_product
-from esrsim.measurement import DetectionModel
+from esrsim.linalg import DensityOperator
+from esrsim.measurement import DEFAULT_STATE_LABEL, DetectionModel
 from esrsim.correlations import (
     GHZScenario,
     TwoPartyScenario,
@@ -15,13 +15,11 @@ from esrsim.correlations import (
     conditional_expectation,
     efficiency_scan,
     ghz_local_model_search,
-    ghz_overall_correlations,
     ghz_quantum_correlations,
     ghz_state,
     modified_bell_report,
     modified_chsh_report,
     singlet_state,
-    spin_observable,
     trichotomic_expectation,
 )
 
@@ -36,20 +34,6 @@ def singlet_scenario(angles, detection_a=None, detection_b=None) -> TwoPartyScen
         detection_a=detection_a or unit,
         detection_b=detection_b or unit,
     )
-
-
-class TestSpinObservable:
-    def test_z_axis(self):
-        obs = spin_observable(0.0)
-        np.testing.assert_allclose(obs.projectors[0], np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_projectors_form_resolution(self, rng):
-        for _ in range(10):
-            obs = spin_observable(float(rng.uniform(0, 2 * math.pi)))
-            p, q = obs.projectors
-            np.testing.assert_allclose(p + q, np.eye(2), atol=1e-14)
-            np.testing.assert_allclose(p @ p, p, atol=1e-14)
-            np.testing.assert_allclose(p @ q, np.zeros((2, 2)), atol=1e-14)
 
 
 class TestTrichotomicExpectation:
@@ -85,14 +69,18 @@ class TestTrichotomicExpectation:
             trichotomic_expectation(sc, "a", "x")
 
 
-def _reference_wing(angle, dm, state_label):
-    """Wing operators as built from the public ``spin_observable`` before the
-    correlation kernels read the projectors directly."""
-    obs = spin_observable(angle)
+def _reference_wing(angle, dm):
+    """Wing operators written out from the spin projectors (I +- n.sigma)/2,
+    n.sigma = cos(angle) Z + sin(angle) X."""
+    z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    direction = math.cos(angle) * z + math.sin(angle) * x
+    identity = np.eye(2, dtype=complex)
+    projectors = ((identity + direction) / 2.0, (identity - direction) / 2.0)
     weighted = np.zeros((2, 2), dtype=complex)
     detect = np.zeros((2, 2), dtype=complex)
-    for ev, proj in zip(obs.eigenvalues, obs.projectors):
-        d = dm.value(state_label, ev)
+    for ev, proj in zip((1.0, -1.0), projectors):
+        d = dm.value(DEFAULT_STATE_LABEL, ev)
         weighted = weighted + ev * d * proj
         detect = detect + d * proj
     return weighted, detect
@@ -110,7 +98,7 @@ def _bits(x: float) -> bytes:
 
 class TestBitEquivalenceWithPublicOperators:
     """The correlation kernels give exactly the bits of the formula written
-    with ``spin_observable`` and ``tensor_product``."""
+    with the explicit spin projectors and ``np.kron``."""
 
     @pytest.mark.parametrize("efficiency", ["zero", "random", "one", "outcome-dependent"])
     def test_matches_reference_formula(self, rng, efficiency):
@@ -128,10 +116,10 @@ class TestBitEquivalenceWithPublicOperators:
                 )
                 dm_a, dm_b = DetectionModel.uniform(d_a), DetectionModel.uniform(d_b)
             sc = TwoPartyScenario(rho, angles, dm_a, dm_b)
-            m_a, n_a = _reference_wing(angles["a"], dm_a, sc.state_label)
-            m_b, n_b = _reference_wing(angles["b"], dm_b, sc.state_label)
-            numerator = float(np.trace(rho.matrix @ tensor_product(m_a, m_b)).real)
-            mass = float(np.trace(rho.matrix @ tensor_product(n_a, n_b)).real)
+            m_a, n_a = _reference_wing(angles["a"], dm_a)
+            m_b, n_b = _reference_wing(angles["b"], dm_b)
+            numerator = float(np.trace(rho.matrix @ np.kron(m_a, m_b)).real)
+            mass = float(np.trace(rho.matrix @ np.kron(n_a, n_b)).real)
 
             overall = trichotomic_expectation(sc, "a", "b").value
             assert _bits(overall) == _bits(min(max(numerator, -1.0), 1.0))
@@ -305,11 +293,6 @@ class TestGHZQuantum:
             GHZScenario(DensityOperator.from_state_vector(vec))
         )
         assert values == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-12)
-
-    def test_overall_scales_with_efficiencies(self):
-        scenario = GHZScenario(ghz_state(+1), efficiencies=(0.9, 0.8, 0.5))
-        values = ghz_overall_correlations(scenario)
-        assert values == pytest.approx((0.36, -0.36, -0.36, -0.36), abs=1e-12)
 
 
 class TestGHZLocalModelSearch:

@@ -1,4 +1,4 @@
-"""Matrix layer: tensor products and validators."""
+"""Matrix layer: density operators and validators."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from conftest import P_DOWN, P_UP, ket_density, z_observable
 from esrsim.linalg import (
     DensityOperator,
     SpectralObservable,
-    tensor_product,
     validate_density_operator,
     validate_spectral_observable,
 )
@@ -19,43 +18,6 @@ from esrsim.measurement import (
     unitary_evolve,
 )
 from esrsim.selftest import random_density, random_observable
-
-
-class TestTensorProduct:
-    def test_identity_case(self):
-        result = tensor_product(np.eye(2), np.eye(2))
-        np.testing.assert_array_equal(result, np.eye(4))
-
-    def test_diagonal_product_rule(self):
-        result = tensor_product(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
-        np.testing.assert_array_equal(result, np.diag([1.0, -1.0, -1.0, 1.0]))
-
-    def test_index_convention(self):
-        # (|0><0|, |1><1|) lands at composite index 0*2+1 = 1.
-        result = tensor_product(P_UP, P_DOWN)
-        np.testing.assert_array_equal(result, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_dimensions_multiply(self, rng):
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(4, 5))
-        assert tensor_product(a, b).shape == (8, 15)
-
-    def test_associative_on_dyadic_entries(self, rng):
-        # Entries k/16 keep all triple products exactly representable, so
-        # associativity holds bit for bit under the fixed index convention.
-        def dyadic(shape):
-            return (
-                rng.integers(-8, 9, size=shape) + 1j * rng.integers(-8, 9, size=shape)
-            ).astype(complex) / 16.0
-
-        a, b, c = dyadic((2, 2)), dyadic((3, 3)), dyadic((2, 2))
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        np.testing.assert_array_equal(left, right)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            tensor_product(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
 
 
 class TestValidateDensityOperator:
@@ -144,6 +106,25 @@ class TestAlgebraProperties:
             DensityOperator(np.diag([1.5, -0.5]))
         with pytest.raises(ValueError):
             DensityOperator(np.array([[0.5, 0.5], [0.2, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.diag([1.5, -0.5]),
+            np.array([[0.5, 0.5], [0.2, 0.5]]),
+            np.diag([0.7, 0.7]),
+            np.ones((2, 3)) / 2,
+        ],
+    )
+    def test_density_constructor_raises_the_validator_report(self, matrix):
+        description = validate_density_operator(matrix).describe()
+        with pytest.raises(ValueError) as excinfo:
+            DensityOperator(matrix)
+        assert str(excinfo.value) == description
+
+    def test_density_constructor_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_ket_density_is_valid(self):
         rho = ket_density(0, 2)

@@ -1,4 +1,4 @@
-"""Core measurement calculus: effects, probability triples, updates, sampling."""
+"""Core measurement calculus: effect assembly, probability triples, updates, sampling."""
 
 import math
 
@@ -14,10 +14,8 @@ from esrsim.measurement import (
     Property,
     build_effect,
     luders_update,
-    no_detection_probability,
     outcome_distribution,
     probability_triple,
-    sample_outcome,
     sample_outcomes,
     unitary_evolve,
 )
@@ -33,10 +31,6 @@ SKEWED = DetectionModel.per_eigenvalue({1.0: 0.9, -1.0: 0.5})
 
 
 class TestTypes:
-    def test_a0_label_distinct_from_spectrum(self):
-        with pytest.raises(ValueError, match="collides"):
-            GeneralizedObservable(z_observable(), a0_label=1.0)
-
     def test_invalid_base_rejected(self):
         half = np.diag([0.5, 0.5]).astype(complex)
         bad = SpectralObservable(
@@ -70,16 +64,16 @@ class TestTypes:
 class TestBuildEffect:
     def test_single_projector_scaling(self):
         effect = build_effect("S", z_property(1.0), DetectionModel.per_eigenvalue({1.0: 0.8}))
-        np.testing.assert_allclose(effect.matrix, np.diag([0.8, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(effect, np.diag([0.8, 0.0]), atol=1e-15)
 
     def test_unit_detection_reduces_to_projector(self):
         prop = z_property(1.0, -1.0)
         effect = build_effect("S", prop, UNIT)
-        np.testing.assert_allclose(effect.matrix, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(effect, np.eye(2), atol=1e-15)
 
     def test_diagonal_assembly(self):
         effect = build_effect("S", z_property(1.0, -1.0), SKEWED)
-        np.testing.assert_allclose(effect.matrix, np.diag([0.9, 0.5]), atol=1e-15)
+        np.testing.assert_allclose(effect, np.diag([0.9, 0.5]), atol=1e-15)
 
 
 class TestProbabilityTriple:
@@ -137,18 +131,21 @@ class TestProbabilityTriple:
             assert p_small <= p_big + 1e-12
 
 
+def _a0_probability(dm) -> float:
+    outcomes, probs = outcome_distribution(plus_density(), z_generalized(), dm)
+    assert outcomes[-1] == "a0"
+    return float(probs[-1])
+
+
 class TestNoDetection:
     def test_unit_detection(self):
-        value = no_detection_probability(plus_density(), z_generalized(), UNIT)
-        assert value == pytest.approx(0.0, abs=1e-12)
+        assert _a0_probability(UNIT) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_detection(self):
-        dm = DetectionModel.uniform(0.0)
-        assert no_detection_probability(plus_density(), z_generalized(), dm) == pytest.approx(1.0)
+        assert _a0_probability(DetectionModel.uniform(0.0)) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        value = no_detection_probability(plus_density(), z_generalized(), SKEWED)
-        assert value == pytest.approx(0.3, abs=1e-12)
+        assert _a0_probability(SKEWED) == pytest.approx(0.3, abs=1e-12)
 
     def test_distribution_normalization_randomized(self, rng):
         for _ in range(200):
@@ -179,6 +176,11 @@ class TestLudersUpdate:
     def test_impossible_outcome(self):
         with pytest.raises(ValueError, match="yes-outcome impossible"):
             luders_update(ket_density(1, 2), z_property(1.0), UNIT)
+
+    def test_dimension_mismatch(self):
+        rho3 = DensityOperator(np.eye(3) / 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            luders_update(rho3, z_property(1.0), UNIT)
 
     def test_outputs_always_valid(self, rng):
         for _ in range(60):
@@ -228,13 +230,13 @@ class TestSampling:
     def test_certain_outcome(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert sample_outcome(ket_density(0, 2), z_generalized(), UNIT, rng) == 1.0
+            assert sample_outcomes(ket_density(0, 2), z_generalized(), UNIT, rng, 1)[0] == 1.0
 
     def test_never_detected(self):
         rng = np.random.default_rng(2)
         dm = DetectionModel.uniform(0.0)
         for _ in range(20):
-            assert sample_outcome(plus_density(), z_generalized(), dm, rng) == "a0"
+            assert sample_outcomes(plus_density(), z_generalized(), dm, rng, 1)[0] == "a0"
 
     def test_frequencies_match_distribution(self):
         rng = np.random.default_rng(12345)
@@ -261,7 +263,7 @@ class TestSampling:
         )
         rng = np.random.default_rng(7)
         singles = [
-            sample_outcome(plus_density(), z_generalized(), SKEWED, rng)
+            sample_outcomes(plus_density(), z_generalized(), SKEWED, rng, 1)[0]
             for _ in range(200)
         ]
         assert batch == singles

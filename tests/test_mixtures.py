@@ -7,15 +7,13 @@ from conftest import ket_density, z_property
 from esrsim.linalg import DensityOperator
 from esrsim.measurement import DetectionModel, probability_triple
 from esrsim.mixtures import (
-    ImproperMixture,
     ProperComponent,
     ProperMixture,
     esr_qm_divergence,
-    improper_probability_triple,
     proper_conditional_probability,
     proper_overall_probability,
 )
-from esrsim.selftest import random_detection_model, random_pure_density
+from esrsim.selftest import random_pure_density
 
 
 def two_component_mixture(w0: float = 0.5) -> ProperMixture:
@@ -56,29 +54,20 @@ class TestProperMixtureType:
 
 
 class TestImproperPath:
+    """An improper mixture is a density operator on the pure-state path."""
+
     def test_maximally_mixed_example(self):
-        m = ImproperMixture(DensityOperator(np.eye(2) / 2))
-        triple = improper_probability_triple(m, z_property(1.0), DetectionModel.uniform(0.8))
+        rho = DensityOperator(np.eye(2) / 2)
+        triple = probability_triple(rho, z_property(1.0), DetectionModel.uniform(0.8))
         assert triple.overall == pytest.approx(0.4, abs=1e-12)
         assert triple.detection == pytest.approx(0.8, abs=1e-12)
         assert triple.conditional == pytest.approx(0.5, abs=1e-12)
 
     def test_unit_detection_gives_born_value(self, rng):
         rho = random_pure_density(rng, 2)
-        m = ImproperMixture(rho)
-        triple = improper_probability_triple(m, z_property(1.0), DetectionModel.uniform(1.0))
+        triple = probability_triple(rho, z_property(1.0), DetectionModel.uniform(1.0))
         born = float(rho.matrix[0, 0].real)
         assert triple.conditional == pytest.approx(born, abs=1e-12)
-
-    def test_delegates_exactly(self, rng):
-        for _ in range(20):
-            rho = random_pure_density(rng, 2)
-            dm = random_detection_model(rng, "L", (1.0, -1.0))
-            m = ImproperMixture(rho, state_label="L")
-            prop = z_property(1.0)
-            via_mixture = improper_probability_triple(m, prop, dm)
-            direct = probability_triple(rho, prop, dm, state_label="L")
-            assert via_mixture == direct
 
 
 class TestProperOverall:

@@ -4,10 +4,13 @@ import time
 
 import numpy as np
 
+from esrsim import selftest
+from esrsim.correlations import trichotomic_expectation
 from esrsim.linalg import DensityOperator
 from esrsim.measurement import luders_update
 from esrsim.selftest import (
     chsh_bound_suite,
+    conditional_correlation_suite,
     fundamental_equation_suite,
     lp_certificate_suite,
     qm_reduction_suite,
@@ -21,7 +24,13 @@ def test_pristine_build_passes():
     elapsed = time.perf_counter() - start
     assert report.passed
     names = [s.name for s in report.suites]
-    assert names == ["fundamental-equation", "qm-reduction", "chsh-bound", "lp-certificate"]
+    assert names == [
+        "fundamental-equation",
+        "qm-reduction",
+        "chsh-bound",
+        "lp-certificate",
+        "conditional-correlation",
+    ]
     assert elapsed < 60.0
 
 
@@ -34,6 +43,10 @@ def test_individual_suites_report_deviations():
     assert suite.max_deviation <= 1e-10
     assert chsh_bound_suite(n_mixtures=100).passed
     assert lp_certificate_suite().passed
+    suite = conditional_correlation_suite(n=50)
+    assert suite.passed
+    assert suite.checks == 50
+    assert suite.max_deviation <= 1e-12
 
 
 def _broken_luders(rho, prop, dm, state_label="S"):
@@ -63,3 +76,12 @@ def test_fault_injection_fails_qm_reduction_suite():
 def test_fault_injection_fails_whole_report():
     report = run_self_test(luders=_broken_luders)
     assert not report.passed
+
+
+def test_fault_injection_fails_conditional_correlation_suite(monkeypatch):
+    # Test-only fault: the overall correlation, not divided by the
+    # joint-detection mass, stands in for the conditional one.
+    monkeypatch.setattr(selftest, "conditional_expectation", trichotomic_expectation)
+    suite = conditional_correlation_suite(n=20)
+    assert not suite.passed
+    assert suite.max_deviation > 1e-3

@@ -27,7 +27,6 @@ __all__ = [
     "ValidityReport",
     "validate_density_operator",
     "validate_spectral_observable",
-    "asymmetry",
     "as_complex_matrix",
     "clamp",
 ]
@@ -53,14 +52,9 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def asymmetry(m: np.ndarray) -> float:
-    """Max entrywise deviation |M - M^dagger|."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -89,28 +83,34 @@ def validate_density_operator(m) -> ValidityReport:
     Positivity is measured on the Hermitian part so the report stays
     meaningful even when hermiticity itself fails.
     """
-    a = as_complex_matrix(m)
+    return _density_report(as_complex_matrix(m))
+
+
+def _density_report(a: np.ndarray) -> ValidityReport:
+    """``validate_density_operator`` on an array ``as_complex_matrix`` returned."""
     violations: list[InvariantViolation] = []
     n, n2 = a.shape
-    if n != n2:
-        violations.append(
-            InvariantViolation("shape", float(abs(n - n2)), f"not square: {n}x{n2}")
-        )
+    if n != n2 or n == 0:
+        message = f"not square: {n}x{n2}" if n != n2 else "empty matrix"
+        violations.append(InvariantViolation("shape", float(abs(n - n2)), message))
         return ValidityReport(False, tuple(violations))
 
-    asym = asymmetry(a)
+    adjoint = a.conj().T
+    asym = float(np.abs(a - adjoint).max())
     if asym > ARITHMETIC_TOL:
         violations.append(
             InvariantViolation(
                 "hermiticity", asym, f"not Hermitian: max |M - M^dagger| = {asym:.3e}"
             )
         )
-    trace_dev = abs(float(np.trace(a).real) - 1.0) + abs(float(np.trace(a).imag))
+    trace = complex(a.trace())
+    trace_dev = abs(trace.real - 1.0) + abs(trace.imag)
     if trace_dev > ARITHMETIC_TOL:
         violations.append(
             InvariantViolation("trace", trace_dev, f"trace deviates from 1 by {trace_dev:.3e}")
         )
-    min_eig = float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2.0)))
+    # eigvalsh returns the eigenvalues in ascending order.
+    min_eig = float(np.linalg.eigvalsh((a + adjoint) / 2.0)[0])
     if min_eig < -STRUCTURAL_TOL:
         violations.append(
             InvariantViolation(
@@ -125,14 +125,15 @@ class DensityOperator:
     """Positive unit-trace Hermitian matrix: a pure state or improper mixture.
 
     Construction raises ``ValueError`` with the description of any
-    violation that ``validate_density_operator`` reports.
+    violation that ``validate_density_operator`` reports; the input is
+    coerced and checked once, so every instance is valid.
     """
 
     matrix: np.ndarray
 
     def __init__(self, matrix):
         a = as_complex_matrix(matrix)
-        report = validate_density_operator(a)
+        report = _density_report(a)
         if not report.valid:
             raise ValueError(report.describe())
         a.setflags(write=False)
@@ -206,21 +207,35 @@ class SpectralObservable:
 
 
 def validate_spectral_observable(o: SpectralObservable) -> ValidityReport:
-    """Report on idempotence, orthogonality, completeness and eigenvalue distinctness."""
+    """Report on idempotence, orthogonality, completeness and eigenvalue distinctness.
+
+    The projectors are checked together as one ``(k, d, d)`` stack: one
+    batched product for idempotence and one per projector for its
+    orthogonality to the later ones.
+    Violations are listed by kind (distinctness, idempotence, orthogonality,
+    completeness), and within a kind in spectrum order.  An empty (0 x 0)
+    stack is a ``shape`` violation.
+    """
+    evs = o.eigenvalues
     violations: list[InvariantViolation] = []
 
     seen: set[float] = set()
-    for ev in o.eigenvalues:
+    for ev in evs:
         if ev in seen:
             violations.append(
                 InvariantViolation("distinctness", 0.0, f"duplicate eigenvalue {ev}")
             )
         seen.add(ev)
 
-    for ev, p in zip(o.eigenvalues, o.projectors):
-        herm_dev = asymmetry(p)
-        idem_dev = float(np.max(np.abs(p @ p - p)))
-        dev = max(herm_dev, idem_dev)
+    if o.dimension == 0:
+        violations.append(InvariantViolation("shape", 0.0, "empty matrix"))
+        return ValidityReport(False, tuple(violations))
+
+    p = np.array(o.projectors)
+    herm_dev = np.abs(p - p.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    idem_dev = np.abs(p @ p - p).max(axis=(1, 2))
+    # fmax keeps the hermiticity deviation if P @ P overflowed to NaN.
+    for ev, dev in zip(evs, np.fmax(herm_dev, idem_dev).tolist()):
         if dev > STRUCTURAL_TOL:
             violations.append(
                 InvariantViolation(
@@ -230,22 +245,22 @@ def validate_spectral_observable(o: SpectralObservable) -> ValidityReport:
                 )
             )
 
-    k = len(o.projectors)
-    for i in range(k):
-        for j in range(i + 1, k):
-            dev = float(np.max(np.abs(o.projectors[i] @ o.projectors[j])))
+    # One broadcast product per row pairs P_i with every later projector, so
+    # no stack of all k(k-1)/2 products (or copies of its operands) is built.
+    for i in range(len(evs) - 1):
+        row = np.abs(p[i] @ p[i + 1 :]).max(axis=(1, 2)).tolist()
+        for j, dev in enumerate(row, start=i + 1):
             if dev > STRUCTURAL_TOL:
                 violations.append(
                     InvariantViolation(
                         "orthogonality",
                         dev,
-                        f"projectors for {o.eigenvalues[i]} and {o.eigenvalues[j]} "
+                        f"projectors for {evs[i]} and {evs[j]} "
                         f"are non-orthogonal by {dev:.3e}",
                     )
                 )
 
-    total = sum(o.projectors)
-    dev = float(np.max(np.abs(total - np.eye(o.dimension))))
+    dev = float(np.abs(p.sum(axis=0) - np.eye(o.dimension)).max())
     if dev > STRUCTURAL_TOL:
         violations.append(
             InvariantViolation(

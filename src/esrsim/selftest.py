@@ -10,7 +10,9 @@ are shared with the pytest suite.
 
 ``run_self_test`` accepts an alternative Lueders updater so a deliberately
 broken update can be injected to prove the suites have teeth; production code
-never passes it.
+never passes it.  A post-update state is valid because it is a
+``DensityOperator``, which validates itself on construction; an updater that
+returns anything else fails the product-law suite.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .linalg import (
     STRUCTURAL_TOL,
     DensityOperator,
     SpectralObservable,
-    validate_density_operator,
 )
 from .measurement import (
     DetectionModel,
@@ -137,7 +138,12 @@ def fundamental_equation_suite(
     luders: Callable = luders_update,
 ) -> SuiteResult:
     """overall = detection * conditional on random instances, plus the
-    post-update certainty check Tr[rho' P(sigma)] = 1 on the yes branch."""
+    post-update certainty check Tr[rho' P(sigma)] = 1 on the yes branch.
+
+    The updater must return a ``DensityOperator``, whose constructor has
+    already validated it; anything else fails the suite as a post-update
+    fault, so the state is never validated twice.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     checks = 0
@@ -159,11 +165,11 @@ def fundamental_equation_suite(
             checks += 1
         if triple.overall > 1e-6:
             updated = luders(rho, prop, dm)
-            report = validate_density_operator(updated.matrix)
-            if not report.valid:
+            if not isinstance(updated, DensityOperator):
                 return SuiteResult(
                     "fundamental-equation", False, checks, np.inf,
-                    f"post-update state invalid: {report.describe()}",
+                    f"post-update state is a {type(updated).__name__}, "
+                    "not a DensityOperator",
                 )
             p_sigma = obs.base.restriction(prop.sigma)
             certainty = float(np.trace(updated.matrix @ p_sigma).real)

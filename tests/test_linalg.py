@@ -46,6 +46,13 @@ class TestValidateDensityOperator:
         report = validate_density_operator(np.ones((2, 3)))
         assert not report.valid
 
+    def test_empty_matrix_is_reported(self):
+        report = validate_density_operator(np.zeros((0, 0)))
+        assert not report.valid
+        assert [(v.invariant, v.message) for v in report.violations] == [
+            ("shape", "empty matrix")
+        ]
+
 
 class TestValidateSpectralObservable:
     def test_valid_z(self):
@@ -76,6 +83,31 @@ class TestValidateSpectralObservable:
         report = validate_spectral_observable(obs)
         assert not report.valid
         assert any(v.invariant == "idempotence" for v in report.violations)
+
+    def test_report_order_and_messages(self):
+        # One non-idempotent projector (for 0.0), one non-orthogonal pair
+        # (1.0, -1.0) and a sum that misses the identity.
+        first = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        half = np.diag([0.0, 0.0, 0.5]).astype(complex)
+        plus = np.zeros((3, 3), dtype=complex)
+        plus[:2, :2] = 0.5
+        obs = SpectralObservable(eigenvalues=(1.0, 0.0, -1.0), projectors=(first, half, plus))
+        report = validate_spectral_observable(obs)
+        assert not report.valid
+        assert [(v.invariant, v.message) for v in report.violations] == [
+            ("idempotence", "projector for 0.0 fails P^2 = P = P^dagger by 2.500e-01"),
+            ("orthogonality", "projectors for 1.0 and -1.0 are non-orthogonal by 5.000e-01"),
+            ("completeness", "projectors sum deviates from identity by 5.000e-01"),
+        ]
+
+    def test_empty_projectors_are_reported(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        obs = SpectralObservable(eigenvalues=(1.0, -1.0), projectors=(empty, empty))
+        report = validate_spectral_observable(obs)
+        assert not report.valid
+        assert [(v.invariant, v.message) for v in report.violations] == [
+            ("shape", "empty matrix")
+        ]
 
 
 class TestAlgebraProperties:

@@ -1,6 +1,7 @@
 """Invariant suites pass on a pristine build and fail under injected faults."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,6 +67,41 @@ def test_fault_injection_fails_fundamental_suite():
     suite = fundamental_equation_suite(n=60, luders=_broken_luders)
     assert not suite.passed
     assert "post-update" in suite.detail
+
+
+def test_fault_injection_duck_typed_update_fails_fundamental_suite():
+    # Test-only fault: an updater that bypasses the DensityOperator
+    # constructor and hands back a matrix with a negative eigenvalue.
+    def luders(rho, prop, dm, state_label="S"):
+        bad = np.zeros((rho.dimension, rho.dimension), dtype=complex)
+        bad[0, 0], bad[1, 1] = 1.5, -0.5
+        return SimpleNamespace(matrix=bad, dimension=rho.dimension)
+
+    suite = fundamental_equation_suite(n=20, luders=luders)
+    assert not suite.passed
+    assert "post-update" in suite.detail
+
+
+def test_one_eigensolve_per_density_operator(monkeypatch):
+    calls = {"eigvalsh": 0, "DensityOperator": 0}
+    eigvalsh = np.linalg.eigvalsh
+    init = DensityOperator.__init__
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["DensityOperator"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(DensityOperator, "__init__", counting_init)
+    suite = fundamental_equation_suite(n=50)
+    assert suite.passed
+    # One object per instance plus one per update, each solved once.
+    assert calls["DensityOperator"] > 50
+    assert calls["eigvalsh"] == calls["DensityOperator"]
 
 
 def test_fault_injection_fails_qm_reduction_suite():

@@ -18,9 +18,10 @@ angles_deg*, d_grid* and state; ghz-quantum takes state, and ghz-local-model
 adds min_efficiency and min_joint_detection; hv-verify takes properties*,
 microstates*, weights*, micro_detection and property*; self-test takes none.
 Any other key, at any depth, is a config error, so the ``run --seed`` and
-``--samples`` overrides are valid for monte-carlo only.  ``dimension`` is an
-integer in 1..64 (``MAX_DIMENSION``).  Labels are strings: ``state_label``
-(default "S", read by the triple, luders and monte-carlo scenarios) and the
+``--samples`` overrides are valid for monte-carlo only.  A key repeated
+within one JSON object is a config error too.  ``dimension`` is an integer
+in 1..64 (``MAX_DIMENSION``).  Labels are strings: ``state_label`` (default
+"S", read by the triple, luders and monte-carlo scenarios) and the
 detection-entry, component and property labels.
 
 Only the modules a scenario runs are imported: ``correlations``,
@@ -477,7 +478,7 @@ def _run_mixture_divergence(prepared: dict):
     conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
     p_sigma = prop.observable.base.restriction(prop.sigma)
     born = float(np.trace(mixture.averaged_density().matrix @ p_sigma).real)
-    divergence = mixtures.esr_qm_divergence(mixture, prop, dm)
+    divergence = None if conditional is None else abs(conditional - born)
     records = [
         Record("proper_overall", overall),
         Record("proper_conditional", conditional),
@@ -491,19 +492,21 @@ def _run_bell_scan(prepared: dict):
     from . import correlations
 
     a, b, c = (math.radians(v) for v in prepared["angles_deg"])
+    unit = DetectionModel.uniform(1.0)
+    sc = correlations.TwoPartyScenario(
+        joint_state=prepared["state"],
+        settings={"a": a, "b": b, "c": c},
+        detection_a=unit,
+        detection_b=unit,
+    )
+    # Uniform detection d scales every overall correlation by d^2.
+    born = [
+        correlations.trichotomic_expectation(sc, x, y).value
+        for x, y in ("ab", "ac", "bc")
+    ]
     records = []
     for d in prepared["d_grid"]:
-        dm = DetectionModel.uniform(d)
-        sc = correlations.TwoPartyScenario(
-            joint_state=prepared["state"],
-            settings={"a": a, "b": b, "c": c},
-            detection_a=dm,
-            detection_b=dm,
-        )
-        e_ab = correlations.trichotomic_expectation(sc, "a", "b").value
-        e_ac = correlations.trichotomic_expectation(sc, "a", "c").value
-        e_bc = correlations.trichotomic_expectation(sc, "b", "c").value
-        report = correlations.modified_bell_report(e_ab, e_ac, e_bc)
+        report = correlations.modified_bell_report(*(d * d * e for e in born))
         records.append(Record(f"lhs[d={_fmt(d)}]", report.lhs, report.margin))
     return records, {}
 
@@ -723,9 +726,18 @@ def emit_report(report: RunReport, fmt: str, destination: str | None = None) -> 
 # ----------------------------------------------------------------------
 
 def _load_config(path: str) -> dict:
+    def unique_keys(pairs: list) -> dict:
+        # A repeated key would otherwise be overwritten by its last value.
+        node = {}
+        for key, value in pairs:
+            if key in node:
+                raise ConfigError(f"invalid JSON in {path!r}: duplicate key {key!r}")
+            node[key] = value
+        return node
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -201,20 +201,6 @@ def modified_chsh_report(
     return InequalityReport(lhs=abs(e_ab - e_ac) + abs(e_db + e_dc), rhs=2.0)
 
 
-def _chsh_lhs_at_efficiency(
-    joint_state: DensityOperator, angles: Mapping[str, float], d: float
-) -> InequalityReport:
-    dm = DetectionModel.uniform(d)
-    sc = TwoPartyScenario(
-        joint_state=joint_state, settings=angles, detection_a=dm, detection_b=dm
-    )
-    e_ab = trichotomic_expectation(sc, "a", "b").value
-    e_ac = trichotomic_expectation(sc, "a", "c").value
-    e_db = trichotomic_expectation(sc, "d", "b").value
-    e_dc = trichotomic_expectation(sc, "d", "c").value
-    return modified_chsh_report(e_ab, e_ac, e_db, e_dc)
-
-
 @dataclass(frozen=True)
 class ScanRow:
     efficiency: float
@@ -238,7 +224,8 @@ def efficiency_scan(
 
     ``angles`` must provide the four settings a, d (first wing) and b, c
     (second wing).  Under uniform detection d every overall correlation is
-    d^2 times its unit-efficiency value, so lhs(d) = d^2 lhs(1) and, when
+    d^2 times its unit-efficiency value, so the four correlations are
+    evaluated once, at d = 1, and each row is lhs(d) = d^2 lhs(1).  When
     lhs(1) violates the bound of 2, the threshold is sqrt(2 / lhs(1)) in
     closed form, exact to ``ARITHMETIC_TOL``.
     """
@@ -252,12 +239,18 @@ def efficiency_scan(
     if missing:
         raise ValueError(f"angle set missing settings {sorted(missing)}")
 
+    unit = DetectionModel.uniform(1.0)
+    sc = TwoPartyScenario(
+        joint_state=joint_state, settings=angles, detection_a=unit, detection_b=unit
+    )
+    top = modified_chsh_report(
+        *(trichotomic_expectation(sc, x, y).value for x, y in ("ab", "ac", "db", "dc"))
+    )
     rows = []
     for d in grid:
-        report = _chsh_lhs_at_efficiency(joint_state, angles, d)
+        report = InequalityReport(lhs=d * d * top.lhs, rhs=top.rhs)
         rows.append(ScanRow(efficiency=d, lhs=report.lhs, satisfied=report.satisfied))
 
-    top = _chsh_lhs_at_efficiency(joint_state, angles, 1.0)
     threshold = None if top.satisfied else math.sqrt(top.rhs / top.lhs)
     return EfficiencyScan(
         rows=tuple(rows), threshold=threshold, threshold_tolerance=ARITHMETIC_TOL

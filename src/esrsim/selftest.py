@@ -8,9 +8,9 @@ detection-conditioned and Born correlations (why post-selected Bell tests do
 not conflict with quantum mechanics).  The random instance generators here
 are shared with the pytest suite.
 
-``run_self_test`` accepts an alternative Lueders updater so a deliberately
-broken update can be injected to prove the suites have teeth; production code
-never passes it.  A post-update state is valid because it is a
+The suites look up ``luders_update`` and ``conditional_expectation`` in this
+module when they run, so a test can patch in a deliberately broken version to
+prove the suites have teeth.  A post-update state is valid because it is a
 ``DensityOperator``, which validates itself on construction; an updater that
 returns anything else fails the product-law suite.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -132,11 +131,7 @@ class SelfTestReport:
         return all(s.passed for s in self.suites)
 
 
-def fundamental_equation_suite(
-    n: int = 1000,
-    seed: int = 20240401,
-    luders: Callable = luders_update,
-) -> SuiteResult:
+def fundamental_equation_suite(n: int = 1000, seed: int = 20240401) -> SuiteResult:
     """overall = detection * conditional on random instances, plus the
     post-update certainty check Tr[rho' P(sigma)] = 1 on the yes branch.
 
@@ -164,7 +159,7 @@ def fundamental_equation_suite(
             worst = max(worst, residual)
             checks += 1
         if triple.overall > 1e-6:
-            updated = luders(rho, prop, dm)
+            updated = luders_update(rho, prop, dm)
             if not isinstance(updated, DensityOperator):
                 return SuiteResult(
                     "fundamental-equation", False, checks, np.inf,
@@ -184,11 +179,7 @@ def fundamental_equation_suite(
     return SuiteResult("fundamental-equation", passed, checks, worst)
 
 
-def qm_reduction_suite(
-    n: int = 200,
-    seed: int = 20240402,
-    luders: Callable = luders_update,
-) -> SuiteResult:
+def qm_reduction_suite(n: int = 200, seed: int = 20240402) -> SuiteResult:
     """At unit detection, probabilities and updates match plain quantum values."""
     rng = np.random.default_rng(seed)
     unit = DetectionModel.uniform(1.0)
@@ -205,7 +196,7 @@ def qm_reduction_suite(
         worst = max(worst, abs(triple.overall - born), abs(triple.conditional - born))
         checks += 1
         if born > 1e-6:
-            updated = luders(rho, prop, unit)
+            updated = luders_update(rho, prop, unit)
             projected = p_sigma @ rho.matrix @ p_sigma
             standard = projected / float(np.trace(projected).real)
             worst = max(worst, float(np.max(np.abs(updated.matrix - standard))))
@@ -280,10 +271,10 @@ def conditional_correlation_suite(n: int = 200, seed: int = 20240404) -> SuiteRe
     return SuiteResult("conditional-correlation", worst <= ARITHMETIC_TOL, n, worst)
 
 
-def run_self_test(luders: Callable = luders_update) -> SelfTestReport:
+def run_self_test() -> SelfTestReport:
     suites = (
-        fundamental_equation_suite(luders=luders),
-        qm_reduction_suite(luders=luders),
+        fundamental_equation_suite(),
+        qm_reduction_suite(),
         chsh_bound_suite(),
         lp_certificate_suite(),
         conditional_correlation_suite(),

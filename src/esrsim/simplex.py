@@ -148,7 +148,6 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
 
 def solve_lp_simplex(
     problem: FeasibilityProblem,
-    feas_tol: float = _FEAS_TOL,
     max_pivots: int = MAX_PIVOTS,
 ) -> LPResult:
     """Find a feasible point of ``problem`` or certify infeasibility.
@@ -238,7 +237,7 @@ def solve_lp_simplex(
         basis[leaving] = entering
 
     objective = -float(tableau[m, -1])
-    if objective > feas_tol:
+    if objective > _FEAS_TOL:
         return LPResult("infeasible", None, objective, pivots)
 
     x_full = np.zeros(n_tot)

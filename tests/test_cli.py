@@ -440,6 +440,24 @@ class TestCommandLine:
         assert result.returncode == 2
         assert "line" in result.stderr
 
+    def test_duplicate_key_exits_2_naming_it(self, tmp_path):
+        # Raw text: json.dumps cannot write a repeated key.
+        path = tmp_path / "duplicate.json"
+        path.write_text(
+            '{"scenario_type": "ghz-local-model",'
+            ' "min_efficiency": 0.5, "min_efficiency": 1.0}'
+        )
+        nested = tmp_path / "nested.json"
+        nested.write_text(
+            '{"scenario_type": "probability-triple", "dimension": 2,'
+            ' "detection_model": {"default": 0.5, "default": 0.9}}'
+        )
+        for config, key in ((path, "min_efficiency"), (nested, "default")):
+            for command in ("validate", "run"):
+                result = self._run(command, "--scenario", str(config))
+                assert result.returncode == 2, (command, result.stdout)
+                assert f"duplicate key '{key}'" in result.stderr
+
     def test_computation_error_exits_3(self, tmp_path):
         # Lueders update on an impossible outcome fails at run time, not parse time.
         config = triple_config()

@@ -63,13 +63,14 @@ def _broken_luders(rho, prop, dm, state_label="S"):
     return DensityOperator(flip @ updated.matrix @ flip.conj().T)
 
 
-def test_fault_injection_fails_fundamental_suite():
-    suite = fundamental_equation_suite(n=60, luders=_broken_luders)
+def test_fault_injection_fails_fundamental_suite(monkeypatch):
+    monkeypatch.setattr(selftest, "luders_update", _broken_luders)
+    suite = fundamental_equation_suite(n=60)
     assert not suite.passed
     assert "post-update" in suite.detail
 
 
-def test_fault_injection_duck_typed_update_fails_fundamental_suite():
+def test_fault_injection_duck_typed_update_fails_fundamental_suite(monkeypatch):
     # Test-only fault: an updater that bypasses the DensityOperator
     # constructor and hands back a matrix with a negative eigenvalue.
     def luders(rho, prop, dm, state_label="S"):
@@ -77,7 +78,8 @@ def test_fault_injection_duck_typed_update_fails_fundamental_suite():
         bad[0, 0], bad[1, 1] = 1.5, -0.5
         return SimpleNamespace(matrix=bad, dimension=rho.dimension)
 
-    suite = fundamental_equation_suite(n=20, luders=luders)
+    monkeypatch.setattr(selftest, "luders_update", luders)
+    suite = fundamental_equation_suite(n=20)
     assert not suite.passed
     assert "post-update" in suite.detail
 
@@ -104,13 +106,15 @@ def test_one_eigensolve_per_density_operator(monkeypatch):
     assert calls["eigvalsh"] == calls["DensityOperator"]
 
 
-def test_fault_injection_fails_qm_reduction_suite():
-    suite = qm_reduction_suite(n=30, luders=_broken_luders)
+def test_fault_injection_fails_qm_reduction_suite(monkeypatch):
+    monkeypatch.setattr(selftest, "luders_update", _broken_luders)
+    suite = qm_reduction_suite(n=30)
     assert not suite.passed
 
 
-def test_fault_injection_fails_whole_report():
-    report = run_self_test(luders=_broken_luders)
+def test_fault_injection_fails_whole_report(monkeypatch):
+    monkeypatch.setattr(selftest, "luders_update", _broken_luders)
+    report = run_self_test()
     assert not report.passed
 
 

@@ -3,11 +3,15 @@
 Problems are small (hundreds of variables, tens of rows) and deterministic
 reproducibility matters most, so this is a dense tableau with Bland's
 anti-cycling rule: entering column is the lowest-index negative reduced cost,
-leaving row breaks ratio ties by lowest basic-variable index.  Each pivot is
-vectorized over the tableau (candidate masks, one division for the ratios,
-one outer-product elimination) yet makes the same choices and the same
-floating-point operations as an entry-by-entry loop, so results are
-bit-identical to it.
+leaving row breaks ratio ties by lowest basic-variable index.  The tableau is
+built only over the distinct variable columns (the first copy of each
+byte-identical column; 105 of the 729 GHZ strategies): copies stay identical
+under every column-wise update and Bland's rule enters the lowest index first,
+so a later copy never enters and gets weight zero.  Each pivot is vectorized
+over the tableau (candidate masks, one division for the ratios, one
+broadcast elimination) yet makes the same choices and the same floating-point
+operations as an entry-by-entry loop over all columns, so results are
+bit-identical to both it and the full-width tableau.
 Phase one minimizes the sum of artificial variables; a strictly positive
 optimum certifies infeasibility.  No phase-two objective is needed because the
 callers only ask for feasibility plus a residual certificate, which is
@@ -33,7 +37,8 @@ __all__ = [
 
 MAX_VARIABLES = 2000
 MAX_CONSTRAINTS = 200
-MAX_PIVOTS = 10**6
+MAX_PIVOTS = 10**6  # a large explicit budget; the default scales with the tableau
+_PIVOTS_PER_LINE = 200
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
@@ -148,14 +153,17 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
 
 def solve_lp_simplex(
     problem: FeasibilityProblem,
-    max_pivots: int = MAX_PIVOTS,
+    max_pivots: int | None = None,
 ) -> LPResult:
     """Find a feasible point of ``problem`` or certify infeasibility.
 
     Deterministic for fixed input.  Raises ``ValueError`` when the stated
     dimension bounds are exceeded and ``RuntimeError`` on a phase-one
     unbounded direction or pivot-budget exhaustion (neither should occur on
-    simplex-constrained inputs).
+    simplex-constrained inputs).  The default budget is 200 pivots per row
+    and column of the presolved tableau, over 10x the longest path that
+    finishes on the GHZ grid, so round-off cycling fails within about a
+    second instead of running on.
     """
     if problem.n_vars > MAX_VARIABLES:
         raise ValueError(
@@ -166,23 +174,23 @@ def solve_lp_simplex(
             f"problem has {problem.n_constraints} constraints, bound is {MAX_CONSTRAINTS}"
         )
 
-    n = problem.n_vars
     m_eq = problem.a_eq.shape[0]
     m_ub = problem.a_ub.shape[0]
     m = m_eq + m_ub
-    n_slack = m_ub
-    n_tot = n + n_slack
-
     if m == 0:
-        return LPResult("feasible", np.zeros(n), 0.0, 0)
+        return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 0)
+
+    # Presolve: the first copy of each byte-identical column, in index order.
+    stacked = np.vstack([problem.a_eq, problem.a_ub])
+    keys = np.ascontiguousarray(stacked.T).view(np.dtype((np.void, stacked.itemsize * m)))
+    keep = np.sort(np.unique(keys.ravel(), return_index=True)[1])
+    n = keep.size
+    n_tot = n + m_ub
 
     a = np.zeros((m, n_tot))
-    b = np.zeros(m)
-    a[:m_eq, :n] = problem.a_eq
-    b[:m_eq] = problem.b_eq
-    a[m_eq:, :n] = problem.a_ub
-    a[m_eq:, n : n + n_slack] = np.eye(n_slack)
-    b[m_eq:] = problem.b_ub
+    a[:, :n] = stacked[:, keep]
+    a[m_eq:, n:] = np.eye(m_ub)
+    b = np.concatenate([problem.b_eq, problem.b_ub])
 
     neg = b < 0.0
     a[neg] *= -1.0
@@ -193,21 +201,26 @@ def solve_lp_simplex(
     tableau[:m, :n_tot] = a
     tableau[:m, n_tot : n_tot + m] = np.eye(m)
     tableau[:m, -1] = b
-    tableau[m, :n_tot] = -a.sum(axis=0)
+    # Summed over two or more columns, numpy adds row after row; a lone column
+    # would be summed pairwise, in another order, and round differently.
+    tableau[m, :n_tot] = -tableau[:m, :-1].sum(axis=0)[:n_tot]
     tableau[m, -1] = -b.sum()
+    if max_pivots is None:
+        max_pivots = _PIVOTS_PER_LINE * sum(tableau.shape)
 
     basis = list(range(n_tot, n_tot + m))
     eligible = np.ones(n_tot + m, dtype=bool)
+    cost = tableau[m, :-1]
 
     pivots = 0
     while True:
-        candidates = np.flatnonzero(eligible & (tableau[m, : n_tot + m] < -_PIVOT_TOL))
+        candidates = (eligible & (cost < -_PIVOT_TOL)).nonzero()[0]
         if candidates.size == 0:
             break
         entering = int(candidates[0])
 
         column = tableau[:m, entering]
-        rows = np.flatnonzero(column > _PIVOT_TOL)
+        rows = (column > _PIVOT_TOL).nonzero()[0]
         ratios = (tableau[rows, -1] / column[rows]).tolist()
         leaving = -1
         best_ratio = np.inf
@@ -228,8 +241,8 @@ def solve_lp_simplex(
         tableau[leaving, :] /= tableau[leaving, entering]
         factors = tableau[:, entering].copy()
         factors[leaving] = 0.0
-        others = np.flatnonzero(factors)
-        tableau[others] -= np.outer(factors[others], tableau[leaving])
+        others = factors.nonzero()[0]
+        tableau[others] -= factors[others, None] * tableau[leaving]
 
         left_var = basis[leaving]
         if left_var >= n_tot:
@@ -244,5 +257,6 @@ def solve_lp_simplex(
     for i, var in enumerate(basis):
         if var < n_tot:
             x_full[var] = tableau[i, -1]
-    x = np.maximum(x_full[:n], 0.0)
+    x = np.zeros(problem.n_vars)
+    x[keep] = np.maximum(x_full[:n], 0.0)
     return LPResult("feasible", x, max(objective, 0.0), pivots)

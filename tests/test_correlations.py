@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from esrsim.hidden_variables import enumerate_local_strategies
-from esrsim.linalg import DensityOperator
+from esrsim.hidden_variables import (
+    CorrelationTarget,
+    build_feasibility_lp,
+    enumerate_local_strategies,
+)
+from esrsim.linalg import ARITHMETIC_TOL, DensityOperator
 from esrsim.measurement import DEFAULT_STATE_LABEL, DetectionModel
 from esrsim.correlations import (
+    GHZ_CONTEXTS,
     GHZScenario,
     TwoPartyScenario,
     brute_force_trichotomic_bound,
@@ -22,6 +27,7 @@ from esrsim.correlations import (
     singlet_state,
     trichotomic_expectation,
 )
+from esrsim.simplex import feasibility_residuals
 
 TSIRELSON = {"a": 0.0, "d": math.pi / 2, "b": math.pi / 4, "c": 3 * math.pi / 4}
 
@@ -318,6 +324,52 @@ class TestGHZLocalModelSearch:
         )
         assert result.feasible
         assert result.correlations == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-9)
+
+    def test_results_live_on_the_original_strategy_indices(self):
+        # The solver drops repeated strategy columns internally; the reported
+        # weights must still cover all 729 strategies and reproduce every
+        # reported number on the unreduced LP.
+        scenario = GHZScenario.standard()
+        result = ghz_local_model_search(scenario, min_efficiency=0.7, tolerance=1e-4)
+        assert result.feasible
+        weights = result.weights
+        assert weights.shape == (729,)
+        assert result.support_size == int(np.count_nonzero(weights > ARITHMETIC_TOL))
+
+        outcomes = enumerate_local_strategies(3, 2)
+        targets = [
+            CorrelationTarget(settings=ctx, value=value, tolerance=1e-4)
+            for ctx, value in zip(GHZ_CONTEXTS, ghz_quantum_correlations(scenario))
+        ]
+        problem = build_feasibility_lp(outcomes, targets, min_efficiency=0.7)
+        assert problem.n_vars == 729
+        certificate = feasibility_residuals(problem, weights)
+        assert certificate.satisfied()
+        assert result.max_residual == max(
+            certificate.max_equality_residual, certificate.max_inequality_violation
+        )
+
+        # Later copies of a repeated column carry exactly zero weight.
+        columns = np.vstack([problem.a_eq, problem.a_ub]).T
+        first = {}
+        for j, column in enumerate(columns):
+            first.setdefault(column.tobytes(), j)
+        copies = np.setdiff1d(np.arange(729), list(first.values()))
+        assert copies.size == 729 - 105
+        assert not np.any(weights[copies])
+
+        for ctx in GHZ_CONTEXTS:
+            sel = outcomes[:, [0, 1, 2], list(ctx)]
+            mass = weights @ np.all(sel != 0, axis=1)
+            assert result.joint_detection[ctx] == pytest.approx(mass, abs=1e-12)
+            product = weights @ np.prod(sel, axis=1)
+            assert result.correlations[GHZ_CONTEXTS.index(ctx)] == pytest.approx(
+                product / mass, abs=1e-12
+            )
+        for (party, setting), efficiency in result.efficiencies.items():
+            marginal = weights @ (outcomes[:, party, setting] != 0)
+            assert efficiency == pytest.approx(marginal, abs=1e-12)
+            assert efficiency >= 0.7 - 1e-9
 
     def test_no_perfect_strategy_exists_at_unit_detection(self):
         # Exhaustive cross-check of the infeasibility verdict: no always-

@@ -1,5 +1,8 @@
 """Two-phase simplex: trivial cases, certificates, determinism, scipy oracle,
-bit equivalence with the scalar Bland loop."""
+bit equivalence with the scalar Bland loop, the column presolve and the
+default pivot budget."""
+
+import re
 
 import numpy as np
 import pytest
@@ -382,3 +385,115 @@ class TestBitEquivalenceWithScalarOracle:
                 slow = ("error", str(exc))
             assert _outcome(solve_lp_simplex, problem, 2000) == slow
         assert ties > 0
+
+
+def _hex_fields(result):
+    """Result fields with the phase-one objective and the point as exact bits."""
+    x = None if result.x is None else result.x.tobytes()
+    return (result.status, result.pivots, result.phase1_objective.hex(), x)
+
+
+class TestColumnPresolve:
+    """The tableau keeps only the first copy of each byte-identical column;
+    nothing of that may show in the results."""
+
+    @pytest.mark.parametrize("min_efficiency", [0.0, 0.7, 0.9])
+    def test_duplicating_every_column_changes_nothing(self, min_efficiency):
+        problem = _ghz_problem(min_efficiency, 0.0, 1e-6)
+        n = problem.n_vars
+        doubled = FeasibilityProblem(
+            n_vars=2 * n,
+            a_eq=np.hstack([problem.a_eq, problem.a_eq]),
+            b_eq=problem.b_eq,
+            a_ub=np.hstack([problem.a_ub, problem.a_ub]),
+            b_ub=problem.b_ub,
+        )
+        single = solve_lp_simplex(problem)
+        twice = solve_lp_simplex(doubled)
+        assert _hex_fields(twice)[:3] == _hex_fields(single)[:3]
+        # The presolved solve matches the full-width scalar loop bit for bit.
+        assert _hex_fields(twice) == _hex_fields(_oracle(doubled, MAX_PIVOTS))
+        if single.feasible:
+            assert twice.x[:n].tobytes() == single.x.tobytes()
+            assert twice.x[n:].tobytes() == np.zeros(n).tobytes()
+
+    def test_signed_zero_columns_stay_apart(self):
+        # Columns 0 and 1 differ only in the sign of a zero: equal as floats,
+        # different as bytes, so both stay in the tableau.
+        a_eq = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, -0.0, 1.0, 2.0]])
+        a_ub = np.array([[-1.0, -1.0, 0.0, 1.0], [-0.0, 0.0, -1.0, -1.0]])
+        for b_eq, b_ub in [([1.0, 0.5], [0.5, -0.25]), ([1.0, 0.0], [-0.5, 0.0])]:
+            problem = FeasibilityProblem(n_vars=4, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+            assert _hex_fields(solve_lp_simplex(problem)) == _hex_fields(
+                _oracle(problem, MAX_PIVOTS)
+            )
+
+    @pytest.mark.parametrize(
+        "column, b_eq",
+        [
+            ([1.0, 0.3, 0.6, -0.9, 0.6, -0.1, 0.0, 0.2], None),
+            (
+                [1.0, -0.7, -0.9, -0.9, -0.9, -0.7, 0.9, -0.6],
+                [1.0, -0.25, -0.25, -0.65, -0.65, -0.35, 0.25, 0.0],
+            ),
+        ],
+    )
+    def test_one_distinct_column(self, column, b_eq):
+        # Eight rows and three copies of one column.  numpy sums a lone column
+        # pairwise, in another order than row after row, so the cost row must
+        # not be summed over the presolved columns alone.
+        column = np.array(column)
+        problem = FeasibilityProblem(
+            n_vars=3,
+            a_eq=np.tile(column[:, None], (1, 3)),
+            b_eq=column if b_eq is None else b_eq,
+        )
+        assert _hex_fields(solve_lp_simplex(problem)) == _hex_fields(
+            _oracle(problem, MAX_PIVOTS)
+        )
+
+    def test_inequality_rows_only(self):
+        # x0 + x1 >= 1 and x2 <= 0.5, with column 3 a copy of column 0.
+        problem = FeasibilityProblem(
+            n_vars=4,
+            a_ub=[[-1.0, -1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]],
+            b_ub=[-1.0, 0.5],
+        )
+        result = solve_lp_simplex(problem)
+        assert result.feasible
+        assert result.x[3] == 0.0
+        assert feasibility_residuals(problem, result.x).satisfied()
+        assert _hex_fields(result) == _hex_fields(_oracle(problem, MAX_PIVOTS))
+
+
+class TestDefaultPivotBudget:
+    """The default budget scales with the presolved tableau: a cycling LP
+    fails promptly, and the longest grid path that finishes still does."""
+
+    # Longest path that finishes on the ROADMAP grid, at
+    # (linspace(0, 1, 41)[14], 1e-6, 0).
+    LONGEST_PATH = 2170
+
+    @pytest.mark.parametrize(
+        "min_efficiency, tolerance, min_joint_detection",
+        [
+            (0.025, 1e-6, 0.0),  # still cycling after 10^6 pivots
+            # Under a budget of 10^6 this one ends after 148,942 pivots with a
+            # "feasible" point whose own certificate fails (normalization
+            # residual 1.46): round-off drift, not an answer.
+            (0.2, 1e-3, 0.3),
+        ],
+    )
+    def test_cycling_lp_fails_promptly(self, min_efficiency, tolerance, min_joint_detection):
+        problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
+        with pytest.raises(RuntimeError, match="pivot budget") as info:
+            solve_lp_simplex(problem)
+        budget = int(re.search(r"pivot budget (\d+) exhausted", str(info.value)).group(1))
+        # At least 10x the longest finishing path, and about a second of pivots.
+        assert 10 * self.LONGEST_PATH <= budget <= 50_000
+
+    def test_longest_finishing_path_still_finishes(self):
+        problem = _ghz_problem(float(np.linspace(0.0, 1.0, 41)[14]), 1e-6, 0.0)
+        result = solve_lp_simplex(problem)
+        assert result.pivots == self.LONGEST_PATH
+        assert _hex_fields(result) == _hex_fields(solve_lp_simplex(problem, MAX_PIVOTS))

@@ -10,11 +10,15 @@ from unmodified quantum predictions.
 
 The classical side is covered by exhaustive enumeration of deterministic
 trichotomic strategies (the inequality bounds) and by the LP search for local
-models of the GHZ correlations under detection-efficiency constraints.
+models of the GHZ correlations under detection-efficiency constraints; a
+feasible point that fails its own certificate raises ``RuntimeError``.  Spin
+projectors, wing operators and GHZ Pauli strings are each built once per exact
+key (signed zeros kept apart), into bounded caches of read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,6 +64,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
+_OPERATOR_CACHE_SIZE = 256  # entries per float-keyed operator cache
 
 # Setting index 0 is X, 1 is Y; the four standard GHZ contexts.
 GHZ_CONTEXTS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -84,6 +89,26 @@ def ghz_state(sign: int = +1) -> DensityOperator:
     return DensityOperator.from_state_vector(vec)
 
 
+def _exact_cache(build):
+    """Memoize ``build(*floats)`` as read-only arrays, keyed by each float and
+    its sign: -0.0 and 0.0 compare and hash equal, yet are different inputs."""
+
+    @functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+    def by_key(args: tuple[float, ...], signs: tuple[float, ...]):
+        arrays = build(*args)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    @functools.wraps(build)
+    def cached(*args: float):
+        return by_key(args, tuple([math.copysign(1.0, x) for x in args]))
+
+    cached.cache_clear = by_key.cache_clear
+    return cached
+
+
+@_exact_cache
 def _spin_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
     """((I + n.sigma)/2, (I - n.sigma)/2) for n = (sin(angle), 0, cos(angle))."""
     direction = math.cos(angle) * PAULI_Z + math.sin(angle) * PAULI_X
@@ -143,17 +168,22 @@ class InequalityReport:
         return self.margin >= -ARITHMETIC_TOL
 
 
+@_exact_cache
 def _wing_operators(
-    sc: TwoPartyScenario, label: str, dm: DetectionModel
+    angle: float, d_plus: float, d_minus: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(weighted outcome operator, detection operator) for one wing setting."""
+    """(weighted outcome, detection) operators; d_plus, d_minus detect the outcomes +1, -1."""
     weighted = np.zeros((2, 2), dtype=complex)
     detect = np.zeros((2, 2), dtype=complex)
-    for ev, proj in zip((1.0, -1.0), _spin_projectors(sc.angle(label))):
-        d = dm.value(DEFAULT_STATE_LABEL, ev)
+    for ev, d, proj in zip((1.0, -1.0), (d_plus, d_minus), _spin_projectors(angle)):
         weighted = weighted + ev * d * proj
         detect = detect + d * proj
     return weighted, detect
+
+
+def _wing(sc: TwoPartyScenario, label: str, dm: DetectionModel):
+    d_plus, d_minus = dm.value(DEFAULT_STATE_LABEL, 1.0), dm.value(DEFAULT_STATE_LABEL, -1.0)
+    return _wing_operators(sc.angle(label), d_plus, d_minus)
 
 
 def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -164,16 +194,16 @@ def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def trichotomic_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
     """Overall expectation of the product, with a0 counted as 0."""
-    m_a, _ = _wing_operators(sc, a, sc.detection_a)
-    m_b, _ = _wing_operators(sc, b, sc.detection_b)
+    m_a, _ = _wing(sc, a, sc.detection_a)
+    m_b, _ = _wing(sc, b, sc.detection_b)
     value = float(np.trace(sc.joint_state.matrix @ _kron2(m_a, m_b)).real)
     return CorrelationResult(value=value)
 
 
 def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
     """Expectation restricted to both-detected events."""
-    m_a, n_a = _wing_operators(sc, a, sc.detection_a)
-    m_b, n_b = _wing_operators(sc, b, sc.detection_b)
+    m_a, n_a = _wing(sc, a, sc.detection_a)
+    m_b, n_b = _wing(sc, b, sc.detection_b)
     rho = sc.joint_state.matrix
     numerator = float(np.trace(rho @ _kron2(m_a, m_b)).real)
     mass = float(np.trace(rho @ _kron2(n_a, n_b)).real)
@@ -274,11 +304,11 @@ class GHZScenario:
         return cls(joint_state=ghz_state(+1))
 
 
-def _ghz_product_operator(context: Sequence[int]) -> np.ndarray:
-    sigmas = [PAULI_X, PAULI_Y]
-    op = sigmas[context[0]]
-    for setting in context[1:]:
-        op = np.kron(op, sigmas[setting])
+@functools.lru_cache(maxsize=len(GHZ_CONTEXTS))
+def _ghz_product_operator(context: tuple[int, int, int]) -> np.ndarray:
+    first, second, third = ((PAULI_X, PAULI_Y)[setting] for setting in context)
+    op = np.kron(np.kron(first, second), third)
+    op.setflags(write=False)
     return op
 
 
@@ -355,6 +385,8 @@ def ghz_local_model_search(
 
     weights = result.x
     certificate = feasibility_residuals(problem, weights)
+    if not certificate.satisfied():
+        raise RuntimeError(f"LP point fails its feasibility certificate at {certificate.worst_row!r}")
     correlations = []
     joint = {}
     for ctx in GHZ_CONTEXTS:

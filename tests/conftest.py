@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esrsim import correlations
 from esrsim.linalg import DensityOperator, SpectralObservable
 from esrsim.measurement import GeneralizedObservable, Property
 
@@ -37,3 +38,10 @@ def plus_density() -> DensityOperator:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240515)
+
+
+def clear_operator_caches() -> None:
+    """Empty the correlation kernels' operator caches, so the next call builds cold."""
+    correlations._spin_projectors.cache_clear()
+    correlations._wing_operators.cache_clear()
+    correlations._ghz_product_operator.cache_clear()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plus_density, z_generalized
+from conftest import clear_operator_caches, plus_density, z_generalized
 from esrsim.cli import (
     _MC_CHUNK,
     ConfigError,
@@ -292,6 +292,32 @@ class TestDeterminism:
         echoed = json.loads(render_report(report, "json"))["config"]
         rerun = run_scenario(echoed)
         assert render_report(rerun, "csv") == render_report(report, "csv")
+
+    def test_scan_reports_do_not_depend_on_earlier_runs(self):
+        # Operator caches live for the whole process; a report must come out
+        # with the same bytes whatever ran before it.  The signed-zero scans
+        # share every key with the shipped ones but for the sign of zero.
+        def reports():
+            return [
+                render_report(run_scenario(SHIPPED[name]), fmt)
+                for name in ("chsh_scan", "bell_scan")
+                for fmt in ("csv", "json")
+            ]
+
+        clear_operator_caches()
+        first = reports()
+        others = [
+            {"scenario_type": "bell-scan", "angles_deg": [-0.0, 60.0, 120.0],
+             "d_grid": [-0.0, 0.5, 1.0]},
+            {"scenario_type": "chsh-scan", "angles_deg": [-0.0, 90.0, 45.0, 135.0],
+             "d_grid": [0.3, 0.9]},
+            {"scenario_type": "bell-scan", "angles_deg": [10.0, 75.0, 170.0],
+             "d_grid": [0.2, 0.6, 1.0]},
+            SHIPPED["ghz_local_model"],
+        ]
+        for config in others:
+            render_report(run_scenario(config), "json")
+        assert reports() == first
 
 
 class TestShippedConfigs:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import clear_operator_caches
+from esrsim import correlations
 from esrsim.hidden_variables import (
     CorrelationTarget,
     build_feasibility_lp,
@@ -27,7 +29,7 @@ from esrsim.correlations import (
     singlet_state,
     trichotomic_expectation,
 )
-from esrsim.simplex import feasibility_residuals
+from esrsim.simplex import LPResult, feasibility_residuals
 
 TSIRELSON = {"a": 0.0, "d": math.pi / 2, "b": math.pi / 4, "c": 3 * math.pi / 4}
 
@@ -135,6 +137,94 @@ class TestBitEquivalenceWithPublicOperators:
             else:
                 conditional = conditional_expectation(sc, "a", "b").value
                 assert _bits(conditional) == _bits(min(max(numerator / mass, -1.0), 1.0))
+
+
+class TestMemoizedOperators:
+    """Spin projectors, wing operators and GHZ Pauli strings are built once
+    per exact key; a cached array has the bytes of a fresh build whatever
+    the call history, including -0.0 against 0.0."""
+
+    @staticmethod
+    def _check_wing(angle, d_plus, d_minus):
+        fresh = _reference_wing(
+            angle, DetectionModel.per_eigenvalue({1.0: d_plus, -1.0: d_minus})
+        )
+        for got, want in zip(correlations._wing_operators(angle, d_plus, d_minus), fresh):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(
+            correlations._spin_projectors(angle),
+            correlations._spin_projectors.__wrapped__(angle),
+        ):
+            assert got.tobytes() == want.tobytes()
+
+    def test_cached_arrays_match_fresh_builds(self, rng):
+        clear_operator_caches()
+        for _ in range(50):
+            angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+            d_plus, d_minus = (float(d) for d in rng.uniform(size=2))
+            for _ in range(2):  # miss, then hit
+                self._check_wing(angle, d_plus, d_minus)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_keys_stay_apart(self, first):
+        clear_operator_caches()
+        second = -first
+        for x in (first, second, first, second):
+            self._check_wing(x, 0.5, 0.25)
+            self._check_wing(0.3, x, 0.5)
+            self._check_wing(0.3, 0.5, x)
+            self._check_wing(x, x, x)
+        # Separate entries: a float key would hand back the first build.
+        assert correlations._spin_projectors(first)[0] is not (
+            correlations._spin_projectors(second)[0]
+        )
+        assert correlations._wing_operators(0.3, first, first)[0] is not (
+            correlations._wing_operators(0.3, second, second)[0]
+        )
+
+    def test_ghz_pauli_strings_match_np_kron(self):
+        sigma = {
+            0: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+            1: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        }
+        clear_operator_caches()
+        for _ in range(2):  # miss, then hit
+            for ctx in GHZ_CONTEXTS:
+                want = np.kron(np.kron(sigma[ctx[0]], sigma[ctx[1]]), sigma[ctx[2]])
+                assert correlations._ghz_product_operator(ctx).tobytes() == want.tobytes()
+
+    def test_expectations_bit_identical_cold_and_warm(self, rng):
+        for _ in range(30):
+            rho = _random_mixed_state(rng)
+            angles = dict(zip("ab", (float(a) for a in rng.uniform(-math.pi, math.pi, 2))))
+            dm_a, dm_b = (
+                DetectionModel.per_eigenvalue(dict(zip((1.0, -1.0), rng.uniform(0.1, 1.0, 2))))
+                for _ in range(2)
+            )
+            sc = TwoPartyScenario(rho, angles, dm_a, dm_b)
+            cold = []
+            for f in (trichotomic_expectation, conditional_expectation):
+                clear_operator_caches()
+                cold.append(_bits(f(sc, "a", "b").value))
+            warm = [
+                _bits(f(sc, "a", "b").value)
+                for f in (trichotomic_expectation, conditional_expectation)
+            ]
+            assert warm == cold
+        g = GHZScenario.standard()
+        clear_operator_caches()
+        cold = ghz_quantum_correlations(g)
+        assert [_bits(v) for v in ghz_quantum_correlations(g)] == [_bits(v) for v in cold]
+
+    def test_returned_arrays_are_read_only(self):
+        arrays = [
+            *correlations._spin_projectors(0.4),
+            *correlations._wing_operators(0.4, 0.9, 0.7),
+            correlations._ghz_product_operator(GHZ_CONTEXTS[1]),
+        ]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
 
 
 class TestConditionalExpectation:
@@ -324,6 +414,16 @@ class TestGHZLocalModelSearch:
         )
         assert result.feasible
         assert result.correlations == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-9)
+
+    def test_point_failing_its_certificate_raises(self, monkeypatch):
+        # A solver round-off path that ends "feasible" must not be reported
+        # as a local model: all-zero weights break the normalization row.
+        def bogus(problem, max_pivots=None):
+            return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 1)
+
+        monkeypatch.setattr(correlations, "solve_lp_simplex", bogus)
+        with pytest.raises(RuntimeError, match="fails its feasibility certificate"):
+            ghz_local_model_search(GHZScenario.standard())
 
     def test_results_live_on_the_original_strategy_indices(self):
         # The solver drops repeated strategy columns internally; the reported

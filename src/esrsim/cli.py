@@ -224,7 +224,7 @@ _SPECTRUM = {
 
 
 def _observable(value, path, top) -> GeneralizedObservable:
-    """A spectral decomposition; ``GeneralizedObservable`` validates it."""
+    """A spectral decomposition; ``SpectralObservable`` validates it."""
     node = _read(value, _SPECTRUM, path, top)
     try:
         return GeneralizedObservable(
@@ -313,11 +313,21 @@ _MONTE_CARLO = {
     "seed": (_number(0, integer=True), DEFAULT_SEED),
 }
 
+
+def _time(value, path, top) -> float:
+    """A time at which every phase E*t of ``hamiltonian``, and their spread, is finite."""
+    t = _number()(value, path, top)
+    evs = top["hamiltonian"].base.eigenvalues
+    if not math.isfinite(max(evs) * t - min(evs) * t):
+        raise ConfigError(f"{path}: the hamiltonian's phases E*t overflow at time {value!r}")
+    return t
+
+
 _EVOLVE = {
     "dimension": _DIMENSION,
     "state": (_density(), _REQUIRED),
     "hamiltonian": (_observable, _REQUIRED),
-    "time": (_number(), _REQUIRED),
+    "time": (_time, _REQUIRED),
 }
 
 _MIXTURE = {

@@ -433,31 +433,24 @@ def brute_force_trichotomic_bound(
     ``"chsh"`` maximizes |A(a)B(b) - A(a)B(c)| + |A(d)B(b) + A(d)B(c)| over all
     assignments of (A(a), A(d), B(b), B(c)); ``"bell"`` maximizes
     lhs - rhs = |E(a,b) - E(a,c)| - 1 - E(b,c) over the anticorrelation-
-    constrained assignments B(x) = -A(x).  Ties are all reported.
+    constrained assignments B(x) = -A(x).  Ties are all reported, in
+    enumeration order.  The outcomes are integers, so every value is exact
+    and ties are plain equalities.
     """
-    best = -math.inf
-    tight: list[tuple[int, ...]] = []
     if expression == "chsh":
-        for assignment in itertools.product(outcomes, repeat=4):
-            a_a, a_d, b_b, b_c = assignment
-            lhs = abs(a_a * b_b - a_a * b_c) + abs(a_d * b_b + a_d * b_c)
-            if lhs > best + 1e-15:
-                best = lhs
-                tight = [assignment]
-            elif abs(lhs - best) <= 1e-15:
-                tight.append(assignment)
+        assignments = list(itertools.product(outcomes, repeat=4))
+        values = [
+            abs(a_a * b_b - a_a * b_c) + abs(a_d * b_b + a_d * b_c)
+            for a_a, a_d, b_b, b_c in assignments
+        ]
     elif expression == "bell":
-        for assignment in itertools.product(outcomes, repeat=3):
-            a_a, a_b, a_c = assignment
-            e_ab = -a_a * a_b
-            e_ac = -a_a * a_c
-            e_bc = -a_b * a_c
-            slack = abs(e_ab - e_ac) - (1.0 + e_bc)
-            if slack > best + 1e-15:
-                best = slack
-                tight = [assignment]
-            elif abs(slack - best) <= 1e-15:
-                tight.append(assignment)
+        assignments = list(itertools.product(outcomes, repeat=3))
+        values = []
+        for a_a, a_b, a_c in assignments:
+            e_ab, e_ac, e_bc = -a_a * a_b, -a_a * a_c, -a_b * a_c
+            values.append(abs(e_ab - e_ac) - (1.0 + e_bc))
     else:
         raise ValueError(f"unknown expression {expression!r}; use 'chsh' or 'bell'")
+    best = max(values)
+    tight = [a for a, v in zip(assignments, values) if v == best]
     return BruteForceBound(value=float(best), tight=tuple(tight))

@@ -160,10 +160,11 @@ class DensityOperator:
 class SpectralObservable:
     """Discrete spectral decomposition: distinct real eigenvalues with projectors.
 
-    Construction checks only shapes and finiteness so that defective inputs can
-    still be inspected; ``validate_spectral_observable`` reports on the
-    projector-valued-measure invariants (idempotence, orthogonality,
-    completeness, distinctness).
+    Construction checks shapes and finiteness, then raises ``ValueError``
+    with the description of any violation that
+    ``validate_spectral_observable`` reports (distinctness, idempotence,
+    orthogonality, completeness); the projectors are checked once, so every
+    instance is a projection-valued measure.
     """
 
     eigenvalues: tuple[float, ...]
@@ -187,6 +188,9 @@ class SpectralObservable:
             p.setflags(write=False)
         object.__setattr__(self, "eigenvalues", evs)
         object.__setattr__(self, "projectors", projs)
+        report = validate_spectral_observable(self)
+        if not report.valid:
+            raise ValueError(report.describe())
 
     @property
     def dimension(self) -> int:
@@ -206,10 +210,12 @@ class SpectralObservable:
         return out
 
 
-def validate_spectral_observable(o: SpectralObservable) -> ValidityReport:
+def validate_spectral_observable(o) -> ValidityReport:
     """Report on idempotence, orthogonality, completeness and eigenvalue distinctness.
 
-    The projectors are checked together as one ``(k, d, d)`` stack: one
+    Only ``o.eigenvalues`` and ``o.projectors`` are read, so any record with
+    those two fields can be checked, a defective one included.  The
+    projectors are checked together as one ``(k, d, d)`` stack: one
     batched product for idempotence and one per projector for its
     orthogonality to the later ones.
     Violations are listed by kind (distinctness, idempotence, orthogonality,
@@ -217,6 +223,8 @@ def validate_spectral_observable(o: SpectralObservable) -> ValidityReport:
     stack is a ``shape`` violation.
     """
     evs = o.eigenvalues
+    p = np.array(o.projectors)
+    dim = p.shape[1]
     violations: list[InvariantViolation] = []
 
     seen: set[float] = set()
@@ -227,11 +235,10 @@ def validate_spectral_observable(o: SpectralObservable) -> ValidityReport:
             )
         seen.add(ev)
 
-    if o.dimension == 0:
+    if dim == 0:
         violations.append(InvariantViolation("shape", 0.0, "empty matrix"))
         return ValidityReport(False, tuple(violations))
 
-    p = np.array(o.projectors)
     herm_dev = np.abs(p - p.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     idem_dev = np.abs(p @ p - p).max(axis=(1, 2))
     # fmax keeps the hermiticity deviation if P @ P overflowed to NaN.
@@ -260,7 +267,7 @@ def validate_spectral_observable(o: SpectralObservable) -> ValidityReport:
                     )
                 )
 
-    dev = float(np.abs(p.sum(axis=0) - np.eye(o.dimension)).max())
+    dev = float(np.abs(p.sum(axis=0) - np.eye(dim)).max())
     if dev > STRUCTURAL_TOL:
         violations.append(
             InvariantViolation(

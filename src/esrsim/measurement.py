@@ -24,13 +24,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .linalg import (
-    ARITHMETIC_TOL,
-    DensityOperator,
-    SpectralObservable,
-    clamp,
-    validate_spectral_observable,
-)
+from .linalg import ARITHMETIC_TOL, DensityOperator, SpectralObservable, clamp
 
 __all__ = [
     "GeneralizedObservable",
@@ -55,17 +49,13 @@ NO_REGISTRATION = "a0"
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedObservable:
-    """A validated spectral observable plus the no-registration outcome ``a0``.
+    """A spectral observable plus the no-registration outcome ``a0``.
 
-    The value set is the base spectrum followed by ``NO_REGISTRATION``.
+    The value set is the base spectrum followed by ``NO_REGISTRATION``.  The
+    base validated itself when it was constructed, so nothing is checked here.
     """
 
     base: SpectralObservable
-
-    def __post_init__(self):
-        report = validate_spectral_observable(self.base)
-        if not report.valid:
-            raise ValueError(f"base observable invalid: {report.describe()}")
 
     @property
     def dimension(self) -> int:
@@ -127,23 +117,6 @@ class DetectionModel:
     @classmethod
     def uniform(cls, value: float) -> "DetectionModel":
         return cls(assignment={}, default_value=value)
-
-    @classmethod
-    def per_state(cls, values: Mapping[Hashable, float], eigenvalues) -> "DetectionModel":
-        """Expand a per-state table to all listed eigenvalues."""
-        table = {
-            (label, float(ev)): float(v)
-            for label, v in values.items()
-            for ev in eigenvalues
-        }
-        return cls(assignment=table)
-
-    @classmethod
-    def per_eigenvalue(
-        cls, values: Mapping[float, float], state_label: Hashable = DEFAULT_STATE_LABEL
-    ) -> "DetectionModel":
-        table = {(state_label, float(ev)): float(v) for ev, v in values.items()}
-        return cls(assignment=table)
 
 
 @dataclass(frozen=True)
@@ -294,12 +267,10 @@ def unitary_evolve(
 ) -> DensityOperator:
     """Evolve rho by U = sum_k exp(-i E_k t) P_k (hbar = 1).
 
-    The Hamiltonian arrives spectrally, so no matrix exponential is needed;
-    trace and eigenvalue multiset are preserved.
+    The Hamiltonian arrives spectrally (a ``SpectralObservable`` is valid by
+    construction), so no matrix exponential is needed; trace and eigenvalue
+    multiset are preserved.
     """
-    report = validate_spectral_observable(hamiltonian)
-    if not report.valid:
-        raise ValueError(f"hamiltonian invalid: {report.describe()}")
     if rho.dimension != hamiltonian.dimension:
         raise ValueError(
             f"dimension mismatch: state is {rho.dimension}-dim, "

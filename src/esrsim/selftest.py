@@ -51,7 +51,6 @@ __all__ = [
     "SelfTestReport",
     "run_self_test",
     "random_density",
-    "random_pure_density",
     "random_observable",
     "random_detection_model",
     "fundamental_equation_suite",
@@ -74,11 +73,6 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     weights /= weights.sum()
     u = random_unitary(rng, dim)
     return DensityOperator(u @ np.diag(weights) @ u.conj().T)
-
-
-def random_pure_density(rng: np.random.Generator, dim: int) -> DensityOperator:
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DensityOperator.from_state_vector(vec)
 
 
 def random_observable(

@@ -190,7 +190,9 @@ def test_criterion_8_proper_improper_divergence():
             )
         )
         prop = z_property(1.0)
-        dm = DetectionModel.per_state({"w0": 0.9, "w1": 0.5}, eigenvalues=(1.0, -1.0))
+        dm = DetectionModel(
+            assignment={("w0", 1.0): 0.9, ("w0", -1.0): 0.9, ("w1", 1.0): 0.5, ("w1", -1.0): 0.5}
+        )
         conditional = proper_conditional_probability(mixture, prop, dm)
         assert abs(conditional - 0.45 / 0.7) <= 1e-9  # 0.642857...
         divergence = esr_qm_divergence(mixture, prop, dm)
@@ -202,7 +204,7 @@ def test_criterion_9_monte_carlo_convergence():
     with criterion("9 monte carlo convergence", 5.0):
         prop = z_property(1.0)
         gen = prop.observable
-        dm = DetectionModel.per_eigenvalue({1.0: 0.9, -1.0: 0.5})
+        dm = DetectionModel(assignment={("S", 1.0): 0.9, ("S", -1.0): 0.5})
         rho = plus_density()
         draws = sample_outcomes(rho, gen, dm, np.random.default_rng(109), 100_000)
         counts = {1.0: 0, -1.0: 0, "a0": 0}

@@ -23,7 +23,9 @@ from esrsim.cli import (
     run_scenario,
     validate_config,
 )
+from esrsim import linalg
 from esrsim.measurement import DetectionModel, sample_outcomes
+from esrsim.selftest import fundamental_equation_suite
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
@@ -58,6 +60,16 @@ def triple_config() -> dict:
         "observable": Z_OBSERVABLE,
         "sigma": [1.0],
         "detection_model": SKEWED_DETECTION,
+    }
+
+
+def evolve_config(eigenvalues=(1.0, -1.0), time=math.pi / 2) -> dict:
+    return {
+        "scenario_type": "evolve",
+        "dimension": 2,
+        "state": PLUS_STATE,
+        "hamiltonian": {**Z_OBSERVABLE, "eigenvalues": list(eigenvalues)},
+        "time": time,
     }
 
 
@@ -162,6 +174,23 @@ class TestRunScenario:
         assert values["evolved_0_1_re"] == pytest.approx(-0.5, abs=1e-12)
         assert values["trace_deviation"] <= 1e-12
         assert values["eigenvalue_drift"] <= 1e-10
+
+    def test_one_spectral_validation_per_observable(self, monkeypatch):
+        calls = []
+        validate = linalg.validate_spectral_observable
+
+        def counting_validate(o):
+            calls.append(o)
+            return validate(o)
+
+        monkeypatch.setattr(linalg, "validate_spectral_observable", counting_validate)
+        for config in (evolve_config(), triple_config()):
+            calls.clear()
+            run_scenario(config)
+            assert len(calls) == 1, config["scenario_type"]
+        calls.clear()
+        assert fundamental_equation_suite(n=50).passed
+        assert len(calls) == 50
 
     def test_mixture_divergence_scenario(self):
         config = {
@@ -272,7 +301,7 @@ class TestDeterminism:
     def test_monte_carlo_counts_match_sample_outcomes(self):
         # The runner's counts, drawn in chunks, and one sample_outcomes call
         # consume the same draws; the second count ends in a partial chunk.
-        dm = DetectionModel.per_eigenvalue({1.0: 0.9, -1.0: 0.5})
+        dm = DetectionModel(assignment={("S", 1.0): 0.9, ("S", -1.0): 0.5})
         for samples in (5000, 2 * _MC_CHUNK + 3):
             report = run_scenario(monte_carlo_config(seed=7, samples=samples))
             freqs = {r.name: r.value for r in report.records}
@@ -442,6 +471,8 @@ class TestCommandLine:
             ),
             (mutated("mixture_divergence", ("sigma",), []), "field 'sigma'"),
             ({"scenario_type": []}, "field 'scenario_type'"),
+            (evolve_config(eigenvalues=(2.0, -2.0), time=1e308), "field 'time'"),
+            (evolve_config(eigenvalues=(1e306, -1e306), time=100.0), "field 'time'"),
         ],
     )
     def test_validate_and_run_agree_on_invalid_fields(self, tmp_path, config, field):

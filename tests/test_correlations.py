@@ -1,5 +1,6 @@
 """Trichotomic correlations, modified inequalities, GHZ predictions and models."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,8 @@ from esrsim.correlations import (
 from esrsim.simplex import LPResult, feasibility_residuals
 
 TSIRELSON = {"a": 0.0, "d": math.pi / 2, "b": math.pi / 4, "c": 3 * math.pi / 4}
+# The (state label, eigenvalue) keys of a wing's outcome-dependent detection table.
+SPIN_KEYS = ((DEFAULT_STATE_LABEL, 1.0), (DEFAULT_STATE_LABEL, -1.0))
 
 
 def singlet_scenario(angles, detection_a=None, detection_b=None) -> TwoPartyScenario:
@@ -115,7 +118,7 @@ class TestBitEquivalenceWithPublicOperators:
             angles = dict(zip("ab", rng.uniform(-2 * math.pi, 2 * math.pi, size=2)))
             if efficiency == "outcome-dependent":
                 dm_a, dm_b = (
-                    DetectionModel.per_eigenvalue(dict(zip((1.0, -1.0), rng.uniform(size=2))))
+                    DetectionModel(assignment=dict(zip(SPIN_KEYS, rng.uniform(size=2))))
                     for _ in range(2)
                 )
             else:
@@ -147,7 +150,7 @@ class TestMemoizedOperators:
     @staticmethod
     def _check_wing(angle, d_plus, d_minus):
         fresh = _reference_wing(
-            angle, DetectionModel.per_eigenvalue({1.0: d_plus, -1.0: d_minus})
+            angle, DetectionModel(assignment={("S", 1.0): d_plus, ("S", -1.0): d_minus})
         )
         for got, want in zip(correlations._wing_operators(angle, d_plus, d_minus), fresh):
             assert got.tobytes() == want.tobytes()
@@ -198,7 +201,7 @@ class TestMemoizedOperators:
             rho = _random_mixed_state(rng)
             angles = dict(zip("ab", (float(a) for a in rng.uniform(-math.pi, math.pi, 2))))
             dm_a, dm_b = (
-                DetectionModel.per_eigenvalue(dict(zip((1.0, -1.0), rng.uniform(0.1, 1.0, 2))))
+                DetectionModel(assignment=dict(zip(SPIN_KEYS, rng.uniform(0.1, 1.0, 2))))
                 for _ in range(2)
             )
             sc = TwoPartyScenario(rho, angles, dm_a, dm_b)
@@ -261,7 +264,7 @@ class TestConditionalExpectation:
         # Both wings detect +1 with 0.9 and -1 with 0.5.  For the singlet at
         # separation theta with c = cos(theta), the post-selected correlation
         # is (0.04 - 0.49 c) / (0.49 - 0.04 c), biased above -cos(theta).
-        skew = DetectionModel.per_eigenvalue({1.0: 0.9, -1.0: 0.5})
+        skew = DetectionModel(assignment={("S", 1.0): 0.9, ("S", -1.0): 0.5})
         theta = math.pi / 4
         c = math.cos(theta)
         sc = singlet_scenario({"a": 0.0, "b": theta}, skew, skew)
@@ -504,6 +507,30 @@ class TestBruteForceBounds:
     def test_unknown_expression(self):
         with pytest.raises(ValueError, match="unknown expression"):
             brute_force_trichotomic_bound("ghz")
+
+    @pytest.mark.parametrize("outcomes", [(-1, 0, 1), (-1, 1)])
+    @pytest.mark.parametrize("expression", ["chsh", "bell"])
+    def test_exact_bound_matches_windowed_scan(self, expression, outcomes):
+        # Reference: a running best/ties scan with 1e-15 tie windows.  Integer
+        # outcomes make every value exact, so the windows never matter.
+        if expression == "chsh":
+            def lhs(a_a, a_d, b_b, b_c):
+                return abs(a_a * b_b - a_a * b_c) + abs(a_d * b_b + a_d * b_c)
+            slots = 4
+        else:
+            def lhs(a_a, a_b, a_c):
+                return abs(a_a * a_c - a_a * a_b) - (1.0 - a_b * a_c)
+            slots = 3
+        best, tight = -math.inf, []
+        for assignment in itertools.product(outcomes, repeat=slots):
+            value = lhs(*assignment)
+            if value > best + 1e-15:
+                best, tight = value, [assignment]
+            elif abs(value - best) <= 1e-15:
+                tight.append(assignment)
+        bound = brute_force_trichotomic_bound(expression, outcomes)
+        assert repr(bound.value) == repr(float(best))
+        assert bound.tight == tuple(tight)
 
     def test_random_mixtures_respect_chsh(self, rng):
         outcomes = enumerate_local_strategies(2, 2)

@@ -1,5 +1,7 @@
 """Matrix layer: density operators and validators."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,35 @@ from esrsim.measurement import (
     unitary_evolve,
 )
 from esrsim.selftest import random_density, random_observable
+
+
+# A spectrum as a plain two-field record: the validator reads only these two
+# fields, so it can inspect spectra that the SpectralObservable constructor
+# rejects.
+Spectrum = namedtuple("Spectrum", ["eigenvalues", "projectors"])
+
+
+def _report_order_spectrum() -> Spectrum:
+    # One non-idempotent projector (for 0.0), one non-orthogonal pair
+    # (1.0, -1.0) and a sum that misses the identity.
+    first = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    half = np.diag([0.0, 0.0, 0.5]).astype(complex)
+    plus = np.zeros((3, 3), dtype=complex)
+    plus[:2, :2] = 0.5
+    return Spectrum(eigenvalues=(1.0, 0.0, -1.0), projectors=(first, half, plus))
+
+
+_PLUS = np.full((2, 2), 0.5, dtype=complex)
+_HALF = np.diag([0.5, 0.5]).astype(complex)
+_EMPTY = np.zeros((0, 0), dtype=complex)
+DEFECTIVE = {
+    "incomplete": Spectrum(eigenvalues=(1.0,), projectors=(P_UP,)),
+    "non-orthogonal": Spectrum(eigenvalues=(1.0, -1.0), projectors=(P_UP, _PLUS)),
+    "duplicate-eigenvalues": Spectrum(eigenvalues=(1.0, 1.0), projectors=(P_UP, P_DOWN)),
+    "non-idempotent": Spectrum(eigenvalues=(1.0, -1.0), projectors=(_HALF, P_DOWN)),
+    "report-order": _report_order_spectrum(),
+    "empty-projectors": Spectrum(eigenvalues=(1.0, -1.0), projectors=(_EMPTY, _EMPTY)),
+}
 
 
 class TestValidateDensityOperator:
@@ -59,40 +90,27 @@ class TestValidateSpectralObservable:
         assert validate_spectral_observable(z_observable()).valid
 
     def test_incomplete(self):
-        obs = SpectralObservable(eigenvalues=(1.0,), projectors=(P_UP,))
-        report = validate_spectral_observable(obs)
+        report = validate_spectral_observable(DEFECTIVE["incomplete"])
         assert not report.valid
         assert any(v.invariant == "completeness" for v in report.violations)
 
     def test_non_orthogonal(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        obs = SpectralObservable(eigenvalues=(1.0, -1.0), projectors=(P_UP, plus))
-        report = validate_spectral_observable(obs)
+        report = validate_spectral_observable(DEFECTIVE["non-orthogonal"])
         assert not report.valid
         assert any(v.invariant == "orthogonality" for v in report.violations)
 
     def test_duplicate_eigenvalues(self):
-        obs = SpectralObservable(eigenvalues=(1.0, 1.0), projectors=(P_UP, P_DOWN))
-        report = validate_spectral_observable(obs)
+        report = validate_spectral_observable(DEFECTIVE["duplicate-eigenvalues"])
         assert not report.valid
         assert any(v.invariant == "distinctness" for v in report.violations)
 
     def test_non_idempotent(self):
-        half = np.diag([0.5, 0.5]).astype(complex)
-        obs = SpectralObservable(eigenvalues=(1.0, -1.0), projectors=(half, P_DOWN))
-        report = validate_spectral_observable(obs)
+        report = validate_spectral_observable(DEFECTIVE["non-idempotent"])
         assert not report.valid
         assert any(v.invariant == "idempotence" for v in report.violations)
 
     def test_report_order_and_messages(self):
-        # One non-idempotent projector (for 0.0), one non-orthogonal pair
-        # (1.0, -1.0) and a sum that misses the identity.
-        first = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        half = np.diag([0.0, 0.0, 0.5]).astype(complex)
-        plus = np.zeros((3, 3), dtype=complex)
-        plus[:2, :2] = 0.5
-        obs = SpectralObservable(eigenvalues=(1.0, 0.0, -1.0), projectors=(first, half, plus))
-        report = validate_spectral_observable(obs)
+        report = validate_spectral_observable(DEFECTIVE["report-order"])
         assert not report.valid
         assert [(v.invariant, v.message) for v in report.violations] == [
             ("idempotence", "projector for 0.0 fails P^2 = P = P^dagger by 2.500e-01"),
@@ -101,9 +119,7 @@ class TestValidateSpectralObservable:
         ]
 
     def test_empty_projectors_are_reported(self):
-        empty = np.zeros((0, 0), dtype=complex)
-        obs = SpectralObservable(eigenvalues=(1.0, -1.0), projectors=(empty, empty))
-        report = validate_spectral_observable(obs)
+        report = validate_spectral_observable(DEFECTIVE["empty-projectors"])
         assert not report.valid
         assert [(v.invariant, v.message) for v in report.violations] == [
             ("shape", "empty matrix")
@@ -152,6 +168,14 @@ class TestAlgebraProperties:
         description = validate_density_operator(matrix).describe()
         with pytest.raises(ValueError) as excinfo:
             DensityOperator(matrix)
+        assert str(excinfo.value) == description
+
+    @pytest.mark.parametrize("name", list(DEFECTIVE))
+    def test_spectral_constructor_raises_the_validator_report(self, name):
+        spectrum = DEFECTIVE[name]
+        description = validate_spectral_observable(spectrum).describe()
+        with pytest.raises(ValueError) as excinfo:
+            SpectralObservable(spectrum.eigenvalues, spectrum.projectors)
         assert str(excinfo.value) == description
 
     def test_density_constructor_rejects_non_finite(self):

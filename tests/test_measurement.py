@@ -27,18 +27,17 @@ from esrsim.selftest import (
 )
 
 UNIT = DetectionModel.uniform(1.0)
-SKEWED = DetectionModel.per_eigenvalue({1.0: 0.9, -1.0: 0.5})
+SKEWED = DetectionModel(assignment={("S", 1.0): 0.9, ("S", -1.0): 0.5})
 
 
 class TestTypes:
     def test_invalid_base_rejected(self):
         half = np.diag([0.5, 0.5]).astype(complex)
-        bad = SpectralObservable(
-            eigenvalues=(1.0, -1.0),
-            projectors=(half, np.diag([0.5, 0.5]).astype(complex)),
-        )
-        with pytest.raises(ValueError, match="base observable invalid"):
-            GeneralizedObservable(bad)
+        with pytest.raises(ValueError, match=r"fails P\^2 = P"):
+            SpectralObservable(
+                eigenvalues=(1.0, -1.0),
+                projectors=(half, np.diag([0.5, 0.5]).astype(complex)),
+            )
 
     def test_sigma_must_come_from_spectrum(self):
         with pytest.raises(ValueError, match="not in spectrum"):
@@ -63,7 +62,7 @@ class TestTypes:
 
 class TestBuildEffect:
     def test_single_projector_scaling(self):
-        effect = build_effect("S", z_property(1.0), DetectionModel.per_eigenvalue({1.0: 0.8}))
+        effect = build_effect("S", z_property(1.0), DetectionModel(assignment={("S", 1.0): 0.8}))
         np.testing.assert_allclose(effect, np.diag([0.8, 0.0]), atol=1e-15)
 
     def test_unit_detection_reduces_to_projector(self):
@@ -163,7 +162,7 @@ class TestLudersUpdate:
         np.testing.assert_allclose(updated.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_scalar_detection_cancels(self):
-        dm = DetectionModel.per_eigenvalue({1.0: 0.8})
+        dm = DetectionModel(assignment={("S", 1.0): 0.8})
         updated = luders_update(plus_density(), z_property(1.0), dm)
         np.testing.assert_allclose(updated.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 

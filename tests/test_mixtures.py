@@ -13,7 +13,6 @@ from esrsim.mixtures import (
     proper_conditional_probability,
     proper_overall_probability,
 )
-from esrsim.selftest import random_pure_density
 
 
 def two_component_mixture(w0: float = 0.5) -> ProperMixture:
@@ -25,7 +24,18 @@ def two_component_mixture(w0: float = 0.5) -> ProperMixture:
     )
 
 
-WING_DETECTION = DetectionModel.per_state({"w0": 0.9, "w1": 0.5}, eigenvalues=(1.0, -1.0))
+def random_pure_qubit(rng: np.random.Generator) -> DensityOperator:
+    return DensityOperator.from_state_vector(rng.normal(size=2) + 1j * rng.normal(size=2))
+
+
+def by_state(values: dict) -> DetectionModel:
+    """Detection that depends on the component label only, not on the outcome."""
+    return DetectionModel(
+        assignment={(label, ev): v for label, v in values.items() for ev in (1.0, -1.0)}
+    )
+
+
+WING_DETECTION = by_state({"w0": 0.9, "w1": 0.5})
 
 
 class TestProperMixtureType:
@@ -64,7 +74,7 @@ class TestImproperPath:
         assert triple.conditional == pytest.approx(0.5, abs=1e-12)
 
     def test_unit_detection_gives_born_value(self, rng):
-        rho = random_pure_density(rng, 2)
+        rho = random_pure_qubit(rng)
         triple = probability_triple(rho, z_property(1.0), DetectionModel.uniform(1.0))
         born = float(rho.matrix[0, 0].real)
         assert triple.conditional == pytest.approx(born, abs=1e-12)
@@ -94,10 +104,8 @@ class TestProperOverall:
         # Mixing two proper mixtures with coefficient mu mixes overall values.
         prop = z_property(1.0)
         for _ in range(20):
-            s1, s2 = random_pure_density(rng, 2), random_pure_density(rng, 2)
-            dm = DetectionModel.per_state(
-                {"x": rng.random(), "y": rng.random()}, eigenvalues=(1.0, -1.0)
-            )
+            s1, s2 = random_pure_qubit(rng), random_pure_qubit(rng)
+            dm = by_state({"x": rng.random(), "y": rng.random()})
             mu = float(rng.uniform(0.1, 0.9))
             m1 = ProperMixture((ProperComponent(1.0, s1, "x"),))
             m2 = ProperMixture((ProperComponent(1.0, s2, "y"),))
@@ -143,8 +151,8 @@ class TestProperConditional:
             w = float(rng.uniform(0.1, 0.9))
             m = ProperMixture(
                 (
-                    ProperComponent(w, random_pure_density(rng, 2), "p"),
-                    ProperComponent(1.0 - w, random_pure_density(rng, 2), "q"),
+                    ProperComponent(w, random_pure_qubit(rng), "p"),
+                    ProperComponent(1.0 - w, random_pure_qubit(rng), "q"),
                 )
             )
             value = proper_conditional_probability(m, prop, DetectionModel.uniform(d))
@@ -184,12 +192,12 @@ class TestDivergence:
         prop = z_property(1.0)
         for _ in range(100):
             w = float(rng.uniform(0.1, 0.9))
-            s1, s2 = random_pure_density(rng, 2), random_pure_density(rng, 2)
+            s1, s2 = random_pure_qubit(rng), random_pure_qubit(rng)
             d1, d2 = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))
             m = ProperMixture(
                 (ProperComponent(w, s1, "c1"), ProperComponent(1.0 - w, s2, "c2"))
             )
-            dm = DetectionModel.per_state({"c1": d1, "c2": d2}, eigenvalues=(1.0, -1.0))
+            dm = by_state({"c1": d1, "c2": d2})
             value = esr_qm_divergence(m, prop, dm)
             p1 = float(s1.matrix[0, 0].real)
             p2 = float(s2.matrix[0, 0].real)
@@ -203,11 +211,11 @@ class TestDivergence:
     def test_zero_when_born_values_coincide(self, rng):
         # Distinct detections but identical Born weights: no divergence.
         prop = z_property(1.0)
-        s1 = random_pure_density(rng, 2)
+        s1 = random_pure_qubit(rng)
         z = np.diag([1.0, -1.0]).astype(complex)
         s2 = DensityOperator(z @ s1.matrix @ z)  # same diagonal, different state
         m = ProperMixture(
             (ProperComponent(0.5, s1, "c1"), ProperComponent(0.5, s2, "c2"))
         )
-        dm = DetectionModel.per_state({"c1": 0.9, "c2": 0.3}, eigenvalues=(1.0, -1.0))
+        dm = by_state({"c1": 0.9, "c2": 0.3})
         assert esr_qm_divergence(m, prop, dm) == pytest.approx(0.0, abs=1e-12)

@@ -29,6 +29,7 @@ import numpy as np
 from .hidden_variables import (
     DEFAULT_MIN_JOINT_DETECTION,
     CorrelationTarget,
+    _strategy_rows,
     build_feasibility_lp,
     enumerate_local_strategies,
 )
@@ -358,6 +359,7 @@ def ghz_local_model_search(
     re-verified by direct constraint evaluation, independent of the solver.
     """
     outcomes = enumerate_local_strategies(parties=3, settings=2)
+    rows = _strategy_rows(outcomes)
     target_values = ghz_quantum_correlations(g)
     targets = [
         CorrelationTarget(settings=ctx, value=val, tolerance=tolerance)
@@ -390,18 +392,16 @@ def ghz_local_model_search(
     correlations = []
     joint = {}
     for ctx in GHZ_CONTEXTS:
-        sel = outcomes[:, np.arange(3), list(ctx)]
-        prod = np.prod(sel, axis=1).astype(float)
-        det = np.all(sel != 0, axis=1).astype(float)
+        prod, det = rows.context(ctx)
         mass = float(weights @ det)
         joint[ctx] = mass
         correlations.append(float(weights @ prod) / mass if mass > 0 else math.nan)
 
+    marginals = rows.marginals()
     efficiencies = {}
     for party in range(3):
         for setting in range(2):
-            marginal = (outcomes[:, party, setting] != 0).astype(float)
-            efficiencies[(party, setting)] = float(weights @ marginal)
+            efficiencies[(party, setting)] = float(weights @ marginals[party, setting])
 
     max_residual = max(
         certificate.max_equality_residual, certificate.max_inequality_violation

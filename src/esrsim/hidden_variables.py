@@ -15,6 +15,7 @@ joint-detection mass, which is kept away from zero by an explicit lower bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
 
 MAX_ENUMERATION_SLOTS = 12
 DEFAULT_MIN_JOINT_DETECTION = 1e-6
+_ENUMERATION_CACHE_SIZE = 4  # (parties, settings) shapes kept with their rows
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,8 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
     Row k of the ``(3^slots, parties, settings)`` result holds the outcome in
     {-1, 0, +1} (0 means undetected) of every (party, setting) slot.  Rows are
     lexicographic in (-1, 0, +1) over the slots, which are ordered
-    party-major, setting-minor.
+    party-major, setting-minor.  The array is built once per shape and is
+    read-only, since every call shares it.
     """
     slots = parties * settings
     if parties < 1 or settings < 1:
@@ -140,8 +143,66 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
             f"{parties} parties x {settings} settings = {slots} slots "
             f"exceeds the enumeration bound {MAX_ENUMERATION_SLOTS}"
         )
+    return _enumerated(int(parties), int(settings)).outcomes
+
+
+class _StrategyRows:
+    """The indicator rows of a strategy array, each built on first use and
+    then kept read-only: per context the outcome product and the joint
+    detection, per (party, setting) slot the detection marginal."""
+
+    def __init__(self, outcomes: np.ndarray):
+        self.outcomes = outcomes
+        self._contexts: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._marginals: np.ndarray | None = None
+
+    def context(self, settings_tuple: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(product, joint detection) of the outcomes at one setting per party."""
+        rows = self._contexts.get(settings_tuple)
+        if rows is None:
+            _, parties, settings = self.outcomes.shape
+            if len(settings_tuple) != parties:
+                raise ValueError(
+                    f"context {settings_tuple} does not match {parties} parties"
+                )
+            if not all(0 <= s < settings for s in settings_tuple):
+                raise ValueError(
+                    f"context {settings_tuple} has a setting outside [0, {settings})"
+                )
+            sel = self.outcomes[:, np.arange(parties), list(settings_tuple)]
+            rows = (np.prod(sel, axis=1).astype(float), np.all(sel != 0, axis=1).astype(float))
+            for row in rows:
+                row.setflags(write=False)
+            self._contexts[settings_tuple] = rows
+        return rows
+
+    def marginals(self) -> np.ndarray:
+        """Detection indicators as a ``(parties, settings, strategies)`` array."""
+        if self._marginals is None:
+            detected = (self.outcomes != 0).transpose(1, 2, 0)
+            self._marginals = np.ascontiguousarray(detected, dtype=float)
+            self._marginals.setflags(write=False)
+        return self._marginals
+
+
+@functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
+def _enumerated(parties: int, settings: int) -> _StrategyRows:
+    slots = parties * settings
     digits = np.indices((3,) * slots).reshape(slots, -1).T - 1
-    return digits.reshape(-1, parties, settings)
+    outcomes = digits.reshape(-1, parties, settings)
+    outcomes.setflags(write=False)
+    return _StrategyRows(outcomes)
+
+
+def _strategy_rows(outcomes: np.ndarray) -> _StrategyRows:
+    """The shared rows when ``outcomes`` is an enumeration's own array, else fresh ones."""
+    n, parties, settings = outcomes.shape
+    slots = parties * settings
+    if 1 <= slots <= MAX_ENUMERATION_SLOTS and n == 3**slots:
+        rows = _enumerated(parties, settings)
+        if rows.outcomes is outcomes:
+            return rows
+    return _StrategyRows(outcomes)
 
 
 @dataclass(frozen=True)
@@ -182,6 +243,7 @@ def build_feasibility_lp(
         raise ValueError("min_joint_detection must be nonnegative")
     outcomes = np.asarray(strategies, dtype=int)
     n, parties, settings = outcomes.shape
+    rows = _strategy_rows(outcomes)
 
     a_eq_rows = [np.ones(n)]
     b_eq = [1.0]
@@ -191,21 +253,9 @@ def build_feasibility_lp(
     ub_labels: list[str] = []
 
     contexts: dict[tuple[int, ...], np.ndarray] = {}
-
-    def _detection_column(settings_tuple: tuple[int, ...]) -> np.ndarray:
-        if settings_tuple not in contexts:
-            if len(settings_tuple) != parties:
-                raise ValueError(
-                    f"context {settings_tuple} does not match {parties} parties"
-                )
-            sel = outcomes[:, np.arange(parties), list(settings_tuple)]
-            contexts[settings_tuple] = np.all(sel != 0, axis=1).astype(float)
-        return contexts[settings_tuple]
-
     for target in targets:
-        sel = outcomes[:, np.arange(parties), list(target.settings)]
-        prod = np.prod(sel, axis=1).astype(float)
-        det = _detection_column(target.settings)
+        prod, det = rows.context(target.settings)
+        contexts.setdefault(target.settings, det)
         name = f"corr{target.settings}"
         if target.tolerance == 0.0:
             a_eq_rows.append(prod - target.value * det)
@@ -229,10 +279,10 @@ def build_feasibility_lp(
     if not 0.0 <= bound <= 1.0:
         raise ValueError(f"efficiency bound {bound} outside [0, 1]")
     if bound > 0.0:
+        marginals = rows.marginals()
         for party in range(parties):
             for setting in range(settings):
-                marginal = (outcomes[:, party, setting] != 0).astype(float)
-                a_ub_rows.append(-marginal)
+                a_ub_rows.append(-marginals[party, setting])
                 b_ub.append(-bound)
                 ub_labels.append(f"efficiency[party={party},setting={setting}]>={bound}")
 

@@ -3,15 +3,27 @@
 Problems are small (hundreds of variables, tens of rows) and deterministic
 reproducibility matters most, so this is a dense tableau with Bland's
 anti-cycling rule: entering column is the lowest-index negative reduced cost,
-leaving row breaks ratio ties by lowest basic-variable index.  The tableau is
-built only over the distinct variable columns (the first copy of each
-byte-identical column; 105 of the 729 GHZ strategies): copies stay identical
-under every column-wise update and Bland's rule enters the lowest index first,
-so a later copy never enters and gets weight zero.  Each pivot is vectorized
-over the tableau (candidate masks, one division for the ratios, one
-broadcast elimination) yet makes the same choices and the same floating-point
-operations as an entry-by-entry loop over all columns, so results are
-bit-identical to both it and the full-width tableau.
+leaving row breaks ratio ties by lowest basic-variable index.
+
+The tableau is built only over the distinct variable columns (the first copy
+of each byte-identical column; 105 of the 729 GHZ strategies), found with one
+stable lexsort over the columns' bits: copies stay identical under every
+column-wise update and Bland's rule enters the lowest index first, so a later
+copy never enters and gets weight zero.  The artificial columns are left out
+too: a basic artificial's column stays an exact unit vector with zero reduced
+cost, and one that leaves never re-enters, so no artificial column is read.
+
+Each pivot makes the entry-by-entry loop's choices and its floating-point
+operations: the ratio test runs over the entering column as Python floats,
+and one broadcast multiply and one subtraction eliminate the entering column.
+The subtraction also runs over the rows whose entering entry is zero, which
+the loop skips; subtracting a zero multiple of a finite row leaves every
+value as it was and can only flip the sign of a zero.  A zero's sign reaches
+the result only through the right-hand column (the point and the phase-one
+objective), so those rows' right-hand zeros are put back.  Results are
+therefore bit-identical to the entry-by-entry loop over the full-width
+tableau.
+
 Phase one minimizes the sum of artificial variables; a strictly positive
 optimum certifies infeasibility.  No phase-two objective is needed because the
 callers only ask for feasibility plus a residual certificate, which is
@@ -161,9 +173,10 @@ def solve_lp_simplex(
     dimension bounds are exceeded and ``RuntimeError`` on a phase-one
     unbounded direction or pivot-budget exhaustion (neither should occur on
     simplex-constrained inputs).  The default budget is 200 pivots per row
-    and column of the presolved tableau, over 10x the longest path that
-    finishes on the GHZ grid, so round-off cycling fails within about a
-    second instead of running on.
+    and column of the presolved phase-one tableau, artificial columns
+    counted: about 30,000 for the GHZ LP, over 10x the longest path that
+    finishes on the GHZ grid.  So round-off cycling fails within about half a
+    second on a 2-CPU Linux machine instead of running on.
     """
     if problem.n_vars > MAX_VARIABLES:
         raise ValueError(
@@ -181,56 +194,63 @@ def solve_lp_simplex(
         return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 0)
 
     # Presolve: the first copy of each byte-identical column, in index order.
+    # A stable lexsort over the columns' bits puts the copies side by side,
+    # each run in index order, so each run's first entry is its first copy.
     stacked = np.vstack([problem.a_eq, problem.a_ub])
-    keys = np.ascontiguousarray(stacked.T).view(np.dtype((np.void, stacked.itemsize * m)))
-    keep = np.sort(np.unique(keys.ravel(), return_index=True)[1])
+    bits = stacked.view(np.int64)
+    order = np.lexsort(bits)
+    grouped = bits[:, order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.any(grouped[:, 1:] != grouped[:, :-1], axis=0, out=first[1:])
+    keep = np.sort(order[first])
     n = keep.size
     n_tot = n + m_ub
 
-    a = np.zeros((m, n_tot))
-    a[:, :n] = stacked[:, keep]
-    a[m_eq:, n:] = np.eye(m_ub)
-    b = np.concatenate([problem.b_eq, problem.b_ub])
-
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase-one tableau: artificial basis, cost = sum of artificials.
-    tableau = np.zeros((m + 1, n_tot + m + 1))
-    tableau[:m, :n_tot] = a
-    tableau[:m, n_tot : n_tot + m] = np.eye(m)
-    tableau[:m, -1] = b
+    # Phase-one tableau over the variable and slack columns: the artificial
+    # basis (cost = sum of artificials) keeps no columns of its own.
+    tableau = np.zeros((m + 1, n_tot + 1))
+    tableau[:m, :n] = stacked[:, keep]
+    tableau[m_eq:m, n:n_tot] = np.eye(m_ub)
+    rhs = tableau[:m, -1]
+    rhs[:m_eq] = problem.b_eq
+    rhs[m_eq:] = problem.b_ub
+    tableau[:m][rhs < 0.0] *= -1.0
     # Summed over two or more columns, numpy adds row after row; a lone column
     # would be summed pairwise, in another order, and round differently.
-    tableau[m, :n_tot] = -tableau[:m, :-1].sum(axis=0)[:n_tot]
-    tableau[m, -1] = -b.sum()
+    tableau[m, :n_tot] = -tableau[:m].sum(axis=0)[:n_tot]
+    tableau[m, -1] = -rhs.sum()
     if max_pivots is None:
-        max_pivots = _PIVOTS_PER_LINE * sum(tableau.shape)
+        # Rows plus columns of the phase-one tableau, artificials counted.
+        max_pivots = _PIVOTS_PER_LINE * ((m + 1) + (n_tot + m + 1))
 
     basis = list(range(n_tot, n_tot + m))
-    eligible = np.ones(n_tot + m, dtype=bool)
-    cost = tableau[m, :-1]
+    cost = tableau[m, :n_tot]
 
     pivots = 0
     while True:
-        candidates = (eligible & (cost < -_PIVOT_TOL)).nonzero()[0]
-        if candidates.size == 0:
+        below = cost < -_PIVOT_TOL
+        entering = int(below.argmax())
+        if not below[entering]:
             break
-        entering = int(candidates[0])
 
-        column = tableau[:m, entering]
-        rows = (column > _PIVOT_TOL).nonzero()[0]
-        ratios = (tableau[rows, -1] / column[rows]).tolist()
+        column = tableau[:, entering].tolist()
+        ratios = rhs.tolist()
         leaving = -1
         best_ratio = np.inf
-        for i, ratio in zip(rows.tolist(), ratios):
-            if ratio < best_ratio - 1e-15 or (
-                abs(ratio - best_ratio) <= 1e-15
-                and (leaving < 0 or basis[i] < basis[leaving])
-            ):
-                best_ratio = ratio
-                leaving = i
+        signed_zeros = []
+        for i in range(m):
+            c = column[i]
+            if c > _PIVOT_TOL:
+                ratio = ratios[i] / c
+                if ratio < best_ratio - 1e-15 or (
+                    abs(ratio - best_ratio) <= 1e-15
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+            elif c == 0.0 and ratios[i] == 0.0:
+                signed_zeros.append(i)
         if leaving < 0:
             raise RuntimeError("phase-one unbounded: no valid pivot row")
 
@@ -238,15 +258,13 @@ def solve_lp_simplex(
         if pivots > max_pivots:
             raise RuntimeError(f"pivot budget {max_pivots} exhausted")
 
-        tableau[leaving, :] /= tableau[leaving, entering]
-        factors = tableau[:, entering].copy()
-        factors[leaving] = 0.0
-        others = factors.nonzero()[0]
-        tableau[others] -= factors[others, None] * tableau[leaving]
-
-        left_var = basis[leaving]
-        if left_var >= n_tot:
-            eligible[left_var] = False  # artificials never re-enter
+        pivot_row = tableau[leaving]
+        pivot_row /= column[leaving]
+        update = tableau[:, entering, None] * pivot_row
+        update[leaving] = 0.0
+        tableau -= update
+        for i in signed_zeros:  # rows the entry-by-entry loop leaves alone
+            rhs[i] = ratios[i]
         basis[leaving] = entering
 
     objective = -float(tableau[m, -1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esrsim import correlations
+from esrsim import correlations, hidden_variables
 from esrsim.linalg import DensityOperator, SpectralObservable
 from esrsim.measurement import GeneralizedObservable, Property
 
@@ -41,7 +41,9 @@ def rng() -> np.random.Generator:
 
 
 def clear_operator_caches() -> None:
-    """Empty the correlation kernels' operator caches, so the next call builds cold."""
+    """Empty the correlation kernels' operator caches and the strategy
+    enumerations with their indicator rows, so the next call builds cold."""
     correlations._spin_projectors.cache_clear()
     correlations._wing_operators.cache_clear()
     correlations._ghz_product_operator.cache_clear()
+    hidden_variables._enumerated.cache_clear()

@@ -573,6 +573,35 @@ class TestCommandLine:
         for name in ("correlations", "hidden_variables", "simplex", "selftest"):
             assert f"esrsim.{name}" not in loaded
 
+    @pytest.mark.parametrize(
+        "args",
+        [("run", "--scenario", str(CONFIG_DIR / "ghz_local_model.json")), ("self-test",)],
+        ids=["run-ghz-local-model", "self-test"],
+    )
+    def test_lp_commands_load_no_scipy(self, args, tmp_path):
+        # The LP verdicts come from esrsim's own simplex: numpy is the only
+        # numerical dependency of the commands that solve LPs.
+        listing = tmp_path / "modules.json"
+        script = (
+            "import json, sys\n"
+            "from esrsim.cli import main\n"
+            "code = main(sys.argv[2:])\n"
+            "with open(sys.argv[1], 'w') as out:\n"
+            "    json.dump([code, sorted(sys.modules)], out)\n"
+        )
+        if args[0] == "run":
+            args = (*args, "--output", str(tmp_path / "report.csv"))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(listing), *args],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        exit_code, loaded = json.loads(listing.read_text())
+        assert exit_code == 0, result.stderr
+        assert "esrsim.simplex" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
     def test_output_file_and_json_format(self, tmp_path):
         scenario = tmp_path / "ghz.json"
         scenario.write_text(json.dumps({"scenario_type": "ghz-quantum"}))

@@ -1,5 +1,6 @@
 """Trichotomic correlations, modified inequalities, GHZ predictions and models."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import clear_operator_caches
-from esrsim import correlations
+from esrsim import correlations, hidden_variables
 from esrsim.hidden_variables import (
     CorrelationTarget,
     build_feasibility_lp,
@@ -142,6 +143,23 @@ class TestBitEquivalenceWithPublicOperators:
                 assert _bits(conditional) == _bits(min(max(numerator / mass, -1.0), 1.0))
 
 
+def _search_bits(result):
+    """Every field of a GHZ search result, floats and arrays as exact bytes."""
+
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        if isinstance(value, dict):
+            return [(key, exact(v)) for key, v in value.items()]
+        if isinstance(value, tuple):
+            return [exact(v) for v in value]
+        return value
+
+    return [(f.name, exact(getattr(result, f.name))) for f in dataclasses.fields(result)]
+
+
 class TestMemoizedOperators:
     """Spin projectors, wing operators and GHZ Pauli strings are built once
     per exact key; a cached array has the bytes of a fresh build whatever
@@ -218,6 +236,32 @@ class TestMemoizedOperators:
         clear_operator_caches()
         cold = ghz_quantum_correlations(g)
         assert [_bits(v) for v in ghz_quantum_correlations(g)] == [_bits(v) for v in cold]
+
+    def test_ghz_search_bit_identical_cold_and_warm(self, rng):
+        # Sweeps-range inputs on both sides of the feasibility edge at 5/6.
+        g = GHZScenario.standard()
+        for trial in range(16):
+            feasible_side = trial % 2 == 0
+            low, high = (0.55, 0.80) if feasible_side else (0.87, 1.0)
+            kwargs = {
+                "min_efficiency": float(rng.uniform(low, high)),
+                "tolerance": float(10 ** rng.uniform(-6, -3)),
+            }
+            clear_operator_caches()
+            cold = ghz_local_model_search(g, **kwargs)
+            warm = ghz_local_model_search(g, **kwargs)
+            assert cold.feasible == feasible_side
+            assert _search_bits(warm) == _search_bits(cold)
+        # The shared strategy array and the rows built from it cannot be
+        # written through, so no caller can change a later search.
+        rows = hidden_variables._enumerated(3, 2)
+        assert rows.outcomes is enumerate_local_strategies(3, 2)
+        shared = [rows.outcomes, rows.marginals()]
+        for ctx in GHZ_CONTEXTS:
+            shared.extend(rows.context(ctx))
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
 
     def test_returned_arrays_are_read_only(self):
         arrays = [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,15 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="enumeration bound"):
             enumerate_local_strategies(5, 3)
 
+    def test_shared_array_is_read_only(self):
+        strategies = enumerate_local_strategies(3, 2)
+        assert enumerate_local_strategies(3, 2) is strategies
+        with pytest.raises(ValueError, match="read-only"):
+            strategies[0, 0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            strategies[0] *= 0
+        assert strategies[0].tolist() == [[-1, -1], [-1, -1], [-1, -1]]
+
 
 class TestBuildFeasibilityLP:
     def test_normalization_only_full_simplex(self):
@@ -165,6 +175,27 @@ class TestBuildFeasibilityLP:
             build_feasibility_lp(strategies, (), min_efficiency=1.2)
         with pytest.raises(ValueError, match="no strategies"):
             build_feasibility_lp(strategies[:0])
+
+    @pytest.mark.parametrize(
+        "context, message",
+        [
+            ((0, 1), "does not match 3 parties"),
+            ((0, 1, 1, 0), "does not match 3 parties"),
+            ((0, 2, 1), r"has a setting outside \[0, 2\)"),
+            ((0, -1, 1), r"has a setting outside \[0, 2\)"),
+        ],
+        ids=["short", "long", "too-large", "negative"],
+    )
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_bad_context_raises_before_indexing(self, context, message, shared):
+        # Checked before the strategies are indexed: numpy would raise an
+        # IndexError for the first three and read -1 as setting 1.
+        strategies = enumerate_local_strategies(3, 2)
+        if not shared:
+            strategies = strategies.copy()
+        targets = (CorrelationTarget(settings=context, value=0.5),)
+        with pytest.raises(ValueError, match=re.escape(f"context {context}") + " " + message):
+            build_feasibility_lp(strategies, targets)
 
     def test_tolerance_band_becomes_inequalities(self):
         strategies = enumerate_local_strategies(2, 2)

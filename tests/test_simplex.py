@@ -386,11 +386,89 @@ class TestBitEquivalenceWithScalarOracle:
             assert _outcome(solve_lp_simplex, problem, 2000) == slow
         assert ties > 0
 
+    def test_homogeneous_lps_with_signed_zeros(self):
+        # Every bound is a signed zero, so the phase-one objective stays a
+        # zero whose sign reaches the result; that sign follows the signs of
+        # the right-hand zeros the pivots divide and subtract.
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            m_eq = int(rng.integers(0, 3))
+            m_ub = int(rng.integers(0, 3))
+            n = int(rng.integers(1, 6))
+            a = rng.integers(-1, 2, size=(1 + m_eq + m_ub, n)).astype(float)
+            a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
+            b = np.where(rng.random(a.shape[0]) < 0.5, -0.0, 0.0)
+            problem = FeasibilityProblem(
+                n_vars=n,
+                a_eq=a[: 1 + m_eq],
+                b_eq=b[: 1 + m_eq],
+                a_ub=a[1 + m_eq :] if m_ub else None,
+                b_ub=b[1 + m_eq :] if m_ub else None,
+            )
+            assert _hex_outcome(solve_lp_simplex, problem, 500) == _hex_outcome(
+                _oracle, problem, 500
+            )
+
 
 def _hex_fields(result):
     """Result fields with the phase-one objective and the point as exact bits."""
     x = None if result.x is None else result.x.tobytes()
     return (result.status, result.pivots, result.phase1_objective.hex(), x)
+
+
+def _random_presolve_lp(rng, kind):
+    """A small LP whose columns repeat as ``kind`` says.
+
+    ``scattered`` repeats random columns at random positions, ``shuffled``
+    appends a shuffled copy of every column, ``signed-zero`` pairs columns
+    that differ only in the signs of their zeros (and may put -0.0 into the
+    bounds), and ``distinct`` has no two byte-identical columns.
+    """
+    m_eq = int(rng.integers(0, 4))
+    m_ub = int(rng.integers(0, 4))
+    base = rng.integers(-2, 3, size=(1 + m_eq + m_ub, int(rng.integers(1, 10)))).astype(float)
+    base[0] = 1.0
+    if kind == "scattered":
+        picks = np.concatenate([np.arange(base.shape[1]), rng.integers(0, base.shape[1], 8)])
+        columns = base[:, rng.permutation(picks)]
+    elif kind == "shuffled":
+        columns = np.hstack([base, base[:, rng.permutation(base.shape[1])]])
+    elif kind == "signed-zero":
+        if base.shape[0] > 1:
+            base[-1, 0] = 0.0
+        flipped = base[:, :1].copy()
+        flipped[flipped == 0.0] = -0.0
+        columns = np.hstack([base, flipped, base[:, :1], flipped])
+        columns = columns[:, rng.permutation(columns.shape[1])]
+    else:
+        _, first = np.unique(base.T, axis=0, return_index=True)
+        columns = base[:, np.sort(first)]
+    n = columns.shape[1]
+    # Feasible at a point with quarter weights about half the time; small
+    # integer data makes exact ratio ties common.
+    point = rng.multinomial(4, np.ones(n) / n) / 4.0
+    bounds = columns @ point
+    if rng.random() < 0.5:
+        bounds[1:] += rng.integers(-1, 2, size=bounds.size - 1)
+    bounds[0] = 1.0
+    bounds[bounds == 0.0] = 0.0
+    if kind == "signed-zero":
+        zeros = (bounds == 0.0) & (rng.random(bounds.size) < 0.5)
+        bounds[zeros] = -0.0
+    return FeasibilityProblem(
+        n_vars=n,
+        a_eq=columns[: 1 + m_eq],
+        b_eq=bounds[: 1 + m_eq],
+        a_ub=columns[1 + m_eq :] if m_ub else None,
+        b_ub=bounds[1 + m_eq :] if m_ub else None,
+    )
+
+
+def _hex_outcome(solve, problem, max_pivots):
+    try:
+        return _hex_fields(solve(problem, max_pivots=max_pivots))
+    except RuntimeError as exc:
+        return ("error", str(exc))
 
 
 class TestColumnPresolve:
@@ -464,6 +542,31 @@ class TestColumnPresolve:
         assert result.x[3] == 0.0
         assert feasibility_residuals(problem, result.x).satisfied()
         assert _hex_fields(result) == _hex_fields(_oracle(problem, MAX_PIVOTS))
+
+    def test_random_lps_match_the_full_width_oracle(self):
+        # Repeated, shuffled, signed-zero and distinct columns: every later
+        # copy of a column gets weight +0.0.
+        rng = np.random.default_rng(1515)
+        kinds = ("scattered", "shuffled", "signed-zero", "distinct")
+        feasible = dict.fromkeys(kinds, 0)
+        for trial in range(240):
+            kind = kinds[trial % len(kinds)]
+            problem = _random_presolve_lp(rng, kind)
+            fast = _hex_outcome(solve_lp_simplex, problem, 2000)
+            assert fast == _hex_outcome(_oracle, problem, 2000), (trial, kind)
+            if fast[0] != "feasible":
+                continue
+            feasible[kind] += 1
+            first = {}
+            stacked = np.vstack([problem.a_eq, problem.a_ub])
+            for j in range(problem.n_vars):
+                first.setdefault(stacked[:, j].tobytes(), j)
+            later = np.setdiff1d(np.arange(problem.n_vars), list(first.values()))
+            if kind == "distinct":
+                assert later.size == 0
+            x = np.frombuffer(fast[3])
+            assert x[later].tobytes() == np.zeros(later.size).tobytes()
+        assert min(feasible.values()) >= 10, feasible
 
 
 class TestDefaultPivotBudget:

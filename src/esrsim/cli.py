@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mixtures
-from .linalg import DensityOperator, SpectralObservable
+from .linalg import ARITHMETIC_TOL, DensityOperator, SpectralObservable
 from .measurement import (
     DetectionModel,
     GeneralizedObservable,
@@ -102,7 +102,9 @@ def _fmt(x: float) -> str:
 # a key the table does not list is rejected.  Parsers are called as
 # ``parser(value, path, top)``, where ``top`` holds the top-level fields read
 # so far.  Tables are read in order, so a parser can use an earlier field:
-# ``state`` reads ``dimension`` and ``sigma`` reads ``observable``.
+# ``state`` reads ``dimension``, ``sigma`` reads ``observable``, and
+# hv-verify's fields are checked against ``properties`` and ``microstates``,
+# so that ``MicrostateModel`` accepts every config its parsers accept.
 
 _REQUIRED = object()
 
@@ -372,9 +374,42 @@ _GHZ_LOCAL_MODEL = {
     "min_joint_detection": (_number(0.0), _min_joint_detection),
 }
 
+
+def _properties(value, path, top) -> list[str]:
+    labels = _list(_label)(value, path, top)
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"{path}: property labels must be distinct, got {labels}")
+    return labels
+
+
+def _property_label(value, path, top) -> str:
+    """A label among the ``properties`` field."""
+    label = _label(value, path, top)
+    if label not in top["properties"]:
+        raise ConfigError(f"{path}: {label!r} not among {top['properties']}")
+    return label
+
+
+def _weights(value, path, top) -> list[float]:
+    """One nonnegative weight per entry of ``microstates``, summing to 1."""
+    weights = _list(_number(0.0))(value, path, top)
+    count = len(top["microstates"])
+    if len(weights) != count:
+        raise ConfigError(
+            f"{path}: expected {count} weights, one per microstate, got {len(weights)}"
+        )
+    if abs(sum(weights) - 1.0) > ARITHMETIC_TOL:
+        raise ConfigError(f"{path}: weights sum to {sum(weights)}, not 1")
+    return weights
+
+
+def _microstate_index(value, path, top) -> int:
+    return _number(0, len(top["microstates"]) - 1, integer=True)(value, path, top)
+
+
 _MICRO_DETECTION_ENTRY = {
-    "microstate": (_number(0, integer=True), _REQUIRED),
-    "property": (_label, _REQUIRED),
+    "microstate": (_microstate_index, _REQUIRED),
+    "property": (_property_label, _REQUIRED),
     "value": (_PROBABILITY, _REQUIRED),
 }
 _MICRO_DETECTION = {
@@ -382,34 +417,12 @@ _MICRO_DETECTION = {
     "entries": (_list(_object(_MICRO_DETECTION_ENTRY), nonempty=False), ()),
 }
 _HV_VERIFY = {
-    "properties": (_list(_label), _REQUIRED),
-    "microstates": (_list(_list(_label, nonempty=False)), _REQUIRED),
-    "weights": (_NUMBERS, _REQUIRED),
+    "properties": (_properties, _REQUIRED),
+    "microstates": (_list(_list(_property_label, nonempty=False)), _REQUIRED),
+    "weights": (_weights, _REQUIRED),
     "micro_detection": (_object(_MICRO_DETECTION), lambda: {"default": 1.0, "entries": ()}),
-    "property": (_label, _REQUIRED),
+    "property": (_property_label, _REQUIRED),
 }
-
-
-def _microstate_model(prepared: dict):
-    """The one cross-field step: hv-verify's fields make one microstate model."""
-    from . import hidden_variables
-
-    labels = prepared["properties"]
-    if prepared["property"] not in labels:
-        raise ConfigError(f"field 'property': {prepared['property']!r} not among {labels}")
-    detection = prepared["micro_detection"]
-    try:
-        return hidden_variables.MicrostateModel(
-            property_set=hidden_variables.MicroPropertySet(tuple(labels)),
-            microstates=tuple(frozenset(s) for s in prepared["microstates"]),
-            weights=tuple(prepared["weights"]),
-            micro_detection={
-                (e["microstate"], e["property"]): e["value"] for e in detection["entries"]
-            },
-            default_detection=detection["default"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"microstate model: {exc}") from exc
 
 
 def _measurement(p: dict) -> tuple:
@@ -428,35 +441,32 @@ def _run_probability_triple(prepared: dict):
     return records, {}
 
 
+def _entry_records(prefix: str, state: DensityOperator) -> list[Record]:
+    """``prefix_i_j_re`` and ``prefix_i_j_im`` records of every entry, row-major."""
+    records = []
+    for (i, j), z in np.ndenumerate(state.matrix):
+        records.append(Record(f"{prefix}_{i}_{j}_re", float(z.real)))
+        records.append(Record(f"{prefix}_{i}_{j}_im", float(z.imag)))
+    return records
+
+
 def _run_luders(prepared: dict):
     triple = probability_triple(*_measurement(prepared))
     updated = luders_update(*_measurement(prepared))
     records = [Record("yes_probability", triple.overall)]
-    matrix = updated.matrix
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            records.append(Record(f"post_state_{i}_{j}_re", float(matrix[i, j].real)))
-            records.append(Record(f"post_state_{i}_{j}_im", float(matrix[i, j].imag)))
-    return records, {}
+    return records + _entry_records("post_state", updated), {}
 
 
 def _run_evolve(prepared: dict):
     rho = prepared["state"]
     evolved = unitary_evolve(rho, prepared["hamiltonian"].base, prepared["time"])
-    before = np.sort(np.linalg.eigvalsh(rho.matrix))
-    after = np.sort(np.linalg.eigvalsh(evolved.matrix))
+    # eigvalsh returns ascending eigenvalues, so the two spectra pair up in order.
+    drift = np.abs(np.linalg.eigvalsh(rho.matrix) - np.linalg.eigvalsh(evolved.matrix))
     records = [
-        Record(
-            "trace_deviation", abs(float(np.trace(evolved.matrix).real) - 1.0)
-        ),
-        Record("eigenvalue_drift", float(np.max(np.abs(before - after)))),
+        Record("trace_deviation", abs(float(np.trace(evolved.matrix).real) - 1.0)),
+        Record("eigenvalue_drift", float(np.max(drift))),
     ]
-    matrix = evolved.matrix
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            records.append(Record(f"evolved_{i}_{j}_re", float(matrix[i, j].real)))
-            records.append(Record(f"evolved_{i}_{j}_im", float(matrix[i, j].imag)))
-    return records, {}
+    return records + _entry_records("evolved", evolved), {}
 
 
 def _run_monte_carlo(prepared: dict):
@@ -592,7 +602,17 @@ def _run_ghz_local_model(prepared: dict):
 def _run_hv_verify(prepared: dict):
     from . import hidden_variables
 
-    triple = hidden_variables.macro_from_micro(prepared["model"], prepared["property"])
+    detection = prepared["micro_detection"]
+    model = hidden_variables.MicrostateModel(
+        property_set=hidden_variables.MicroPropertySet(tuple(prepared["properties"])),
+        microstates=tuple(frozenset(s) for s in prepared["microstates"]),
+        weights=tuple(prepared["weights"]),
+        micro_detection={
+            (e["microstate"], e["property"]): e["value"] for e in detection["entries"]
+        },
+        default_detection=detection["default"],
+    )
+    triple = hidden_variables.macro_from_micro(model, prepared["property"])
     records = [
         Record("p_t", triple.overall),
         Record("p_d", triple.detection),
@@ -645,10 +665,7 @@ def _prepare(config) -> tuple[str, dict]:
             f"field 'scenario_type': got {scenario_type!r}, expected one of: {known}"
         )
     fields, _ = _SCENARIOS[scenario_type]
-    prepared = _read(config, {"scenario_type": (_label, _REQUIRED), **fields}, "")
-    if scenario_type == "hv-verify":
-        prepared["model"] = _microstate_model(prepared)
-    return scenario_type, prepared
+    return scenario_type, _read(config, {"scenario_type": (_label, _REQUIRED), **fields}, "")
 
 
 def validate_config(config) -> str:

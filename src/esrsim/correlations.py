@@ -12,8 +12,10 @@ The classical side is covered by exhaustive enumeration of deterministic
 trichotomic strategies (the inequality bounds) and by the LP search for local
 models of the GHZ correlations under detection-efficiency constraints; a
 feasible point that fails its own certificate raises ``RuntimeError``.  Spin
-projectors, wing operators and GHZ Pauli strings are each built once per exact
-key (signed zeros kept apart), into bounded caches of read-only arrays.
+projectors, wing operators and GHZ Pauli strings are each built once per key,
+into bounded ``functools.lru_cache``s of read-only arrays.  The float keys let
+-0.0 share the entry of 0.0: the builders only add a signed zero to a +0.0
+entry, and +0.0 + (-0.0) = +0.0, so no build's bytes depend on a zero's sign.
 """
 
 from __future__ import annotations
@@ -80,40 +82,21 @@ def singlet_state() -> DensityOperator:
     return DensityOperator.from_state_vector(vec)
 
 
-def ghz_state(sign: int = +1) -> DensityOperator:
-    """(|000> + sign |111>)/sqrt(2) as an 8x8 density operator."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+def ghz_state() -> DensityOperator:
+    """(|000> + |111>)/sqrt(2) as an 8x8 density operator."""
     vec = np.zeros(8, dtype=complex)
-    vec[0] = 1.0 / math.sqrt(2.0)
-    vec[7] = sign / math.sqrt(2.0)
+    vec[0] = vec[7] = 1.0 / math.sqrt(2.0)
     return DensityOperator.from_state_vector(vec)
 
 
-def _exact_cache(build):
-    """Memoize ``build(*floats)`` as read-only arrays, keyed by each float and
-    its sign: -0.0 and 0.0 compare and hash equal, yet are different inputs."""
-
-    @functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-    def by_key(args: tuple[float, ...], signs: tuple[float, ...]):
-        arrays = build(*args)
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
-
-    @functools.wraps(build)
-    def cached(*args: float):
-        return by_key(args, tuple([math.copysign(1.0, x) for x in args]))
-
-    cached.cache_clear = by_key.cache_clear
-    return cached
-
-
-@_exact_cache
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def _spin_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
     """((I + n.sigma)/2, (I - n.sigma)/2) for n = (sin(angle), 0, cos(angle))."""
     direction = math.cos(angle) * PAULI_Z + math.sin(angle) * PAULI_X
-    return (_ID2 + direction) / 2.0, (_ID2 - direction) / 2.0
+    plus, minus = (_ID2 + direction) / 2.0, (_ID2 - direction) / 2.0
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    return plus, minus
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +152,7 @@ class InequalityReport:
         return self.margin >= -ARITHMETIC_TOL
 
 
-@_exact_cache
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def _wing_operators(
     angle: float, d_plus: float, d_minus: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +162,8 @@ def _wing_operators(
     for ev, d, proj in zip((1.0, -1.0), (d_plus, d_minus), _spin_projectors(angle)):
         weighted = weighted + ev * d * proj
         detect = detect + d * proj
+    weighted.setflags(write=False)
+    detect.setflags(write=False)
     return weighted, detect
 
 
@@ -302,7 +287,7 @@ class GHZScenario:
 
     @classmethod
     def standard(cls) -> "GHZScenario":
-        return cls(joint_state=ghz_state(+1))
+        return cls(joint_state=ghz_state())
 
 
 @functools.lru_cache(maxsize=len(GHZ_CONTEXTS))

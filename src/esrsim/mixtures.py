@@ -94,14 +94,6 @@ def proper_overall_probability(
     )
 
 
-def _aggregate_detection(m: ProperMixture, prop: Property, dm: DetectionModel) -> float:
-    obs = prop.observable
-    return sum(
-        c.weight * detection_mass(c.state, obs, dm, c.state_label)
-        for c in m.components
-    )
-
-
 def proper_conditional_probability(
     m: ProperMixture,
     prop: Property,
@@ -115,7 +107,10 @@ def proper_conditional_probability(
     differ from the Born value of the averaged density operator.  Returns
     ``None`` when the aggregate detected mass vanishes.
     """
-    denominator = _aggregate_detection(m, prop, dm)
+    denominator = sum(
+        c.weight * detection_mass(c.state, prop.observable, dm, c.state_label)
+        for c in m.components
+    )
     if denominator <= ARITHMETIC_TOL:
         return None
     numerator = proper_overall_probability(m, prop, dm)

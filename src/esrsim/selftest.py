@@ -75,12 +75,9 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     return DensityOperator(u @ np.diag(weights) @ u.conj().T)
 
 
-def random_observable(
-    rng: np.random.Generator, dim: int, blocks: int | None = None
-) -> SpectralObservable:
-    """Random spectral observable with ``blocks`` distinct eigenvalues."""
-    if blocks is None:
-        blocks = int(rng.integers(2, dim + 1)) if dim > 1 else 1
+def random_observable(rng: np.random.Generator, dim: int) -> SpectralObservable:
+    """Random spectral observable with a random number of distinct eigenvalues."""
+    blocks = int(rng.integers(2, dim + 1)) if dim > 1 else 1
     u = random_unitary(rng, dim)
     cuts = sorted(rng.choice(np.arange(1, dim), size=blocks - 1, replace=False)) if blocks > 1 else []
     bounds = [0, *cuts, dim]

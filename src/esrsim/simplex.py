@@ -49,7 +49,6 @@ __all__ = [
 
 MAX_VARIABLES = 2000
 MAX_CONSTRAINTS = 200
-MAX_PIVOTS = 10**6  # a large explicit budget; the default scales with the tableau
 _PIVOTS_PER_LINE = 200
 
 _PIVOT_TOL = 1e-10
@@ -125,11 +124,11 @@ class FeasibilityCertificate:
     min_variable: float
     worst_row: str
 
-    def satisfied(self, tol: float = _FEAS_TOL, nonneg_tol: float = 1e-12) -> bool:
+    def satisfied(self) -> bool:
         return (
-            self.max_equality_residual <= tol
-            and self.max_inequality_violation <= tol
-            and self.min_variable >= -nonneg_tol
+            self.max_equality_residual <= _FEAS_TOL
+            and self.max_inequality_violation <= _FEAS_TOL
+            and self.min_variable >= -1e-12
         )
 
 

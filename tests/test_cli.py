@@ -235,6 +235,57 @@ class TestRunScenario:
         assert values["p_d"] == pytest.approx(0.7, abs=1e-15)
         assert values["p"] == pytest.approx(3.0 / 7.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("weights",), [0.6, 0.5], "field 'weights': weights sum to 1.1, not 1"),
+            (("microstates", 1), ["g"], "field 'microstates'[1][0]: 'g' not among ['f']"),
+            (
+                ("micro_detection", "entries", 0, "microstate"),
+                5,
+                "field 'micro_detection'.entries[0].microstate: "
+                "expected an integer in [0, 1], got 5",
+            ),
+            (
+                ("micro_detection", "entries", 0, "property"),
+                "g",
+                "field 'micro_detection'.entries[0].property: 'g' not among ['f']",
+            ),
+            (
+                ("properties",),
+                ["f", "f"],
+                "field 'properties': property labels must be distinct, got ['f', 'f']",
+            ),
+            (
+                ("weights",),
+                [1.0],
+                "field 'weights': expected 2 weights, one per microstate, got 1",
+            ),
+            (
+                ("weights",),
+                [1.25, -0.25],
+                "field 'weights'[1]: expected a finite number >= 0, got -0.25",
+            ),
+            (("property",), "g", "field 'property': 'g' not among ['f']"),
+        ],
+        ids=[
+            "weights-sum",
+            "microstate-unknown-property",
+            "micro-detection-microstate-out-of-range",
+            "micro-detection-unknown-property",
+            "duplicate-properties",
+            "weight-count",
+            "negative-weight",
+            "unknown-property",
+        ],
+    )
+    def test_hv_verify_errors_name_their_field(self, path, value, message):
+        config = mutated("hv_verify", path, value)
+        for check in (validate_config, run_scenario):
+            with pytest.raises(ConfigError) as excinfo:
+                check(config)
+            assert str(excinfo.value) == message
+
     def test_ghz_quantum_scenario_defaults(self):
         report = run_scenario({"scenario_type": "ghz-quantum"})
         values = [r.value for r in report.records]

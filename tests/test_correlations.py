@@ -25,7 +25,6 @@ from esrsim.correlations import (
     efficiency_scan,
     ghz_local_model_search,
     ghz_quantum_correlations,
-    ghz_state,
     modified_bell_report,
     modified_chsh_report,
     singlet_state,
@@ -162,8 +161,8 @@ def _search_bits(result):
 
 class TestMemoizedOperators:
     """Spin projectors, wing operators and GHZ Pauli strings are built once
-    per exact key; a cached array has the bytes of a fresh build whatever
-    the call history, including -0.0 against 0.0."""
+    per key; a cached array has the bytes of a fresh build whatever the call
+    history, including -0.0 against 0.0, which share a cache entry."""
 
     @staticmethod
     def _check_wing(angle, d_plus, d_minus):
@@ -187,7 +186,7 @@ class TestMemoizedOperators:
                 self._check_wing(angle, d_plus, d_minus)
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
-    def test_signed_zero_keys_stay_apart(self, first):
+    def test_signed_zero_keys_match_fresh_builds(self, first):
         clear_operator_caches()
         second = -first
         for x in (first, second, first, second):
@@ -195,13 +194,6 @@ class TestMemoizedOperators:
             self._check_wing(0.3, x, 0.5)
             self._check_wing(0.3, 0.5, x)
             self._check_wing(x, x, x)
-        # Separate entries: a float key would hand back the first build.
-        assert correlations._spin_projectors(first)[0] is not (
-            correlations._spin_projectors(second)[0]
-        )
-        assert correlations._wing_operators(0.3, first, first)[0] is not (
-            correlations._wing_operators(0.3, second, second)[0]
-        )
 
     def test_ghz_pauli_strings_match_np_kron(self):
         sigma = {
@@ -426,7 +418,9 @@ class TestGHZQuantum:
         assert values == pytest.approx((1.0, -1.0, -1.0, -1.0), abs=1e-12)
 
     def test_minus_state_flips(self):
-        values = ghz_quantum_correlations(GHZScenario(ghz_state(-1)))
+        vec = np.zeros(8, dtype=complex)
+        vec[0], vec[7] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+        values = ghz_quantum_correlations(GHZScenario(DensityOperator.from_state_vector(vec)))
         assert values == pytest.approx((-1.0, 1.0, 1.0, 1.0), abs=1e-12)
 
     def test_product_state_vanishes(self):
@@ -601,3 +595,40 @@ class TestBruteForceBounds:
             lhs = abs(w @ e_ab - w @ e_ac)
             rhs = 1.0 + w @ e_bc
             assert lhs <= rhs + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: TwoPartyScenario(
+                GHZScenario.standard().joint_state,
+                {},
+                DetectionModel.uniform(1.0),
+                DetectionModel.uniform(1.0),
+            ),
+            "two-party state must be 4-dimensional, got 8",
+        ),
+        (lambda: singlet_scenario({"a": math.inf}), "angle for setting 'a' is not finite"),
+        (lambda: GHZScenario(singlet_state()), "GHZ state must be 8-dimensional, got 4"),
+        (
+            lambda: efficiency_scan(singlet_state(), TSIRELSON, [0.5, 1.5]),
+            "efficiency 1.5 outside [0, 1]",
+        ),
+        (
+            lambda: efficiency_scan(singlet_state(), {"a": 0.0, "b": 0.0}, [0.5]),
+            "angle set missing settings ['c', 'd']",
+        ),
+    ],
+    ids=[
+        "two-party-dimension",
+        "non-finite-angle",
+        "ghz-dimension",
+        "efficiency-above-one",
+        "missing-setting",
+    ],
+)
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -211,3 +211,23 @@ class TestBuildFeasibilityLP:
         det = (outcomes[:, 0, 0] != 0) & (outcomes[:, 1, 0] != 0)
         achieved = float(result.x @ prod) / float(result.x @ det.astype(float))
         assert 0.45 - 1e-9 <= achieved <= 0.55 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: simple_model((0.5, 0.5), default=1.5), "default_detection outside [0, 1]"),
+        (lambda: enumerate_local_strategies(0, 2), "parties and settings must be positive"),
+        (
+            lambda: build_feasibility_lp(
+                enumerate_local_strategies(1, 1), (), min_joint_detection=-0.1
+            ),
+            "min_joint_detection must be nonnegative",
+        ),
+    ],
+    ids=["default-detection-above-one", "zero-parties", "negative-min-joint-detection"],
+)
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

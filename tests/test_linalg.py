@@ -9,6 +9,7 @@ from conftest import P_DOWN, P_UP, ket_density, z_observable
 from esrsim.linalg import (
     DensityOperator,
     SpectralObservable,
+    as_complex_matrix,
     validate_density_operator,
     validate_spectral_observable,
 )
@@ -186,3 +187,42 @@ class TestAlgebraProperties:
         rho = ket_density(0, 2)
         assert validate_density_operator(rho.matrix).valid
         assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_complex_matrix([1.0, 0.0]), "expected a 2-D matrix, got ndim=1"),
+        (lambda: DensityOperator.from_state_vector([0.0, 0.0]), "zero state vector"),
+        (lambda: SpectralObservable((), ()), "observable needs at least one eigenvalue"),
+        (
+            lambda: SpectralObservable((1.0, np.nan), (P_UP, P_DOWN)),
+            "eigenvalues must be finite",
+        ),
+        (
+            lambda: SpectralObservable((1.0, -1.0, 0.0), (P_UP, P_DOWN)),
+            "3 eigenvalues but 2 projectors",
+        ),
+        (
+            lambda: SpectralObservable((1.0, -1.0), (P_UP, np.eye(3))),
+            "projectors must be square and equal-dimensional",
+        ),
+        (
+            lambda: z_observable().projector_for(0.5),
+            "eigenvalue 0.5 not in spectrum (1.0, -1.0)",
+        ),
+    ],
+    ids=[
+        "one-dimensional-matrix",
+        "zero-state-vector",
+        "no-eigenvalues",
+        "non-finite-eigenvalue",
+        "count-mismatch",
+        "unequal-projector-shapes",
+        "eigenvalue-not-in-spectrum",
+    ],
+)
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -266,3 +266,20 @@ class TestSampling:
             for _ in range(200)
         ]
         assert batch == singles
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Property(z_generalized(), (1.0, 1.0)), "sigma contains duplicates"),
+        (
+            lambda: unitary_evolve(ket_density(0, 3), z_observable(), 1.0),
+            "dimension mismatch: state is 3-dim, hamiltonian is 2-dim",
+        ),
+    ],
+    ids=["duplicate-sigma", "evolve-dimension-mismatch"],
+)
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

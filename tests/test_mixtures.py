@@ -219,3 +219,23 @@ class TestDivergence:
         )
         dm = by_state({"c1": 0.9, "c2": 0.3})
         assert esr_qm_divergence(m, prop, dm) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ((), "proper mixture needs at least one component"),
+        (
+            (
+                ProperComponent(0.5, ket_density(0, 2), "qubit"),
+                ProperComponent(0.5, ket_density(0, 3), "qutrit"),
+            ),
+            "component dimensions differ",
+        ),
+    ],
+    ids=["no-components", "mixed-dimensions"],
+)
+def test_malformed_mixture_rejected(components, message):
+    with pytest.raises(ValueError) as excinfo:
+        ProperMixture(components)
+    assert str(excinfo.value) == message

@@ -20,13 +20,14 @@ from esrsim.hidden_variables import (
 )
 from esrsim.simplex import (
     MAX_CONSTRAINTS,
-    MAX_PIVOTS,
     MAX_VARIABLES,
     FeasibilityProblem,
     LPResult,
     feasibility_residuals,
     solve_lp_simplex,
 )
+
+MAX_PIVOTS = 10**6  # a large explicit budget; the default scales with the tableau
 
 
 def _simplex_problem(n, extra_eq=None, extra_b=None, a_ub=None, b_ub=None):
@@ -600,3 +601,28 @@ class TestDefaultPivotBudget:
         result = solve_lp_simplex(problem)
         assert result.pivots == self.LONGEST_PATH
         assert _hex_fields(result) == _hex_fields(solve_lp_simplex(problem, MAX_PIVOTS))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: FeasibilityProblem(2, a_eq=[[1.0, 1.0], [1.0, 0.0]], b_eq=[1.0]),
+            "equalities: 2 rows but 1 bounds",
+        ),
+        (
+            lambda: FeasibilityProblem(2, a_ub=[[1.0, np.inf]], b_ub=[1.0]),
+            "inequalities: non-finite coefficients",
+        ),
+        (lambda: FeasibilityProblem(0), "n_vars must be positive"),
+        (
+            lambda: feasibility_residuals(_simplex_problem(3), [0.5, 0.5]),
+            "point has 2 entries, expected 3",
+        ),
+    ],
+    ids=["row-bound-mismatch", "non-finite-entry", "no-variables", "point-length"],
+)
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

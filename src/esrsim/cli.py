@@ -17,6 +17,8 @@ observable*, sigma* and detection_model; bell-scan and chsh-scan take
 angles_deg*, d_grid* and state; ghz-quantum takes state, and ghz-local-model
 adds min_efficiency and min_joint_detection; hv-verify takes properties*,
 microstates*, weights*, micro_detection and property*; self-test takes none.
+An ``observable`` is read as a ``GeneralizedObservable``, ``sigma`` as its
+``Property``, and evolve's ``hamiltonian`` as a bare ``SpectralObservable``.
 Any other key, at any depth, is a config error, so the ``run --seed`` and
 ``--samples`` overrides are valid for monte-carlo only.  A key repeated
 within one JSON object is a config error too.  ``dimension`` is an integer
@@ -35,6 +37,7 @@ Exit codes: 0 success, 2 config error (with a field path), 3 computation error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -225,15 +228,18 @@ _SPECTRUM = {
 }
 
 
-def _observable(value, path, top) -> GeneralizedObservable:
+def _spectrum(value, path, top) -> SpectralObservable:
     """A spectral decomposition; ``SpectralObservable`` validates it."""
     node = _read(value, _SPECTRUM, path, top)
     try:
-        return GeneralizedObservable(
-            SpectralObservable(node["eigenvalues"], node["projectors"])
-        )
+        return SpectralObservable(node["eigenvalues"], node["projectors"])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _observable(value, path, top) -> GeneralizedObservable:
+    """A spectral decomposition plus the no-registration outcome."""
+    return GeneralizedObservable(_spectrum(value, path, top))
 
 
 def _sigma(value, path, top) -> Property:
@@ -244,6 +250,22 @@ def _sigma(value, path, top) -> Property:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _table(entry: dict, key: tuple[str, ...]):
+    """Parser of ``entry`` objects into ``{key fields: value}``; a repeated key
+    is an error at its later entry (numbers parse to floats, so 1 repeats 1.0)."""
+    def parse(value, path, top):
+        table = {}
+        for k, e in enumerate(_list(_object(entry), nonempty=False)(value, path, top)):
+            index = tuple(e[name] for name in key)
+            if index in table:
+                pair = f"({', '.join(key)}) pair {index!r}"
+                raise ConfigError(f"{path}[{k}]: repeats the {pair} of an earlier entry")
+            table[index] = e["value"]
+        return table
+
+    return parse
+
+
 _DETECTION_ENTRY = {
     "state": (_label, _REQUIRED),
     "eigenvalue": (_number(), _REQUIRED),
@@ -251,7 +273,7 @@ _DETECTION_ENTRY = {
 }
 _DETECTION = {
     "default": (_PROBABILITY, 1.0),
-    "entries": (_list(_object(_DETECTION_ENTRY), nonempty=False), ()),
+    "entries": (_table(_DETECTION_ENTRY, ("state", "eigenvalue")), dict),
 }
 
 
@@ -260,8 +282,7 @@ def _detection(value, path, top) -> DetectionModel:
     if not isinstance(value, dict):
         return DetectionModel.uniform(_PROBABILITY(value, path, top))
     node = _read(value, _DETECTION, path, top)
-    table = {(e["state"], e["eigenvalue"]): e["value"] for e in node["entries"]}
-    return DetectionModel(assignment=table, default_value=node["default"])
+    return DetectionModel(assignment=node["entries"], default_value=node["default"])
 
 
 def _angles(count: int):
@@ -319,7 +340,7 @@ _MONTE_CARLO = {
 def _time(value, path, top) -> float:
     """A time at which every phase E*t of ``hamiltonian``, and their spread, is finite."""
     t = _number()(value, path, top)
-    evs = top["hamiltonian"].base.eigenvalues
+    evs = top["hamiltonian"].eigenvalues
     if not math.isfinite(max(evs) * t - min(evs) * t):
         raise ConfigError(f"{path}: the hamiltonian's phases E*t overflow at time {value!r}")
     return t
@@ -328,7 +349,7 @@ def _time(value, path, top) -> float:
 _EVOLVE = {
     "dimension": _DIMENSION,
     "state": (_density(), _REQUIRED),
-    "hamiltonian": (_observable, _REQUIRED),
+    "hamiltonian": (_spectrum, _REQUIRED),
     "time": (_time, _REQUIRED),
 }
 
@@ -340,38 +361,26 @@ _MIXTURE = {
     "detection_model": _DETECTION_MODEL,
 }
 
-# Defaults owned by correlations and hidden_variables are read when a config
-# omits the field, so that importing this module imports neither.
-def _singlet_state():
-    from .correlations import singlet_state
 
-    return singlet_state()
-
-
-def _ghz_state():
-    from .correlations import ghz_state
-
-    return ghz_state()
-
-
-def _min_joint_detection() -> float:
-    from .hidden_variables import DEFAULT_MIN_JOINT_DETECTION
-
-    return DEFAULT_MIN_JOINT_DETECTION
+def _lazy(module: str):
+    """``esrsim.<module>``, imported only when a config leaves out a default it owns."""
+    return importlib.import_module(f"{__package__}.{module}")
 
 
 _BELL = {
     "angles_deg": (_angles(3), _REQUIRED),
-    "state": (_density(4), _singlet_state),
+    "state": (_density(4), lambda: _lazy("correlations").singlet_state()),
     "d_grid": (_list(_PROBABILITY), _REQUIRED),
 }
 _CHSH = {**_BELL, "angles_deg": (_angles(4), _REQUIRED)}
 
-_GHZ = {"state": (_density(8), _ghz_state)}
+_GHZ = {"state": (_density(8), lambda: _lazy("correlations").ghz_state())}
 _GHZ_LOCAL_MODEL = {
     **_GHZ,
     "min_efficiency": (_PROBABILITY, 0.0),
-    "min_joint_detection": (_number(0.0), _min_joint_detection),
+    "min_joint_detection": (
+        _number(0.0), lambda: _lazy("hidden_variables").DEFAULT_MIN_JOINT_DETECTION
+    ),
 }
 
 
@@ -414,13 +423,13 @@ _MICRO_DETECTION_ENTRY = {
 }
 _MICRO_DETECTION = {
     "default": (_PROBABILITY, 1.0),
-    "entries": (_list(_object(_MICRO_DETECTION_ENTRY), nonempty=False), ()),
+    "entries": (_table(_MICRO_DETECTION_ENTRY, ("microstate", "property")), dict),
 }
 _HV_VERIFY = {
     "properties": (_properties, _REQUIRED),
     "microstates": (_list(_list(_property_label, nonempty=False)), _REQUIRED),
     "weights": (_weights, _REQUIRED),
-    "micro_detection": (_object(_MICRO_DETECTION), lambda: {"default": 1.0, "entries": ()}),
+    "micro_detection": (_object(_MICRO_DETECTION), lambda: {"default": 1.0, "entries": {}}),
     "property": (_property_label, _REQUIRED),
 }
 
@@ -459,7 +468,7 @@ def _run_luders(prepared: dict):
 
 def _run_evolve(prepared: dict):
     rho = prepared["state"]
-    evolved = unitary_evolve(rho, prepared["hamiltonian"].base, prepared["time"])
+    evolved = unitary_evolve(rho, prepared["hamiltonian"], prepared["time"])
     # eigvalsh returns ascending eigenvalues, so the two spectra pair up in order.
     drift = np.abs(np.linalg.eigvalsh(rho.matrix) - np.linalg.eigvalsh(evolved.matrix))
     records = [
@@ -496,8 +505,7 @@ def _run_mixture_divergence(prepared: dict):
     prop, dm = prepared["sigma"], prepared["detection_model"]
     overall = mixtures.proper_overall_probability(mixture, prop, dm)
     conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
-    p_sigma = prop.observable.base.restriction(prop.sigma)
-    born = float(np.trace(mixture.averaged_density().matrix @ p_sigma).real)
+    born = float(np.trace(mixture.averaged_density().matrix @ prop.projector).real)
     divergence = None if conditional is None else abs(conditional - born)
     records = [
         Record("proper_overall", overall),
@@ -574,9 +582,8 @@ def _run_ghz_local_model(prepared: dict):
     )
     records = [Record("feasible", 1.0 if found.feasible else 0.0)]
     if found.feasible:
-        targets = correlations.ghz_quantum_correlations(scenario)
         for name, got, want in zip(
-            correlations.GHZ_CONTEXT_NAMES, found.correlations, targets
+            correlations.GHZ_CONTEXT_NAMES, found.correlations, found.targets
         ):
             if math.isnan(got):  # never jointly detected: no conditional correlation
                 records.append(Record(f"correlation_{name}", None))
@@ -607,9 +614,7 @@ def _run_hv_verify(prepared: dict):
         property_set=hidden_variables.MicroPropertySet(tuple(prepared["properties"])),
         microstates=tuple(frozenset(s) for s in prepared["microstates"]),
         weights=tuple(prepared["weights"]),
-        micro_detection={
-            (e["microstate"], e["property"]): e["value"] for e in detection["entries"]
-        },
+        micro_detection=detection["entries"],
         default_detection=detection["default"],
     )
     triple = hidden_variables.macro_from_micro(model, prepared["property"])

@@ -318,14 +318,16 @@ def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float
 @dataclass(frozen=True, eq=False)
 class GHZLocalModelResult:
     feasible: bool
-    weights: np.ndarray | None
-    correlations: tuple[float, ...] | None
-    efficiencies: dict | None  # (party, setting) -> marginal detection
-    joint_detection: dict | None  # context -> mass
-    max_residual: float | None
-    support_size: int | None
+    targets: tuple[float, ...]  # the ghz_quantum_correlations searched for
     phase1_objective: float
     pivots: int
+    # The feasible point; None on an infeasible verdict.
+    weights: np.ndarray | None = None
+    correlations: tuple[float, ...] | None = None
+    efficiencies: dict | None = None  # (party, setting) -> marginal detection
+    joint_detection: dict | None = None  # context -> mass
+    max_residual: float | None = None
+    support_size: int | None = None
 
 
 def ghz_local_model_search(
@@ -358,17 +360,7 @@ def ghz_local_model_search(
     )
     result = solve_lp_simplex(problem)
     if not result.feasible:
-        return GHZLocalModelResult(
-            feasible=False,
-            weights=None,
-            correlations=None,
-            efficiencies=None,
-            joint_detection=None,
-            max_residual=None,
-            support_size=None,
-            phase1_objective=result.phase1_objective,
-            pivots=result.pivots,
-        )
+        return GHZLocalModelResult(False, target_values, result.phase1_objective, result.pivots)
 
     weights = result.x
     certificate = feasibility_residuals(problem, weights)
@@ -393,14 +385,15 @@ def ghz_local_model_search(
     )
     return GHZLocalModelResult(
         feasible=True,
+        targets=target_values,
+        phase1_objective=result.phase1_objective,
+        pivots=result.pivots,
         weights=weights,
         correlations=tuple(correlations),
         efficiencies=efficiencies,
         joint_detection=joint,
         max_residual=max_residual,
         support_size=int(np.sum(weights > ARITHMETIC_TOL)),
-        phase1_objective=result.phase1_objective,
-        pivots=result.pivots,
     )
 
 

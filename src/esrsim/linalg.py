@@ -202,13 +202,6 @@ class SpectralObservable:
                 return p
         raise ValueError(f"eigenvalue {eigenvalue} not in spectrum {self.eigenvalues}")
 
-    def restriction(self, sigma) -> np.ndarray:
-        """Sum of the projectors for the eigenvalues in ``sigma``."""
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for ev in sigma:
-            out = out + self.projector_for(ev)
-        return out
-
 
 def validate_spectral_observable(o) -> ValidityReport:
     """Report on idempotence, orthogonality, completeness and eigenvalue distinctness.

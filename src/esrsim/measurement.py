@@ -8,10 +8,11 @@ measurement then carries three probabilities bound by the product law
 where ``conditional`` is the Born value among detected objects and
 ``detection`` is derived as overall/conditional (it reduces to the
 per-eigenvalue detection probability whenever that is constant on the outcome
-subset).  Detection probabilities per eigenvalue are free empirical parameters
-supplied by a :class:`DetectionModel`; the property-level effect is assembled
-as T = sum_{ev in sigma} p_detect(state, ev) * P_ev, which drives both the
-overall probability Tr[rho T] and the generalized Lueders update
+subset).  A :class:`Property` carries P(sigma), which gives the Born value
+Tr[rho P(sigma)].  Detection probabilities per eigenvalue are free empirical
+parameters supplied by a :class:`DetectionModel`; the property-level effect is
+assembled as T = sum_{ev in sigma} p_detect(state, ev) * P_ev, which drives
+both the overall probability Tr[rho T] and the generalized Lueders update
 T rho T^dagger / Tr[T rho T^dagger].  A measurement returning the
 no-registration outcome ends the trajectory: no post-a0 state update is
 defined.
@@ -58,31 +59,31 @@ class GeneralizedObservable:
     base: SpectralObservable
 
     @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    @property
     def outcome_set(self) -> tuple:
         return self.base.eigenvalues + (NO_REGISTRATION,)
 
 
 @dataclass(frozen=True, eq=False)
 class Property:
-    """A generalized observable with an outcome subset sigma (a0 excluded)."""
+    """A generalized observable with an outcome subset sigma (a0 excluded) and
+    its read-only projector P(sigma), summed once in sigma's order."""
 
     observable: GeneralizedObservable
     sigma: tuple[float, ...]
+    projector: np.ndarray
 
     def __init__(self, observable: GeneralizedObservable, sigma):
         values = tuple(float(x) for x in sigma)
-        spectrum = observable.base.eigenvalues
-        for ev in values:
-            if ev not in spectrum:
-                raise ValueError(f"sigma value {ev} not in spectrum {spectrum}")
+        base = observable.base
+        p_sigma = np.zeros((base.dimension, base.dimension), dtype=complex)
+        for ev in values:  # projector_for rejects a value outside the spectrum
+            p_sigma = p_sigma + base.projector_for(ev)
         if len(set(values)) != len(values):
             raise ValueError("sigma contains duplicates")
+        p_sigma.setflags(write=False)
         object.__setattr__(self, "observable", observable)
         object.__setattr__(self, "sigma", values)
+        object.__setattr__(self, "projector", p_sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +138,11 @@ class ProbabilityTriple:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, clamp(v, 0.0, 1.0, name))
-        if self.detection is not None and self.conditional is not None:
-            residual = abs(self.overall - self.detection * self.conditional)
-            if residual > ARITHMETIC_TOL:
-                raise ValueError(
-                    f"product law violated: |overall - detection*conditional| = {residual:.3e}"
-                )
+        residual = self.product_law_residual()
+        if residual is not None and residual > ARITHMETIC_TOL:
+            raise ValueError(
+                f"product law violated: |overall - detection*conditional| = {residual:.3e}"
+            )
 
     def product_law_residual(self) -> float | None:
         if self.detection is None or self.conditional is None:
@@ -150,11 +150,12 @@ class ProbabilityTriple:
         return abs(self.overall - self.detection * self.conditional)
 
 
-def _check_dimensions(rho: DensityOperator, obs: GeneralizedObservable) -> None:
+def _check_dimensions(
+    rho: DensityOperator, obs: SpectralObservable, what: str = "observable"
+) -> None:
     if rho.dimension != obs.dimension:
         raise ValueError(
-            f"dimension mismatch: state is {rho.dimension}-dim, "
-            f"observable is {obs.dimension}-dim"
+            f"dimension mismatch: state is {rho.dimension}-dim, {what} is {obs.dimension}-dim"
         )
 
 
@@ -187,15 +188,25 @@ def probability_triple(
     and detection = overall / conditional whenever conditional exceeds the
     arithmetic tolerance, else it is reported undefined.
     """
-    _check_dimensions(rho, prop.observable)
-    p_sigma = prop.observable.base.restriction(prop.sigma)
+    _check_dimensions(rho, prop.observable.base)
     conditional = clamp(
-        float(np.trace(rho.matrix @ p_sigma).real), 0.0, 1.0, "conditional"
+        float(np.trace(rho.matrix @ prop.projector).real), 0.0, 1.0, "conditional"
     )
     effect = build_effect(state_label, prop, dm)
     overall = clamp(float(np.trace(rho.matrix @ effect).real), 0.0, 1.0, "overall")
     detection = overall / conditional if conditional > ARITHMETIC_TOL else None
     return ProbabilityTriple(overall=overall, detection=detection, conditional=conditional)
+
+
+def _detected_weights(
+    rho: DensityOperator, obs: GeneralizedObservable, dm: DetectionModel, state_label: Hashable
+) -> list[float]:
+    """p_detect(state, ev) * Tr[rho P_ev] for each eigenvalue, in spectrum order."""
+    _check_dimensions(rho, obs.base)
+    return [
+        dm.value(state_label, ev) * float(np.trace(rho.matrix @ p).real)
+        for ev, p in zip(obs.base.eigenvalues, obs.base.projectors)
+    ]
 
 
 def detection_mass(
@@ -205,11 +216,9 @@ def detection_mass(
     state_label: Hashable = DEFAULT_STATE_LABEL,
 ) -> float:
     """Probability that the object is detected at all in a measurement of ``obs``."""
-    _check_dimensions(rho, obs)
-    total = 0.0
-    for ev, p in zip(obs.base.eigenvalues, obs.base.projectors):
-        weight = float(np.trace(rho.matrix @ p).real)
-        total += dm.value(state_label, ev) * weight
+    total = 0.0  # a plain loop: from Python 3.12 on, sum() rounds floats differently
+    for weight in _detected_weights(rho, obs, dm, state_label):
+        total += weight
     return clamp(total, 0.0, 1.0, "detection mass")
 
 
@@ -224,11 +233,8 @@ def outcome_distribution(
     The distribution must sum to 1 within the arithmetic tolerance, which
     holds by construction for any valid state and detection model.
     """
-    _check_dimensions(rho, obs)
-    probs = []
-    for ev, p in zip(obs.base.eigenvalues, obs.base.projectors):
-        weight = float(np.trace(rho.matrix @ p).real)
-        probs.append(clamp(dm.value(state_label, ev) * weight, 0.0, 1.0, f"p({ev})"))
+    weights = _detected_weights(rho, obs, dm, state_label)
+    probs = [clamp(w, 0.0, 1.0, f"p({ev})") for ev, w in zip(obs.base.eigenvalues, weights)]
     a0_prob = 1.0 - sum(probs)
     probs.append(clamp(a0_prob, 0.0, 1.0, "p(a0)"))
     arr = np.asarray(probs, dtype=float)
@@ -248,7 +254,7 @@ def luders_update(
     With unit detection this reduces to the standard projective update
     P rho P / Tr[P rho P].  Raises when the yes outcome has no weight.
     """
-    _check_dimensions(rho, prop.observable)
+    _check_dimensions(rho, prop.observable.base)
     t = build_effect(state_label, prop, dm)
     updated = t @ rho.matrix @ t.conj().T
     norm = float(np.trace(updated).real)
@@ -271,11 +277,7 @@ def unitary_evolve(
     construction), so no matrix exponential is needed; trace and eigenvalue
     multiset are preserved.
     """
-    if rho.dimension != hamiltonian.dimension:
-        raise ValueError(
-            f"dimension mismatch: state is {rho.dimension}-dim, "
-            f"hamiltonian is {hamiltonian.dimension}-dim"
-        )
+    _check_dimensions(rho, hamiltonian, "hamiltonian")
     u = np.zeros((rho.dimension, rho.dimension), dtype=complex)
     for energy, proj in zip(hamiltonian.eigenvalues, hamiltonian.projectors):
         u = u + np.exp(-1j * energy * float(t)) * proj

@@ -130,6 +130,5 @@ def esr_qm_divergence(
     conditional = proper_conditional_probability(m, prop, dm)
     if conditional is None:
         return None
-    p_sigma = prop.observable.base.restriction(prop.sigma)
-    born = float(np.trace(m.averaged_density().matrix @ p_sigma).real)
+    born = float(np.trace(m.averaged_density().matrix @ prop.projector).real)
     return abs(conditional - born)

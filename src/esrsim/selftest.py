@@ -45,6 +45,7 @@ from .measurement import (
     luders_update,
     probability_triple,
 )
+from .simplex import FEASIBILITY_TOL
 
 __all__ = [
     "SuiteResult",
@@ -157,8 +158,7 @@ def fundamental_equation_suite(n: int = 1000, seed: int = 20240401) -> SuiteResu
                     f"post-update state is a {type(updated).__name__}, "
                     "not a DensityOperator",
                 )
-            p_sigma = obs.base.restriction(prop.sigma)
-            certainty = float(np.trace(updated.matrix @ p_sigma).real)
+            certainty = float(np.trace(updated.matrix @ prop.projector).real)
             dev = abs(certainty - 1.0)
             if dev > STRUCTURAL_TOL:
                 return SuiteResult(
@@ -181,14 +181,13 @@ def qm_reduction_suite(n: int = 200, seed: int = 20240402) -> SuiteResult:
         rho = random_density(rng, dim)
         obs = GeneralizedObservable(random_observable(rng, dim))
         prop = Property(obs, random_sigma(rng, obs.base.eigenvalues))
-        p_sigma = obs.base.restriction(prop.sigma)
-        born = float(np.trace(rho.matrix @ p_sigma).real)
+        born = float(np.trace(rho.matrix @ prop.projector).real)
         triple = probability_triple(rho, prop, unit)
         worst = max(worst, abs(triple.overall - born), abs(triple.conditional - born))
         checks += 1
         if born > 1e-6:
             updated = luders_update(rho, prop, unit)
-            projected = p_sigma @ rho.matrix @ p_sigma
+            projected = prop.projector @ rho.matrix @ prop.projector
             standard = projected / float(np.trace(projected).real)
             worst = max(worst, float(np.max(np.abs(updated.matrix - standard))))
             checks += 1
@@ -235,7 +234,7 @@ def lp_certificate_suite() -> SuiteResult:
             "lp-certificate", False, 2, worst,
             "unit-efficiency search unexpectedly feasible",
         )
-    passed = worst <= 1e-9
+    passed = worst <= FEASIBILITY_TOL
     return SuiteResult("lp-certificate", passed, 2, worst)
 
 

@@ -37,12 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import ARITHMETIC_TOL
+
 __all__ = [
     "FeasibilityProblem",
     "LPResult",
     "FeasibilityCertificate",
     "solve_lp_simplex",
     "feasibility_residuals",
+    "FEASIBILITY_TOL",
     "MAX_VARIABLES",
     "MAX_CONSTRAINTS",
 ]
@@ -52,7 +55,7 @@ MAX_CONSTRAINTS = 200
 _PIVOTS_PER_LINE = 200
 
 _PIVOT_TOL = 1e-10
-_FEAS_TOL = 1e-9
+FEASIBILITY_TOL = 1e-9  # certificate residuals; a larger phase-one optimum is infeasible
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +129,9 @@ class FeasibilityCertificate:
 
     def satisfied(self) -> bool:
         return (
-            self.max_equality_residual <= _FEAS_TOL
-            and self.max_inequality_violation <= _FEAS_TOL
-            and self.min_variable >= -1e-12
+            self.max_equality_residual <= FEASIBILITY_TOL
+            and self.max_inequality_violation <= FEASIBILITY_TOL
+            and self.min_variable >= -ARITHMETIC_TOL
         )
 
 
@@ -267,7 +270,7 @@ def solve_lp_simplex(
         basis[leaving] = entering
 
     objective = -float(tableau[m, -1])
-    if objective > _FEAS_TOL:
+    if objective > FEASIBILITY_TOL:
         return LPResult("infeasible", None, objective, pivots)
 
     x_full = np.zeros(n_tot)

@@ -89,7 +89,8 @@ def test_criterion_2_qm_reduction():
             rho = random_density(rng, dim)
             gen = GeneralizedObservable(random_observable(rng, dim))
             prop = Property(gen, random_sigma(rng, gen.base.eigenvalues))
-            p_sigma = gen.base.restriction(prop.sigma)
+            # The reference P(sigma) is summed here, not read from prop.projector.
+            p_sigma = sum(gen.base.projector_for(ev) for ev in prop.sigma)
             born = float(np.trace(rho.matrix @ p_sigma).real)
             triple = probability_triple(rho, prop, unit)
             assert abs(triple.conditional - born) <= 1e-10

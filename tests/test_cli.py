@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from conftest import clear_operator_caches, plus_density, z_generalized
 from esrsim.cli import (
     _MC_CHUNK,
+    _prepare,
     ConfigError,
     Record,
     RunReport,
     emit_report,
+    main,
     render_report,
     run_scenario,
     validate_config,
@@ -90,6 +92,22 @@ def mutated(name: str, path: tuple, value) -> dict:
     config = copy.deepcopy(SHIPPED[name])
     node_at(config, path[:-1])[path[-1]] = value
     return config
+
+
+def appended(name: str, path: tuple, entry) -> dict:
+    """A shipped config with ``entry`` appended to the list at ``path``."""
+    config = copy.deepcopy(SHIPPED[name])
+    node_at(config, path).append(entry)
+    return config
+
+
+REPEATED_MICRO_DETECTION = (
+    "hv_verify", ("micro_detection", "entries"), {"microstate": 0, "property": "f", "value": 0.9}
+)
+# The integer 1 repeats the shipped eigenvalue 1.0.
+REPEATED_DETECTION = (
+    "probability_triple", ("detection_model", "entries"), {"state": "S", "eigenvalue": 1, "value": 0.1}
+)
 
 
 def dimension_65_config() -> dict:
@@ -188,6 +206,11 @@ class TestRunScenario:
             calls.clear()
             run_scenario(config)
             assert len(calls) == 1, config["scenario_type"]
+        # evolve reads its hamiltonian as the SpectralObservable that was validated.
+        calls.clear()
+        hamiltonian = _prepare(evolve_config())[1]["hamiltonian"]
+        assert type(hamiltonian) is linalg.SpectralObservable
+        assert calls == [hamiltonian]
         calls.clear()
         assert fundamental_equation_suite(n=50).passed
         assert len(calls) == 50
@@ -281,6 +304,29 @@ class TestRunScenario:
     )
     def test_hv_verify_errors_name_their_field(self, path, value, message):
         config = mutated("hv_verify", path, value)
+        for check in (validate_config, run_scenario):
+            with pytest.raises(ConfigError) as excinfo:
+                check(config)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "repeat, message",
+        [
+            (
+                REPEATED_MICRO_DETECTION,
+                "field 'micro_detection'.entries[1]: repeats the (microstate, property) "
+                "pair (0, 'f') of an earlier entry",
+            ),
+            (
+                REPEATED_DETECTION,
+                "field 'detection_model'.entries[2]: repeats the (state, eigenvalue) "
+                "pair ('S', 1.0) of an earlier entry",
+            ),
+        ],
+        ids=["micro-detection", "detection-model"],
+    )
+    def test_repeated_detection_entry_names_the_later_entry(self, repeat, message):
+        config = appended(*repeat)
         for check in (validate_config, run_scenario):
             with pytest.raises(ConfigError) as excinfo:
                 check(config)
@@ -409,6 +455,9 @@ class TestShippedConfigs:
 
 
 class TestCommandLine:
+    """``esr-sim`` commands, run in this process through ``cli.main`` unless a
+    check needs a process of its own (``_run``)."""
+
     def _run(self, *args, **kwargs):
         return subprocess.run(
             [sys.executable, "-m", "esrsim", *args],
@@ -417,13 +466,23 @@ class TestCommandLine:
             **kwargs,
         )
 
-    def test_self_test_subcommand_passes(self):
-        result = self._run("self-test")
+    @pytest.fixture
+    def esr_sim(self, capsys):
+        """``esr-sim ARGS`` in this process: its exit code, stdout and stderr."""
+        def run(*args):
+            code = main(list(args))
+            out, err = capsys.readouterr()
+            return subprocess.CompletedProcess(args, code, out, err)
+
+        return run
+
+    def test_self_test_subcommand_passes(self, esr_sim):
+        result = esr_sim("self-test")
         assert result.returncode == 0
         assert "self-test: PASS" in result.stdout
         assert result.stdout.count("PASS") >= 6  # five suites plus summary
 
-    def test_run_and_validate_and_exit_codes(self, tmp_path):
+    def test_run_and_validate_and_exit_codes(self, tmp_path, esr_sim):
         path = tmp_path / "scan.json"
         path.write_text(
             json.dumps(
@@ -434,20 +493,20 @@ class TestCommandLine:
                 }
             )
         )
-        run = self._run("run", "--scenario", str(path))
+        run = esr_sim("run", "--scenario", str(path))
         assert run.returncode == 0
         assert "threshold,0.84089" in run.stdout
 
-        validate = self._run("validate", "--scenario", str(path))
+        validate = esr_sim("validate", "--scenario", str(path))
         assert validate.returncode == 0
         assert "OK" in validate.stdout
 
-    def test_missing_field_exits_2(self, tmp_path):
+    def test_missing_field_exits_2(self, tmp_path, esr_sim):
         path = tmp_path / "bad.json"
         config = triple_config()
         del config["state"]
         path.write_text(json.dumps(config))
-        result = self._run("run", "--scenario", str(path))
+        result = esr_sim("run", "--scenario", str(path))
         assert result.returncode == 2
         assert "config error" in result.stderr
         assert "state" in result.stderr
@@ -524,31 +583,33 @@ class TestCommandLine:
             ({"scenario_type": []}, "field 'scenario_type'"),
             (evolve_config(eigenvalues=(2.0, -2.0), time=1e308), "field 'time'"),
             (evolve_config(eigenvalues=(1e306, -1e306), time=100.0), "field 'time'"),
+            (appended(*REPEATED_MICRO_DETECTION), "field 'micro_detection'.entries[1]"),
+            (appended(*REPEATED_DETECTION), "field 'detection_model'.entries[2]"),
         ],
     )
-    def test_validate_and_run_agree_on_invalid_fields(self, tmp_path, config, field):
+    def test_validate_and_run_agree_on_invalid_fields(self, tmp_path, esr_sim, config, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         for command in ("validate", "run"):
-            result = self._run(command, "--scenario", str(path))
+            result = esr_sim(command, "--scenario", str(path))
             assert result.returncode == 2, (command, result.stderr)
             assert field in result.stderr
 
-    def test_seed_and_samples_flags_only_for_monte_carlo(self):
+    def test_seed_and_samples_flags_only_for_monte_carlo(self, esr_sim):
         path = CONFIG_DIR / "bell_scan.json"
         for flag in ("seed", "samples"):
-            result = self._run("run", "--scenario", str(path), f"--{flag}", "3")
+            result = esr_sim("run", "--scenario", str(path), f"--{flag}", "3")
             assert result.returncode == 2, result.stderr
             assert f"field '{flag}'" in result.stderr
 
-    def test_malformed_json_exits_2_with_line(self, tmp_path):
+    def test_malformed_json_exits_2_with_line(self, tmp_path, esr_sim):
         path = tmp_path / "broken.json"
         path.write_text('{"scenario_type": "ghz-quantum",\n  "oops"\n}')
-        result = self._run("run", "--scenario", str(path))
+        result = esr_sim("run", "--scenario", str(path))
         assert result.returncode == 2
         assert "line" in result.stderr
 
-    def test_duplicate_key_exits_2_naming_it(self, tmp_path):
+    def test_duplicate_key_exits_2_naming_it(self, tmp_path, esr_sim):
         # Raw text: json.dumps cannot write a repeated key.
         path = tmp_path / "duplicate.json"
         path.write_text(
@@ -562,7 +623,7 @@ class TestCommandLine:
         )
         for config, key in ((path, "min_efficiency"), (nested, "default")):
             for command in ("validate", "run"):
-                result = self._run(command, "--scenario", str(config))
+                result = esr_sim(command, "--scenario", str(config))
                 assert result.returncode == 2, (command, result.stdout)
                 assert f"duplicate key '{key}'" in result.stderr
 
@@ -588,14 +649,14 @@ class TestCommandLine:
         assert a.stdout == b.stdout
         assert a.stdout != c.stdout
 
-    def test_ghz_context_never_jointly_detected_is_undefined(self, tmp_path):
+    def test_ghz_context_never_jointly_detected_is_undefined(self, tmp_path, esr_sim):
         # With no joint-detection floor the model found leaves XXX and YYX
         # undetected; their conditional correlations are 0/0, reported empty.
         path = tmp_path / "ghz.json"
         path.write_text(
             json.dumps({"scenario_type": "ghz-local-model", "min_joint_detection": 0})
         )
-        result = self._run("run", "--scenario", str(path))
+        result = esr_sim("run", "--scenario", str(path))
         assert result.returncode == 0, result.stderr
         rows = dict(line.split(",", 2)[1:] for line in result.stdout.splitlines()[1:])
         assert rows["feasible"] == "1,"
@@ -653,11 +714,11 @@ class TestCommandLine:
         assert "esrsim.simplex" in loaded
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
-    def test_output_file_and_json_format(self, tmp_path):
+    def test_output_file_and_json_format(self, tmp_path, esr_sim):
         scenario = tmp_path / "ghz.json"
         scenario.write_text(json.dumps({"scenario_type": "ghz-quantum"}))
         out = tmp_path / "report.json"
-        result = self._run(
+        result = esr_sim(
             "run", "--scenario", str(scenario), "--format", "json",
             "--output", str(out),
         )

@@ -456,6 +456,18 @@ class TestGHZLocalModelSearch:
         assert result.feasible
         assert result.correlations == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-9)
 
+    @pytest.mark.parametrize("min_efficiency", [0.0, 1.0], ids=["feasible", "infeasible"])
+    def test_targets_are_the_quantum_correlations(self, min_efficiency):
+        scenario = GHZScenario.standard()
+        result = ghz_local_model_search(scenario, min_efficiency=min_efficiency)
+        assert result.feasible == (min_efficiency == 0.0)
+        want = ghz_quantum_correlations(scenario)
+        assert [x.hex() for x in result.targets] == [x.hex() for x in want]
+        if not result.feasible:
+            feasible_only = ("weights", "correlations", "efficiencies",
+                             "joint_detection", "max_residual", "support_size")
+            assert [getattr(result, name) for name in feasible_only] == [None] * 6
+
     def test_point_failing_its_certificate_raises(self, monkeypatch):
         # A solver round-off path that ends "feasible" must not be reported
         # as a local model: all-zero weights break the normalization row.

@@ -59,6 +59,21 @@ class TestTypes:
         with pytest.raises(ValueError, match="product law"):
             ProbabilityTriple(overall=0.9, detection=0.5, conditional=0.5)
 
+    def test_property_projector_is_read_only_in_order_sum(self, rng):
+        for _ in range(50):
+            dim = int(rng.integers(2, 9))
+            base = random_observable(rng, dim)
+            sigma = random_sigma(rng, base.eigenvalues)
+            sigma = tuple(rng.permutation(sigma).tolist())  # any order, not just spectrum order
+            prop = Property(GeneralizedObservable(base), sigma)
+            reference = np.zeros((dim, dim), dtype=complex)
+            for ev in sigma:
+                reference = reference + base.projector_for(ev)
+            assert prop.projector.tobytes() == reference.tobytes()
+            assert not prop.projector.flags.writeable
+            with pytest.raises(ValueError):
+                prop.projector[0, 0] = 0.0
+
 
 class TestBuildEffect:
     def test_single_projector_scaling(self):

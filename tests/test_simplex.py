@@ -18,9 +18,12 @@ from esrsim.hidden_variables import (
     build_feasibility_lp,
     enumerate_local_strategies,
 )
+from esrsim.linalg import ARITHMETIC_TOL
 from esrsim.simplex import (
+    FEASIBILITY_TOL,
     MAX_CONSTRAINTS,
     MAX_VARIABLES,
+    FeasibilityCertificate,
     FeasibilityProblem,
     LPResult,
     feasibility_residuals,
@@ -95,6 +98,15 @@ class TestCertificates:
         assert cert.max_inequality_violation <= 1e-9
         assert cert.min_variable >= -1e-12
         assert cert.satisfied()
+
+    def test_certificate_thresholds_are_the_named_tolerances(self):
+        def cert(eq=0.0, ub=0.0, low=0.0):
+            return FeasibilityCertificate(eq, ub, low, "")
+
+        assert cert(eq=FEASIBILITY_TOL, ub=FEASIBILITY_TOL, low=-ARITHMETIC_TOL).satisfied()
+        assert not cert(eq=np.nextafter(FEASIBILITY_TOL, 1.0)).satisfied()
+        assert not cert(ub=np.nextafter(FEASIBILITY_TOL, 1.0)).satisfied()
+        assert not cert(low=np.nextafter(-ARITHMETIC_TOL, -1.0)).satisfied()
 
     def test_certificate_flags_bad_point(self):
         problem = _simplex_problem(3)

@@ -52,7 +52,9 @@ from .measurement import (
     DetectionModel,
     GeneralizedObservable,
     Property,
-    luders_update,
+    _triple_of_effect,
+    _update_by_effect,
+    build_effect,
     outcome_distribution,
     probability_triple,
     sample_indices,
@@ -460,8 +462,10 @@ def _entry_records(prefix: str, state: DensityOperator) -> list[Record]:
 
 
 def _run_luders(prepared: dict):
-    triple = probability_triple(*_measurement(prepared))
-    updated = luders_update(*_measurement(prepared))
+    rho, prop, dm, label = _measurement(prepared)
+    effect = build_effect(label, prop, dm)  # one T for the yes probability and the update
+    triple = _triple_of_effect(rho, prop, effect)
+    updated = _update_by_effect(rho, effect)
     records = [Record("yes_probability", triple.overall)]
     return records + _entry_records("post_state", updated), {}
 
@@ -504,7 +508,7 @@ def _run_mixture_divergence(prepared: dict):
     mixture = prepared["components"]
     prop, dm = prepared["sigma"], prepared["detection_model"]
     overall = mixtures.proper_overall_probability(mixture, prop, dm)
-    conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
+    conditional = mixtures._conditional_of_overall(mixture, prop, dm, overall)
     born = float(np.trace(mixture.averaged_density().matrix @ prop.projector).real)
     divergence = None if conditional is None else abs(conditional - born)
     records = [

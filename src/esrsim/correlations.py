@@ -12,10 +12,14 @@ The classical side is covered by exhaustive enumeration of deterministic
 trichotomic strategies (the inequality bounds) and by the LP search for local
 models of the GHZ correlations under detection-efficiency constraints; a
 feasible point that fails its own certificate raises ``RuntimeError``.  Spin
-projectors, wing operators and GHZ Pauli strings are each built once per key,
-into bounded ``functools.lru_cache``s of read-only arrays.  The float keys let
+projectors, the weighted and the detection wing operators (two caches: the
+overall correlation reads only the weighted one) and GHZ Pauli strings are
+each built once per key, into bounded ``functools.lru_cache``s of read-only
+arrays; the named singlet and GHZ states are built once.  The float keys let
 -0.0 share the entry of 0.0: the builders only add a signed zero to a +0.0
 entry, and +0.0 + (-0.0) = +0.0, so no build's bytes depend on a zero's sign.
+Expectations take the real part of the complex trace, which keeps the bits
+of ``np.trace`` over ``np.kron``.
 """
 
 from __future__ import annotations
@@ -74,16 +78,18 @@ GHZ_CONTEXTS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 GHZ_CONTEXT_NAMES = ("XXX", "XYY", "YXY", "YYX")
 
 
+@functools.cache
 def singlet_state() -> DensityOperator:
-    """(|01> - |10>)/sqrt(2) as a 4x4 density operator."""
+    """(|01> - |10>)/sqrt(2) as a 4x4 density operator, built once."""
     vec = np.zeros(4, dtype=complex)
     vec[1] = 1.0 / math.sqrt(2.0)
     vec[2] = -1.0 / math.sqrt(2.0)
     return DensityOperator.from_state_vector(vec)
 
 
+@functools.cache
 def ghz_state() -> DensityOperator:
-    """(|000> + |111>)/sqrt(2) as an 8x8 density operator."""
+    """(|000> + |111>)/sqrt(2) as an 8x8 density operator, built once."""
     vec = np.zeros(8, dtype=complex)
     vec[0] = vec[7] = 1.0 / math.sqrt(2.0)
     return DensityOperator.from_state_vector(vec)
@@ -153,46 +159,63 @@ class InequalityReport:
 
 
 @functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _wing_operators(
-    angle: float, d_plus: float, d_minus: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(weighted outcome, detection) operators; d_plus, d_minus detect the outcomes +1, -1."""
-    weighted = np.zeros((2, 2), dtype=complex)
-    detect = np.zeros((2, 2), dtype=complex)
-    for ev, d, proj in zip((1.0, -1.0), (d_plus, d_minus), _spin_projectors(angle)):
-        weighted = weighted + ev * d * proj
-        detect = detect + d * proj
+def _weighted_operator(angle: float, d_plus: float, d_minus: float) -> np.ndarray:
+    """d_plus P+ - d_minus P-: each outcome times its detection probability."""
+    plus, minus = _spin_projectors(angle)
+    # The sum over outcomes (+1, -1) from a +0.0 matrix, term by term: the
+    # operations of the reference formula, so the bits of its result.
+    zeros = np.zeros((2, 2), dtype=complex)
+    weighted = (zeros + (1.0 * d_plus) * plus) + (-1.0 * d_minus) * minus
     weighted.setflags(write=False)
+    return weighted
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _detection_operator(angle: float, d_plus: float, d_minus: float) -> np.ndarray:
+    """d_plus P+ + d_minus P-: the probability that the wing registers at all."""
+    plus, minus = _spin_projectors(angle)
+    zeros = np.zeros((2, 2), dtype=complex)
+    detect = (zeros + d_plus * plus) + d_minus * minus
     detect.setflags(write=False)
-    return weighted, detect
+    return detect
 
 
-def _wing(sc: TwoPartyScenario, label: str, dm: DetectionModel):
+def _wing_key(sc: TwoPartyScenario, label: str, dm: DetectionModel) -> tuple[float, float, float]:
+    """(angle, d(+1), d(-1)): the cache key of a wing's operators."""
     d_plus, d_minus = dm.value(DEFAULT_STATE_LABEL, 1.0), dm.value(DEFAULT_STATE_LABEL, -1.0)
-    return _wing_operators(sc.angle(label), d_plus, d_minus)
+    return sc.angle(label), d_plus, d_minus
+
+
+# Flat indices of x and y in entry (2i + k, 2j + l) of kron(x, y) = x[i, j] y[k, l].
+_KRON_LEFT = np.array([0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3])
+_KRON_RIGHT = np.array([0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3])
 
 
 def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """4x4 Kronecker product of two 2x2 arrays: the broadcast multiply that
-    ``np.kron`` runs, without re-validating arrays built in this module."""
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
+    """4x4 Kronecker product of two 2x2 arrays: the products ``np.kron`` forms,
+    gathered by index, without re-validating arrays built in this module."""
+    return (x.ravel()[_KRON_LEFT] * y.ravel()[_KRON_RIGHT]).reshape(4, 4)
+
+
+def _expectation(rho: np.ndarray, op: np.ndarray) -> float:
+    # The complex trace's real part: summing the real diagonal alone rounds differently.
+    return float((rho @ op).trace().real)
 
 
 def trichotomic_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
     """Overall expectation of the product, with a0 counted as 0."""
-    m_a, _ = _wing(sc, a, sc.detection_a)
-    m_b, _ = _wing(sc, b, sc.detection_b)
-    value = float(np.trace(sc.joint_state.matrix @ _kron2(m_a, m_b)).real)
-    return CorrelationResult(value=value)
+    m_a = _weighted_operator(*_wing_key(sc, a, sc.detection_a))
+    m_b = _weighted_operator(*_wing_key(sc, b, sc.detection_b))
+    return CorrelationResult(value=_expectation(sc.joint_state.matrix, _kron2(m_a, m_b)))
 
 
 def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
     """Expectation restricted to both-detected events."""
-    m_a, n_a = _wing(sc, a, sc.detection_a)
-    m_b, n_b = _wing(sc, b, sc.detection_b)
+    key_a = _wing_key(sc, a, sc.detection_a)
+    key_b = _wing_key(sc, b, sc.detection_b)
     rho = sc.joint_state.matrix
-    numerator = float(np.trace(rho @ _kron2(m_a, m_b)).real)
-    mass = float(np.trace(rho @ _kron2(n_a, n_b)).real)
+    numerator = _expectation(rho, _kron2(_weighted_operator(*key_a), _weighted_operator(*key_b)))
+    mass = _expectation(rho, _kron2(_detection_operator(*key_a), _detection_operator(*key_b)))
     if mass <= ARITHMETIC_TOL:
         raise ValueError(f"zero joint-detection mass ({mass:.3e})")
     return CorrelationResult(value=numerator / mass)
@@ -307,10 +330,7 @@ def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float
     """
     rho = g.joint_state.matrix
     return tuple(
-        clamp(
-            float(np.trace(rho @ _ghz_product_operator(ctx)).real),
-            -1.0, 1.0, "correlation",
-        )
+        clamp(_expectation(rho, _ghz_product_operator(ctx)), -1.0, 1.0, "correlation")
         for ctx in GHZ_CONTEXTS
     )
 

@@ -188,11 +188,17 @@ def probability_triple(
     and detection = overall / conditional whenever conditional exceeds the
     arithmetic tolerance, else it is reported undefined.
     """
+    return _triple_of_effect(rho, prop, build_effect(state_label, prop, dm))
+
+
+def _triple_of_effect(
+    rho: DensityOperator, prop: Property, effect: np.ndarray
+) -> ProbabilityTriple:
+    """``probability_triple`` with the effect T(sigma) already built."""
     _check_dimensions(rho, prop.observable.base)
     conditional = clamp(
         float(np.trace(rho.matrix @ prop.projector).real), 0.0, 1.0, "conditional"
     )
-    effect = build_effect(state_label, prop, dm)
     overall = clamp(float(np.trace(rho.matrix @ effect).real), 0.0, 1.0, "overall")
     detection = overall / conditional if conditional > ARITHMETIC_TOL else None
     return ProbabilityTriple(overall=overall, detection=detection, conditional=conditional)
@@ -255,7 +261,11 @@ def luders_update(
     P rho P / Tr[P rho P].  Raises when the yes outcome has no weight.
     """
     _check_dimensions(rho, prop.observable.base)
-    t = build_effect(state_label, prop, dm)
+    return _update_by_effect(rho, build_effect(state_label, prop, dm))
+
+
+def _update_by_effect(rho: DensityOperator, t: np.ndarray) -> DensityOperator:
+    """``luders_update`` with the effect T already built for rho's dimension."""
     updated = t @ rho.matrix @ t.conj().T
     norm = float(np.trace(updated).real)
     if norm <= ARITHMETIC_TOL:

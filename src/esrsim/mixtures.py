@@ -107,14 +107,23 @@ def proper_conditional_probability(
     differ from the Born value of the averaged density operator.  Returns
     ``None`` when the aggregate detected mass vanishes.
     """
+    return _conditional_of_overall(m, prop, dm, proper_overall_probability(m, prop, dm))
+
+
+def _conditional_of_overall(
+    m: ProperMixture,
+    prop: Property,
+    dm: DetectionModel,
+    overall: float,
+) -> float | None:
+    """``proper_conditional_probability`` with its numerator already computed."""
     denominator = sum(
         c.weight * detection_mass(c.state, prop.observable, dm, c.state_label)
         for c in m.components
     )
     if denominator <= ARITHMETIC_TOL:
         return None
-    numerator = proper_overall_probability(m, prop, dm)
-    return clamp(numerator / denominator, 0.0, 1.0, "proper conditional probability")
+    return clamp(overall / denominator, 0.0, 1.0, "proper conditional probability")
 
 
 def esr_qm_divergence(

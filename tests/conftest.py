@@ -41,9 +41,10 @@ def rng() -> np.random.Generator:
 
 
 def clear_operator_caches() -> None:
-    """Empty the correlation kernels' operator caches and the strategy
-    enumerations with their indicator rows, so the next call builds cold."""
-    correlations._spin_projectors.cache_clear()
-    correlations._wing_operators.cache_clear()
-    correlations._ghz_product_operator.cache_clear()
-    hidden_variables._enumerated.cache_clear()
+    """Empty every ``functools`` cache of the correlation kernels and the
+    strategy enumeration, so the next call builds cold.  The caches are found
+    by their ``cache_clear`` attribute, so a new one cannot be missed."""
+    for module in (correlations, hidden_variables):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()

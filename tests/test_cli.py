@@ -25,7 +25,7 @@ from esrsim.cli import (
     run_scenario,
     validate_config,
 )
-from esrsim import linalg
+from esrsim import cli, linalg, measurement, mixtures
 from esrsim.measurement import DetectionModel, sample_outcomes
 from esrsim.selftest import fundamental_equation_suite
 
@@ -44,6 +44,10 @@ Z_OBSERVABLE = {
 DEGENERATE_OBSERVABLE = {**Z_OBSERVABLE, "eigenvalues": [1.0, 1.0]}
 
 PLUS_STATE = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
 
 SKEWED_DETECTION = {
     "default": 1.0,
@@ -214,6 +218,48 @@ class TestRunScenario:
         calls.clear()
         assert fundamental_equation_suite(n=50).passed
         assert len(calls) == 50
+
+    @staticmethod
+    def _count_calls(monkeypatch, names):
+        """Wrap each named function wherever the package binds it; count calls."""
+        calls = dict.fromkeys(names, 0)
+        for module in (measurement, mixtures, cli):
+            for name in names:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def counting(*args, _name=name, _original=original, **kwargs):
+                        calls[_name] += 1
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_luders_builds_its_effect_once(self, monkeypatch):
+        config = {**SHIPPED["probability_triple"], "scenario_type": "luders"}
+        state, prop, dm, label = cli._measurement(_prepare(config)[1])
+        want_yes = measurement.probability_triple(state, prop, dm, label).overall
+        want_post = measurement.luders_update(state, prop, dm, label).matrix
+        calls = self._count_calls(monkeypatch, ["build_effect"])
+        values = {r.name: r.value for r in run_scenario(config).records}
+        assert calls == {"build_effect": 1}
+        assert _bits(values["yes_probability"]) == _bits(want_yes)
+        for (i, j), z in np.ndenumerate(want_post):
+            assert _bits(values[f"post_state_{i}_{j}_re"]) == _bits(z.real)
+            assert _bits(values[f"post_state_{i}_{j}_im"]) == _bits(z.imag)
+
+    def test_mixture_divergence_builds_each_triple_once(self, monkeypatch):
+        config = SHIPPED["mixture_divergence"]
+        p = _prepare(config)[1]
+        mixture, prop, dm = p["components"], p["sigma"], p["detection_model"]
+        want_overall = mixtures.proper_overall_probability(mixture, prop, dm)
+        want_conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
+        calls = self._count_calls(monkeypatch, ["probability_triple", "build_effect"])
+        values = {r.name: r.value for r in run_scenario(config).records}
+        # One triple, and so one effect, per component; the config has two.
+        assert calls == {"probability_triple": 2, "build_effect": 2}
+        assert _bits(values["proper_overall"]) == _bits(want_overall)
+        assert _bits(values["proper_conditional"]) == _bits(want_conditional)
 
     def test_mixture_divergence_scenario(self):
         config = {

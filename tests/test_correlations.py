@@ -160,17 +160,20 @@ def _search_bits(result):
 
 
 class TestMemoizedOperators:
-    """Spin projectors, wing operators and GHZ Pauli strings are built once
-    per key; a cached array has the bytes of a fresh build whatever the call
-    history, including -0.0 against 0.0, which share a cache entry."""
+    """Spin projectors, the weighted and detection wing operators and GHZ
+    Pauli strings are built once per key; a cached array has the bytes of a
+    fresh build whatever the call history, including -0.0 against 0.0, which
+    share a cache entry."""
 
     @staticmethod
     def _check_wing(angle, d_plus, d_minus):
-        fresh = _reference_wing(
+        weighted, detect = _reference_wing(
             angle, DetectionModel(assignment={("S", 1.0): d_plus, ("S", -1.0): d_minus})
         )
-        for got, want in zip(correlations._wing_operators(angle, d_plus, d_minus), fresh):
-            assert got.tobytes() == want.tobytes()
+        got = correlations._weighted_operator(angle, d_plus, d_minus)
+        assert got.tobytes() == weighted.tobytes()
+        got = correlations._detection_operator(angle, d_plus, d_minus)
+        assert got.tobytes() == detect.tobytes()
         for got, want in zip(
             correlations._spin_projectors(angle),
             correlations._spin_projectors.__wrapped__(angle),
@@ -194,6 +197,9 @@ class TestMemoizedOperators:
             self._check_wing(0.3, x, 0.5)
             self._check_wing(0.3, 0.5, x)
             self._check_wing(x, x, x)
+        # The four keys above, each shared by both signs of its zeros.
+        for builder in (correlations._weighted_operator, correlations._detection_operator):
+            assert builder.cache_info().currsize == 4
 
     def test_ghz_pauli_strings_match_np_kron(self):
         sigma = {
@@ -258,12 +264,68 @@ class TestMemoizedOperators:
     def test_returned_arrays_are_read_only(self):
         arrays = [
             *correlations._spin_projectors(0.4),
-            *correlations._wing_operators(0.4, 0.9, 0.7),
+            correlations._weighted_operator(0.4, 0.9, 0.7),
+            correlations._detection_operator(0.4, 0.9, 0.7),
             correlations._ghz_product_operator(GHZ_CONTEXTS[1]),
         ]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
+
+
+class TestPerCallCost:
+    """What one correlation call builds: the overall expectation reads only
+    the weighted wing operators, and the named states are made once."""
+
+    def test_overall_expectation_builds_no_detection_operator(self, rng):
+        clear_operator_caches()
+        for _ in range(5):
+            d_a, d_b = (DetectionModel.uniform(float(d)) for d in rng.uniform(size=2))
+            sc = singlet_scenario(dict(zip("ab", rng.uniform(0, math.pi, 2))), d_a, d_b)
+            trichotomic_expectation(sc, "a", "b")
+        info = correlations._detection_operator.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+        assert correlations._weighted_operator.cache_info().misses == 10
+
+    def test_bell_grid_point_builds_three_weighted_operators(self):
+        clear_operator_caches()
+        settings = {"a": 0.1, "b": 0.9, "c": 2.3}
+        builds = correlations._weighted_operator.cache_info
+
+        def grid_point(d):
+            dm = DetectionModel.uniform(d)
+            sc = singlet_scenario(settings, dm, dm)
+            values = [trichotomic_expectation(sc, x, y).value for x, y in ("ab", "ac", "bc")]
+            modified_bell_report(*values)
+
+        for d in (0.7, 0.8, 0.9):
+            before = builds().misses
+            grid_point(d)
+            assert builds().misses - before == 3
+            grid_point(d)  # the same efficiency again builds nothing
+            assert builds().misses - before == 3
+
+    def test_kron2_matches_np_kron_bytes(self, rng):
+        zeros = np.array([0.0, -0.0])
+        for _ in range(200):
+            x, y = (
+                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)
+            )
+            # Signed zeros in real and imaginary parts, in random places.
+            for a in (x, y):
+                mask = rng.random((2, 2, 2)) < 0.4
+                a.real[mask[0]] = rng.choice(zeros, size=int(mask[0].sum()))
+                a.imag[mask[1]] = rng.choice(zeros, size=int(mask[1].sum()))
+            assert correlations._kron2(x, y).tobytes() == np.kron(x, y).tobytes()
+
+    def test_named_states_are_built_once_and_read_only(self):
+        for make in (correlations.singlet_state, correlations.ghz_state):
+            state = make()
+            assert make() is state
+            with pytest.raises(ValueError, match="read-only"):
+                state.matrix[0, 0] = 1.0
+            clear_operator_caches()  # finds the named states' caches too
+            assert make() is not state
 
 
 class TestConditionalExpectation:

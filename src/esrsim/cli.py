@@ -8,23 +8,11 @@ CSV layout is exactly ``scenario,record_name,value,residual`` with floats at
 round-trips numerically.  Wall time is measured but deliberately kept out of
 the emitted bytes so identical runs emit identical reports.
 
-Config keys per scenario type, besides ``scenario_type`` (* = required; the
-field tables below are their source): probability-triple and luders take
-dimension*, state*, observable*, sigma*, detection_model and state_label;
-monte-carlo adds samples and seed; evolve takes dimension*, state*,
-hamiltonian* and time*; mixture-divergence takes dimension*, components*,
-observable*, sigma* and detection_model; bell-scan and chsh-scan take
-angles_deg*, d_grid* and state; ghz-quantum takes state, and ghz-local-model
-adds min_efficiency and min_joint_detection; hv-verify takes properties*,
-microstates*, weights*, micro_detection and property*; self-test takes none.
-An ``observable`` is read as a ``GeneralizedObservable``, ``sigma`` as its
-``Property``, and evolve's ``hamiltonian`` as a bare ``SpectralObservable``.
-Any other key, at any depth, is a config error, so the ``run --seed`` and
-``--samples`` overrides are valid for monte-carlo only.  A key repeated
-within one JSON object is a config error too.  ``dimension`` is an integer
-in 1..64 (``MAX_DIMENSION``).  Labels are strings: ``state_label`` (default
-"S", read by the triple, luders and monte-carlo scenarios) and the
-detection-entry, component and property labels.
+Each scenario type accepts the keys of its field table below (``_SCENARIOS``
+maps a type to its table and runner); the README describes them.  Any other
+key, at any depth, is a config error, so the ``run --seed`` and ``--samples``
+overrides are valid for monte-carlo only.  A key repeated within one JSON
+object is a config error too.
 
 Only the modules a scenario runs are imported: ``correlations``,
 ``hidden_variables`` (with ``simplex``) and ``selftest`` are imported inside
@@ -52,9 +40,7 @@ from .measurement import (
     DetectionModel,
     GeneralizedObservable,
     Property,
-    _triple_of_effect,
-    _update_by_effect,
-    build_effect,
+    luders_update,
     outcome_distribution,
     probability_triple,
     sample_indices,
@@ -106,10 +92,12 @@ def _fmt(x: float) -> str:
 # makes the key mandatory and a callable default is called for a fresh value;
 # a key the table does not list is rejected.  Parsers are called as
 # ``parser(value, path, top)``, where ``top`` holds the top-level fields read
-# so far.  Tables are read in order, so a parser can use an earlier field:
-# ``state`` reads ``dimension``, ``sigma`` reads ``observable``, and
-# hv-verify's fields are checked against ``properties`` and ``microstates``,
-# so that ``MicrostateModel`` accepts every config its parsers accept.
+# so far; a ``ValueError`` from a parser (a library constructor rejecting the
+# value) becomes a ``ConfigError`` at the field's path.  Tables are read in
+# order, so a parser can use an earlier field: ``state`` reads ``dimension``,
+# ``sigma`` reads ``observable``, and hv-verify's fields are checked against
+# ``properties`` and ``microstates``, so that ``MicrostateModel`` accepts
+# every config its parsers accept.
 
 _REQUIRED = object()
 
@@ -130,10 +118,14 @@ def _read(node, fields: dict, path: str, top: dict | None = None) -> dict:
     parsed = {}
     top = parsed if top is None else top
     for key, (parse, default) in fields.items():
+        at = _at(path, key)
         if key in node:
-            parsed[key] = parse(node[key], _at(path, key), top)
+            try:
+                parsed[key] = parse(node[key], at, top)
+            except ValueError as exc:
+                raise ConfigError(f"{at}: {exc}") from exc
         elif default is _REQUIRED:
-            raise ConfigError(f"missing required {_at(path, key)}")
+            raise ConfigError(f"missing required {at}")
         else:
             parsed[key] = default() if callable(default) else default
     return parsed
@@ -216,10 +208,7 @@ def _density(dim: int | None = None):
     """Parser of a density matrix of size ``dim``, or of the ``dimension`` field."""
     def parse(value, path, top):
         matrix = _complex_matrix(value, path, top["dimension"] if dim is None else dim)
-        try:
-            return DensityOperator(matrix)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return DensityOperator(matrix)
 
     return parse
 
@@ -233,10 +222,7 @@ _SPECTRUM = {
 def _spectrum(value, path, top) -> SpectralObservable:
     """A spectral decomposition; ``SpectralObservable`` validates it."""
     node = _read(value, _SPECTRUM, path, top)
-    try:
-        return SpectralObservable(node["eigenvalues"], node["projectors"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return SpectralObservable(node["eigenvalues"], node["projectors"])
 
 
 def _observable(value, path, top) -> GeneralizedObservable:
@@ -246,10 +232,7 @@ def _observable(value, path, top) -> GeneralizedObservable:
 
 def _sigma(value, path, top) -> Property:
     """The outcome subset of the ``observable`` field, as a ``Property``."""
-    try:
-        return Property(top["observable"], _NUMBERS(value, path, top))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return Property(top["observable"], _NUMBERS(value, path, top))
 
 
 def _table(entry: dict, key: tuple[str, ...]):
@@ -310,10 +293,7 @@ def _components(value, path, top) -> mixtures.ProperMixture:
     for k, entry in enumerate(_list(_object(_COMPONENT))(value, path, top)):
         label = f"component{k}" if entry["label"] is None else entry["label"]
         comps.append(mixtures.ProperComponent(entry["weight"], entry["state"], label))
-    try:
-        return mixtures.ProperMixture(comps)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return mixtures.ProperMixture(comps)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +361,7 @@ _GHZ_LOCAL_MODEL = {
     **_GHZ,
     "min_efficiency": (_PROBABILITY, 0.0),
     "min_joint_detection": (
-        _number(0.0), lambda: _lazy("hidden_variables").DEFAULT_MIN_JOINT_DETECTION
+        _PROBABILITY, lambda: _lazy("hidden_variables").DEFAULT_MIN_JOINT_DETECTION
     ),
 }
 
@@ -462,10 +442,8 @@ def _entry_records(prefix: str, state: DensityOperator) -> list[Record]:
 
 
 def _run_luders(prepared: dict):
-    rho, prop, dm, label = _measurement(prepared)
-    effect = build_effect(label, prop, dm)  # one T for the yes probability and the update
-    triple = _triple_of_effect(rho, prop, effect)
-    updated = _update_by_effect(rho, effect)
+    triple = probability_triple(*_measurement(prepared))
+    updated = luders_update(*_measurement(prepared))
     records = [Record("yes_probability", triple.overall)]
     return records + _entry_records("post_state", updated), {}
 
@@ -508,7 +486,7 @@ def _run_mixture_divergence(prepared: dict):
     mixture = prepared["components"]
     prop, dm = prepared["sigma"], prepared["detection_model"]
     overall = mixtures.proper_overall_probability(mixture, prop, dm)
-    conditional = mixtures._conditional_of_overall(mixture, prop, dm, overall)
+    conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
     born = float(np.trace(mixture.averaged_density().matrix @ prop.projector).real)
     divergence = None if conditional is None else abs(conditional - born)
     records = [
@@ -822,18 +800,11 @@ def main(argv=None) -> int:
         print("self-test:", "PASS" if report.passed else "FAIL")
         return EXIT_OK if report.passed else EXIT_COMPUTE
 
-    if args.command == "validate":
-        try:
-            scenario_type = validate_config(_load_config(args.scenario))
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"OK: valid {scenario_type} scenario")
-        return EXIT_OK
-
-    # run
     try:
         config = _load_config(args.scenario)
+        if args.command == "validate":
+            print(f"OK: valid {validate_config(config)} scenario")
+            return EXIT_OK
         if not isinstance(config, dict):
             raise ConfigError("top level: expected a JSON object")
         if args.seed is not None:

@@ -12,14 +12,14 @@ The classical side is covered by exhaustive enumeration of deterministic
 trichotomic strategies (the inequality bounds) and by the LP search for local
 models of the GHZ correlations under detection-efficiency constraints; a
 feasible point that fails its own certificate raises ``RuntimeError``.  Spin
-projectors, the weighted and the detection wing operators (two caches: the
-overall correlation reads only the weighted one) and GHZ Pauli strings are
-each built once per key, into bounded ``functools.lru_cache``s of read-only
-arrays; the named singlet and GHZ states are built once.  The float keys let
--0.0 share the entry of 0.0: the builders only add a signed zero to a +0.0
-entry, and +0.0 + (-0.0) = +0.0, so no build's bytes depend on a zero's sign.
-Expectations take the real part of the complex trace, which keeps the bits
-of ``np.trace`` over ``np.kron``.
+projectors, the weighted wing operators and GHZ Pauli strings are each built
+once per key, into bounded ``functools.lru_cache``s of read-only arrays; the
+detection wing operators, which only the conditional correlation reads, are
+built per call.  The named singlet and GHZ states are built once.  The float
+keys let -0.0 share the entry of 0.0: the builders only add a signed zero to a
++0.0 entry, and +0.0 + (-0.0) = +0.0, so no build's bytes depend on a zero's
+sign.  Expectations take the real part of the complex trace, which keeps the
+bits of ``np.trace`` over ``np.kron``.
 """
 
 from __future__ import annotations
@@ -170,18 +170,15 @@ def _weighted_operator(angle: float, d_plus: float, d_minus: float) -> np.ndarra
     return weighted
 
 
-@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def _detection_operator(angle: float, d_plus: float, d_minus: float) -> np.ndarray:
     """d_plus P+ + d_minus P-: the probability that the wing registers at all."""
     plus, minus = _spin_projectors(angle)
     zeros = np.zeros((2, 2), dtype=complex)
-    detect = (zeros + d_plus * plus) + d_minus * minus
-    detect.setflags(write=False)
-    return detect
+    return (zeros + d_plus * plus) + d_minus * minus
 
 
 def _wing_key(sc: TwoPartyScenario, label: str, dm: DetectionModel) -> tuple[float, float, float]:
-    """(angle, d(+1), d(-1)): the cache key of a wing's operators."""
+    """(angle, d(+1), d(-1)): the arguments of a wing's operators."""
     d_plus, d_minus = dm.value(DEFAULT_STATE_LABEL, 1.0), dm.value(DEFAULT_STATE_LABEL, -1.0)
     return sc.angle(label), d_plus, d_minus
 

@@ -233,14 +233,17 @@ def build_feasibility_lp(
     conditional correlation sum_s w_s prod_c(s) / sum_s w_s det_c(s) = t is
     cross-multiplied into sum_s w_s (prod_c(s) - t det_c(s)) = 0 (a tolerance
     splits it into two inequalities).  Every referenced context keeps
-    joint-detection mass >= ``min_joint_detection`` so the all-undetected
-    distribution cannot satisfy the constraints vacuously.  ``min_efficiency``
-    lower-bounds every (party, setting) marginal detection probability.
+    joint-detection mass >= ``min_joint_detection`` (a probability, in [0, 1])
+    so the all-undetected distribution cannot satisfy the constraints
+    vacuously.  ``min_efficiency`` lower-bounds every (party, setting) marginal
+    detection probability.
     """
     if len(strategies) == 0:
         raise ValueError("no strategies supplied")
     if min_joint_detection < 0.0:
         raise ValueError("min_joint_detection must be nonnegative")
+    if min_joint_detection > 1.0:
+        raise ValueError("min_joint_detection must be at most 1")
     outcomes = np.asarray(strategies, dtype=int)
     n, parties, settings = outcomes.shape
     rows = _strategy_rows(outcomes)

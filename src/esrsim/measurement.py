@@ -188,14 +188,8 @@ def probability_triple(
     and detection = overall / conditional whenever conditional exceeds the
     arithmetic tolerance, else it is reported undefined.
     """
-    return _triple_of_effect(rho, prop, build_effect(state_label, prop, dm))
-
-
-def _triple_of_effect(
-    rho: DensityOperator, prop: Property, effect: np.ndarray
-) -> ProbabilityTriple:
-    """``probability_triple`` with the effect T(sigma) already built."""
     _check_dimensions(rho, prop.observable.base)
+    effect = build_effect(state_label, prop, dm)
     conditional = clamp(
         float(np.trace(rho.matrix @ prop.projector).real), 0.0, 1.0, "conditional"
     )
@@ -261,11 +255,7 @@ def luders_update(
     P rho P / Tr[P rho P].  Raises when the yes outcome has no weight.
     """
     _check_dimensions(rho, prop.observable.base)
-    return _update_by_effect(rho, build_effect(state_label, prop, dm))
-
-
-def _update_by_effect(rho: DensityOperator, t: np.ndarray) -> DensityOperator:
-    """``luders_update`` with the effect T already built for rho's dimension."""
+    t = build_effect(state_label, prop, dm)
     updated = t @ rho.matrix @ t.conj().T
     norm = float(np.trace(updated).real)
     if norm <= ARITHMETIC_TOL:

@@ -107,16 +107,7 @@ def proper_conditional_probability(
     differ from the Born value of the averaged density operator.  Returns
     ``None`` when the aggregate detected mass vanishes.
     """
-    return _conditional_of_overall(m, prop, dm, proper_overall_probability(m, prop, dm))
-
-
-def _conditional_of_overall(
-    m: ProperMixture,
-    prop: Property,
-    dm: DetectionModel,
-    overall: float,
-) -> float | None:
-    """``proper_conditional_probability`` with its numerator already computed."""
+    overall = proper_overall_probability(m, prop, dm)
     denominator = sum(
         c.weight * detection_mass(c.state, prop.observable, dm, c.state_label)
         for c in m.components

@@ -114,6 +114,14 @@ REPEATED_DETECTION = (
 )
 
 
+# Trace 2: each is rejected by ``DensityOperator``, not by the config reader.
+TRACE_TWO_STATE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+TRACE_TWO_STATE_4 = [
+    [[1.0 if i == j < 2 else 0.0, 0.0] for j in range(4)] for i in range(4)
+]
+MIXED_STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
 def dimension_65_config() -> dict:
     # Consistent 65x65 inputs, so only the dimension bound can reject them.
     def diagonal(values):
@@ -219,45 +227,24 @@ class TestRunScenario:
         assert fundamental_equation_suite(n=50).passed
         assert len(calls) == 50
 
-    @staticmethod
-    def _count_calls(monkeypatch, names):
-        """Wrap each named function wherever the package binds it; count calls."""
-        calls = dict.fromkeys(names, 0)
-        for module in (measurement, mixtures, cli):
-            for name in names:
-                if hasattr(module, name):
-                    original = getattr(module, name)
-
-                    def counting(*args, _name=name, _original=original, **kwargs):
-                        calls[_name] += 1
-                        return _original(*args, **kwargs)
-
-                    monkeypatch.setattr(module, name, counting)
-        return calls
-
-    def test_luders_builds_its_effect_once(self, monkeypatch):
+    def test_luders_records_match_the_public_functions(self):
         config = {**SHIPPED["probability_triple"], "scenario_type": "luders"}
         state, prop, dm, label = cli._measurement(_prepare(config)[1])
         want_yes = measurement.probability_triple(state, prop, dm, label).overall
         want_post = measurement.luders_update(state, prop, dm, label).matrix
-        calls = self._count_calls(monkeypatch, ["build_effect"])
         values = {r.name: r.value for r in run_scenario(config).records}
-        assert calls == {"build_effect": 1}
         assert _bits(values["yes_probability"]) == _bits(want_yes)
         for (i, j), z in np.ndenumerate(want_post):
             assert _bits(values[f"post_state_{i}_{j}_re"]) == _bits(z.real)
             assert _bits(values[f"post_state_{i}_{j}_im"]) == _bits(z.imag)
 
-    def test_mixture_divergence_builds_each_triple_once(self, monkeypatch):
+    def test_mixture_divergence_records_match_the_public_functions(self):
         config = SHIPPED["mixture_divergence"]
         p = _prepare(config)[1]
         mixture, prop, dm = p["components"], p["sigma"], p["detection_model"]
         want_overall = mixtures.proper_overall_probability(mixture, prop, dm)
         want_conditional = mixtures.proper_conditional_probability(mixture, prop, dm)
-        calls = self._count_calls(monkeypatch, ["probability_triple", "build_effect"])
         values = {r.name: r.value for r in run_scenario(config).records}
-        # One triple, and so one effect, per component; the config has two.
-        assert calls == {"probability_triple": 2, "build_effect": 2}
         assert _bits(values["proper_overall"]) == _bits(want_overall)
         assert _bits(values["proper_conditional"]) == _bits(want_conditional)
 
@@ -631,6 +618,15 @@ class TestCommandLine:
             (evolve_config(eigenvalues=(1e306, -1e306), time=100.0), "field 'time'"),
             (appended(*REPEATED_MICRO_DETECTION), "field 'micro_detection'.entries[1]"),
             (appended(*REPEATED_DETECTION), "field 'detection_model'.entries[2]"),
+            # A joint-detection mass is a probability.
+            (
+                {"scenario_type": "ghz-local-model", "min_joint_detection": 2.0},
+                "field 'min_joint_detection'",
+            ),
+            (
+                {"scenario_type": "ghz-local-model", "min_joint_detection": 1e308},
+                "field 'min_joint_detection'",
+            ),
         ],
     )
     def test_validate_and_run_agree_on_invalid_fields(self, tmp_path, esr_sim, config, field):
@@ -640,6 +636,53 @@ class TestCommandLine:
             result = esr_sim(command, "--scenario", str(path))
             assert result.returncode == 2, (command, result.stderr)
             assert field in result.stderr
+
+    @pytest.mark.parametrize(
+        "config, line",
+        [
+            (
+                mutated("probability_triple", ("state",), TRACE_TWO_STATE),
+                "field 'state': trace deviates from 1 by 1.000e+00",
+            ),
+            (
+                {**SHIPPED["bell_scan"], "state": TRACE_TWO_STATE_4},
+                "field 'state': trace deviates from 1 by 1.000e+00",
+            ),
+            (
+                mutated("mixture_divergence", ("components", 0, "state"), TRACE_TWO_STATE),
+                "field 'components'[0].state: trace deviates from 1 by 1.000e+00",
+            ),
+            (
+                mutated(
+                    "mixture_divergence", ("components",), [{"weight": 1.0, "state": MIXED_STATE}]
+                ),
+                "field 'components': component 'component0' is not pure: Tr[rho^2] = 0.5",
+            ),
+            (
+                mutated("probability_triple", ("sigma",), [2.0]),
+                "field 'sigma': eigenvalue 2.0 not in spectrum (1.0, -1.0)",
+            ),
+            (
+                mutated("probability_triple", ("sigma",), [1.0, 1.0]),
+                "field 'sigma': sigma contains duplicates",
+            ),
+        ],
+        ids=[
+            "triple-state-trace",
+            "bell-state-trace",
+            "component-state-trace",
+            "impure-component",
+            "sigma-outside-spectrum",
+            "sigma-duplicates",
+        ],
+    )
+    def test_library_rejections_exit_2_at_their_field(self, tmp_path, esr_sim, config, line):
+        # The library's own message, prefixed with the path of the field it came from.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        for command in ("validate", "run"):
+            result = esr_sim(command, "--scenario", str(path))
+            assert (result.returncode, result.stderr) == (2, f"config error: {line}\n"), command
 
     def test_seed_and_samples_flags_only_for_monte_carlo(self, esr_sim):
         path = CONFIG_DIR / "bell_scan.json"

@@ -160,10 +160,10 @@ def _search_bits(result):
 
 
 class TestMemoizedOperators:
-    """Spin projectors, the weighted and detection wing operators and GHZ
-    Pauli strings are built once per key; a cached array has the bytes of a
-    fresh build whatever the call history, including -0.0 against 0.0, which
-    share a cache entry."""
+    """Spin projectors, the weighted wing operators and GHZ Pauli strings are
+    built once per key; a cached array has the bytes of a fresh build whatever
+    the call history, including -0.0 against 0.0, which share a cache entry.
+    The uncached detection wing operator keeps the reference bytes too."""
 
     @staticmethod
     def _check_wing(angle, d_plus, d_minus):
@@ -198,8 +198,7 @@ class TestMemoizedOperators:
             self._check_wing(0.3, 0.5, x)
             self._check_wing(x, x, x)
         # The four keys above, each shared by both signs of its zeros.
-        for builder in (correlations._weighted_operator, correlations._detection_operator):
-            assert builder.cache_info().currsize == 4
+        assert correlations._weighted_operator.cache_info().currsize == 4
 
     def test_ghz_pauli_strings_match_np_kron(self):
         sigma = {
@@ -265,7 +264,6 @@ class TestMemoizedOperators:
         arrays = [
             *correlations._spin_projectors(0.4),
             correlations._weighted_operator(0.4, 0.9, 0.7),
-            correlations._detection_operator(0.4, 0.9, 0.7),
             correlations._ghz_product_operator(GHZ_CONTEXTS[1]),
         ]
         for a in arrays:
@@ -277,14 +275,15 @@ class TestPerCallCost:
     """What one correlation call builds: the overall expectation reads only
     the weighted wing operators, and the named states are made once."""
 
-    def test_overall_expectation_builds_no_detection_operator(self, rng):
+    def test_overall_expectation_builds_no_detection_operator(self, rng, monkeypatch):
+        built = []
+        monkeypatch.setattr(correlations, "_detection_operator", lambda *key: built.append(key))
         clear_operator_caches()
         for _ in range(5):
             d_a, d_b = (DetectionModel.uniform(float(d)) for d in rng.uniform(size=2))
             sc = singlet_scenario(dict(zip("ab", rng.uniform(0, math.pi, 2))), d_a, d_b)
             trichotomic_expectation(sc, "a", "b")
-        info = correlations._detection_operator.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
+        assert built == []
         assert correlations._weighted_operator.cache_info().misses == 10
 
     def test_bell_grid_point_builds_three_weighted_operators(self):

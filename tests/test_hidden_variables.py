@@ -224,8 +224,19 @@ class TestBuildFeasibilityLP:
             ),
             "min_joint_detection must be nonnegative",
         ),
+        (
+            lambda: build_feasibility_lp(
+                enumerate_local_strategies(1, 1), (), min_joint_detection=1.5
+            ),
+            "min_joint_detection must be at most 1",
+        ),
     ],
-    ids=["default-detection-above-one", "zero-parties", "negative-min-joint-detection"],
+    ids=[
+        "default-detection-above-one",
+        "zero-parties",
+        "negative-min-joint-detection",
+        "min-joint-detection-above-one",
+    ],
 )
 def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError) as excinfo:

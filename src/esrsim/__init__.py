@@ -19,7 +19,18 @@ The package splits into:
 
 Import names from their submodules, e.g. ``from esrsim.linalg import
 DensityOperator``.  Importing the package itself loads no submodule, and
-``esr-sim run`` loads only the modules its scenario needs.
+``esr-sim run`` loads, besides ``cli``, only the modules its scenario calls:
+
+- probability-triple, luders, evolve, monte-carlo: ``linalg`` and
+  ``measurement``;
+- mixture-divergence: those two and ``mixtures``;
+- bell-scan, chsh-scan, ghz-quantum: those two and ``correlations``;
+- ghz-local-model: those three, ``hidden_variables`` and ``simplex``;
+- hv-verify: ``linalg``, ``measurement`` and ``hidden_variables``;
+- self-test: every module but ``mixtures``.
+
+No module imports ``dataclasses``: records are plain classes with
+``__slots__``, and the immutable ones derive from ``linalg.Frozen``.
 """
 
 __version__ = "0.1.0"

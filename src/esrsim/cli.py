@@ -14,10 +14,11 @@ key, at any depth, is a config error, so the ``run --seed`` and ``--samples``
 overrides are valid for monte-carlo only.  A key repeated within one JSON
 object is a config error too.
 
-Only the modules a scenario runs are imported: ``correlations``,
-``hidden_variables`` (with ``simplex``) and ``selftest`` are imported inside
-the parsers and runners that use them, so a probability-triple run never
-loads the LP code.
+Only the modules a scenario runs are imported: ``mixtures``,
+``correlations``, ``hidden_variables`` and ``selftest`` are imported inside
+the parsers and runners that use them (``correlations`` loads the LP modules
+only for the GHZ local-model search), so a probability-triple run loads
+``linalg`` and ``measurement`` alone.
 
 Exit codes: 0 success, 2 config error (with a field path), 3 computation error.
 """
@@ -30,12 +31,17 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mixtures
-from .linalg import ARITHMETIC_TOL, DensityOperator, SpectralObservable
+from .linalg import (
+    ARITHMETIC_TOL,
+    DEFAULT_MIN_JOINT_DETECTION,
+    MIN_COMPONENT_WEIGHT,
+    DensityOperator,
+    Frozen,
+    SpectralObservable,
+)
 from .measurement import (
     DetectionModel,
     GeneralizedObservable,
@@ -63,20 +69,25 @@ class ConfigError(Exception):
     """Scenario configuration is malformed; reported with a field path."""
 
 
-@dataclass(frozen=True)
-class Record:
-    name: str
-    value: float | None
-    residual: float | None = None
+class Record(Frozen):
+    __slots__ = ("name", "value", "residual")
+
+    def __init__(self, name: str, value: float | None, residual: float | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "residual", residual)
 
 
-@dataclass
 class RunReport:
-    scenario: str
-    config: dict
-    records: list[Record]
-    diagnostics: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0  # measured, never serialized
+    __slots__ = ("scenario", "config", "records", "diagnostics", "wall_time_s")
+
+    def __init__(self, scenario: str, config: dict, records: list[Record],
+                 diagnostics: dict | None = None, wall_time_s: float = 0.0):
+        self.scenario = scenario
+        self.config = config
+        self.records = records
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.wall_time_s = wall_time_s  # measured, never serialized
 
 
 def _fmt(x: float) -> str:
@@ -281,14 +292,21 @@ def _angles(count: int):
     return parse
 
 
+def _lazy(module: str):
+    """``esrsim.<module>``, imported only when a scenario first needs it."""
+    return importlib.import_module(f"{__package__}.{module}")
+
+
 _COMPONENT = {
-    "weight": (_number(mixtures.MIN_COMPONENT_WEIGHT, 1.0), _REQUIRED),
+    "weight": (_number(MIN_COMPONENT_WEIGHT, 1.0), _REQUIRED),
     "state": (_density(), _REQUIRED),
     "label": (_label, None),
 }
 
 
-def _components(value, path, top) -> mixtures.ProperMixture:
+def _components(value, path, top):
+    """The components as a ``mixtures.ProperMixture``."""
+    mixtures = _lazy("mixtures")
     comps = []
     for k, entry in enumerate(_list(_object(_COMPONENT))(value, path, top)):
         label = f"component{k}" if entry["label"] is None else entry["label"]
@@ -344,11 +362,6 @@ _MIXTURE = {
 }
 
 
-def _lazy(module: str):
-    """``esrsim.<module>``, imported only when a config leaves out a default it owns."""
-    return importlib.import_module(f"{__package__}.{module}")
-
-
 _BELL = {
     "angles_deg": (_angles(3), _REQUIRED),
     "state": (_density(4), lambda: _lazy("correlations").singlet_state()),
@@ -360,9 +373,7 @@ _GHZ = {"state": (_density(8), lambda: _lazy("correlations").ghz_state())}
 _GHZ_LOCAL_MODEL = {
     **_GHZ,
     "min_efficiency": (_PROBABILITY, 0.0),
-    "min_joint_detection": (
-        _PROBABILITY, lambda: _lazy("hidden_variables").DEFAULT_MIN_JOINT_DETECTION
-    ),
+    "min_joint_detection": (_PROBABILITY, DEFAULT_MIN_JOINT_DETECTION),
 }
 
 
@@ -483,6 +494,7 @@ def _run_monte_carlo(prepared: dict):
 
 
 def _run_mixture_divergence(prepared: dict):
+    mixtures = _lazy("mixtures")
     mixture = prepared["components"]
     prop, dm = prepared["sigma"], prepared["detection_model"]
     overall = mixtures.proper_overall_probability(mixture, prop, dm)

@@ -11,7 +11,9 @@ from unmodified quantum predictions.
 The classical side is covered by exhaustive enumeration of deterministic
 trichotomic strategies (the inequality bounds) and by the LP search for local
 models of the GHZ correlations under detection-efficiency constraints; a
-feasible point that fails its own certificate raises ``RuntimeError``.  Spin
+feasible point that fails its own certificate raises ``RuntimeError``.  The
+LP modules (``hidden_variables``, ``simplex``) are imported inside that
+search, so the scans and GHZ predictions never load them.  Spin
 projectors, the weighted wing operators and GHZ Pauli strings are each built
 once per key, into bounded ``functools.lru_cache``s of read-only arrays; the
 detection wing operators, which only the conditional correlation reads, are
@@ -27,21 +29,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hidden_variables import (
-    DEFAULT_MIN_JOINT_DETECTION,
-    CorrelationTarget,
-    _strategy_rows,
-    build_feasibility_lp,
-    enumerate_local_strategies,
-)
-from .linalg import ARITHMETIC_TOL, DensityOperator, clamp
+from .linalg import ARITHMETIC_TOL, DEFAULT_MIN_JOINT_DETECTION, DensityOperator, Frozen, clamp
 from .measurement import DEFAULT_STATE_LABEL, DetectionModel
-from .simplex import feasibility_residuals, solve_lp_simplex
 
 __all__ = [
     "PAULI_X",
@@ -105,8 +98,7 @@ def _spin_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPartyScenario:
+class TwoPartyScenario(Frozen):
     """Bipartite state with labelled measurement angles and per-wing detection.
 
     Each setting label maps to a polar angle; the wing observable is
@@ -114,21 +106,22 @@ class TwoPartyScenario:
     ``DEFAULT_STATE_LABEL``.
     """
 
-    joint_state: DensityOperator
-    settings: Mapping[str, float]
-    detection_a: DetectionModel
-    detection_b: DetectionModel
+    __slots__ = ("joint_state", "settings", "detection_a", "detection_b")
 
-    def __post_init__(self):
-        if self.joint_state.dimension != 4:
+    def __init__(self, joint_state: DensityOperator, settings: Mapping[str, float],
+                 detection_a: DetectionModel, detection_b: DetectionModel):
+        if joint_state.dimension != 4:
             raise ValueError(
-                f"two-party state must be 4-dimensional, got {self.joint_state.dimension}"
+                f"two-party state must be 4-dimensional, got {joint_state.dimension}"
             )
-        angles = dict(self.settings)
+        angles = dict(settings)
         for label, angle in angles.items():
             if not math.isfinite(float(angle)):
                 raise ValueError(f"angle for setting {label!r} is not finite")
+        object.__setattr__(self, "joint_state", joint_state)
         object.__setattr__(self, "settings", angles)
+        object.__setattr__(self, "detection_a", detection_a)
+        object.__setattr__(self, "detection_b", detection_b)
 
     def angle(self, label: str) -> float:
         if label not in self.settings:
@@ -136,18 +129,19 @@ class TwoPartyScenario:
         return float(self.settings[label])
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    value: float
+class CorrelationResult(Frozen):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", clamp(self.value, -1.0, 1.0, "correlation"))
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", clamp(value, -1.0, 1.0, "correlation"))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    lhs: float
-    rhs: float
+class InequalityReport(Frozen):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: float, rhs: float):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def margin(self) -> float:
@@ -237,18 +231,23 @@ def modified_chsh_report(
     return InequalityReport(lhs=abs(e_ab - e_ac) + abs(e_db + e_dc), rhs=2.0)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    efficiency: float
-    lhs: float
-    satisfied: bool
+class ScanRow(Frozen):
+    __slots__ = ("efficiency", "lhs", "satisfied")
+
+    def __init__(self, efficiency: float, lhs: float, satisfied: bool):
+        object.__setattr__(self, "efficiency", efficiency)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "satisfied", satisfied)
 
 
-@dataclass(frozen=True)
-class EfficiencyScan:
-    rows: tuple[ScanRow, ...]
-    threshold: float | None
-    threshold_tolerance: float
+class EfficiencyScan(Frozen):
+    __slots__ = ("rows", "threshold", "threshold_tolerance")
+
+    def __init__(self, rows: tuple[ScanRow, ...], threshold: float | None,
+                 threshold_tolerance: float):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "threshold_tolerance", threshold_tolerance)
 
 
 def efficiency_scan(
@@ -293,17 +292,15 @@ def efficiency_scan(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GHZScenario:
+class GHZScenario(Frozen):
     """Three qubits, each measured along X or Y."""
 
-    joint_state: DensityOperator
+    __slots__ = ("joint_state",)
 
-    def __post_init__(self):
-        if self.joint_state.dimension != 8:
-            raise ValueError(
-                f"GHZ state must be 8-dimensional, got {self.joint_state.dimension}"
-            )
+    def __init__(self, joint_state: DensityOperator):
+        if joint_state.dimension != 8:
+            raise ValueError(f"GHZ state must be 8-dimensional, got {joint_state.dimension}")
+        object.__setattr__(self, "joint_state", joint_state)
 
     @classmethod
     def standard(cls) -> "GHZScenario":
@@ -332,19 +329,30 @@ def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GHZLocalModelResult:
-    feasible: bool
-    targets: tuple[float, ...]  # the ghz_quantum_correlations searched for
-    phase1_objective: float
-    pivots: int
-    # The feasible point; None on an infeasible verdict.
-    weights: np.ndarray | None = None
-    correlations: tuple[float, ...] | None = None
-    efficiencies: dict | None = None  # (party, setting) -> marginal detection
-    joint_detection: dict | None = None  # context -> mass
-    max_residual: float | None = None
-    support_size: int | None = None
+class GHZLocalModelResult(Frozen):
+    """A search verdict.  ``targets`` are the ghz_quantum_correlations searched
+    for; the fields from ``weights`` on describe the feasible point and are
+    None on an infeasible verdict.  ``efficiencies`` maps (party, setting) to
+    a marginal detection and ``joint_detection`` a context to its mass."""
+
+    __slots__ = ("feasible", "targets", "phase1_objective", "pivots", "weights", "correlations",
+                 "efficiencies", "joint_detection", "max_residual", "support_size")
+
+    def __init__(self, feasible: bool, targets: tuple[float, ...], phase1_objective: float,
+                 pivots: int, weights: np.ndarray | None = None,
+                 correlations: tuple[float, ...] | None = None, efficiencies: dict | None = None,
+                 joint_detection: dict | None = None, max_residual: float | None = None,
+                 support_size: int | None = None):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "phase1_objective", phase1_objective)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "correlations", correlations)
+        object.__setattr__(self, "efficiencies", efficiencies)
+        object.__setattr__(self, "joint_detection", joint_detection)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "support_size", support_size)
 
 
 def ghz_local_model_search(
@@ -362,6 +370,15 @@ def ghz_local_model_search(
     correlations, so the verdict flips to infeasible.  Feasible outputs are
     re-verified by direct constraint evaluation, independent of the solver.
     """
+    # The LP modules load here, so the scans and ghz-quantum never import them.
+    from .hidden_variables import (
+        CorrelationTarget,
+        _strategy_rows,
+        build_feasibility_lp,
+        enumerate_local_strategies,
+    )
+    from .simplex import feasibility_residuals, solve_lp_simplex
+
     outcomes = enumerate_local_strategies(parties=3, settings=2)
     rows = _strategy_rows(outcomes)
     target_values = ghz_quantum_correlations(g)
@@ -373,7 +390,7 @@ def ghz_local_model_search(
         outcomes,
         targets,
         min_joint_detection=min_joint_detection,
-        min_efficiency=min_efficiency if min_efficiency > 0.0 else None,
+        min_efficiency=min_efficiency,
     )
     result = solve_lp_simplex(problem)
     if not result.feasible:
@@ -414,10 +431,12 @@ def ghz_local_model_search(
     )
 
 
-@dataclass(frozen=True)
-class BruteForceBound:
-    value: float
-    tight: tuple[tuple[int, ...], ...]
+class BruteForceBound(Frozen):
+    __slots__ = ("value", "tight")
+
+    def __init__(self, value: float, tight: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tight", tight)
 
 
 def brute_force_trichotomic_bound(

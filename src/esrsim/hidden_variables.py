@@ -11,19 +11,19 @@ encoding no detection.  Reproducing target conditional correlations with a
 distribution over strategies is a linear feasibility problem: the conditional
 constraints (ratios of linear forms) are cross-multiplied by the
 joint-detection mass, which is kept away from zero by an explicit lower bound.
+``simplex`` is imported only where that LP is built, so a microstate model
+(hv-verify) never loads the solver.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL
+from .linalg import ARITHMETIC_TOL, DEFAULT_MIN_JOINT_DETECTION, Frozen
 from .measurement import ProbabilityTriple
-from .simplex import FeasibilityProblem
 
 __all__ = [
     "MicroPropertySet",
@@ -37,45 +37,43 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_SLOTS = 12
-DEFAULT_MIN_JOINT_DETECTION = 1e-6
 _ENUMERATION_CACHE_SIZE = 4  # (parties, settings) shapes kept with their rows
 
 
-@dataclass(frozen=True)
-class MicroPropertySet:
+class MicroPropertySet(Frozen):
     """Labels of the microscopic properties, one per macroscopic property."""
 
-    labels: tuple[Hashable, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: tuple[Hashable, ...]):
+        if len(set(labels)) != len(labels):
             raise ValueError("microscopic property labels must be distinct")
+        object.__setattr__(self, "labels", labels)
 
 
-@dataclass(frozen=True, eq=False)
-class MicrostateModel:
+class MicrostateModel(Frozen):
     """Finite microstate family with weights and micro-level detection.
 
     ``microstates`` are subsets of the property labels, ``weights`` the
     distribution p(state | macrostate), and ``micro_detection`` maps a
     (microstate index, property label) pair to a detection probability;
-    unlisted pairs use ``default_detection``.
+    unlisted pairs use ``default_detection``; no ``micro_detection`` means an
+    empty table.
     """
 
-    property_set: MicroPropertySet
-    microstates: tuple[frozenset, ...]
-    weights: tuple[float, ...]
-    micro_detection: Mapping[tuple[int, Hashable], float] = field(default_factory=dict)
-    default_detection: float = 1.0
+    __slots__ = ("property_set", "microstates", "weights", "micro_detection", "default_detection")
 
-    def __post_init__(self):
-        states = tuple(frozenset(s) for s in self.microstates)
-        labels = set(self.property_set.labels)
+    def __init__(self, property_set: MicroPropertySet, microstates: tuple[frozenset, ...],
+                 weights: tuple[float, ...],
+                 micro_detection: Mapping[tuple[int, Hashable], float] | None = None,
+                 default_detection: float = 1.0):
+        states = tuple(frozenset(s) for s in microstates)
+        labels = set(property_set.labels)
         for s in states:
             unknown = s - labels
             if unknown:
                 raise ValueError(f"microstate uses unknown properties {sorted(unknown)}")
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(float(w) for w in weights)
         if len(weights) != len(states):
             raise ValueError(f"{len(states)} microstates but {len(weights)} weights")
         if any(w < 0 for w in weights):
@@ -83,7 +81,7 @@ class MicrostateModel:
         if abs(sum(weights) - 1.0) > ARITHMETIC_TOL:
             raise ValueError(f"weights sum to {sum(weights)}, not 1")
         detection = {}
-        for (idx, label), value in dict(self.micro_detection).items():
+        for (idx, label), value in dict(micro_detection or {}).items():
             if not 0 <= int(idx) < len(states):
                 raise ValueError(f"micro_detection references microstate {idx}")
             if label not in labels:
@@ -92,12 +90,13 @@ class MicrostateModel:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"micro detection {v} outside [0, 1]")
             detection[(int(idx), label)] = v
-        if not 0.0 <= float(self.default_detection) <= 1.0:
+        if not 0.0 <= float(default_detection) <= 1.0:
             raise ValueError("default_detection outside [0, 1]")
+        object.__setattr__(self, "property_set", property_set)
         object.__setattr__(self, "microstates", states)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "micro_detection", detection)
-        object.__setattr__(self, "default_detection", float(self.default_detection))
+        object.__setattr__(self, "default_detection", float(default_detection))
 
     def detection(self, index: int, label: Hashable) -> float:
         return self.micro_detection.get((index, label), self.default_detection)
@@ -205,20 +204,20 @@ def _strategy_rows(outcomes: np.ndarray) -> _StrategyRows:
     return _StrategyRows(outcomes)
 
 
-@dataclass(frozen=True)
-class CorrelationTarget:
+class CorrelationTarget(Frozen):
     """Target conditional-on-detection correlation for one setting context."""
 
-    settings: tuple[int, ...]
-    value: float
-    tolerance: float = 0.0
+    __slots__ = ("settings", "value", "tolerance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(int(s) for s in self.settings))
-        if not -1.0 <= self.value <= 1.0:
-            raise ValueError(f"target correlation {self.value} outside [-1, 1]")
-        if self.tolerance < 0.0:
-            raise ValueError(f"inconsistent tolerance sign: {self.tolerance}")
+    def __init__(self, settings: tuple[int, ...], value: float, tolerance: float = 0.0):
+        settings = tuple(int(s) for s in settings)
+        if not -1.0 <= value <= 1.0:
+            raise ValueError(f"target correlation {value} outside [-1, 1]")
+        if not tolerance >= 0.0:  # NaN fails this too
+            raise ValueError(f"inconsistent tolerance sign: {tolerance}")
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tolerance", tolerance)
 
 
 def build_feasibility_lp(
@@ -240,9 +239,9 @@ def build_feasibility_lp(
     """
     if len(strategies) == 0:
         raise ValueError("no strategies supplied")
-    if min_joint_detection < 0.0:
+    if not min_joint_detection >= 0.0:  # NaN fails this too
         raise ValueError("min_joint_detection must be nonnegative")
-    if min_joint_detection > 1.0:
+    if not min_joint_detection <= 1.0:
         raise ValueError("min_joint_detection must be at most 1")
     outcomes = np.asarray(strategies, dtype=int)
     n, parties, settings = outcomes.shape
@@ -288,6 +287,8 @@ def build_feasibility_lp(
                 a_ub_rows.append(-marginals[party, setting])
                 b_ub.append(-bound)
                 ub_labels.append(f"efficiency[party={party},setting={setting}]>={bound}")
+
+    from .simplex import FeasibilityProblem  # loaded only where an LP is made
 
     return FeasibilityProblem(
         n_vars=n,

@@ -8,19 +8,24 @@ density operators and projector-valued spectral decompositions.
 
 Two tolerances serve the whole package: ``ARITHMETIC_TOL`` guards exact
 identities (traces, probability sums, the product law) and ``STRUCTURAL_TOL``
-guards structural invariants (idempotence, orthogonality, positivity).
+guards structural invariants (idempotence, orthogonality, positivity).  Two
+input floors sit beside them, so the CLI's field tables read them without
+loading the modules that enforce them: ``MIN_COMPONENT_WEIGHT`` (mixtures)
+and ``DEFAULT_MIN_JOINT_DETECTION`` (the GHZ local-model LP).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ARITHMETIC_TOL",
     "STRUCTURAL_TOL",
+    "MIN_COMPONENT_WEIGHT",
+    "DEFAULT_MIN_JOINT_DETECTION",
+    "Frozen",
     "DensityOperator",
     "SpectralObservable",
     "InvariantViolation",
@@ -34,6 +39,30 @@ __all__ = [
 
 ARITHMETIC_TOL = 1e-12
 STRUCTURAL_TOL = 1e-10
+MIN_COMPONENT_WEIGHT = 1e-9
+DEFAULT_MIN_JOINT_DETECTION = 1e-6
+
+
+class Frozen:
+    """Base of an immutable record: ``__init__`` sets each of the subclass's
+    ``__slots__`` once with ``object.__setattr__``; a later assignment or
+    deletion raises ``AttributeError``.  The repr lists the slots."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore slots through here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def clamp(x: float, lo: float, hi: float, what: str) -> float:
@@ -57,19 +86,23 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class InvariantViolation:
-    invariant: str
-    deviation: float
-    message: str
+class InvariantViolation(Frozen):
+    __slots__ = ("invariant", "deviation", "message")
+
+    def __init__(self, invariant: str, deviation: float, message: str):
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Frozen):
     """Outcome of a structural validation pass; never raised, only reported."""
 
-    valid: bool
-    violations: tuple[InvariantViolation, ...] = field(default=())
+    __slots__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple[InvariantViolation, ...] = ()):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "violations", violations)
 
     def describe(self) -> str:
         if self.valid:
@@ -120,8 +153,7 @@ def _density_report(a: np.ndarray) -> ValidityReport:
     return ValidityReport(not violations, tuple(violations))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(Frozen):
     """Positive unit-trace Hermitian matrix: a pure state or improper mixture.
 
     Construction raises ``ValueError`` with the description of any
@@ -129,7 +161,7 @@ class DensityOperator:
     coerced and checked once, so every instance is valid.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         a = as_complex_matrix(matrix)
@@ -156,8 +188,7 @@ class DensityOperator:
         return cls(np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralObservable:
+class SpectralObservable(Frozen):
     """Discrete spectral decomposition: distinct real eigenvalues with projectors.
 
     Construction checks shapes and finiteness, then raises ``ValueError``
@@ -167,8 +198,7 @@ class SpectralObservable:
     instance is a projection-valued measure.
     """
 
-    eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
+    __slots__ = ("eigenvalues", "projectors")
 
     def __init__(self, eigenvalues, projectors):
         evs = tuple(float(x) for x in eigenvalues)

@@ -20,12 +20,11 @@ defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, DensityOperator, SpectralObservable, clamp
+from .linalg import ARITHMETIC_TOL, DensityOperator, Frozen, SpectralObservable, clamp
 
 __all__ = [
     "GeneralizedObservable",
@@ -48,29 +47,28 @@ DEFAULT_STATE_LABEL = "S"
 NO_REGISTRATION = "a0"
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedObservable:
+class GeneralizedObservable(Frozen):
     """A spectral observable plus the no-registration outcome ``a0``.
 
     The value set is the base spectrum followed by ``NO_REGISTRATION``.  The
     base validated itself when it was constructed, so nothing is checked here.
     """
 
-    base: SpectralObservable
+    __slots__ = ("base",)
+
+    def __init__(self, base: SpectralObservable):
+        object.__setattr__(self, "base", base)
 
     @property
     def outcome_set(self) -> tuple:
         return self.base.eigenvalues + (NO_REGISTRATION,)
 
 
-@dataclass(frozen=True, eq=False)
-class Property:
+class Property(Frozen):
     """A generalized observable with an outcome subset sigma (a0 excluded) and
     its read-only projector P(sigma), summed once in sigma's order."""
 
-    observable: GeneralizedObservable
-    sigma: tuple[float, ...]
-    projector: np.ndarray
+    __slots__ = ("observable", "sigma", "projector")
 
     def __init__(self, observable: GeneralizedObservable, sigma):
         values = tuple(float(x) for x in sigma)
@@ -86,31 +84,31 @@ class Property:
         object.__setattr__(self, "projector", p_sigma)
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionModel:
+class DetectionModel(Frozen):
     """Per-eigenvalue detection probabilities keyed by (state label, eigenvalue).
 
-    Unlisted pairs fall back to ``default_value``.  Detection is an empirical
-    parameter of the model, so the table is plain data; the only requirement
-    is that every value lies in [0, 1].
+    Unlisted pairs fall back to ``default_value``; no ``assignment`` means an
+    empty table.  Detection is an empirical parameter of the model, so the
+    table is plain data; the only requirement is that every value lies in
+    [0, 1].
     """
 
-    assignment: Mapping[tuple[Hashable, float], float] = field(default_factory=dict)
-    default_value: float = 1.0
+    __slots__ = ("assignment", "default_value")
 
-    def __post_init__(self):
+    def __init__(self, assignment: Mapping[tuple[Hashable, float], float] | None = None,
+                 default_value: float = 1.0):
         normalized = {}
-        for (label, ev), value in dict(self.assignment).items():
+        for (label, ev), value in dict(assignment or {}).items():
             v = float(value)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(
                     f"detection probability {v} for ({label!r}, {ev}) outside [0, 1]"
                 )
             normalized[(label, float(ev))] = v
-        if not 0.0 <= float(self.default_value) <= 1.0:
-            raise ValueError(f"default detection {self.default_value} outside [0, 1]")
+        if not 0.0 <= float(default_value) <= 1.0:
+            raise ValueError(f"default detection {default_value} outside [0, 1]")
         object.__setattr__(self, "assignment", normalized)
-        object.__setattr__(self, "default_value", float(self.default_value))
+        object.__setattr__(self, "default_value", float(default_value))
 
     def value(self, state_label: Hashable, eigenvalue: float) -> float:
         return self.assignment.get((state_label, float(eigenvalue)), self.default_value)
@@ -120,24 +118,19 @@ class DetectionModel:
         return cls(assignment={}, default_value=value)
 
 
-@dataclass(frozen=True)
-class ProbabilityTriple:
+class ProbabilityTriple(Frozen):
     """(overall, detection, conditional) bound by overall = detection * conditional.
 
     ``detection`` and ``conditional`` are ``None`` when the respective ratio is
     undefined (denominator at or below the arithmetic tolerance).
     """
 
-    overall: float
-    detection: float | None
-    conditional: float | None
+    __slots__ = ("overall", "detection", "conditional")
 
-    def __post_init__(self):
-        object.__setattr__(self, "overall", clamp(self.overall, 0.0, 1.0, "overall"))
-        for name in ("detection", "conditional"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, clamp(v, 0.0, 1.0, name))
+    def __init__(self, overall: float, detection: float | None, conditional: float | None):
+        object.__setattr__(self, "overall", clamp(overall, 0.0, 1.0, "overall"))
+        for name, v in (("detection", detection), ("conditional", conditional)):
+            object.__setattr__(self, name, None if v is None else clamp(v, 0.0, 1.0, name))
         residual = self.product_law_residual()
         if residual is not None and residual > ARITHMETIC_TOL:
             raise ValueError(

@@ -12,12 +12,18 @@ discriminator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, STRUCTURAL_TOL, DensityOperator, clamp
+from .linalg import (
+    ARITHMETIC_TOL,
+    MIN_COMPONENT_WEIGHT,
+    STRUCTURAL_TOL,
+    DensityOperator,
+    Frozen,
+    clamp,
+)
 from .measurement import DetectionModel, Property, detection_mass, probability_triple
 
 __all__ = [
@@ -28,25 +34,24 @@ __all__ = [
     "esr_qm_divergence",
 ]
 
-MIN_COMPONENT_WEIGHT = 1e-9
+
+class ProperComponent(Frozen):
+    __slots__ = ("weight", "state", "state_label")
+
+    def __init__(self, weight: float, state: DensityOperator, state_label: Hashable):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "state_label", state_label)
 
 
-@dataclass(frozen=True, eq=False)
-class ProperComponent:
-    weight: float
-    state: DensityOperator
-    state_label: Hashable
-
-
-@dataclass(frozen=True, eq=False)
-class ProperMixture:
+class ProperMixture(Frozen):
     """Weighted family of pure states with per-component labels.
 
     Weights must be positive (>= 1e-9; smaller weights are rejected rather
     than silently dropped) and sum to 1; every component must be pure.
     """
 
-    components: tuple[ProperComponent, ...]
+    __slots__ = ("components",)
 
     def __init__(self, components):
         comps = tuple(components)

@@ -18,7 +18,6 @@ returns anything else fails the product-law suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .linalg import (
     ARITHMETIC_TOL,
     STRUCTURAL_TOL,
     DensityOperator,
+    Frozen,
     SpectralObservable,
 )
 from .measurement import (
@@ -105,18 +105,23 @@ def random_sigma(rng: np.random.Generator, eigenvalues) -> tuple[float, ...]:
     return tuple(float(eigenvalues[i]) for i in sorted(chosen))
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    checks: int
-    max_deviation: float
-    detail: str = ""
+class SuiteResult(Frozen):
+    __slots__ = ("name", "passed", "checks", "max_deviation", "detail")
+
+    def __init__(self, name: str, passed: bool, checks: int, max_deviation: float,
+                 detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
-    suites: tuple[SuiteResult, ...]
+class SelfTestReport(Frozen):
+    __slots__ = ("suites",)
+
+    def __init__(self, suites: tuple[SuiteResult, ...]):
+        object.__setattr__(self, "suites", suites)
 
     @property
     def passed(self) -> bool:

@@ -33,11 +33,9 @@ recomputed independently of the solver's tableau by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL
+from .linalg import ARITHMETIC_TOL, Frozen
 
 __all__ = [
     "FeasibilityProblem",
@@ -58,21 +56,14 @@ _PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9  # certificate residuals; a larger phase-one optimum is infeasible
 
 
-@dataclass(frozen=True, eq=False)
-class FeasibilityProblem:
+class FeasibilityProblem(Frozen):
     """Linear feasibility over nonnegative variables.
 
     Seeks x >= 0 with ``a_eq @ x == b_eq`` and ``a_ub @ x <= b_ub``.  Row
     labels are carried along for residual reports.
     """
 
-    n_vars: int
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    eq_labels: tuple[str, ...] = ()
-    ub_labels: tuple[str, ...] = ()
+    __slots__ = ("n_vars", "a_eq", "b_eq", "a_ub", "b_ub", "eq_labels", "ub_labels")
 
     def __init__(self, n_vars, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
                  eq_labels=None, ub_labels=None):
@@ -106,26 +97,31 @@ class FeasibilityProblem:
         return self.a_eq.shape[0] + self.a_ub.shape[0]
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "feasible" | "infeasible"
-    x: np.ndarray | None
-    phase1_objective: float
-    pivots: int
+class LPResult(Frozen):
+    __slots__ = ("status", "x", "phase1_objective", "pivots")
+
+    def __init__(self, status: str, x: np.ndarray | None, phase1_objective: float, pivots: int):
+        object.__setattr__(self, "status", status)  # "feasible" | "infeasible"
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "phase1_objective", phase1_objective)
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
 
 
-@dataclass(frozen=True)
-class FeasibilityCertificate:
+class FeasibilityCertificate(Frozen):
     """Constraint residuals recomputed from scratch for a candidate point."""
 
-    max_equality_residual: float
-    max_inequality_violation: float
-    min_variable: float
-    worst_row: str
+    __slots__ = ("max_equality_residual", "max_inequality_violation", "min_variable", "worst_row")
+
+    def __init__(self, max_equality_residual: float, max_inequality_violation: float,
+                 min_variable: float, worst_row: str):
+        object.__setattr__(self, "max_equality_residual", max_equality_residual)
+        object.__setattr__(self, "max_inequality_violation", max_inequality_violation)
+        object.__setattr__(self, "min_variable", min_variable)
+        object.__setattr__(self, "worst_row", worst_row)
 
     def satisfied(self) -> bool:
         return (

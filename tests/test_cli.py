@@ -752,7 +752,32 @@ class TestCommandLine:
         assert rows["correlation_XXX"] == rows["correlation_YYX"] == ","
         assert rows["correlation_XYY"] == "-1,0"
 
-    def test_run_imports_only_the_modules_its_scenario_needs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config, needed, unused",
+        [
+            (
+                "probability_triple",
+                ("esrsim.linalg", "esrsim.measurement"),
+                ("esrsim.mixtures", "esrsim.correlations", "esrsim.hidden_variables",
+                 "esrsim.simplex", "esrsim.selftest", "dataclasses"),
+            ),
+            (
+                "bell_scan",
+                ("esrsim.correlations",),
+                ("esrsim.hidden_variables", "esrsim.simplex", "esrsim.selftest"),
+            ),
+            (
+                "chsh_scan",
+                ("esrsim.correlations",),
+                ("esrsim.hidden_variables", "esrsim.simplex", "esrsim.selftest"),
+            ),
+            ("ghz_local_model", ("esrsim.hidden_variables", "esrsim.simplex"), ()),
+        ],
+        ids=["triple", "bell", "chsh", "ghz-lp"],
+    )
+    def test_run_imports_only_the_modules_its_scenario_needs(
+        self, tmp_path, config, needed, unused
+    ):
         script = (
             "import json, sys\n"
             "import esrsim\n"
@@ -761,7 +786,7 @@ class TestCommandLine:
             "code = main(sys.argv[1:])\n"
             "print(json.dumps([code, bare, sorted(sys.modules)]))\n"
         )
-        scenario = str(CONFIG_DIR / "probability_triple.json")
+        scenario = str(CONFIG_DIR / f"{config}.json")
         result = subprocess.run(
             [sys.executable, "-c", script, "run", "--scenario", scenario,
              "--output", str(tmp_path / "report.csv")],
@@ -771,8 +796,8 @@ class TestCommandLine:
         exit_code, bare, loaded = json.loads(result.stdout)
         assert exit_code == 0, result.stderr
         assert bare == []
-        for name in ("correlations", "hidden_variables", "simplex", "selftest"):
-            assert f"esrsim.{name}" not in loaded
+        assert [name for name in needed if name not in loaded] == []
+        assert [name for name in unused if name in loaded] == []
 
     @pytest.mark.parametrize(
         "args",

@@ -1,6 +1,5 @@
 """Trichotomic correlations, modified inequalities, GHZ predictions and models."""
 
-import dataclasses
 import itertools
 import math
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import clear_operator_caches
-from esrsim import correlations, hidden_variables
+from esrsim import correlations, hidden_variables, simplex
 from esrsim.hidden_variables import (
     CorrelationTarget,
     build_feasibility_lp,
@@ -156,7 +155,7 @@ def _search_bits(result):
             return [exact(v) for v in value]
         return value
 
-    return [(f.name, exact(getattr(result, f.name))) for f in dataclasses.fields(result)]
+    return [(name, exact(getattr(result, name))) for name in type(result).__slots__]
 
 
 class TestMemoizedOperators:
@@ -535,7 +534,8 @@ class TestGHZLocalModelSearch:
         def bogus(problem, max_pivots=None):
             return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 1)
 
-        monkeypatch.setattr(correlations, "solve_lp_simplex", bogus)
+        # The search imports the solver from ``simplex`` when it runs.
+        monkeypatch.setattr(simplex, "solve_lp_simplex", bogus)
         with pytest.raises(RuntimeError, match="fails its feasibility certificate"):
             ghz_local_model_search(GHZScenario.standard())
 

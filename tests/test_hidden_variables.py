@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from esrsim.correlations import GHZScenario, ghz_local_model_search
 from esrsim.hidden_variables import (
     CorrelationTarget,
     MicroPropertySet,
@@ -230,12 +231,32 @@ class TestBuildFeasibilityLP:
             ),
             "min_joint_detection must be at most 1",
         ),
+        (
+            lambda: ghz_local_model_search(GHZScenario.standard(), 0.0, math.nan),
+            "min_joint_detection must be nonnegative",
+        ),
+        (
+            lambda: ghz_local_model_search(GHZScenario.standard(), math.nan),
+            "efficiency bound nan outside [0, 1]",
+        ),
+        (
+            lambda: ghz_local_model_search(GHZScenario.standard(), -0.5),
+            "efficiency bound -0.5 outside [0, 1]",
+        ),
+        (
+            lambda: CorrelationTarget(settings=(0, 0), value=0.5, tolerance=math.nan),
+            "inconsistent tolerance sign: nan",
+        ),
     ],
     ids=[
         "default-detection-above-one",
         "zero-parties",
         "negative-min-joint-detection",
         "min-joint-detection-above-one",
+        "nan-min-joint-detection",
+        "nan-min-efficiency",
+        "negative-min-efficiency",
+        "nan-tolerance",
     ],
 )
 def test_malformed_input_rejected(call, message):

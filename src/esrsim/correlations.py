@@ -8,20 +8,25 @@ joint-detection mass and recovers the Born correlation exactly, which is why
 post-selected experiments cannot distinguish the detection-conditioned model
 from unmodified quantum predictions.
 
+Every quantum correlation here is read from the state's real Pauli tensor
+R[m1...mn] = Tr[rho s_m1 x ... x s_mn], with s = (I, X, Y, Z), the
+correlation matrix of Horodecki, Horodecki & Horodecki (Phys. Lett. A 200,
+340, 1995).  R is built once per state into a small ``lru_cache`` keyed on
+the (identity-hashed) ``DensityOperator`` and returned as nested tuples, so
+no caller can write through it.  A wing measured at polar angle t with
+detection probabilities d(+1), d(-1) has the operator
+d(+1) P+ +- d(-1) P- = c0 I + c (sin t X + cos t Z), with
+c0 = (d(+1) +- d(-1))/2 and c = (d(+1) -+ d(-1))/2, so a two-qubit
+expectation Tr[rho (A x B)] is the bilinear form a^T R b over the (I, X, Z)
+rows and columns; a GHZ correlation is one entry of the three-qubit tensor.
+
 The classical side is covered by exhaustive enumeration of deterministic
 trichotomic strategies (the inequality bounds) and by the LP search for local
 models of the GHZ correlations under detection-efficiency constraints; a
 feasible point that fails its own certificate raises ``RuntimeError``.  The
 LP modules (``hidden_variables``, ``simplex``) are imported inside that
-search, so the scans and GHZ predictions never load them.  Spin
-projectors, the weighted wing operators and GHZ Pauli strings are each built
-once per key, into bounded ``functools.lru_cache``s of read-only arrays; the
-detection wing operators, which only the conditional correlation reads, are
-built per call.  The named singlet and GHZ states are built once.  The float
-keys let -0.0 share the entry of 0.0: the builders only add a signed zero to a
-+0.0 entry, and +0.0 + (-0.0) = +0.0, so no build's bytes depend on a zero's
-sign.  Expectations take the real part of the complex trace, which keeps the
-bits of ``np.trace`` over ``np.kron``.
+search, so the scans and GHZ predictions never load them.  The named singlet
+and GHZ states are built once.
 """
 
 from __future__ import annotations
@@ -63,8 +68,6 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-_OPERATOR_CACHE_SIZE = 256  # entries per float-keyed operator cache
 
 # Setting index 0 is X, 1 is Y; the four standard GHZ contexts.
 GHZ_CONTEXTS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -86,16 +89,6 @@ def ghz_state() -> DensityOperator:
     vec = np.zeros(8, dtype=complex)
     vec[0] = vec[7] = 1.0 / math.sqrt(2.0)
     return DensityOperator.from_state_vector(vec)
-
-
-@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _spin_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """((I + n.sigma)/2, (I - n.sigma)/2) for n = (sin(angle), 0, cos(angle))."""
-    direction = math.cos(angle) * PAULI_Z + math.sin(angle) * PAULI_X
-    plus, minus = (_ID2 + direction) / 2.0, (_ID2 - direction) / 2.0
-    plus.setflags(write=False)
-    minus.setflags(write=False)
-    return plus, minus
 
 
 class TwoPartyScenario(Frozen):
@@ -152,61 +145,68 @@ class InequalityReport(Frozen):
         return self.margin >= -ARITHMETIC_TOL
 
 
-@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _weighted_operator(angle: float, d_plus: float, d_minus: float) -> np.ndarray:
-    """d_plus P+ - d_minus P-: each outcome times its detection probability."""
-    plus, minus = _spin_projectors(angle)
-    # The sum over outcomes (+1, -1) from a +0.0 matrix, term by term: the
-    # operations of the reference formula, so the bits of its result.
-    zeros = np.zeros((2, 2), dtype=complex)
-    weighted = (zeros + (1.0 * d_plus) * plus) + (-1.0 * d_minus) * minus
-    weighted.setflags(write=False)
-    return weighted
+@functools.cache
+def _pauli_strings(qubits: int) -> np.ndarray:
+    """Row m is the transpose of s_m1 x ... x s_mn, flattened, with (m1...mn)
+    in C order, so the rows times a flattened rho are the traces Tr[rho s_m]."""
+    paulis = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
+    rows = np.array([
+        functools.reduce(np.kron, string).T.ravel()
+        for string in itertools.product(paulis, repeat=qubits)
+    ])
+    rows.setflags(write=False)
+    return rows
 
 
-def _detection_operator(angle: float, d_plus: float, d_minus: float) -> np.ndarray:
-    """d_plus P+ + d_minus P-: the probability that the wing registers at all."""
-    plus, minus = _spin_projectors(angle)
-    zeros = np.zeros((2, 2), dtype=complex)
-    return (zeros + d_plus * plus) + d_minus * minus
+def _nested(x):
+    return tuple(map(_nested, x)) if isinstance(x, list) else x
 
 
-def _wing_key(sc: TwoPartyScenario, label: str, dm: DetectionModel) -> tuple[float, float, float]:
-    """(angle, d(+1), d(-1)): the arguments of a wing's operators."""
+@functools.lru_cache(maxsize=16)  # states; each entry keeps its state alive
+def _pauli_tensor(state: DensityOperator) -> tuple:
+    """R[m1]...[mn] = Tr[rho s_m1 x ... x s_mn] as nested tuples of floats.
+
+    R is real because rho is Hermitian; the imaginary parts are round-off.
+    """
+    qubits = state.dimension.bit_length() - 1
+    traces = (_pauli_strings(qubits) @ state.matrix.ravel()).real
+    return _nested(traces.reshape((4,) * qubits).tolist())
+
+
+def _wing(sc: TwoPartyScenario, label: str, dm: DetectionModel, sign: float) -> tuple:
+    """(I, X, Z) coefficients of d(+1) P+ + sign d(-1) P-, P+- = (I +- n.sigma)/2."""
+    angle = sc.angle(label)
     d_plus, d_minus = dm.value(DEFAULT_STATE_LABEL, 1.0), dm.value(DEFAULT_STATE_LABEL, -1.0)
-    return sc.angle(label), d_plus, d_minus
+    spin = 0.5 * (d_plus - sign * d_minus)
+    return 0.5 * (d_plus + sign * d_minus), spin * math.sin(angle), spin * math.cos(angle)
 
 
-# Flat indices of x and y in entry (2i + k, 2j + l) of kron(x, y) = x[i, j] y[k, l].
-_KRON_LEFT = np.array([0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3])
-_KRON_RIGHT = np.array([0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3])
-
-
-def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """4x4 Kronecker product of two 2x2 arrays: the products ``np.kron`` forms,
-    gathered by index, without re-validating arrays built in this module."""
-    return (x.ravel()[_KRON_LEFT] * y.ravel()[_KRON_RIGHT]).reshape(4, 4)
-
-
-def _expectation(rho: np.ndarray, op: np.ndarray) -> float:
-    # The complex trace's real part: summing the real diagonal alone rounds differently.
-    return float((rho @ op).trace().real)
+def _bilinear(r: tuple, a: tuple, b: tuple) -> float:
+    """Tr[rho (A x B)] = sum of a_m R[m][n] b_n over m, n in (I, X, Z)."""
+    (a_i, a_x, a_z), (b_i, b_x, b_z) = a, b
+    r_i, r_x, _, r_z = r
+    return (a_i * (b_i * r_i[0] + b_x * r_i[1] + b_z * r_i[3])
+            + a_x * (b_i * r_x[0] + b_x * r_x[1] + b_z * r_x[3])
+            + a_z * (b_i * r_z[0] + b_x * r_z[1] + b_z * r_z[3]))
 
 
 def trichotomic_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
     """Overall expectation of the product, with a0 counted as 0."""
-    m_a = _weighted_operator(*_wing_key(sc, a, sc.detection_a))
-    m_b = _weighted_operator(*_wing_key(sc, b, sc.detection_b))
-    return CorrelationResult(value=_expectation(sc.joint_state.matrix, _kron2(m_a, m_b)))
+    value = _bilinear(
+        _pauli_tensor(sc.joint_state),
+        _wing(sc, a, sc.detection_a, -1.0),
+        _wing(sc, b, sc.detection_b, -1.0),
+    )
+    return CorrelationResult(value=value)
 
 
 def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
     """Expectation restricted to both-detected events."""
-    key_a = _wing_key(sc, a, sc.detection_a)
-    key_b = _wing_key(sc, b, sc.detection_b)
-    rho = sc.joint_state.matrix
-    numerator = _expectation(rho, _kron2(_weighted_operator(*key_a), _weighted_operator(*key_b)))
-    mass = _expectation(rho, _kron2(_detection_operator(*key_a), _detection_operator(*key_b)))
+    r = _pauli_tensor(sc.joint_state)
+    numerator = _bilinear(
+        r, _wing(sc, a, sc.detection_a, -1.0), _wing(sc, b, sc.detection_b, -1.0)
+    )
+    mass = _bilinear(r, _wing(sc, a, sc.detection_a, 1.0), _wing(sc, b, sc.detection_b, 1.0))
     if mass <= ARITHMETIC_TOL:
         raise ValueError(f"zero joint-detection mass ({mass:.3e})")
     return CorrelationResult(value=numerator / mass)
@@ -307,14 +307,6 @@ class GHZScenario(Frozen):
         return cls(joint_state=ghz_state())
 
 
-@functools.lru_cache(maxsize=len(GHZ_CONTEXTS))
-def _ghz_product_operator(context: tuple[int, int, int]) -> np.ndarray:
-    first, second, third = ((PAULI_X, PAULI_Y)[setting] for setting in context)
-    op = np.kron(np.kron(first, second), third)
-    op.setflags(write=False)
-    return op
-
-
 def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float]:
     """Conditional correlations for the XXX, XYY, YXY, YYX contexts.
 
@@ -322,10 +314,9 @@ def ghz_quantum_correlations(g: GHZScenario) -> tuple[float, float, float, float
     cancel between numerator and joint-detection mass, so these are the plain
     operator expectations.
     """
-    rho = g.joint_state.matrix
+    r = _pauli_tensor(g.joint_state)
     return tuple(
-        clamp(_expectation(rho, _ghz_product_operator(ctx)), -1.0, 1.0, "correlation")
-        for ctx in GHZ_CONTEXTS
+        clamp(r[1 + i][1 + j][1 + k], -1.0, 1.0, "correlation") for i, j, k in GHZ_CONTEXTS
     )
 
 

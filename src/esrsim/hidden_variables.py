@@ -76,9 +76,9 @@ class MicrostateModel(Frozen):
         weights = tuple(float(w) for w in weights)
         if len(weights) != len(states):
             raise ValueError(f"{len(states)} microstates but {len(weights)} weights")
-        if any(w < 0 for w in weights):
+        if not all(w >= 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > ARITHMETIC_TOL:
+        if not abs(sum(weights) - 1.0) <= ARITHMETIC_TOL:
             raise ValueError(f"weights sum to {sum(weights)}, not 1")
         detection = {}
         for (idx, label), value in dict(micro_detection or {}).items():

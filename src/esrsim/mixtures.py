@@ -60,7 +60,7 @@ class ProperMixture(Frozen):
         total = 0.0
         dim = comps[0].state.dimension
         for c in comps:
-            if c.weight < MIN_COMPONENT_WEIGHT or c.weight > 1.0:
+            if not MIN_COMPONENT_WEIGHT <= c.weight <= 1.0:
                 raise ValueError(f"component weight {c.weight} outside [1e-9, 1]")
             if c.state.dimension != dim:
                 raise ValueError("component dimensions differ")
@@ -70,7 +70,7 @@ class ProperMixture(Frozen):
                     f"component {c.state_label!r} is not pure: Tr[rho^2] = {purity}"
                 )
             total += c.weight
-        if abs(total - 1.0) > ARITHMETIC_TOL:
+        if not abs(total - 1.0) <= ARITHMETIC_TOL:
             raise ValueError(f"component weights sum to {total}, not 1")
         object.__setattr__(self, "components", comps)
 

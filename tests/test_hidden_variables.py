@@ -218,6 +218,7 @@ class TestBuildFeasibilityLP:
     "call, message",
     [
         (lambda: simple_model((0.5, 0.5), default=1.5), "default_detection outside [0, 1]"),
+        (lambda: simple_model((math.nan, 1.0)), "weights must be nonnegative"),
         (lambda: enumerate_local_strategies(0, 2), "parties and settings must be positive"),
         (
             lambda: build_feasibility_lp(
@@ -250,6 +251,7 @@ class TestBuildFeasibilityLP:
     ],
     ids=[
         "default-detection-above-one",
+        "nan-weight",
         "zero-parties",
         "negative-min-joint-detection",
         "min-joint-detection-above-one",

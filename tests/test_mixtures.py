@@ -232,8 +232,15 @@ class TestDivergence:
             ),
             "component dimensions differ",
         ),
+        (
+            (
+                ProperComponent(float("nan"), ket_density(0, 2), "nan"),
+                ProperComponent(1.0, ket_density(1, 2), "one"),
+            ),
+            "component weight nan outside [1e-9, 1]",
+        ),
     ],
-    ids=["no-components", "mixed-dimensions"],
+    ids=["no-components", "mixed-dimensions", "nan-weight"],
 )
 def test_malformed_mixture_rejected(components, message):
     with pytest.raises(ValueError) as excinfo:

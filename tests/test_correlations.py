@@ -243,8 +243,52 @@ class TestMemoizedOperators:
 
 
 class TestPerCallCost:
-    """What one correlation call builds: the Pauli tensor once per state,
+    """What one correlation call builds: the overall expectation reads only
+    the weighted wing operators, the Pauli tensor is built once per state,
     and the named states once."""
+
+    @staticmethod
+    def _record_wings(monkeypatch) -> list:
+        """Log the (setting, sign) of every wing operator built."""
+        built, wing = [], correlations._wing
+
+        def spy(sc, label, dm, sign):
+            built.append((label, sign))
+            return wing(sc, label, dm, sign)
+
+        monkeypatch.setattr(correlations, "_wing", spy)
+        return built
+
+    def test_overall_expectation_builds_no_detection_operator(self, rng, monkeypatch):
+        # The detection operator d(+1) P+ + d(-1) P- is the sign +1 wing; only
+        # the conditional correlation's mass needs it.
+        built = self._record_wings(monkeypatch)
+        clear_operator_caches()
+        for _ in range(5):
+            d_a, d_b = (DetectionModel.uniform(float(d)) for d in rng.uniform(size=2))
+            sc = singlet_scenario(dict(zip("ab", rng.uniform(0, math.pi, 2))), d_a, d_b)
+            trichotomic_expectation(sc, "a", "b")
+        assert built == [("a", -1.0), ("b", -1.0)] * 5
+        assert correlations._pauli_tensor.cache_info().misses == 1
+
+    def test_bell_grid_point_builds_three_weighted_operators(self, monkeypatch):
+        built = self._record_wings(monkeypatch)
+        clear_operator_caches()
+        settings = {"a": 0.1, "b": 0.9, "c": 2.3}
+        tensors = correlations._pauli_tensor.cache_info
+
+        def grid_point(d):
+            built.clear()
+            dm = DetectionModel.uniform(d)
+            sc = singlet_scenario(settings, dm, dm)
+            values = [trichotomic_expectation(sc, x, y).value for x, y in ("ab", "ac", "bc")]
+            modified_bell_report(*values)
+            return set(built)
+
+        for d in (0.7, 0.8, 0.9):
+            assert grid_point(d) == {("a", -1.0), ("b", -1.0), ("c", -1.0)}
+            assert grid_point(d) == {("a", -1.0), ("b", -1.0), ("c", -1.0)}
+            assert tensors().misses == 1  # no grid point rebuilds the tensor
 
     def test_bell_grid_builds_pauli_tensor_once(self):
         clear_operator_caches()

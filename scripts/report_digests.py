@@ -6,7 +6,10 @@
 The set: the csv and json reports of the shipped ``configs/*.json``, of the
 configs ``bench/gen.py`` generates for seed 301 (Monte Carlo at the
 ``--samples`` its manifest gives), of a ghz-quantum and of a self-test
-config, plus the stdout of ``esr-sim self-test``.  Each run goes through
+config, of two ghz-local-model configs on the noisy GHZ state
+p·|GHZ⟩⟨GHZ| + (1−p)·I/8 (p = 0.8, whose targets are ±0.8, not ±1: one
+``min_efficiency`` with a local model and one without), plus the stdout of
+``esr-sim self-test``.  Each run goes through
 ``esrsim.cli.main`` in-process.  ``bench/`` is only read.
 
 A change that keeps report bytes shows a clean ``--check``; a change that
@@ -28,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "scripts" / "report_digests.json"
 SEED = 301
 EXTRA_SCENARIOS = ("ghz-quantum", "self-test")  # no shipped or generated config has these
+NOISY_GHZ_P = 0.8
+NOISY_GHZ_EFFICIENCIES = (0.6, 0.9)  # below and above the threshold (4p+1)/(6p) = 0.875
 
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
@@ -44,6 +49,21 @@ def _digest(argv: list[str]) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest() if code == 0 else f"exit {code}"
 
 
+def _noisy_ghz_config(p: float, min_efficiency: float) -> dict:
+    """A ghz-local-model config on p·|GHZ⟩⟨GHZ| + (1−p)·I/8."""
+    matrix = [[0.0] * 8 for _ in range(8)]
+    for i in range(8):
+        matrix[i][i] = (1.0 - p) / 8.0
+    for i in (0, 7):
+        for j in (0, 7):
+            matrix[i][j] += p / 2.0
+    return {
+        "scenario_type": "ghz-local-model",
+        "state": [[[value, 0.0] for value in row] for row in matrix],
+        "min_efficiency": min_efficiency,
+    }
+
+
 def digests() -> dict[str, str]:
     """{entry name: digest of its bytes}, in a fixed order."""
     found = {}
@@ -54,6 +74,11 @@ def digests() -> dict[str, str]:
             path = tmp / f"{scenario}.json"
             path.write_text(json.dumps({"scenario_type": scenario}))
             entries.append({"name": scenario, "path": str(path), "samples": None})
+        for eta in NOISY_GHZ_EFFICIENCIES:
+            name = f"ghz-local-model-noisy-p{NOISY_GHZ_P}-eta{eta}"
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps(_noisy_ghz_config(NOISY_GHZ_P, eta)))
+            entries.append({"name": name, "path": str(path), "samples": None})
         for entry in entries:
             for fmt in ("csv", "json"):
                 argv = ["run", "--scenario", entry["path"], "--format", fmt]

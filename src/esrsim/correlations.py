@@ -368,7 +368,7 @@ def ghz_local_model_search(
         build_feasibility_lp,
         enumerate_local_strategies,
     )
-    from .simplex import feasibility_residuals, solve_lp_simplex
+    from .simplex import FeasibilityProblem, feasibility_residuals, solve_lp_simplex
 
     outcomes = enumerate_local_strategies(parties=3, settings=2)
     rows = _strategy_rows(outcomes)
@@ -383,11 +383,25 @@ def ghz_local_model_search(
         min_joint_detection=min_joint_detection,
         min_efficiency=min_efficiency,
     )
-    result = solve_lp_simplex(problem)
+    # The solver sees one strategy per class of coinciding indicator rows.
+    # Each class of equal LP columns is a union of these, so its presolve
+    # keeps the columns, in the order, it keeps over all 729: pivots and bits
+    # are unchanged.  The certificate below reads all 729 columns.
+    cols = rows.distinct_strategies(GHZ_CONTEXTS, float(min_efficiency or 0.0) > 0.0)
+    result = solve_lp_simplex(FeasibilityProblem(
+        n_vars=cols.size,
+        a_eq=problem.a_eq[:, cols],
+        b_eq=problem.b_eq,
+        a_ub=problem.a_ub[:, cols],
+        b_ub=problem.b_ub,
+        eq_labels=problem.eq_labels,
+        ub_labels=problem.ub_labels,
+    ))
     if not result.feasible:
         return GHZLocalModelResult(False, target_values, result.phase1_objective, result.pivots)
 
-    weights = result.x
+    weights = np.zeros(problem.n_vars)
+    weights[cols] = result.x
     certificate = feasibility_residuals(problem, weights)
     if not certificate.satisfied():
         raise RuntimeError(f"LP point fails its feasibility certificate at {certificate.worst_row!r}")

@@ -148,12 +148,14 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
 class _StrategyRows:
     """The indicator rows of a strategy array, each built on first use and
     then kept read-only: per context the outcome product and the joint
-    detection, per (party, setting) slot the detection marginal."""
+    detection, per (party, setting) slot the detection marginal; and per LP
+    shape the first strategy of each class whose rows all coincide."""
 
     def __init__(self, outcomes: np.ndarray):
         self.outcomes = outcomes
         self._contexts: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._marginals: np.ndarray | None = None
+        self._distinct: dict[tuple, np.ndarray] = {}
 
     def context(self, settings_tuple: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(product, joint detection) of the outcomes at one setting per party."""
@@ -182,6 +184,29 @@ class _StrategyRows:
             self._marginals = np.ascontiguousarray(detected, dtype=float)
             self._marginals.setflags(write=False)
         return self._marginals
+
+    def distinct_strategies(self, contexts: tuple[tuple[int, ...], ...],
+                            marginals: bool) -> np.ndarray:
+        """Sorted index of the first strategy of each class whose rows coincide.
+
+        The rows are each context's product and joint detection, plus the
+        detection marginals when ``marginals`` is set.  Every row of an LP
+        over these contexts is built entry by entry from those rows, so
+        strategies of one class have byte-identical LP columns, and the first
+        copy of each LP column is among the indices returned.
+        """
+        key = (contexts, marginals)
+        index = self._distinct.get(key)
+        if index is None:
+            rows = [row for ctx in contexts for row in self.context(ctx)]
+            if marginals:
+                rows.extend(self.marginals().reshape(-1, len(self.outcomes)))
+            from .simplex import _first_distinct_columns  # the solver's presolve
+
+            index = _first_distinct_columns(np.vstack(rows))
+            index.setflags(write=False)
+            self._distinct[key] = index
+        return index
 
 
 @functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)

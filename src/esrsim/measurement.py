@@ -20,6 +20,7 @@ defined.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -268,12 +269,20 @@ def unitary_evolve(
 
     The Hamiltonian arrives spectrally (a ``SpectralObservable`` is valid by
     construction), so no matrix exponential is needed; trace and eigenvalue
-    multiset are preserved.
+    multiset are preserved.  A non-finite ``t``, phase E t or phase spread
+    raises ``ValueError`` before any exponential is taken.
     """
     _check_dimensions(rho, hamiltonian, "hamiltonian")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    # Python floats overflow to inf without numpy's overflow warning.
+    phases = [float(energy) * t for energy in hamiltonian.eigenvalues]
+    if not all(map(math.isfinite, phases)) or not math.isfinite(max(phases) - min(phases)):
+        raise ValueError(f"t = {t} gives a non-finite phase E*t or phase spread")
     u = np.zeros((rho.dimension, rho.dimension), dtype=complex)
     for energy, proj in zip(hamiltonian.eigenvalues, hamiltonian.projectors):
-        u = u + np.exp(-1j * energy * float(t)) * proj
+        u = u + np.exp(-1j * energy * t) * proj
     evolved = u @ rho.matrix @ u.conj().T
     evolved = (evolved + evolved.conj().T) / 2.0
     return DensityOperator(evolved)
@@ -282,8 +291,16 @@ def unitary_evolve(
 def sample_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     """Indices into ``probs`` of ``n`` draws by inverting the cumulative sum.
 
-    Consumes exactly ``n`` uniforms from ``rng``, one per draw.
+    Consumes exactly ``n`` uniforms from ``rng``, one per draw.  A ``probs``
+    that is not a distribution (a non-finite or negative entry, or a sum off 1
+    by more than ``ARITHMETIC_TOL``) raises ``ValueError`` before any draw.
     """
+    probs = np.asarray(probs, dtype=float)
+    if not (np.isfinite(probs).all() and (probs >= 0.0).all()):
+        raise ValueError(f"probs must be finite and nonnegative, got {probs}")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= ARITHMETIC_TOL:
+        raise ValueError(f"probs sums to {total}, not 1")
     indices = np.searchsorted(np.cumsum(probs), rng.random(int(n)), side="right")
     return np.minimum(indices, len(probs) - 1)
 

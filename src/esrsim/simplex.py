@@ -6,10 +6,14 @@ anti-cycling rule: entering column is the lowest-index negative reduced cost,
 leaving row breaks ratio ties by lowest basic-variable index.
 
 The tableau is built only over the distinct variable columns (the first copy
-of each byte-identical column; 105 of the 729 GHZ strategies), found with one
-stable lexsort over the columns' bits: copies stay identical under every
-column-wise update and Bland's rule enters the lowest index first, so a later
-copy never enters and gets weight zero.  The artificial columns are left out
+of each byte-identical column), found with one stable lexsort over the
+columns' bits: copies stay identical under every column-wise update and
+Bland's rule enters the lowest index first, so a later copy never enters and
+gets weight zero.  The GHZ search hands the solver one strategy per class
+of coinciding indicator rows (105 of the 729 with efficiency rows, found
+once per LP shape with the same lexsort); there the presolve merges only
+classes whose LP columns collide in value (tolerance 0 with +-1 targets) and
+keeps the columns, in the order, that it keeps over all 729.  The artificial columns are left out
 too: a basic artificial's column stays an exact unit vector with zero reduced
 cost, and one that leaves never re-enters, so no artificial column is read.
 
@@ -161,6 +165,22 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
     )
 
 
+def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
+    """Sorted index of the first copy of each byte-identical column of the
+    float array ``a``.
+
+    A stable lexsort over the columns' bits puts the copies side by side,
+    each run in index order, so each run's first entry is its first copy.
+    """
+    bits = a.view(np.int64)
+    order = np.lexsort(bits)
+    grouped = bits[:, order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.any(grouped[:, 1:] != grouped[:, :-1], axis=0, out=first[1:])
+    return np.sort(order[first])
+
+
 def solve_lp_simplex(
     problem: FeasibilityProblem,
     max_pivots: int | None = None,
@@ -192,16 +212,8 @@ def solve_lp_simplex(
         return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 0)
 
     # Presolve: the first copy of each byte-identical column, in index order.
-    # A stable lexsort over the columns' bits puts the copies side by side,
-    # each run in index order, so each run's first entry is its first copy.
     stacked = np.vstack([problem.a_eq, problem.a_ub])
-    bits = stacked.view(np.int64)
-    order = np.lexsort(bits)
-    grouped = bits[:, order]
-    first = np.empty(order.size, dtype=bool)
-    first[0] = True
-    np.any(grouped[:, 1:] != grouped[:, :-1], axis=0, out=first[1:])
-    keep = np.sort(order[first])
+    keep = _first_distinct_columns(stacked)
     n = keep.size
     n_tot = n + m_ub
 

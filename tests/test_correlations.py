@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,41 @@ class TestBitEquivalenceWithPublicOperators:
                 assert abs(conditional - want) * mass <= ULP_BOUND
 
 
+def _search_verdict(scenario, min_efficiency, min_joint_detection, tolerance):
+    """(feasible or error message, pivots, weight bytes, phase-one objective
+    and max residual as hex) of one GHZ local-model search."""
+    try:
+        r = ghz_local_model_search(scenario, min_efficiency, min_joint_detection, tolerance)
+    except RuntimeError as err:
+        return (str(err), None, None, None, None)
+    if not r.feasible:
+        return (False, r.pivots, None, r.phase1_objective.hex(), None)
+    return (True, r.pivots, r.weights.tobytes(), r.phase1_objective.hex(), r.max_residual.hex())
+
+
+def _reference_verdict(scenario, min_efficiency, min_joint_detection, tolerance):
+    """The same, from the 729-column LP handed to the solver as it is built."""
+    targets = [
+        CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
+        for ctx, value in zip(GHZ_CONTEXTS, ghz_quantum_correlations(scenario))
+    ]
+    problem = build_feasibility_lp(
+        enumerate_local_strategies(3, 2), targets, min_joint_detection, min_efficiency
+    )
+    try:
+        r = simplex.solve_lp_simplex(problem)
+    except RuntimeError as err:
+        return (str(err), None, None, None, None)
+    if not r.feasible:
+        return (False, r.pivots, None, r.phase1_objective.hex(), None)
+    c = feasibility_residuals(problem, r.x)
+    if not c.satisfied():
+        return (f"LP point fails its feasibility certificate at {c.worst_row!r}",
+                None, None, None, None)
+    residual = max(c.max_equality_residual, c.max_inequality_violation)
+    return (True, r.pivots, r.x.tobytes(), r.phase1_objective.hex(), residual.hex())
+
+
 def _search_bits(result):
     """Every field of a GHZ search result, floats and arrays as exact bytes."""
 
@@ -228,6 +265,7 @@ class TestMemoizedOperators:
         shared = [rows.outcomes, rows.marginals()]
         for ctx in GHZ_CONTEXTS:
             shared.extend(rows.context(ctx))
+        shared.extend(rows.distinct_strategies(GHZ_CONTEXTS, m) for m in (False, True))
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
@@ -301,6 +339,41 @@ class TestPerCallCost:
             modified_bell_report(*values)
             conditional_expectation(sc, "a", "b")
         assert correlations._pauli_tensor.cache_info().misses == 1
+
+    def test_ghz_search_solves_one_column_per_strategy_class(self, monkeypatch):
+        # The classes are found once per (contexts, efficiency rows) key, on
+        # the first search of that shape, and the solver sees only them.
+        clear_operator_caches()
+        assert hidden_variables._enumerated(3, 2)._distinct == {}
+        lookups, solved = [], []
+        first_distinct, solve = simplex._first_distinct_columns, simplex.solve_lp_simplex
+
+        def lookup(a):
+            if a.shape[1] == 729:  # the class lookup; the presolve sees fewer
+                lookups.append(a.shape[0])
+            return first_distinct(a)
+
+        def solver(problem, max_pivots=None):
+            solved.append(problem.n_vars)
+            return solve(problem, max_pivots)
+
+        monkeypatch.setattr(simplex, "_first_distinct_columns", lookup)
+        monkeypatch.setattr(simplex, "solve_lp_simplex", solver)
+        g = GHZScenario.standard()
+        for min_efficiency in (0.7, 0.0, 0.9, 0.0, 0.5):
+            ghz_local_model_search(g, min_efficiency=min_efficiency)
+        # 8 context rows, plus the 6 detection marginals with efficiency rows.
+        assert lookups == [14, 8]
+        assert solved == [105, 41, 105, 41, 105]
+
+    def test_import_builds_no_strategy_classes(self):
+        script = (
+            "import sys; from esrsim import correlations, hidden_variables; "
+            "print(hidden_variables._enumerated.cache_info().currsize, "
+            "'esrsim.simplex' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.stdout.split() == ["0", "False"], result.stderr
 
     def test_named_states_are_built_once_and_read_only(self):
         for make in (correlations.singlet_state, correlations.ghz_state):
@@ -570,6 +643,45 @@ class TestGHZLocalModelSearch:
             marginal = weights @ (outcomes[:, party, setting] != 0)
             assert efficiency == pytest.approx(marginal, abs=1e-12)
             assert efficiency >= 0.7 - 1e-9
+
+    def test_bit_identical_to_solving_all_729_columns(self):
+        # The search hands the solver one strategy per class; solving the
+        # unreduced LP as it is built must give the same verdict, pivots,
+        # bits and errors.  The points include round-off failures of both
+        # kinds ("fails its feasibility certificate", "phase-one unbounded")
+        # but skip the slow pivot-budget ones.
+        grid = np.linspace(0.0, 1.0, 41)[[0, 7, 15, 23, 32, 33, 34, 40]]
+        standard = GHZScenario.standard()
+        cases = [
+            (standard, float(eta), mjd, tol)
+            for tol in (0.0, 1e-6, 1e-3)
+            for mjd in (0.0, 1e-6, 0.3)
+            for eta in grid
+        ]
+        ghz = correlations.ghz_state().matrix
+        for p in np.linspace(0.3, 1.0, 36)[[25, 32, 33]]:
+            noisy = GHZScenario(DensityOperator(p * ghz + (1 - p) * np.eye(8) / 8))
+            cases += [
+                (noisy, float(eta), mjd, 0.0)
+                for mjd in (0.0, 1e-6, 0.3)
+                for eta in np.linspace(0.0, 1.0, 21)[[0, 1, 2, 12, 17, 18]]
+            ]
+
+        outcomes = []
+        for scenario, min_efficiency, min_joint_detection, tolerance in cases:
+            got = _search_verdict(
+                scenario, min_efficiency, min_joint_detection, tolerance
+            )
+            want = _reference_verdict(
+                scenario, min_efficiency, min_joint_detection, tolerance
+            )
+            assert got == want, (min_efficiency, min_joint_detection, tolerance)
+            outcomes.append(got[0])
+        # Not vacuous: feasible, infeasible and both kinds of error occur.
+        errors = [o for o in outcomes if isinstance(o, str)]
+        assert True in outcomes and False in outcomes
+        assert any("phase-one unbounded" in e for e in errors)
+        assert any("fails its feasibility certificate" in e for e in errors)
 
     def test_no_perfect_strategy_exists_at_unit_detection(self):
         # Exhaustive cross-check of the infeasibility verdict: no always-

@@ -16,6 +16,7 @@ from esrsim.measurement import (
     luders_update,
     outcome_distribution,
     probability_triple,
+    sample_indices,
     sample_outcomes,
     unitary_evolve,
 )
@@ -239,6 +240,18 @@ class TestUnitaryEvolve:
             assert np.max(np.abs(before - after)) <= 1e-10
             assert abs(np.trace(direct.matrix).real - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "energy, t",
+        [(1.0, math.inf), (1.0, math.nan), (2.0, 1e308), (1.0, 1e308)],
+        ids=["t-inf", "t-nan", "phase-overflows", "spread-overflows"],
+    )
+    def test_non_finite_phase_rejected_naming_t(self, energy, t):
+        # Raised at the check, before numpy's exp could warn (warnings are
+        # errors in this suite, so a warning would not be a ValueError).
+        ham = SpectralObservable((energy, -energy), z_observable().projectors)
+        with pytest.raises(ValueError, match=r"^t (must|=)"):
+            unitary_evolve(plus_density(), ham, t)
+
 
 class TestSampling:
     def test_certain_outcome(self):
@@ -281,6 +294,17 @@ class TestSampling:
             for _ in range(200)
         ]
         assert batch == singles
+
+    @pytest.mark.parametrize(
+        "probs", [[math.nan, 1.0], [0.7, 0.7], [-0.1, 1.1]],
+        ids=["nan", "unnormalized", "negative"],
+    )
+    def test_non_distribution_rejected_before_any_draw(self, probs):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^probs "):
+            sample_indices(np.array(probs), rng, 10)
+        assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,18 @@ def _complex_matrix(node, path: str, dim: int) -> np.ndarray:
     """A dim x dim row-major nested array of finite [re, im] pairs."""
     if not isinstance(node, list) or len(node) != dim:
         raise ConfigError(f"{path}: expected {dim} rows of {dim} [re, im] pairs")
+    # A well-formed matrix of plain ints and floats is read in one numpy pass, with
+    # the bits of complex(re, im); anything else, or a value that reaches float max
+    # (an int past it may round to it), takes the loop, which words each error.
+    flat = [x for row in node if type(row) is list and len(row) == dim
+            for pair in row if type(pair) is list and len(pair) == 2 for x in pair]
+    if len(flat) == 2 * dim * dim and set(map(type, flat)) <= {int, float}:
+        try:
+            values = np.array(flat, dtype=float)
+        except OverflowError:
+            values = None
+        if values is not None and (np.abs(values) < sys.float_info.max).all():
+            return values.view(complex).reshape(dim, dim)
     rows = []
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != dim:
@@ -445,11 +457,9 @@ def _run_probability_triple(prepared: dict):
 
 def _entry_records(prefix: str, state: DensityOperator) -> list[Record]:
     """``prefix_i_j_re`` and ``prefix_i_j_im`` records of every entry, row-major."""
-    records = []
-    for (i, j), z in np.ndenumerate(state.matrix):
-        records.append(Record(f"{prefix}_{i}_{j}_re", float(z.real)))
-        records.append(Record(f"{prefix}_{i}_{j}_im", float(z.imag)))
-    return records
+    n = range(state.dimension)
+    names = (f"{prefix}_{i}_{j}_{part}" for i in n for j in n for part in ("re", "im"))
+    return list(map(Record, names, state.matrix.ravel().view(float).tolist()))
 
 
 def _run_luders(prepared: dict):
@@ -696,22 +706,31 @@ def run_scenario(config: dict) -> RunReport:
 # report emission
 # ----------------------------------------------------------------------
 
-def _json_value(obj) -> str:
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps(s) for a str
+
+
+def _json(obj) -> str:
+    """``obj`` as JSON text with floats at 17 significant digits; a list of floats,
+    or a matrix row of [re, im] float pairs, takes one ``%`` call."""
+    if isinstance(obj, float):  # "%.17g" % x is _fmt(x) for a float or np.float64
+        return "%.17g" % obj
+    if isinstance(obj, (list, tuple)):
+        pairs = set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
+        flat = [x for v in obj for x in v] if pairs else obj
+        if obj and set(map(type, flat)) == {float}:
+            item = "[%.17g, %.17g]" if pairs else "%.17g"
+            return ("[" + ", ".join([item] * len(obj)) + "]") % tuple(flat)
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_encode_str(str(k))}: {_json(v)}" for k, v in obj.items()) + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+        return _encode_str(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -724,16 +743,11 @@ def render_report(report: RunReport, fmt: str) -> str:
             lines.append(f"{report.scenario},{r.name},{value},{residual}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
-            "scenario": report.scenario,
-            "config": report.config,
-            "results": [
-                {"name": r.name, "value": r.value, "residual": r.residual}
-                for r in report.records
-            ],
-            "diagnostics": report.diagnostics,
-        }
-        return _json_value(doc) + "\n"
+        results = ", ".join(['{"name": %s, "value": %s, "residual": %s}' % (
+            _encode_str(r.name), _json(r.value), _json(r.residual)) for r in report.records])
+        return '{"scenario": %s, "config": %s, "results": [%s], "diagnostics": %s}\n' % (
+            _json(report.scenario), _json(report.config), results, _json(report.diagnostics)
+        )
     raise ValueError(f"unknown format {fmt!r}")
 
 

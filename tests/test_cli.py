@@ -44,6 +44,7 @@ Z_OBSERVABLE = {
 DEGENERATE_OBSERVABLE = {**Z_OBSERVABLE, "eigenvalues": [1.0, 1.0]}
 
 PLUS_STATE = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+PAIR = "expected a finite [re, im] pair, got "
 
 
 def _bits(x: float) -> bytes:
@@ -171,6 +172,42 @@ class TestRunScenario:
         config["state"] = [[[0.5, 0.0], "bad"], [[0.5, 0.0], [0.5, 0.0]]]
         with pytest.raises(ConfigError, match=r"state.*\[0\]\[1\]"):
             run_scenario(config)
+
+    # Matrix JSON text of the dimension-2 ``state``, and the error it must raise.
+    @pytest.mark.parametrize("state, message", [
+        ('[[[0.5, 0.0], "bad"], [[0.5, 0.0], [0.5, 0.0]]]', "[0][1]: " + PAIR + "'bad'"),
+        ('[[[0.5, 0.0], true], [[0.5, 0.0], [0.5, 0.0]]]', "[0][1]: " + PAIR + "True"),
+        ('[[[0.5, 0.0], [0.5, 0.0]], [[true, 0.0], [0.5, 0.0]]]', "[1][0]: " + PAIR + "[True, 0.0]"),
+        ('[[[0.5, 0.0], [0.5, null]], [[0.5, 0.0], [0.5, 0.0]]]', "[0][1]: " + PAIR + "[0.5, None]"),
+        ('[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5]]]', "[1][1]: " + PAIR + "[0.5]"),
+        ('[[[0.5, 0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]', "[0][0]: " + PAIR + "[0.5, 0.0, 0.0]"),
+        ('[[[0.5, 0.0], [0.5, 0.0]], [[0.5, NaN], [0.5, 0.0]]]', "[1][0]: " + PAIR + "[0.5, nan]"),
+        ('[[[0.5, 0.0], [Infinity, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]', "[0][1]: " + PAIR + "[inf, 0.0]"),
+        ('[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1e400, 0.0]]]', "[1][1]: " + PAIR + "[-inf, 0.0]"),
+        (f'[[[0.5, 0.0], [0.5, 0.0]], [[0.5, {10**400}], [0.5, 0.0]]]', f"[1][0]: {PAIR}[0.5, {10**400}]"),
+        # float() rounds this int down to float max, but it is past it.
+        (f'[[[{int(sys.float_info.max) + 1}, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]',
+         f"[0][0]: {PAIR}[{int(sys.float_info.max) + 1}, 0.0]"),
+        ('[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0]]]', "[1]: expected a row of 2 entries"),
+        ('[[[0.5, 0.0], [0.5, 0.0]], {"re": 0.5}]', "[1]: expected a row of 2 entries"),
+        ('[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]',
+         ": expected 2 rows of 2 [re, im] pairs"),
+    ])
+    def test_malformed_matrix_errors_keep_their_path_and_message(self, state, message):
+        config = triple_config()
+        config["state"] = json.loads(state)
+        with pytest.raises(ConfigError) as raised:
+            run_scenario(config)
+        assert str(raised.value) == "field 'state'" + message
+
+    @pytest.mark.parametrize("rows", [
+        [[[1, 0], [0, -0.0]], [[-0.0, 3], [-0.0, -0.0]]],
+        [[[2**53 + 1, -(2**63) - 5], [0.1, 10**308]], [[sys.float_info.max, -0], [5e-324, 1]]],
+        [[[np.float64(0.1), 0.0], [0.0, np.float64(-0.0)]], [[0.0, 0.0], [0.0, 0.0]]],
+    ])
+    def test_matrix_entries_keep_the_bits_of_complex(self, rows):
+        want = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert cli._complex_matrix(rows, "m", 2).tobytes() == want.tobytes()
 
     def test_chsh_scan_contains_threshold(self):
         config = {
@@ -417,6 +454,120 @@ class TestEmitReport:
         assert "demo,undefined,," in render_report(report, "csv")
         parsed = json.loads(render_report(report, "json"))
         assert parsed["results"][0]["value"] is None
+
+
+def _reference_json(obj) -> str:
+    """The recursive JSON writer reports used before lists and records were
+    formatted in bulk; kept only as a character-for-character reference."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return f"{float(obj):.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}: {_reference_json(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_render(report: RunReport, fmt: str) -> str:
+    """``render_report`` as it was written with ``_reference_json``."""
+    def number(x):
+        return f"{float(x):.17g}"
+
+    if fmt == "csv":
+        lines = ["scenario,record_name,value,residual"]
+        for r in report.records:
+            value = number(r.value) if r.value is not None else ""
+            residual = number(r.residual) if r.residual is not None else ""
+            lines.append(f"{report.scenario},{r.name},{value},{residual}")
+        return "\n".join(lines) + "\n"
+    doc = {
+        "scenario": report.scenario,
+        "config": report.config,
+        "results": [
+            {"name": r.name, "value": r.value, "residual": r.residual}
+            for r in report.records
+        ],
+        "diagnostics": report.diagnostics,
+    }
+    return _reference_json(doc) + "\n"
+
+
+ODD_LABEL = 'ψ "quoted" \\ back\\slash ü'
+
+
+def relabelled(config, old: str, new: str):
+    """``config`` with every string ``old`` in it replaced by ``new``."""
+    if isinstance(config, dict):
+        return {k: relabelled(v, old, new) for k, v in config.items()}
+    if isinstance(config, list):
+        return [relabelled(v, old, new) for v in config]
+    return new if config == old else config
+
+
+class TestRenderMatchesReference:
+    def assert_same(self, report: RunReport):
+        for fmt in ("csv", "json"):
+            assert render_report(report, fmt) == _reference_render(report, fmt)
+
+    def test_shipped_and_generated_configs(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "bench"))
+        from gen import write_cli_inputs
+
+        entries = write_cli_inputs(301, CONFIG_DIR, tmp_path)["entries"]
+        assert len(entries) == 22
+        for entry in entries:
+            config = json.loads(Path(entry["path"]).read_text())
+            if entry["samples"] is not None:
+                config["samples"] = entry["samples"]
+            self.assert_same(run_scenario(config))
+
+    def test_int_and_negative_zero_matrix_entries(self):
+        config = triple_config()
+        config["state"] = [[[1, 0], [0, -0.0]], [[-0.0, 0], [0, -0.0]]]
+        config["observable"] = relabelled(Z_OBSERVABLE, 1.0, 1)
+        self.assert_same(run_scenario(config))
+        luders = {**config, "scenario_type": "luders"}
+        self.assert_same(run_scenario(luders))
+
+    @pytest.mark.parametrize("name, label", [("mixture_divergence", "w0"), ("hv_verify", "f")])
+    def test_labels_with_escapes(self, name, label):
+        self.assert_same(run_scenario(relabelled(SHIPPED[name], label, ODD_LABEL)))
+
+    def test_self_test_diagnostics(self, monkeypatch):
+        from esrsim import selftest
+
+        failed = selftest.SuiteResult("chsh-bound", False, 1, 0.5, f'lhs "{ODD_LABEL}"')
+        passed = selftest.SuiteResult("lp-certificate", True, 2, float("inf"))
+        report = selftest.SelfTestReport((failed, passed))
+        monkeypatch.setattr(selftest, "run_self_test", lambda: report)
+        self.assert_same(run_scenario({"scenario_type": "self-test"}))
+
+    def test_odd_values(self):
+        config = {
+            "empty": [], "ints": [1, -2, 10**20], "mixed": [[1, 0.5], [-0.0, 2]],
+            "none": None, "flags": [True, False], "pair_of_flags": [[True, 1.0]],
+            "tuple": (0.25, 1e-300), "numpy": [np.float64(0.1), [np.float64(2.0), 1.0]],
+            "nested": {'k"ey': [[1e22, -0.0], []], 3: ODD_LABEL}, ODD_LABEL: [[None, 1.0]],
+        }
+        records = [
+            Record("third", np.float64(1 / 3), None),
+            Record(ODD_LABEL, None, np.float64(0.5)),
+            Record("ints", 7, 2**70),
+            Record("flags", True, False),
+            Record("undefined", None, None),
+            Record("tiny", -0.0, 5e-324),
+        ]
+        self.assert_same(RunReport("demo", config, records, {"status": "fail", "x": ODD_LABEL}))
+        self.assert_same(RunReport("demo", {}, [], {}))
 
 
 class TestDeterminism:

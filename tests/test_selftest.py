@@ -4,6 +4,7 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from esrsim import selftest
 from esrsim.correlations import trichotomic_expectation
@@ -125,3 +126,14 @@ def test_fault_injection_fails_conditional_correlation_suite(monkeypatch):
     suite = conditional_correlation_suite(n=20)
     assert not suite.passed
     assert suite.max_deviation > 1e-3
+
+
+def test_fault_injection_fails_chsh_bound_suite(monkeypatch):
+    # Test-only fault: every strategy answers A = (2, 2), B = (2, 0), whose
+    # CHSH combination |E_ab - E_ac| + |E_db + E_dc| is 8, not at most 2.
+    broken = np.tile(np.array([[2, 2], [2, 0]]), (81, 1, 1))
+    monkeypatch.setattr(selftest, "enumerate_local_strategies", lambda parties, settings: broken)
+    suite = chsh_bound_suite(n_mixtures=20)
+    assert not suite.passed
+    assert suite.max_deviation == pytest.approx(6.0)
+    assert suite.checks == 21

@@ -38,7 +38,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, DEFAULT_MIN_JOINT_DETECTION, DensityOperator, Frozen, clamp
+from .linalg import (
+    ARITHMETIC_TOL,
+    DEFAULT_MIN_JOINT_DETECTION,
+    DensityOperator,
+    Frozen,
+    _ReadOnlyDict,
+    clamp,
+)
 from .measurement import DEFAULT_STATE_LABEL, DetectionModel
 
 __all__ = [
@@ -95,11 +102,12 @@ class TwoPartyScenario(Frozen):
     """Bipartite state with labelled measurement angles and per-wing detection.
 
     Each setting label maps to a polar angle; the wing observable is
-    cos(angle) Z + sin(angle) X.  Detection values are looked up under
-    ``DEFAULT_STATE_LABEL``.
+    cos(angle) Z + sin(angle) X.  ``settings`` is read-only, and each
+    setting's (sin, cos) axis is computed once, beside its finiteness check.
+    Detection values are looked up under ``DEFAULT_STATE_LABEL``.
     """
 
-    __slots__ = ("joint_state", "settings", "detection_a", "detection_b")
+    __slots__ = ("joint_state", "settings", "detection_a", "detection_b", "_axes")
 
     def __init__(self, joint_state: DensityOperator, settings: Mapping[str, float],
                  detection_a: DetectionModel, detection_b: DetectionModel):
@@ -107,14 +115,18 @@ class TwoPartyScenario(Frozen):
             raise ValueError(
                 f"two-party state must be 4-dimensional, got {joint_state.dimension}"
             )
-        angles = dict(settings)
+        angles = _ReadOnlyDict(settings)
+        axes = {}
         for label, angle in angles.items():
-            if not math.isfinite(float(angle)):
+            t = float(angle)
+            if not math.isfinite(t):
                 raise ValueError(f"angle for setting {label!r} is not finite")
+            axes[label] = (math.sin(t), math.cos(t))
         object.__setattr__(self, "joint_state", joint_state)
         object.__setattr__(self, "settings", angles)
         object.__setattr__(self, "detection_a", detection_a)
         object.__setattr__(self, "detection_b", detection_b)
+        object.__setattr__(self, "_axes", axes)
 
     def angle(self, label: str) -> float:
         if label not in self.settings:
@@ -174,11 +186,20 @@ def _pauli_tensor(state: DensityOperator) -> tuple:
 
 
 def _wing(sc: TwoPartyScenario, label: str, dm: DetectionModel, sign: float) -> tuple:
-    """(I, X, Z) coefficients of d(+1) P+ + sign d(-1) P-, P+- = (I +- n.sigma)/2."""
-    angle = sc.angle(label)
-    d_plus, d_minus = dm.value(DEFAULT_STATE_LABEL, 1.0), dm.value(DEFAULT_STATE_LABEL, -1.0)
+    """(I, X, Z) coefficients of d(+1) P+ + sign d(-1) P-, P+- = (I +- n.sigma)/2.
+
+    Without a detection table both values are ``dm.default_value``, read
+    directly; the axis is the scenario's stored (sin, cos) of the angle.
+    """
+    axis = sc._axes.get(label)
+    if axis is None:
+        sc.angle(label)  # raises the unknown-setting error
+    if dm.assignment:
+        d_plus, d_minus = dm.value(DEFAULT_STATE_LABEL, 1.0), dm.value(DEFAULT_STATE_LABEL, -1.0)
+    else:
+        d_plus = d_minus = dm.default_value
     spin = 0.5 * (d_plus - sign * d_minus)
-    return 0.5 * (d_plus + sign * d_minus), spin * math.sin(angle), spin * math.cos(angle)
+    return 0.5 * (d_plus + sign * d_minus), spin * axis[0], spin * axis[1]
 
 
 def _bilinear(r: tuple, a: tuple, b: tuple) -> float:
@@ -197,7 +218,7 @@ def trichotomic_expectation(sc: TwoPartyScenario, a: str, b: str) -> Correlation
         _wing(sc, a, sc.detection_a, -1.0),
         _wing(sc, b, sc.detection_b, -1.0),
     )
-    return CorrelationResult(value=value)
+    return CorrelationResult(value)
 
 
 def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> CorrelationResult:
@@ -209,26 +230,26 @@ def conditional_expectation(sc: TwoPartyScenario, a: str, b: str) -> Correlation
     mass = _bilinear(r, _wing(sc, a, sc.detection_a, 1.0), _wing(sc, b, sc.detection_b, 1.0))
     if mass <= ARITHMETIC_TOL:
         raise ValueError(f"zero joint-detection mass ({mass:.3e})")
-    return CorrelationResult(value=numerator / mass)
-
-
-def _check_correlation_inputs(**values: float) -> None:
-    for name, v in values.items():
-        clamp(v, -1.0, 1.0, name)
+    return CorrelationResult(numerator / mass)
 
 
 def modified_bell_report(e_ab: float, e_ac: float, e_bc: float) -> InequalityReport:
     """|E(a,b) - E(a,c)| <= 1 + E(b,c)."""
-    _check_correlation_inputs(e_ab=e_ab, e_ac=e_ac, e_bc=e_bc)
-    return InequalityReport(lhs=abs(e_ab - e_ac), rhs=1.0 + e_bc)
+    clamp(e_ab, -1.0, 1.0, "e_ab")
+    clamp(e_ac, -1.0, 1.0, "e_ac")
+    clamp(e_bc, -1.0, 1.0, "e_bc")
+    return InequalityReport(abs(e_ab - e_ac), 1.0 + e_bc)
 
 
 def modified_chsh_report(
     e_ab: float, e_ac: float, e_db: float, e_dc: float
 ) -> InequalityReport:
     """|E(a,b) - E(a,c)| + |E(d,b) + E(d,c)| <= 2."""
-    _check_correlation_inputs(e_ab=e_ab, e_ac=e_ac, e_db=e_db, e_dc=e_dc)
-    return InequalityReport(lhs=abs(e_ab - e_ac) + abs(e_db + e_dc), rhs=2.0)
+    clamp(e_ab, -1.0, 1.0, "e_ab")
+    clamp(e_ac, -1.0, 1.0, "e_ac")
+    clamp(e_db, -1.0, 1.0, "e_db")
+    clamp(e_dc, -1.0, 1.0, "e_dc")
+    return InequalityReport(abs(e_ab - e_ac) + abs(e_db + e_dc), 2.0)
 
 
 class ScanRow(Frozen):
@@ -283,8 +304,8 @@ def efficiency_scan(
     )
     rows = []
     for d in grid:
-        report = InequalityReport(lhs=d * d * top.lhs, rhs=top.rhs)
-        rows.append(ScanRow(efficiency=d, lhs=report.lhs, satisfied=report.satisfied))
+        lhs = d * d * top.lhs
+        rows.append(ScanRow(d, lhs, top.rhs - lhs >= -ARITHMETIC_TOL))
 
     threshold = None if top.satisfied else math.sqrt(top.rhs / top.lhs)
     return EfficiencyScan(

@@ -46,7 +46,8 @@ DEFAULT_MIN_JOINT_DETECTION = 1e-6
 class Frozen:
     """Base of an immutable record: ``__init__`` sets each of the subclass's
     ``__slots__`` once with ``object.__setattr__``; a later assignment or
-    deletion raises ``AttributeError``.  The repr lists the slots."""
+    deletion raises ``AttributeError``.  The repr lists the slots whose
+    names do not start with an underscore."""
 
     __slots__ = ()
 
@@ -61,8 +62,29 @@ class Frozen:
             object.__setattr__(self, name, value)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+        )
         return f"{type(self).__name__}({fields})"
+
+
+class _ReadOnlyDict(dict):
+    """A dict whose items cannot change after construction: every mutator
+    raises ``TypeError``.  It equals the plain dict of its items and prints
+    like one; copy, deepcopy and pickle rebuild it from one.  A ``Frozen``
+    record stores a mapping field as one when it derives other fields from
+    the items, so the two cannot drift apart."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("read-only mapping: its items cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def clamp(x: float, lo: float, hi: float, what: str) -> float:

@@ -25,7 +25,14 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, DensityOperator, Frozen, SpectralObservable, clamp
+from .linalg import (
+    ARITHMETIC_TOL,
+    DensityOperator,
+    Frozen,
+    SpectralObservable,
+    _ReadOnlyDict,
+    clamp,
+)
 
 __all__ = [
     "GeneralizedObservable",
@@ -46,6 +53,7 @@ __all__ = [
 
 DEFAULT_STATE_LABEL = "S"
 NO_REGISTRATION = "a0"
+_NO_TABLE = _ReadOnlyDict()  # every model without a detection table shares it
 
 
 class GeneralizedObservable(Frozen):
@@ -91,24 +99,27 @@ class DetectionModel(Frozen):
     Unlisted pairs fall back to ``default_value``; no ``assignment`` means an
     empty table.  Detection is an empirical parameter of the model, so the
     table is plain data; the only requirement is that every value lies in
-    [0, 1].
+    [0, 1].  The table is read-only, so no value escapes that check.
     """
 
     __slots__ = ("assignment", "default_value")
 
     def __init__(self, assignment: Mapping[tuple[Hashable, float], float] | None = None,
                  default_value: float = 1.0):
-        normalized = {}
-        for (label, ev), value in dict(assignment or {}).items():
-            v = float(value)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(
-                    f"detection probability {v} for ({label!r}, {ev}) outside [0, 1]"
-                )
-            normalized[(label, float(ev))] = v
+        table = _NO_TABLE
+        if assignment:
+            normalized = {}
+            for (label, ev), value in dict(assignment).items():
+                v = float(value)
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(
+                        f"detection probability {v} for ({label!r}, {ev}) outside [0, 1]"
+                    )
+                normalized[(label, float(ev))] = v
+            table = _ReadOnlyDict(normalized)
         if not 0.0 <= float(default_value) <= 1.0:
             raise ValueError(f"default detection {default_value} outside [0, 1]")
-        object.__setattr__(self, "assignment", normalized)
+        object.__setattr__(self, "assignment", table)
         object.__setattr__(self, "default_value", float(default_value))
 
     def value(self, state_label: Hashable, eigenvalue: float) -> float:

@@ -275,6 +275,24 @@ class TestRunScenario:
             assert _bits(values[f"post_state_{i}_{j}_re"]) == _bits(z.real)
             assert _bits(values[f"post_state_{i}_{j}_im"]) == _bits(z.imag)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 11])
+    def test_entry_records_match_one_record_per_entry(self, rng, dim):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = g @ g.conj().T
+        state = linalg.DensityOperator(m / np.trace(m).real)
+        want = [
+            Record(f"rho_{i}_{j}_{part}", float(value))
+            for (i, j), z in np.ndenumerate(state.matrix)
+            for part, value in (("re", z.real), ("im", z.imag))
+        ]
+        got = cli._entry_records("rho", state)
+        assert [type(r) for r in got] == [Record] * len(want)
+        assert [(r.name, _bits(r.value), type(r.value), r.residual) for r in got] == [
+            (r.name, _bits(r.value), float, None) for r in want
+        ]
+        with pytest.raises(AttributeError):
+            got[-1].value = 0.0
+
     def test_mixture_divergence_records_match_the_public_functions(self):
         config = SHIPPED["mixture_divergence"]
         p = _prepare(config)[1]

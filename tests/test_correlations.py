@@ -4,12 +4,13 @@ import itertools
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import clear_operator_caches
-from esrsim import correlations, hidden_variables, simplex
+from esrsim import correlations, hidden_variables, measurement, simplex
 from esrsim.hidden_variables import (
     CorrelationTarget,
     build_feasibility_lp,
@@ -283,6 +284,7 @@ class TestMemoizedOperators:
 class TestPerCallCost:
     """What one correlation call builds: the overall expectation reads only
     the weighted wing operators, the Pauli tensor is built once per state,
+    each setting's axis once per scenario, no table for uniform detection,
     and the named states once."""
 
     @staticmethod
@@ -309,24 +311,73 @@ class TestPerCallCost:
         assert built == [("a", -1.0), ("b", -1.0)] * 5
         assert correlations._pauli_tensor.cache_info().misses == 1
 
+    @staticmethod
+    def _record_axes(monkeypatch) -> Counter:
+        """Count the ``math.sin`` and ``math.cos`` calls, by function and argument."""
+        calls = Counter()
+        for name in ("sin", "cos"):
+            def spy(x, name=name, real=getattr(math, name)):
+                calls[name, x] += 1
+                return real(x)
+
+            monkeypatch.setattr(math, name, spy)
+        return calls
+
     def test_bell_grid_point_builds_three_weighted_operators(self, monkeypatch):
         built = self._record_wings(monkeypatch)
+        axes = self._record_axes(monkeypatch)
         clear_operator_caches()
         settings = {"a": 0.1, "b": 0.9, "c": 2.3}
         tensors = correlations._pauli_tensor.cache_info
 
         def grid_point(d):
             built.clear()
+            axes.clear()
             dm = DetectionModel.uniform(d)
             sc = singlet_scenario(settings, dm, dm)
             values = [trichotomic_expectation(sc, x, y).value for x, y in ("ab", "ac", "bc")]
             modified_bell_report(*values)
+            # One sin and one cos per setting, all made by the scenario.
+            assert axes == {(f, t): 1 for f in ("sin", "cos") for t in settings.values()}
+            # Two weighted wings per pair; never the sign +1 detection wing.
+            assert built == [("a", -1.0), ("b", -1.0), ("a", -1.0), ("c", -1.0),
+                             ("b", -1.0), ("c", -1.0)]
             return set(built)
 
         for d in (0.7, 0.8, 0.9):
             assert grid_point(d) == {("a", -1.0), ("b", -1.0), ("c", -1.0)}
             assert grid_point(d) == {("a", -1.0), ("b", -1.0), ("c", -1.0)}
             assert tensors().misses == 1  # no grid point rebuilds the tensor
+
+    def test_each_setting_axis_is_computed_once_per_scenario(self, monkeypatch):
+        axes = self._record_axes(monkeypatch)
+        settings = {"a": -0.0, "b": 0.9, "c": 2.3, "d": 4.0e5}
+        tabled = DetectionModel(assignment=dict(zip(SPIN_KEYS, (0.9, 0.6))))
+        for dm in (DetectionModel.uniform(0.8), tabled):
+            axes.clear()
+            sc = singlet_scenario(settings, dm, dm)
+            assert axes == {(f, t): 1 for f in ("sin", "cos") for t in settings.values()}
+            for x, y in itertools.product(settings, repeat=2):
+                trichotomic_expectation(sc, x, y)
+                conditional_expectation(sc, x, y)
+            efficiency_scan(singlet_state(), settings, [0.5, 1.0])
+            # The scan's own scenario adds one axis per setting, nothing more.
+            assert axes == {(f, t): 2 for f in ("sin", "cos") for t in settings.values()}
+
+    def test_uniform_detection_walks_no_table(self, monkeypatch):
+        tables, read_only = [], measurement._ReadOnlyDict
+
+        def spy(table):
+            tables.append(dict(table))
+            return read_only(table)
+
+        monkeypatch.setattr(measurement, "_ReadOnlyDict", spy)
+        models = [DetectionModel.uniform(d) for d in (0.0, 0.5, 1.0)]
+        models += [DetectionModel(None, 0.3), DetectionModel({}, 0.2), DetectionModel()]
+        assert tables == []
+        assert all(m.assignment is models[0].assignment and not m.assignment for m in models)
+        DetectionModel(assignment={SPIN_KEYS[0]: 0.5})
+        assert tables == [{SPIN_KEYS[0]: 0.5}]
 
     def test_bell_grid_builds_pauli_tensor_once(self):
         clear_operator_caches()

@@ -4,6 +4,9 @@ named states rely on this, since ``singlet_state()`` and ``ghz_state()`` hand
 one ``DensityOperator`` to every caller."""
 
 import copy
+import math
+import operator
+import pickle
 
 import pytest
 
@@ -19,6 +22,10 @@ def _component():
 def _two_party():
     unit = measurement.DetectionModel.uniform(1.0)
     return correlations.TwoPartyScenario(correlations.singlet_state(), {"a": 0.0}, unit, unit)
+
+
+def _tabled(default=1.0):
+    return measurement.DetectionModel({("S", 1.0): 0.5, ("S", -1.0): 0.25}, default)
 
 
 def _scan():
@@ -96,3 +103,67 @@ def test_cached_states_are_shared_and_frozen():
         with pytest.raises(AttributeError):
             state.matrix = state.matrix.copy()
         assert not state.matrix.flags.writeable
+
+
+# The mapping fields that later fields or fast paths are derived from:
+# name -> (factory, field, a key present in the mapping)
+MAPPINGS = {
+    "TwoPartyScenario.settings": (_two_party, "settings", "a"),
+    "DetectionModel.assignment": (_tabled, "assignment", ("S", 1.0)),
+    "DetectionModel.uniform.assignment": (
+        lambda: measurement.DetectionModel.uniform(0.5), "assignment", ("S", 1.0)
+    ),
+}
+
+MUTATIONS = {
+    "nan": lambda m, key: operator.setitem(m, key, math.nan),
+    "string": lambda m, key: operator.setitem(m, key, "0.5"),
+    "out of range": lambda m, key: operator.setitem(m, key, 7.0),
+    "delete": lambda m, key: operator.delitem(m, key),
+    "update": lambda m, key: m.update({key: 7.0}),
+    "in-place or": lambda m, key: operator.ior(m, {key: 7.0}),
+    "setdefault": lambda m, key: m.setdefault(key, 7.0),
+    "pop": lambda m, key: m.pop(key),
+    "popitem": lambda m, key: m.popitem(),
+    "clear": lambda m, key: m.clear(),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("name", MAPPINGS)
+def test_mapping_field_rejects_item_changes(name, mutation):
+    make, field, key = MAPPINGS[name]
+    mapping = getattr(make(), field)
+    plain = dict(mapping)
+    with pytest.raises(TypeError, match="read-only"):
+        MUTATIONS[mutation](mapping, key)
+    assert mapping == plain and plain == mapping
+    assert repr(mapping) == repr(plain)
+
+
+@pytest.mark.parametrize("name", MAPPINGS)
+def test_mapping_field_survives_copy_and_pickle(name):
+    make, field, key = MAPPINGS[name]
+    record = make()
+    plain = dict(getattr(record, field))
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        mapping = getattr(clone, field)
+        assert mapping == plain
+        with pytest.raises(TypeError, match="read-only"):
+            mapping[key] = 7.0
+
+
+def test_rejected_changes_leave_results_unchanged():
+    # Each write used to get past the constructors' checks and fail later as
+    # "correlation = ... is outside [-1, 1]", or be used silently.
+    settings = {"a": 0.3, "b": 1.1}
+    for dm in (measurement.DetectionModel.uniform(0.9), _tabled(0.7)):
+        sc = correlations.TwoPartyScenario(correlations.singlet_state(), settings, dm, dm)
+        before = correlations.trichotomic_expectation(sc, "a", "b").value
+        for key, value in (("a", math.nan), ("a", "0.5")):
+            with pytest.raises(TypeError):
+                sc.settings[key] = value
+        with pytest.raises(TypeError):
+            dm.assignment[("S", 1.0)] = 7.0
+        assert correlations.trichotomic_expectation(sc, "a", "b").value == before
+        assert sc.settings == settings

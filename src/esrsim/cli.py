@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import importlib
 import itertools
 import json
 import math
@@ -43,6 +42,7 @@ from .linalg import (
     DensityOperator,
     Frozen,
     SpectralObservable,
+    left_to_right_sum,
 )
 from .measurement import (
     DetectionModel,
@@ -306,11 +306,6 @@ def _angles(count: int):
     return parse
 
 
-def _lazy(module: str):
-    """``esrsim.<module>``, imported only when a scenario first needs it."""
-    return importlib.import_module(f"{__package__}.{module}")
-
-
 _COMPONENT = {
     "weight": (_number(MIN_COMPONENT_WEIGHT, 1.0), _REQUIRED),
     "state": (_density(), _REQUIRED),
@@ -320,7 +315,8 @@ _COMPONENT = {
 
 def _components(value, path, top):
     """The components as a ``mixtures.ProperMixture``."""
-    mixtures = _lazy("mixtures")
+    from . import mixtures
+
     comps = []
     for k, entry in enumerate(_list(_object(_COMPONENT))(value, path, top)):
         label = f"component{k}" if entry["label"] is None else entry["label"]
@@ -378,12 +374,12 @@ _MIXTURE = {
 
 _BELL = {
     "angles_deg": (_angles(3), _REQUIRED),
-    "state": (_density(4), lambda: _lazy("correlations").singlet_state()),
+    "state": (_density(4), None),  # None: the singlet
     "d_grid": (_list(_PROBABILITY), _REQUIRED),
 }
 _CHSH = {**_BELL, "angles_deg": (_angles(4), _REQUIRED)}
 
-_GHZ = {"state": (_density(8), lambda: _lazy("correlations").ghz_state())}
+_GHZ = {"state": (_density(8), None)}  # None: the GHZ state
 _GHZ_LOCAL_MODEL = {
     **_GHZ,
     "min_efficiency": (_PROBABILITY, 0.0),
@@ -414,8 +410,8 @@ def _weights(value, path, top) -> list[float]:
         raise ConfigError(
             f"{path}: expected {count} weights, one per microstate, got {len(weights)}"
         )
-    if abs(sum(weights) - 1.0) > ARITHMETIC_TOL:
-        raise ConfigError(f"{path}: weights sum to {sum(weights)}, not 1")
+    if abs(left_to_right_sum(weights) - 1.0) > ARITHMETIC_TOL:
+        raise ConfigError(f"{path}: weights sum to {left_to_right_sum(weights)}, not 1")
     return weights
 
 
@@ -517,7 +513,8 @@ def _run_monte_carlo(prepared: dict):
 
 
 def _run_mixture_divergence(prepared: dict):
-    mixtures = _lazy("mixtures")
+    from . import mixtures
+
     mixture = prepared["components"]
     prop, dm = prepared["sigma"], prepared["detection_model"]
     overall = mixtures.proper_overall_probability(mixture, prop, dm)
@@ -539,7 +536,7 @@ def _run_bell_scan(prepared: dict):
     a, b, c = (math.radians(v) for v in prepared["angles_deg"])
     unit = DetectionModel.uniform(1.0)
     sc = correlations.TwoPartyScenario(
-        joint_state=prepared["state"],
+        joint_state=prepared["state"] or correlations.singlet_state(),
         settings={"a": a, "b": b, "c": c},
         detection_a=unit,
         detection_b=unit,
@@ -561,7 +558,7 @@ def _run_chsh_scan(prepared: dict):
 
     a, d_angle, b, c = (math.radians(v) for v in prepared["angles_deg"])
     scan = correlations.efficiency_scan(
-        prepared["state"],
+        prepared["state"] or correlations.singlet_state(),
         {"a": a, "d": d_angle, "b": b, "c": c},
         prepared["d_grid"],
     )
@@ -577,7 +574,7 @@ def _run_chsh_scan(prepared: dict):
 def _run_ghz_quantum(prepared: dict):
     from . import correlations
 
-    scenario = correlations.GHZScenario(joint_state=prepared["state"])
+    scenario = correlations.GHZScenario(joint_state=prepared["state"] or correlations.ghz_state())
     values = correlations.ghz_quantum_correlations(scenario)
     records = [
         Record(f"E_{name}", value)
@@ -593,7 +590,7 @@ _SETTING_NAMES = ("X", "Y")
 def _run_ghz_local_model(prepared: dict):
     from . import correlations
 
-    scenario = correlations.GHZScenario(joint_state=prepared["state"])
+    scenario = correlations.GHZScenario(joint_state=prepared["state"] or correlations.ghz_state())
     found = correlations.ghz_local_model_search(
         scenario, prepared["min_efficiency"], prepared["min_joint_detection"]
     )

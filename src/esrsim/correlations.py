@@ -20,13 +20,13 @@ c0 = (d(+1) +- d(-1))/2 and c = (d(+1) -+ d(-1))/2, so a two-qubit
 expectation Tr[rho (A x B)] is the bilinear form a^T R b over the (I, X, Z)
 rows and columns; a GHZ correlation is one entry of the three-qubit tensor.
 
-The classical side is covered by exhaustive enumeration of deterministic
-trichotomic strategies (the inequality bounds) and by the LP search for local
-models of the GHZ correlations under detection-efficiency constraints; a
+The classical side reads ``hidden_variables``' one enumeration of the
+deterministic trichotomic strategies: the inequality bounds over its rows,
+and the LP search for local GHZ models under detection-efficiency
+constraints over one strategy per class, keyed on the contexts alone; a
 feasible point that fails its own certificate raises ``RuntimeError``.  The
-LP modules (``hidden_variables``, ``simplex``) are imported inside that
-search, so the scans and GHZ predictions never load them.  The named singlet
-and GHZ states are built once.
+LP modules are imported inside those functions, so the scans and GHZ
+predictions never load them.  The named singlet and GHZ states are built once.
 """
 
 from __future__ import annotations
@@ -128,11 +128,6 @@ class TwoPartyScenario(Frozen):
         object.__setattr__(self, "detection_b", detection_b)
         object.__setattr__(self, "_axes", axes)
 
-    def angle(self, label: str) -> float:
-        if label not in self.settings:
-            raise ValueError(f"unknown setting {label!r}; have {sorted(self.settings)}")
-        return float(self.settings[label])
-
 
 class CorrelationResult(Frozen):
     __slots__ = ("value",)
@@ -193,7 +188,7 @@ def _wing(sc: TwoPartyScenario, label: str, dm: DetectionModel, sign: float) -> 
     """
     axis = sc._axes.get(label)
     if axis is None:
-        sc.angle(label)  # raises the unknown-setting error
+        raise ValueError(f"unknown setting {label!r}; have {sorted(sc.settings)}")
     if dm.assignment:
         d_plus, d_minus = dm.value(DEFAULT_STATE_LABEL, 1.0), dm.value(DEFAULT_STATE_LABEL, -1.0)
     else:
@@ -408,7 +403,7 @@ def ghz_local_model_search(
     # Each class of equal LP columns is a union of these, so its presolve
     # keeps the columns, in the order, it keeps over all 729: pivots and bits
     # are unchanged.  The certificate below reads all 729 columns.
-    cols = rows.distinct_strategies(GHZ_CONTEXTS, float(min_efficiency or 0.0) > 0.0)
+    cols = rows.distinct_strategies(GHZ_CONTEXTS)
     result = solve_lp_simplex(FeasibilityProblem(
         n_vars=cols.size,
         a_eq=problem.a_eq[:, cols],
@@ -465,32 +460,29 @@ class BruteForceBound(Frozen):
         object.__setattr__(self, "tight", tight)
 
 
-def brute_force_trichotomic_bound(
-    expression: str, outcomes: Sequence[int] = (-1, 0, 1)
-) -> BruteForceBound:
+def brute_force_trichotomic_bound(expression: str) -> BruteForceBound:
     """Exact extremum of an inequality expression over deterministic strategies.
 
-    ``"chsh"`` maximizes |A(a)B(b) - A(a)B(c)| + |A(d)B(b) + A(d)B(c)| over all
-    assignments of (A(a), A(d), B(b), B(c)); ``"bell"`` maximizes
-    lhs - rhs = |E(a,b) - E(a,c)| - 1 - E(b,c) over the anticorrelation-
-    constrained assignments B(x) = -A(x).  Ties are all reported, in
-    enumeration order.  The outcomes are integers, so every value is exact
-    and ties are plain equalities.
+    The strategies are ``enumerate_local_strategies``' rows.  ``"chsh"``
+    maximizes |A(a)B(b) - A(a)B(c)| + |A(d)B(b) + A(d)B(c)| over the (2, 2)
+    rows (A(a), A(d), B(b), B(c)); ``"bell"`` maximizes lhs - rhs =
+    |E(a,b) - E(a,c)| - 1 - E(b,c) over the (1, 3) rows (A(a), A(b), A(c))
+    with B(x) = -A(x).  Ties are all reported, in row order.  The outcomes
+    are integers, so every value is exact and ties are plain equalities.
     """
+    from .hidden_variables import enumerate_local_strategies
+
     if expression == "chsh":
-        assignments = list(itertools.product(outcomes, repeat=4))
-        values = [
-            abs(a_a * b_b - a_a * b_c) + abs(a_d * b_b + a_d * b_c)
-            for a_a, a_d, b_b, b_c in assignments
-        ]
+        slots = enumerate_local_strategies(parties=2, settings=2).reshape(-1, 4)
+        a_a, a_d, b_b, b_c = slots.T
+        values = np.abs(a_a * b_b - a_a * b_c) + np.abs(a_d * b_b + a_d * b_c)
     elif expression == "bell":
-        assignments = list(itertools.product(outcomes, repeat=3))
-        values = []
-        for a_a, a_b, a_c in assignments:
-            e_ab, e_ac, e_bc = -a_a * a_b, -a_a * a_c, -a_b * a_c
-            values.append(abs(e_ab - e_ac) - (1.0 + e_bc))
+        slots = enumerate_local_strategies(parties=1, settings=3).reshape(-1, 3)
+        a_a, a_b, a_c = slots.T
+        e_ab, e_ac, e_bc = -a_a * a_b, -a_a * a_c, -a_b * a_c
+        values = np.abs(e_ab - e_ac) - (1.0 + e_bc)
     else:
         raise ValueError(f"unknown expression {expression!r}; use 'chsh' or 'bell'")
-    best = max(values)
-    tight = [a for a, v in zip(assignments, values) if v == best]
+    best = values.max()
+    tight = map(tuple, slots[values == best].tolist())
     return BruteForceBound(value=float(best), tight=tuple(tight))

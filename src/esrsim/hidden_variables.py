@@ -11,8 +11,9 @@ encoding no detection.  Reproducing target conditional correlations with a
 distribution over strategies is a linear feasibility problem: the conditional
 constraints (ratios of linear forms) are cross-multiplied by the
 joint-detection mass, which is kept away from zero by an explicit lower bound.
-``simplex`` is imported only where that LP is built, so a microstate model
-(hv-verify) never loads the solver.
+The inequality bounds read the same enumeration.  ``simplex`` is imported
+only where that LP is built, so a microstate model (hv-verify) never loads
+the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, DEFAULT_MIN_JOINT_DETECTION, Frozen
+from .linalg import ARITHMETIC_TOL, DEFAULT_MIN_JOINT_DETECTION, Frozen, left_to_right_sum
 from .measurement import ProbabilityTriple
 
 __all__ = [
@@ -78,8 +79,8 @@ class MicrostateModel(Frozen):
             raise ValueError(f"{len(states)} microstates but {len(weights)} weights")
         if not all(w >= 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if not abs(sum(weights) - 1.0) <= ARITHMETIC_TOL:
-            raise ValueError(f"weights sum to {sum(weights)}, not 1")
+        if not abs(left_to_right_sum(weights) - 1.0) <= ARITHMETIC_TOL:
+            raise ValueError(f"weights sum to {left_to_right_sum(weights)}, not 1")
         detection = {}
         for (idx, label), value in dict(micro_detection or {}).items():
             if not 0 <= int(idx) < len(states):
@@ -148,14 +149,14 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
 class _StrategyRows:
     """The indicator rows of a strategy array, each built on first use and
     then kept read-only: per context the outcome product and the joint
-    detection, per (party, setting) slot the detection marginal; and per LP
-    shape the first strategy of each class whose rows all coincide."""
+    detection, per (party, setting) slot the detection marginal; and per
+    tuple of contexts the first strategy of each class of coinciding rows."""
 
     def __init__(self, outcomes: np.ndarray):
         self.outcomes = outcomes
         self._contexts: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._marginals: np.ndarray | None = None
-        self._distinct: dict[tuple, np.ndarray] = {}
+        self._distinct: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
 
     def context(self, settings_tuple: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(product, joint detection) of the outcomes at one setting per party."""
@@ -185,27 +186,25 @@ class _StrategyRows:
             self._marginals.setflags(write=False)
         return self._marginals
 
-    def distinct_strategies(self, contexts: tuple[tuple[int, ...], ...],
-                            marginals: bool) -> np.ndarray:
+    def distinct_strategies(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
         """Sorted index of the first strategy of each class whose rows coincide.
 
-        The rows are each context's product and joint detection, plus the
-        detection marginals when ``marginals`` is set.  Every row of an LP
-        over these contexts is built entry by entry from those rows, so
-        strategies of one class have byte-identical LP columns, and the first
-        copy of each LP column is among the indices returned.
+        The rows are each context's product and joint detection and every
+        slot's detection marginal.  Every row ``build_feasibility_lp`` makes
+        over these contexts is built entry by entry from those rows, so one
+        class has byte-identical LP columns, and the first copy of each LP
+        column is among the indices returned; the solver's presolve merges
+        the classes an LP's rows do not tell apart.
         """
-        key = (contexts, marginals)
-        index = self._distinct.get(key)
+        index = self._distinct.get(contexts)
         if index is None:
             rows = [row for ctx in contexts for row in self.context(ctx)]
-            if marginals:
-                rows.extend(self.marginals().reshape(-1, len(self.outcomes)))
+            rows.extend(self.marginals().reshape(-1, len(self.outcomes)))
             from .simplex import _first_distinct_columns  # the solver's presolve
 
             index = _first_distinct_columns(np.vstack(rows))
             index.setflags(write=False)
-            self._distinct[key] = index
+            self._distinct[contexts] = index
         return index
 
 

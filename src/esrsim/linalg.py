@@ -34,6 +34,7 @@ __all__ = [
     "validate_spectral_observable",
     "as_complex_matrix",
     "clamp",
+    "left_to_right_sum",
 ]
 
 
@@ -96,6 +97,15 @@ def clamp(x: float, lo: float, hi: float, what: str) -> float:
     if not lo - ARITHMETIC_TOL <= x <= hi + ARITHMETIC_TOL:
         raise ValueError(f"{what} = {x} is outside [{lo:g}, {hi:g}]")
     return float(min(max(x, lo), hi))
+
+
+def left_to_right_sum(values) -> float:
+    """0.0 + v1 + v2 + ..., rounded after each addition as builtin ``sum()``
+    rounds before Python 3.12; from 3.12 it compensates, and rounds otherwise."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -32,6 +32,7 @@ from .linalg import (
     SpectralObservable,
     _ReadOnlyDict,
     clamp,
+    left_to_right_sum,
 )
 
 __all__ = [
@@ -221,10 +222,8 @@ def detection_mass(
     state_label: Hashable = DEFAULT_STATE_LABEL,
 ) -> float:
     """Probability that the object is detected at all in a measurement of ``obs``."""
-    total = 0.0  # a plain loop: from Python 3.12 on, sum() rounds floats differently
-    for weight in _detected_weights(rho, obs, dm, state_label):
-        total += weight
-    return clamp(total, 0.0, 1.0, "detection mass")
+    weights = _detected_weights(rho, obs, dm, state_label)
+    return clamp(left_to_right_sum(weights), 0.0, 1.0, "detection mass")
 
 
 def outcome_distribution(
@@ -240,7 +239,7 @@ def outcome_distribution(
     """
     weights = _detected_weights(rho, obs, dm, state_label)
     probs = [clamp(w, 0.0, 1.0, f"p({ev})") for ev, w in zip(obs.base.eigenvalues, weights)]
-    a0_prob = 1.0 - sum(probs)
+    a0_prob = 1.0 - left_to_right_sum(probs)
     probs.append(clamp(a0_prob, 0.0, 1.0, "p(a0)"))
     arr = np.asarray(probs, dtype=float)
     if abs(float(arr.sum()) - 1.0) > ARITHMETIC_TOL:

@@ -23,6 +23,7 @@ from .linalg import (
     DensityOperator,
     Frozen,
     clamp,
+    left_to_right_sum,
 )
 from .measurement import DetectionModel, Property, detection_mass, probability_triple
 
@@ -57,7 +58,6 @@ class ProperMixture(Frozen):
         comps = tuple(components)
         if not comps:
             raise ValueError("proper mixture needs at least one component")
-        total = 0.0
         dim = comps[0].state.dimension
         for c in comps:
             if not MIN_COMPONENT_WEIGHT <= c.weight <= 1.0:
@@ -69,7 +69,7 @@ class ProperMixture(Frozen):
                 raise ValueError(
                     f"component {c.state_label!r} is not pure: Tr[rho^2] = {purity}"
                 )
-            total += c.weight
+        total = left_to_right_sum(c.weight for c in comps)
         if not abs(total - 1.0) <= ARITHMETIC_TOL:
             raise ValueError(f"component weights sum to {total}, not 1")
         object.__setattr__(self, "components", comps)
@@ -92,7 +92,7 @@ def proper_overall_probability(
     dm: DetectionModel,
 ) -> float:
     """Epistemic average of component overall probabilities."""
-    return sum(
+    return left_to_right_sum(
         c.weight
         * probability_triple(c.state, prop, dm, c.state_label).overall
         for c in m.components
@@ -113,7 +113,7 @@ def proper_conditional_probability(
     ``None`` when the aggregate detected mass vanishes.
     """
     overall = proper_overall_probability(m, prop, dm)
-    denominator = sum(
+    denominator = left_to_right_sum(
         c.weight * detection_mass(c.state, prop.observable, dm, c.state_label)
         for c in m.components
     )

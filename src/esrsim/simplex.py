@@ -10,12 +10,12 @@ of each byte-identical column), found with one stable lexsort over the
 columns' bits: copies stay identical under every column-wise update and
 Bland's rule enters the lowest index first, so a later copy never enters and
 gets weight zero.  The GHZ search hands the solver one strategy per class
-of coinciding indicator rows (105 of the 729 with efficiency rows, found
-once per LP shape with the same lexsort); there the presolve merges only
-classes whose LP columns collide in value (tolerance 0 with +-1 targets) and
-keeps the columns, in the order, that it keeps over all 729.  The artificial columns are left out
-too: a basic artificial's column stays an exact unit vector with zero reduced
-cost, and one that leaves never re-enters, so no artificial column is read.
+of coinciding indicator rows (105 of the 729, found once per tuple of
+contexts with the same lexsort); the presolve merges the classes whose LP
+columns coincide and keeps the columns, in the order, it keeps over all 729.
+The artificial columns are left out too: a basic artificial's column stays
+an exact unit vector with zero reduced cost, and one that leaves never
+re-enters, so no artificial column is read.
 
 Each pivot makes the entry-by-entry loop's choices and its floating-point
 operations: the ratio test runs over the entering column as Python floats,

@@ -133,8 +133,12 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
     {-1, 0, +1} (0 means undetected) of every (party, setting) slot.  Rows are
     lexicographic in (-1, 0, +1) over the slots, which are ordered
     party-major, setting-minor.  The array is built once per shape and is
-    read-only, since every call shares it.
+    read-only, since every call shares it.  ``parties`` and ``settings``
+    must be ints (a bool, float or NaN raises a ``ValueError`` naming it).
     """
+    for name, value in (("parties", parties), ("settings", settings)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     slots = parties * settings
     if parties < 1 or settings < 1:
         raise ValueError("parties and settings must be positive")

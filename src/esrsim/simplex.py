@@ -1,21 +1,30 @@
 """Dense two-phase simplex for LP feasibility on strategy simplices.
 
 Problems are small (hundreds of variables, tens of rows) and deterministic
-reproducibility matters most, so this is a dense tableau with Bland's
-anti-cycling rule: entering column is the lowest-index negative reduced cost,
-leaving row breaks ratio ties by lowest basic-variable index.
+reproducibility matters most, so this is a dense tableau.  It prices by
+Dantzig's rule first: the entering column is the most negative reduced cost,
+the first index on ties.  If that attempt raises, or its point fails
+:func:`feasibility_residuals`, or its "infeasible" basis gives a phase-one
+dual that, recomputed from the rows as built, is no Farkas certificate, the
+solver re-solves with Bland's anti-cycling rule: the entering column is the
+lowest-index negative reduced cost.  Under both rules the leaving row breaks
+ratio ties by lowest basic-variable index.
+Dantzig's rule takes about half of Bland's pivots on the GHZ LP, but it can
+pivot on an entry just above the pivot tolerance and end at a basis that is
+neither feasible nor optimal; Bland's rule prevents cycling only in exact
+arithmetic, and round-off can break it too.
 
 The tableau is built only over the distinct variable columns (the first copy
 of each byte-identical column), found with one stable lexsort over the
-columns' bits: copies stay identical under every column-wise update and
-Bland's rule enters the lowest index first, so a later copy never enters and
-gets weight zero.  The GHZ search hands the solver one strategy per class
-of coinciding indicator rows (105 of the 729, found once per tuple of
-contexts with the same lexsort); the presolve merges the classes whose LP
-columns coincide and keeps the columns, in the order, it keeps over all 729.
-The artificial columns are left out too: a basic artificial's column stays
-an exact unit vector with zero reduced cost, and one that leaves never
-re-enters, so no artificial column is read.
+columns' bits: copies stay identical under every column-wise update, keep
+equal reduced costs, and both rules enter the lowest index among equals, so a
+later copy never enters and gets weight zero.  The GHZ search hands the
+solver one strategy per class of coinciding indicator rows (105 of the 729,
+found once per tuple of contexts with the same lexsort); the presolve merges
+the classes whose LP columns coincide and keeps the columns, in the order, it
+keeps over all 729.  The artificial columns are left out too: a basic
+artificial's column stays an exact unit vector with zero reduced cost, and
+one that leaves never re-enters, so no artificial column is read.
 
 Each pivot makes the entry-by-entry loop's choices and its floating-point
 operations: the ratio test runs over the entering column as Python floats,
@@ -24,9 +33,9 @@ The subtraction also runs over the rows whose entering entry is zero, which
 the loop skips; subtracting a zero multiple of a finite row leaves every
 value as it was and can only flip the sign of a zero.  A zero's sign reaches
 the result only through the right-hand column (the point and the phase-one
-objective), so those rows' right-hand zeros are put back.  Results are
-therefore bit-identical to the entry-by-entry loop over the full-width
-tableau.
+objective), so those rows' right-hand zeros are put back.  Results of the
+Bland path are therefore bit-identical to the entry-by-entry Bland loop over
+the full-width tableau.
 
 Phase one minimizes the sum of artificial variables; a strictly positive
 optimum certifies infeasibility.  No phase-two objective is needed because the
@@ -57,6 +66,7 @@ MAX_CONSTRAINTS = 200
 _PIVOTS_PER_LINE = 200
 
 _PIVOT_TOL = 1e-10
+_DUAL_TOL = 1e-9  # a Farkas certificate's dual-feasibility slack
 FEASIBILITY_TOL = 1e-9  # certificate residuals; a larger phase-one optimum is infeasible
 
 
@@ -181,21 +191,82 @@ def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
     return np.sort(order[first])
 
 
+def _proves_infeasible(rows: np.ndarray, basis: list[int]) -> bool:
+    """Whether the phase-one dual y of ``basis`` is a Farkas certificate.
+
+    ``rows`` are the phase-one rows [A | b] as built, a row with a negative
+    bound negated; y solves B^T y = c_B over the basic columns of [A | I],
+    where an artificial costs 1.  If y.A <= 0 and y <= 1 (within
+    ``_DUAL_TOL``), weak duality bounds every phase-one objective below by
+    y.b, so y.b > ``FEASIBILITY_TOL`` certifies infeasibility.
+    """
+    m, width = rows.shape
+    a, b = rows[:, :-1], rows[:, -1]
+    basic = np.array(basis)
+    artificial = basic >= width - 1
+    matrix = np.zeros((m, m))
+    matrix[:, ~artificial] = a[:, basic[~artificial]]
+    matrix[basic[artificial] - (width - 1), artificial.nonzero()[0]] = 1.0
+    try:
+        y = np.linalg.solve(matrix.T, artificial.astype(float))
+    except np.linalg.LinAlgError:  # a singular basis proves nothing
+        return False
+    return bool(
+        y @ b > FEASIBILITY_TOL and (y @ a).max() <= _DUAL_TOL and y.max() <= 1.0 + _DUAL_TOL
+    )
+
+
+class _PivotFailure(RuntimeError):
+    """A pivot loop that stopped without a verdict, with the pivots it made."""
+
+    def __init__(self, message: str, pivots: int):
+        super().__init__(message)
+        self.pivots = pivots
+
+
 def solve_lp_simplex(
     problem: FeasibilityProblem,
     max_pivots: int | None = None,
 ) -> LPResult:
     """Find a feasible point of ``problem`` or certify infeasibility.
 
-    Deterministic for fixed input.  Raises ``ValueError`` when the stated
-    dimension bounds are exceeded and ``RuntimeError`` on a phase-one
-    unbounded direction or pivot-budget exhaustion (neither should occur on
-    simplex-constrained inputs).  The default budget is 200 pivots per row
-    and column of the presolved phase-one tableau, artificial columns
-    counted: about 30,000 for the GHZ LP, over 10x the longest path that
-    finishes on the GHZ grid.  So round-off cycling fails within about half a
-    second on a 2-CPU Linux machine instead of running on.
+    Deterministic for fixed input.  Prices by Dantzig's rule first; if that
+    attempt raises, returns a point that fails :func:`feasibility_residuals`
+    on ``problem``, or ends "infeasible" at a basis whose phase-one dual is
+    no Farkas certificate, re-solves with Bland's rule, and ``pivots``
+    counts both attempts.  Raises ``ValueError`` when the stated dimension
+    bounds are exceeded and ``RuntimeError`` when the Bland attempt meets a
+    phase-one unbounded direction, exhausts its pivot budget or ends at a
+    point that fails its certificate.  Each attempt gets
+    the budget, by default 200 pivots per row and column of the presolved
+    phase-one tableau, artificial columns counted: about 30,000 for the GHZ
+    LP, over 10x the longest Bland path that finishes on the GHZ grid.  So
+    round-off cycling fails within about half a second on a 2-CPU Linux
+    machine instead of running on.
     """
+    try:
+        first = _phase_one(problem, max_pivots, dantzig=True)
+    except _PivotFailure as failure:
+        spent = failure.pivots
+    else:
+        if not first.feasible or feasibility_residuals(problem, first.x).satisfied():
+            return first
+        spent = first.pivots
+    retry = _phase_one(problem, max_pivots, dantzig=False)
+    if retry.feasible:
+        certificate = feasibility_residuals(problem, retry.x)
+        if not certificate.satisfied():
+            raise RuntimeError(
+                f"LP point fails its feasibility certificate at {certificate.worst_row!r}"
+            )
+    return LPResult(retry.status, retry.x, retry.phase1_objective, spent + retry.pivots)
+
+
+def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: bool) -> LPResult:
+    """One phase-one pivot loop.  The entering column is the most negative
+    reduced cost, first index on ties (Dantzig), or the first negative one
+    (Bland); the leaving row is the same ratio test under both rules.
+    Raises :class:`_PivotFailure` when the loop stops without a verdict."""
     if problem.n_vars > MAX_VARIABLES:
         raise ValueError(
             f"problem has {problem.n_vars} variables, bound is {MAX_VARIABLES}"
@@ -230,6 +301,7 @@ def solve_lp_simplex(
     # would be summed pairwise, in another order, and round differently.
     tableau[m, :n_tot] = -tableau[:m].sum(axis=0)[:n_tot]
     tableau[m, -1] = -rhs.sum()
+    rows = tableau[:m].copy() if dantzig else None
     if max_pivots is None:
         # Rows plus columns of the phase-one tableau, artificials counted.
         max_pivots = _PIVOTS_PER_LINE * ((m + 1) + (n_tot + m + 1))
@@ -239,10 +311,15 @@ def solve_lp_simplex(
 
     pivots = 0
     while True:
-        below = cost < -_PIVOT_TOL
-        entering = int(below.argmax())
-        if not below[entering]:
-            break
+        if dantzig:
+            entering = int(cost.argmin())
+            if not cost[entering] < -_PIVOT_TOL:
+                break
+        else:
+            below = cost < -_PIVOT_TOL
+            entering = int(below.argmax())
+            if not below[entering]:
+                break
 
         column = tableau[:, entering].tolist()
         ratios = rhs.tolist()
@@ -262,11 +339,11 @@ def solve_lp_simplex(
             elif c == 0.0 and ratios[i] == 0.0:
                 signed_zeros.append(i)
         if leaving < 0:
-            raise RuntimeError("phase-one unbounded: no valid pivot row")
+            raise _PivotFailure("phase-one unbounded: no valid pivot row", pivots)
+        if pivots >= max_pivots:
+            raise _PivotFailure(f"pivot budget {max_pivots} exhausted", pivots)
 
         pivots += 1
-        if pivots > max_pivots:
-            raise RuntimeError(f"pivot budget {max_pivots} exhausted")
 
         pivot_row = tableau[leaving]
         pivot_row /= column[leaving]
@@ -279,6 +356,8 @@ def solve_lp_simplex(
 
     objective = -float(tableau[m, -1])
     if objective > FEASIBILITY_TOL:
+        if dantzig and not _proves_infeasible(rows, basis):
+            raise _PivotFailure("phase-one optimum fails its infeasibility certificate", pivots)
         return LPResult("infeasible", None, objective, pivots)
 
     x_full = np.zeros(n_tot)

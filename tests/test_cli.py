@@ -25,7 +25,7 @@ from esrsim.cli import (
     run_scenario,
     validate_config,
 )
-from esrsim import cli, linalg, measurement, mixtures
+from esrsim import cli, correlations, linalg, measurement, mixtures
 from esrsim.measurement import DetectionModel, sample_outcomes
 from esrsim.selftest import fundamental_equation_suite
 
@@ -920,6 +920,46 @@ class TestCommandLine:
         assert rows["feasible"] == "1,"
         assert rows["correlation_XXX"] == rows["correlation_YYX"] == ","
         assert rows["correlation_XYY"] == "-1,0"
+
+    @pytest.mark.parametrize(
+        "p, min_efficiency, min_joint_detection", [(0.94, 0.05, 0.0), (0.96, 0.1, 0.3)]
+    )
+    def test_noisy_ghz_searches_decide(
+        self, tmp_path, esr_sim, monkeypatch, p, min_efficiency, min_joint_detection
+    ):
+        # p|GHZ><GHZ| + (1 - p)I/8: configs that pass validate.  Bland's rule
+        # alone ended these runs with exit 3, at a point failing its
+        # certificate and at "phase-one unbounded".
+        monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "bench"))
+        import oracle
+
+        rho = p * correlations.ghz_state().matrix + (1 - p) * np.eye(8) / 8
+        # The oracle checks against the standard state's targets; give it
+        # this state's, Tr[rho A (x) B (x) C], from np.kron.
+        pauli = {"X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]])}
+        targets = tuple(
+            float(np.trace(rho @ np.kron(np.kron(pauli[a], pauli[b]), pauli[c])).real)
+            for a, b, c in ("XXX", "XYY", "YXY", "YYX")
+        )
+        monkeypatch.setattr(oracle, "GHZ_TARGETS", targets)
+        config = {
+            "scenario_type": "ghz-local-model",
+            "state": [[[z.real, z.imag] for z in row] for row in rho.tolist()],
+            "min_efficiency": min_efficiency,
+            "min_joint_detection": min_joint_detection,
+        }
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(config))
+        assert esr_sim("validate", "--scenario", str(path)).returncode == 0
+        for fmt in ("csv", "json"):
+            report = tmp_path / f"report.{fmt}"
+            result = esr_sim("run", "--scenario", str(path), "--format", fmt, "--output", str(report))
+            assert result.returncode == 0, result.stderr
+            ck = oracle.Checker()
+            records = oracle.parse_report(report.read_bytes(), fmt)
+            assert records["feasible"][0] == 1.0
+            oracle.check_cli(config, None, records, oracle.GHZOracle(), ck)
+            assert ck.problems == []
 
     @pytest.mark.parametrize(
         "config, needed, unused",

@@ -697,12 +697,28 @@ class TestGHZLocalModelSearch:
             assert efficiency == pytest.approx(marginal, abs=1e-12)
             assert efficiency >= 0.7 - 1e-9
 
-    def test_bit_identical_to_solving_all_729_columns(self):
+    @pytest.mark.parametrize("solver", ["dantzig-first", "bland"])
+    def test_bit_identical_to_solving_all_729_columns(self, monkeypatch, solver):
         # The search hands the solver one strategy per class; solving the
         # unreduced LP as it is built must give the same verdict, pivots,
-        # bits and errors.  The points include round-off failures of both
-        # kinds ("fails its feasibility certificate", "phase-one unbounded")
-        # but skip the slow pivot-budget ones.
+        # bits and errors, under Dantzig pricing with its Bland retry and
+        # under the Bland path alone.  The Bland path's points include
+        # round-off failures of both kinds ("fails its feasibility
+        # certificate", "phase-one unbounded") but skip the slow pivot-budget
+        # ones; one added grid point sends the Dantzig attempt to its retry.
+        phase_one, retries = simplex._phase_one, []
+        if solver == "bland":
+            monkeypatch.setattr(
+                simplex,
+                "solve_lp_simplex",
+                lambda problem, max_pivots=None: phase_one(problem, max_pivots, dantzig=False),
+            )
+
+        def counted(problem, max_pivots, dantzig):
+            retries.append(not dantzig)
+            return phase_one(problem, max_pivots, dantzig)
+
+        monkeypatch.setattr(simplex, "_phase_one", counted)
         grid = np.linspace(0.0, 1.0, 41)[[0, 7, 15, 23, 32, 33, 34, 40]]
         standard = GHZScenario.standard()
         cases = [
@@ -711,6 +727,8 @@ class TestGHZLocalModelSearch:
             for mjd in (0.0, 1e-6, 0.3)
             for eta in grid
         ]
+        # The one grid point whose Dantzig point fails its certificate.
+        cases.append((standard, float(np.linspace(0.0, 1.0, 41)[8]), 1e-6, 1e-6))
         ghz = correlations.ghz_state().matrix
         for p in np.linspace(0.3, 1.0, 36)[[25, 32, 33]]:
             noisy = GHZScenario(DensityOperator(p * ghz + (1 - p) * np.eye(8) / 8))
@@ -730,11 +748,16 @@ class TestGHZLocalModelSearch:
             )
             assert got == want, (min_efficiency, min_joint_detection, tolerance)
             outcomes.append(got[0])
-        # Not vacuous: feasible, infeasible and both kinds of error occur.
+        # Not vacuous: feasible and infeasible occur; the Bland path meets
+        # both kinds of error, and the Dantzig attempt goes to its retry.
         errors = [o for o in outcomes if isinstance(o, str)]
         assert True in outcomes and False in outcomes
-        assert any("phase-one unbounded" in e for e in errors)
-        assert any("fails its feasibility certificate" in e for e in errors)
+        if solver == "bland":
+            assert any("phase-one unbounded" in e for e in errors)
+            assert any("fails its feasibility certificate" in e for e in errors)
+        else:
+            assert errors == []
+            assert any(retries)
 
     def test_no_perfect_strategy_exists_at_unit_detection(self):
         # Exhaustive cross-check of the infeasibility verdict: no always-
@@ -749,6 +772,65 @@ class TestGHZLocalModelSearch:
                 s[0, c[0]] * s[1, c[1]] * s[2, c[2]] for c in contexts
             ]
             assert tuple(products) != wanted
+
+
+def _highs_verdict(scenario, min_efficiency, min_joint_detection, tolerance):
+    """Feasibility of the search's LP, decided by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    targets = [
+        CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
+        for ctx, value in zip(GHZ_CONTEXTS, ghz_quantum_correlations(scenario))
+    ]
+    problem = build_feasibility_lp(
+        enumerate_local_strategies(3, 2), targets, min_joint_detection, min_efficiency
+    )
+    result = linprog(
+        np.zeros(problem.n_vars),
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
+        A_ub=problem.a_ub if problem.a_ub.size else None,
+        b_ub=problem.b_ub if problem.a_ub.size else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+class TestVerdictsAgreeWithHighs:
+    """Every verdict of the search equals HiGHS's, and none raises."""
+
+    @pytest.mark.parametrize("min_joint_detection", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-6, 1e-3])
+    def test_standard_state_grid(self, tolerance, min_joint_detection):
+        # Bland's rule alone raises on 71 of these 369 points and calls
+        # (0.2, 1e-6, 0.3), where a local model exists, infeasible.
+        scenario = GHZScenario.standard()
+        for min_efficiency in np.linspace(0.0, 1.0, 41):
+            args = (scenario, float(min_efficiency), min_joint_detection, tolerance)
+            found = ghz_local_model_search(*args)
+            assert found.feasible == _highs_verdict(*args), args[1:]
+
+    def test_noisy_states_where_bland_fails(self):
+        # p|GHZ><GHZ| + (1 - p)I/8 at tolerance 0: each (p, min_joint_detection)
+        # with the linspace(0, 1, 21) indices of its min_efficiency values.
+        points = {
+            (0.94, 0.0): (1, 2, 3, 4, 5, 7, 8),
+            (0.96, 0.0): (6,),
+            (0.96, 0.3): (1, 2),
+            (0.98, 0.0): (1, 2, 3, 4, 5, 6, 7, 8, 9),
+        }
+        ps = np.linspace(0.3, 1.0, 36)
+        ghz = correlations.ghz_state().matrix
+        for (p, min_joint_detection), indices in points.items():
+            p = ps[np.argmin(abs(ps - p))]
+            scenario = GHZScenario(DensityOperator(p * ghz + (1 - p) * np.eye(8) / 8))
+            for eta in np.linspace(0.0, 1.0, 21)[list(indices)]:
+                args = (scenario, float(eta), min_joint_detection, 0.0)
+                found = ghz_local_model_search(*args)
+                assert found.feasible == _highs_verdict(*args), (p, *args[1:])
+        assert sum(map(len, points.values())) == 19
 
 
 class TestBruteForceBounds:

@@ -106,6 +106,19 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="enumeration bound"):
             enumerate_local_strategies(5, 3)
 
+    @pytest.mark.parametrize("name", ["parties", "settings"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, True, False, 2.5, 2.0, np.float64(2.0), "2"]
+    )
+    def test_non_integer_counts_rejected_by_name(self, name, value):
+        counts = {"parties": 2, "settings": 2, name: value}
+        with pytest.raises(ValueError) as excinfo:
+            enumerate_local_strategies(**counts)
+        assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_numpy_integer_counts_accepted(self):
+        assert len(enumerate_local_strategies(np.int64(2), np.int32(2))) == 81
+
     def test_shared_array_is_read_only(self):
         strategies = enumerate_local_strategies(3, 2)
         assert enumerate_local_strategies(3, 2) is strategies

@@ -1,6 +1,6 @@
 """Two-phase simplex: trivial cases, certificates, determinism, scipy oracle,
-bit equivalence with the scalar Bland loop, the column presolve and the
-default pivot budget."""
+bit equivalence of the Bland path with the scalar Bland loop, the column
+presolve, the default pivot budget and Dantzig pricing with its Bland retry."""
 
 import re
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from esrsim import simplex
 from esrsim.correlations import (
     GHZ_CONTEXTS,
     GHZScenario,
@@ -31,6 +32,12 @@ from esrsim.simplex import (
 )
 
 MAX_PIVOTS = 10**6  # a large explicit budget; the default scales with the tableau
+
+
+def _solve_bland(problem, max_pivots=None):
+    """The solver's Bland path alone, with no Dantzig attempt and no
+    certificate check: the retry of ``solve_lp_simplex``."""
+    return simplex._phase_one(problem, max_pivots, dantzig=False)
 
 
 def _simplex_problem(n, extra_eq=None, extra_b=None, a_ub=None, b_ub=None):
@@ -338,7 +345,7 @@ def _ghz_problem(min_efficiency, tolerance, min_joint_detection):
 
 
 class TestBitEquivalenceWithScalarOracle:
-    """The vectorized pivots make the same Bland choices and the same
+    """The Bland path's vectorized pivots make the same choices and the same
     floating-point operations as the scalar loop, so every output matches
     to the bit."""
 
@@ -352,7 +359,7 @@ class TestBitEquivalenceWithScalarOracle:
     def test_ghz_grid(self, tolerance, min_joint_detection):
         for min_efficiency in np.linspace(0.0, 1.0, 41):
             problem = _ghz_problem(float(min_efficiency), tolerance, min_joint_detection)
-            fast = _outcome(solve_lp_simplex, problem, self.BUDGET)
+            fast = _outcome(_solve_bland, problem, self.BUDGET)
             slow = _outcome(_oracle, problem, self.BUDGET)
             assert fast == slow, (min_efficiency, fast[:2], slow[:2])
 
@@ -362,7 +369,7 @@ class TestBitEquivalenceWithScalarOracle:
     )
     def test_ghz_long_pivot_paths(self, min_efficiency, tolerance, min_joint_detection):
         problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
-        fast = _outcome(solve_lp_simplex, problem, MAX_PIVOTS)
+        fast = _outcome(_solve_bland, problem, MAX_PIVOTS)
         slow = _outcome(_oracle, problem, MAX_PIVOTS)
         assert fast[0] != "error"
         assert fast == slow
@@ -396,7 +403,7 @@ class TestBitEquivalenceWithScalarOracle:
                 ties += result_ties
             except RuntimeError as exc:
                 slow = ("error", str(exc))
-            assert _outcome(solve_lp_simplex, problem, 2000) == slow
+            assert _outcome(_solve_bland, problem, 2000) == slow
         assert ties > 0
 
     def test_homogeneous_lps_with_signed_zeros(self):
@@ -418,7 +425,7 @@ class TestBitEquivalenceWithScalarOracle:
                 a_ub=a[1 + m_eq :] if m_ub else None,
                 b_ub=b[1 + m_eq :] if m_ub else None,
             )
-            assert _hex_outcome(solve_lp_simplex, problem, 500) == _hex_outcome(
+            assert _hex_outcome(_solve_bland, problem, 500) == _hex_outcome(
                 _oracle, problem, 500
             )
 
@@ -486,7 +493,7 @@ def _hex_outcome(solve, problem, max_pivots):
 
 class TestColumnPresolve:
     """The tableau keeps only the first copy of each byte-identical column;
-    nothing of that may show in the results."""
+    nothing of that may show in the Bland path's results."""
 
     @pytest.mark.parametrize("min_efficiency", [0.0, 0.7, 0.9])
     def test_duplicating_every_column_changes_nothing(self, min_efficiency):
@@ -499,8 +506,8 @@ class TestColumnPresolve:
             a_ub=np.hstack([problem.a_ub, problem.a_ub]),
             b_ub=problem.b_ub,
         )
-        single = solve_lp_simplex(problem)
-        twice = solve_lp_simplex(doubled)
+        single = _solve_bland(problem)
+        twice = _solve_bland(doubled)
         assert _hex_fields(twice)[:3] == _hex_fields(single)[:3]
         # The presolved solve matches the full-width scalar loop bit for bit.
         assert _hex_fields(twice) == _hex_fields(_oracle(doubled, MAX_PIVOTS))
@@ -515,7 +522,7 @@ class TestColumnPresolve:
         a_ub = np.array([[-1.0, -1.0, 0.0, 1.0], [-0.0, 0.0, -1.0, -1.0]])
         for b_eq, b_ub in [([1.0, 0.5], [0.5, -0.25]), ([1.0, 0.0], [-0.5, 0.0])]:
             problem = FeasibilityProblem(n_vars=4, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-            assert _hex_fields(solve_lp_simplex(problem)) == _hex_fields(
+            assert _hex_fields(_solve_bland(problem)) == _hex_fields(
                 _oracle(problem, MAX_PIVOTS)
             )
 
@@ -539,7 +546,7 @@ class TestColumnPresolve:
             a_eq=np.tile(column[:, None], (1, 3)),
             b_eq=column if b_eq is None else b_eq,
         )
-        assert _hex_fields(solve_lp_simplex(problem)) == _hex_fields(
+        assert _hex_fields(_solve_bland(problem)) == _hex_fields(
             _oracle(problem, MAX_PIVOTS)
         )
 
@@ -550,7 +557,7 @@ class TestColumnPresolve:
             a_ub=[[-1.0, -1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]],
             b_ub=[-1.0, 0.5],
         )
-        result = solve_lp_simplex(problem)
+        result = _solve_bland(problem)
         assert result.feasible
         assert result.x[3] == 0.0
         assert feasibility_residuals(problem, result.x).satisfied()
@@ -565,7 +572,7 @@ class TestColumnPresolve:
         for trial in range(240):
             kind = kinds[trial % len(kinds)]
             problem = _random_presolve_lp(rng, kind)
-            fast = _hex_outcome(solve_lp_simplex, problem, 2000)
+            fast = _hex_outcome(_solve_bland, problem, 2000)
             assert fast == _hex_outcome(_oracle, problem, 2000), (trial, kind)
             if fast[0] != "feasible":
                 continue
@@ -583,8 +590,8 @@ class TestColumnPresolve:
 
 
 class TestDefaultPivotBudget:
-    """The default budget scales with the presolved tableau: a cycling LP
-    fails promptly, and the longest grid path that finishes still does."""
+    """The default budget scales with the presolved tableau: a cycling Bland
+    path fails promptly, and the longest grid path that finishes still does."""
 
     # Longest path that finishes on the ROADMAP grid, at
     # (linspace(0, 1, 41)[14], 1e-6, 0).
@@ -603,16 +610,117 @@ class TestDefaultPivotBudget:
     def test_cycling_lp_fails_promptly(self, min_efficiency, tolerance, min_joint_detection):
         problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
         with pytest.raises(RuntimeError, match="pivot budget") as info:
-            solve_lp_simplex(problem)
+            _solve_bland(problem)
         budget = int(re.search(r"pivot budget (\d+) exhausted", str(info.value)).group(1))
         # At least 10x the longest finishing path, and about a second of pivots.
         assert 10 * self.LONGEST_PATH <= budget <= 50_000
 
     def test_longest_finishing_path_still_finishes(self):
         problem = _ghz_problem(float(np.linspace(0.0, 1.0, 41)[14]), 1e-6, 0.0)
-        result = solve_lp_simplex(problem)
+        result = _solve_bland(problem)
         assert result.pivots == self.LONGEST_PATH
-        assert _hex_fields(result) == _hex_fields(solve_lp_simplex(problem, MAX_PIVOTS))
+        assert _hex_fields(result) == _hex_fields(_solve_bland(problem, MAX_PIVOTS))
+
+
+def _highs_feasible(problem):
+    result = linprog(
+        c=np.zeros(problem.n_vars),
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
+        A_ub=problem.a_ub,
+        b_ub=problem.b_ub,
+        bounds=[(0, None)] * problem.n_vars,
+        method="highs",
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+class TestDantzigFirst:
+    """``solve_lp_simplex`` prices by Dantzig's rule and re-solves with the
+    Bland path when that attempt raises or its point fails the certificate."""
+
+    @pytest.mark.parametrize(
+        "min_efficiency, tolerance, min_joint_detection",
+        [(0.025, 1e-6, 0.0), (0.2, 1e-3, 0.3)],
+    )
+    def test_decides_the_lps_where_bland_cycles(
+        self, min_efficiency, tolerance, min_joint_detection
+    ):
+        problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
+        result = solve_lp_simplex(problem)
+        assert result.feasible == _highs_feasible(problem)
+        if result.feasible:
+            assert feasibility_residuals(problem, result.x).satisfied()
+
+    def test_false_infeasible_optimum_goes_to_the_retry(self):
+        # A sweeps-range LP (standard state, min_joint_detection 1e-6) where
+        # Dantzig pivots on an entry of 1.2e-10 and stops "infeasible" at a
+        # basis whose recomputed phase-one dual gives y.b = -0.62.
+        problem = _ghz_problem(0.7918039473603151, 1.6339777202080222e-06, 1e-6)
+        with pytest.raises(RuntimeError, match="fails its infeasibility certificate"):
+            simplex._phase_one(problem, None, dantzig=True)
+        result = solve_lp_simplex(problem)
+        assert result.feasible and _highs_feasible(problem)
+        assert feasibility_residuals(problem, result.x).satisfied()
+        assert result.pivots == 42 + _solve_bland(problem).pivots
+
+    @pytest.mark.parametrize("min_efficiency", [0.85, 0.9, 1.0])
+    def test_infeasible_verdicts_carry_a_farkas_certificate(self, min_efficiency):
+        problem = _ghz_problem(min_efficiency, 0.0, 1e-6)
+        result = solve_lp_simplex(problem)
+        assert not result.feasible and not _highs_feasible(problem)
+        assert result.pivots == simplex._phase_one(problem, None, dantzig=True).pivots
+
+    @pytest.mark.parametrize("min_efficiency", [0.0, 0.7, 0.9])
+    def test_a_later_copy_never_enters(self, min_efficiency):
+        # Copies share their reduced cost, and ties go to the first index.
+        problem = _ghz_problem(min_efficiency, 0.0, 1e-6)
+        n = problem.n_vars
+        doubled = FeasibilityProblem(
+            n_vars=2 * n,
+            a_eq=np.hstack([problem.a_eq, problem.a_eq]),
+            b_eq=problem.b_eq,
+            a_ub=np.hstack([problem.a_ub, problem.a_ub]),
+            b_ub=problem.b_ub,
+        )
+        single = simplex._phase_one(problem, None, dantzig=True)
+        twice = simplex._phase_one(doubled, None, dantzig=True)
+        assert _hex_fields(twice)[:3] == _hex_fields(single)[:3]
+        if single.feasible:
+            assert twice.x[:n].tobytes() == single.x.tobytes()
+            assert twice.x[n:].tobytes() == np.zeros(n).tobytes()
+
+    def test_fewer_pivots_than_bland_on_the_standard_lp(self):
+        problem = _ghz_problem(0.7, 1e-6, 1e-6)
+        dantzig, bland = solve_lp_simplex(problem), _solve_bland(problem)
+        assert dantzig.feasible and bland.feasible
+        assert dantzig.pivots < bland.pivots
+
+    @pytest.mark.parametrize("failure", ["raises", "bad point"])
+    def test_retry_is_the_bland_path(self, monkeypatch, failure):
+        problem = _ghz_problem(0.7, 1e-6, 1e-6)
+        phase_one = simplex._phase_one
+
+        def failing_dantzig(problem, max_pivots, dantzig):
+            if not dantzig:
+                return phase_one(problem, max_pivots, dantzig)
+            if failure == "raises":
+                raise simplex._PivotFailure("phase-one unbounded: no valid pivot row", 7)
+            return LPResult("feasible", np.full(problem.n_vars, 1.0), 0.0, 7)
+
+        monkeypatch.setattr(simplex, "_phase_one", failing_dantzig)
+        result = solve_lp_simplex(problem)
+        bland = _solve_bland(problem)
+        assert _hex_fields(result)[2:] == _hex_fields(bland)[2:]
+        assert result.status == bland.status
+        assert result.pivots == 7 + bland.pivots
+
+    def test_bland_point_failing_its_certificate_raises(self, monkeypatch):
+        bogus = LPResult("feasible", np.array([0.5, 0.1, 0.1]), 0.0, 1)
+        monkeypatch.setattr(simplex, "_phase_one", lambda *args, **kwargs: bogus)
+        with pytest.raises(RuntimeError, match="fails its feasibility certificate at 'eq\\[0\\]'"):
+            solve_lp_simplex(_simplex_problem(3))
 
 
 @pytest.mark.parametrize(

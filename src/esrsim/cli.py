@@ -55,7 +55,18 @@ from .measurement import (
     unitary_evolve,
 )
 
-__all__ = ["ConfigError", "Record", "RunReport", "run_scenario", "emit_report", "main"]
+__all__ = [
+    "ConfigError",
+    "Record",
+    "RunReport",
+    "validate_config",
+    "run_scenario",
+    "render_report",
+    "emit_report",
+    "main",
+    "DEFAULT_SEED",
+    "DEFAULT_SAMPLES",
+]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -625,9 +636,9 @@ def _run_hv_verify(prepared: dict):
 
     detection = prepared["micro_detection"]
     model = hidden_variables.MicrostateModel(
-        property_set=hidden_variables.MicroPropertySet(tuple(prepared["properties"])),
-        microstates=tuple(frozenset(s) for s in prepared["microstates"]),
-        weights=tuple(prepared["weights"]),
+        labels=prepared["properties"],
+        microstates=prepared["microstates"],
+        weights=prepared["weights"],
         micro_detection=detection["entries"],
         default_detection=detection["default"],
     )

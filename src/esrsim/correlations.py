@@ -61,6 +61,7 @@ __all__ = [
     "conditional_expectation",
     "modified_bell_report",
     "modified_chsh_report",
+    "ScanRow",
     "EfficiencyScan",
     "efficiency_scan",
     "GHZScenario",
@@ -70,6 +71,7 @@ __all__ = [
     "BruteForceBound",
     "brute_force_trichotomic_bound",
     "GHZ_CONTEXTS",
+    "GHZ_CONTEXT_NAMES",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

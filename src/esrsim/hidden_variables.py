@@ -1,9 +1,10 @@
 """Noncontextual hidden-variable machinery.
 
 A microscopic state is the subset of microscopic properties an individual
-object possesses; detection probabilities attach to the microscopic state, and
-the macroscopic probability triple is recovered by averaging, which reproduces
-the overall = detection * conditional product law by construction.
+object possesses, the properties named by a plain tuple of distinct labels;
+detection probabilities attach to the microscopic state, and the macroscopic
+probability triple is recovered by averaging, which reproduces the
+overall = detection * conditional product law by construction.
 
 For correlation scenarios the microstates specialize to deterministic local
 strategies assigning each (party, setting) an outcome in {-1, 0, +1}, with 0
@@ -19,15 +20,20 @@ the solver.
 from __future__ import annotations
 
 import functools
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, DEFAULT_MIN_JOINT_DETECTION, Frozen, left_to_right_sum
+from .linalg import (
+    ARITHMETIC_TOL,
+    DEFAULT_MIN_JOINT_DETECTION,
+    Frozen,
+    _checked_int,
+    left_to_right_sum,
+)
 from .measurement import ProbabilityTriple
 
 __all__ = [
-    "MicroPropertySet",
     "MicrostateModel",
     "macro_from_micro",
     "enumerate_local_strategies",
@@ -41,37 +47,30 @@ MAX_ENUMERATION_SLOTS = 12
 _ENUMERATION_CACHE_SIZE = 4  # (parties, settings) shapes kept with their rows
 
 
-class MicroPropertySet(Frozen):
-    """Labels of the microscopic properties, one per macroscopic property."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels: tuple[Hashable, ...]):
-        if len(set(labels)) != len(labels):
-            raise ValueError("microscopic property labels must be distinct")
-        object.__setattr__(self, "labels", labels)
-
-
 class MicrostateModel(Frozen):
     """Finite microstate family with weights and micro-level detection.
 
-    ``microstates`` are subsets of the property labels, ``weights`` the
-    distribution p(state | macrostate), and ``micro_detection`` maps a
+    ``labels`` are the distinct names of the microscopic properties, one per
+    macroscopic property, ``microstates`` are subsets of them, ``weights``
+    the distribution p(state | macrostate), and ``micro_detection`` maps a
     (microstate index, property label) pair to a detection probability;
     unlisted pairs use ``default_detection``; no ``micro_detection`` means an
     empty table.
     """
 
-    __slots__ = ("property_set", "microstates", "weights", "micro_detection", "default_detection")
+    __slots__ = ("labels", "microstates", "weights", "micro_detection", "default_detection")
 
-    def __init__(self, property_set: MicroPropertySet, microstates: tuple[frozenset, ...],
-                 weights: tuple[float, ...],
+    def __init__(self, labels: Sequence[Hashable], microstates: Sequence[Iterable[Hashable]],
+                 weights: Sequence[float],
                  micro_detection: Mapping[tuple[int, Hashable], float] | None = None,
                  default_detection: float = 1.0):
+        labels = tuple(labels)
+        known = set(labels)
+        if len(known) != len(labels):
+            raise ValueError("microscopic property labels must be distinct")
         states = tuple(frozenset(s) for s in microstates)
-        labels = set(property_set.labels)
         for s in states:
-            unknown = s - labels
+            unknown = s - known
             if unknown:
                 raise ValueError(f"microstate uses unknown properties {sorted(unknown)}")
         weights = tuple(float(w) for w in weights)
@@ -85,7 +84,7 @@ class MicrostateModel(Frozen):
         for (idx, label), value in dict(micro_detection or {}).items():
             if not 0 <= int(idx) < len(states):
                 raise ValueError(f"micro_detection references microstate {idx}")
-            if label not in labels:
+            if label not in known:
                 raise ValueError(f"micro_detection references unknown property {label!r}")
             v = float(value)
             if not 0.0 <= v <= 1.0:
@@ -93,7 +92,7 @@ class MicrostateModel(Frozen):
             detection[(int(idx), label)] = v
         if not 0.0 <= float(default_detection) <= 1.0:
             raise ValueError("default_detection outside [0, 1]")
-        object.__setattr__(self, "property_set", property_set)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "microstates", states)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "micro_detection", detection)
@@ -113,7 +112,7 @@ def macro_from_micro(
     belongs to s; all stochasticity sits in the weights and in the micro-level
     detection.  The product law holds by construction.
     """
-    if property_label not in model.property_set.labels:
+    if property_label not in model.labels:
         raise ValueError(f"unknown property {property_label!r}")
     overall = 0.0
     detection = 0.0
@@ -136,9 +135,8 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
     read-only, since every call shares it.  ``parties`` and ``settings``
     must be ints (a bool, float or NaN raises a ``ValueError`` naming it).
     """
-    for name, value in (("parties", parties), ("settings", settings)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    parties = _checked_int("parties", parties)
+    settings = _checked_int("settings", settings)
     slots = parties * settings
     if parties < 1 or settings < 1:
         raise ValueError("parties and settings must be positive")
@@ -147,7 +145,7 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
             f"{parties} parties x {settings} settings = {slots} slots "
             f"exceeds the enumeration bound {MAX_ENUMERATION_SLOTS}"
         )
-    return _enumerated(int(parties), int(settings)).outcomes
+    return _enumerated(parties, settings).outcomes
 
 
 class _StrategyRows:
@@ -233,16 +231,22 @@ def _strategy_rows(outcomes: np.ndarray) -> _StrategyRows:
 
 
 class CorrelationTarget(Frozen):
-    """Target conditional-on-detection correlation for one setting context."""
+    """Target conditional-on-detection correlation for one setting context.
+
+    ``settings`` holds one integer setting per party; ``tolerance`` is a
+    finite nonnegative half-width around ``value``.
+    """
 
     __slots__ = ("settings", "value", "tolerance")
 
     def __init__(self, settings: tuple[int, ...], value: float, tolerance: float = 0.0):
-        settings = tuple(int(s) for s in settings)
+        settings = tuple(_checked_int("settings", s) for s in settings)
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"target correlation {value} outside [-1, 1]")
         if not tolerance >= 0.0:  # NaN fails this too
             raise ValueError(f"inconsistent tolerance sign: {tolerance}")
+        if tolerance == np.inf:
+            raise ValueError("tolerance must be finite, got inf")
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "tolerance", tolerance)

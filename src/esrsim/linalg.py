@@ -99,6 +99,14 @@ def clamp(x: float, lo: float, hi: float, what: str) -> float:
     return float(min(max(x, lo), hi))
 
 
+def _checked_int(name: str, value) -> int:
+    """``value`` as an ``int``; a bool, float, NaN or any other non-integer
+    raises a ``ValueError`` naming ``name`` instead of being truncated."""
+    if not isinstance(value, (int, np.integer)) or type(value) is bool:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def left_to_right_sum(values) -> float:
     """0.0 + v1 + v2 + ..., rounded after each addition as builtin ``sum()``
     rounds before Python 3.12; from 3.12 it compensates, and rounds otherwise."""

@@ -31,6 +31,7 @@ from .linalg import (
     Frozen,
     SpectralObservable,
     _ReadOnlyDict,
+    _checked_int,
     clamp,
     left_to_right_sum,
 )
@@ -301,17 +302,21 @@ def unitary_evolve(
 def sample_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     """Indices into ``probs`` of ``n`` draws by inverting the cumulative sum.
 
-    Consumes exactly ``n`` uniforms from ``rng``, one per draw.  A ``probs``
-    that is not a distribution (a non-finite or negative entry, or a sum off 1
-    by more than ``ARITHMETIC_TOL``) raises ``ValueError`` before any draw.
+    Consumes exactly ``n`` uniforms from ``rng``, one per draw.  An ``n``
+    that is not a nonnegative integer, or a ``probs`` that is not a
+    distribution (a non-finite or negative entry, or a sum off 1 by more than
+    ``ARITHMETIC_TOL``), raises ``ValueError`` before any draw.
     """
+    n = _checked_int("n", n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     probs = np.asarray(probs, dtype=float)
     if not (np.isfinite(probs).all() and (probs >= 0.0).all()):
         raise ValueError(f"probs must be finite and nonnegative, got {probs}")
     total = float(probs.sum())
     if not abs(total - 1.0) <= ARITHMETIC_TOL:
         raise ValueError(f"probs sums to {total}, not 1")
-    indices = np.searchsorted(np.cumsum(probs), rng.random(int(n)), side="right")
+    indices = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
     return np.minimum(indices, len(probs) - 1)
 
 

@@ -51,9 +51,11 @@ __all__ = [
     "SuiteResult",
     "SelfTestReport",
     "run_self_test",
+    "random_unitary",
     "random_density",
     "random_observable",
     "random_detection_model",
+    "random_sigma",
     "fundamental_equation_suite",
     "qm_reduction_suite",
     "chsh_bound_suite",

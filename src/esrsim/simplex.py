@@ -37,6 +37,9 @@ objective), so those rows' right-hand zeros are put back.  Results of the
 Bland path are therefore bit-identical to the entry-by-entry Bland loop over
 the full-width tableau.
 
+One tolerance, ``FEASIBILITY_TOL``, gates both the residual certificate and
+the Farkas check of a Dantzig "infeasible" verdict.
+
 Phase one minimizes the sum of artificial variables; a strictly positive
 optimum certifies infeasibility.  No phase-two objective is needed because the
 callers only ask for feasibility plus a residual certificate, which is
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ARITHMETIC_TOL, Frozen
+from .linalg import ARITHMETIC_TOL, Frozen, _checked_int
 
 __all__ = [
     "FeasibilityProblem",
@@ -66,8 +69,8 @@ MAX_CONSTRAINTS = 200
 _PIVOTS_PER_LINE = 200
 
 _PIVOT_TOL = 1e-10
-_DUAL_TOL = 1e-9  # a Farkas certificate's dual-feasibility slack
-FEASIBILITY_TOL = 1e-9  # certificate residuals; a larger phase-one optimum is infeasible
+# Certificate residuals, a Farkas dual's slack; a larger phase-one optimum is infeasible.
+FEASIBILITY_TOL = 1e-9
 
 
 class FeasibilityProblem(Frozen):
@@ -81,7 +84,7 @@ class FeasibilityProblem(Frozen):
 
     def __init__(self, n_vars, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
                  eq_labels=None, ub_labels=None):
-        n = int(n_vars)
+        n = _checked_int("n_vars", n_vars)
         if n <= 0:
             raise ValueError("n_vars must be positive")
 
@@ -197,8 +200,8 @@ def _proves_infeasible(rows: np.ndarray, basis: list[int]) -> bool:
     ``rows`` are the phase-one rows [A | b] as built, a row with a negative
     bound negated; y solves B^T y = c_B over the basic columns of [A | I],
     where an artificial costs 1.  If y.A <= 0 and y <= 1 (within
-    ``_DUAL_TOL``), weak duality bounds every phase-one objective below by
-    y.b, so y.b > ``FEASIBILITY_TOL`` certifies infeasibility.
+    ``FEASIBILITY_TOL``), weak duality bounds every phase-one objective below
+    by y.b, so y.b > ``FEASIBILITY_TOL`` certifies infeasibility.
     """
     m, width = rows.shape
     a, b = rows[:, :-1], rows[:, -1]
@@ -212,7 +215,9 @@ def _proves_infeasible(rows: np.ndarray, basis: list[int]) -> bool:
     except np.linalg.LinAlgError:  # a singular basis proves nothing
         return False
     return bool(
-        y @ b > FEASIBILITY_TOL and (y @ a).max() <= _DUAL_TOL and y.max() <= 1.0 + _DUAL_TOL
+        y @ b > FEASIBILITY_TOL
+        and (y @ a).max() <= FEASIBILITY_TOL
+        and y.max() <= 1.0 + FEASIBILITY_TOL
     )
 
 
@@ -224,10 +229,7 @@ class _PivotFailure(RuntimeError):
         self.pivots = pivots
 
 
-def solve_lp_simplex(
-    problem: FeasibilityProblem,
-    max_pivots: int | None = None,
-) -> LPResult:
+def solve_lp_simplex(problem: FeasibilityProblem) -> LPResult:
     """Find a feasible point of ``problem`` or certify infeasibility.
 
     Deterministic for fixed input.  Prices by Dantzig's rule first; if that
@@ -237,22 +239,27 @@ def solve_lp_simplex(
     counts both attempts.  Raises ``ValueError`` when the stated dimension
     bounds are exceeded and ``RuntimeError`` when the Bland attempt meets a
     phase-one unbounded direction, exhausts its pivot budget or ends at a
-    point that fails its certificate.  Each attempt gets
-    the budget, by default 200 pivots per row and column of the presolved
-    phase-one tableau, artificial columns counted: about 30,000 for the GHZ
-    LP, over 10x the longest Bland path that finishes on the GHZ grid.  So
-    round-off cycling fails within about half a second on a 2-CPU Linux
-    machine instead of running on.
+    point that fails its certificate.  Each attempt gets a budget of 200
+    pivots per row and column of the presolved phase-one tableau, artificial
+    columns counted: about 30,000 for the GHZ LP, over 10x the longest Bland
+    path that finishes on the GHZ grid.  So round-off cycling fails within
+    about half a second on a 2-CPU Linux machine instead of running on.
     """
+    if problem.n_vars > MAX_VARIABLES:
+        raise ValueError(f"problem has {problem.n_vars} variables, bound is {MAX_VARIABLES}")
+    if problem.n_constraints > MAX_CONSTRAINTS:
+        raise ValueError(
+            f"problem has {problem.n_constraints} constraints, bound is {MAX_CONSTRAINTS}"
+        )
     try:
-        first = _phase_one(problem, max_pivots, dantzig=True)
+        first = _phase_one(problem, None, dantzig=True)
     except _PivotFailure as failure:
         spent = failure.pivots
     else:
         if not first.feasible or feasibility_residuals(problem, first.x).satisfied():
             return first
         spent = first.pivots
-    retry = _phase_one(problem, max_pivots, dantzig=False)
+    retry = _phase_one(problem, None, dantzig=False)
     if retry.feasible:
         certificate = feasibility_residuals(problem, retry.x)
         if not certificate.satisfied():
@@ -266,16 +273,9 @@ def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: boo
     """One phase-one pivot loop.  The entering column is the most negative
     reduced cost, first index on ties (Dantzig), or the first negative one
     (Bland); the leaving row is the same ratio test under both rules.
-    Raises :class:`_PivotFailure` when the loop stops without a verdict."""
-    if problem.n_vars > MAX_VARIABLES:
-        raise ValueError(
-            f"problem has {problem.n_vars} variables, bound is {MAX_VARIABLES}"
-        )
-    if problem.n_constraints > MAX_CONSTRAINTS:
-        raise ValueError(
-            f"problem has {problem.n_constraints} constraints, bound is {MAX_CONSTRAINTS}"
-        )
-
+    ``max_pivots`` of None is the default budget of
+    :func:`solve_lp_simplex`.  Raises :class:`_PivotFailure` when the loop
+    stops without a verdict."""
     m_eq = problem.a_eq.shape[0]
     m_ub = problem.a_ub.shape[0]
     m = m_eq + m_ub

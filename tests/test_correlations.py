@@ -406,9 +406,9 @@ class TestPerCallCost:
                 lookups.append(a.shape[0])
             return first_distinct(a)
 
-        def solver(problem, max_pivots=None):
+        def solver(problem):
             solved.append(problem.n_vars)
-            return solve(problem, max_pivots)
+            return solve(problem)
 
         monkeypatch.setattr(simplex, "_first_distinct_columns", lookup)
         monkeypatch.setattr(simplex, "solve_lp_simplex", solver)
@@ -643,7 +643,7 @@ class TestGHZLocalModelSearch:
     def test_point_failing_its_certificate_raises(self, monkeypatch):
         # A solver round-off path that ends "feasible" must not be reported
         # as a local model: all-zero weights break the normalization row.
-        def bogus(problem, max_pivots=None):
+        def bogus(problem):
             return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 1)
 
         # The search imports the solver from ``simplex`` when it runs.
@@ -711,7 +711,7 @@ class TestGHZLocalModelSearch:
             monkeypatch.setattr(
                 simplex,
                 "solve_lp_simplex",
-                lambda problem, max_pivots=None: phase_one(problem, max_pivots, dantzig=False),
+                lambda problem: phase_one(problem, None, dantzig=False),
             )
 
         def counted(problem, max_pivots, dantzig):

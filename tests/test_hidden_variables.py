@@ -10,7 +10,6 @@ import pytest
 from esrsim.correlations import GHZScenario, ghz_local_model_search
 from esrsim.hidden_variables import (
     CorrelationTarget,
-    MicroPropertySet,
     MicrostateModel,
     build_feasibility_lp,
     enumerate_local_strategies,
@@ -21,7 +20,7 @@ from esrsim.simplex import FeasibilityProblem, solve_lp_simplex
 
 def simple_model(weights, detection=None, default=1.0) -> MicrostateModel:
     return MicrostateModel(
-        property_set=MicroPropertySet(("f",)),
+        labels=("f",),
         microstates=(frozenset({"f"}), frozenset()),
         weights=weights,
         micro_detection=detection or {},
@@ -72,7 +71,7 @@ class TestMacroFromMicro:
                 if rng.random() < 0.7
             }
             model = MicrostateModel(
-                property_set=MicroPropertySet(labels),
+                labels=labels,
                 microstates=microstates,
                 weights=weights,
                 micro_detection=detection,
@@ -261,6 +260,30 @@ class TestBuildFeasibilityLP:
             lambda: CorrelationTarget(settings=(0, 0), value=0.5, tolerance=math.nan),
             "inconsistent tolerance sign: nan",
         ),
+        (
+            lambda: CorrelationTarget(settings=(0, 0), value=0.5, tolerance=math.inf),
+            "tolerance must be finite, got inf",
+        ),
+        (
+            lambda: CorrelationTarget(settings=(math.inf, 0, 0), value=1.0),
+            "settings must be an integer, got inf",
+        ),
+        (
+            lambda: CorrelationTarget(settings=(0, math.nan, 0), value=1.0),
+            "settings must be an integer, got nan",
+        ),
+        (
+            lambda: CorrelationTarget(settings=(0.5, 1, 0), value=1.0),
+            "settings must be an integer, got 0.5",
+        ),
+        (
+            lambda: CorrelationTarget(settings=(True, 1, 0), value=1.0),
+            "settings must be an integer, got True",
+        ),
+        (
+            lambda: MicrostateModel(("f", "f"), (frozenset({"f"}),), (1.0,)),
+            "microscopic property labels must be distinct",
+        ),
     ],
     ids=[
         "default-detection-above-one",
@@ -272,6 +295,12 @@ class TestBuildFeasibilityLP:
         "nan-min-efficiency",
         "negative-min-efficiency",
         "nan-tolerance",
+        "infinite-tolerance",
+        "infinite-setting",
+        "nan-setting",
+        "fractional-setting",
+        "bool-setting",
+        "repeated-label",
     ],
 )
 def test_malformed_input_rejected(call, message):

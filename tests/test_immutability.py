@@ -38,9 +38,7 @@ def _problem():
 
 
 def _microstates():
-    return hidden_variables.MicrostateModel(
-        hidden_variables.MicroPropertySet(("f",)), (frozenset({"f"}),), (1.0,)
-    )
+    return hidden_variables.MicrostateModel(("f",), (frozenset({"f"}),), (1.0,))
 
 
 # class name -> (factory, a field to assign)
@@ -67,7 +65,6 @@ RECORDS = {
         "feasible",
     ),
     "BruteForceBound": (lambda: correlations.brute_force_trichotomic_bound("bell"), "value"),
-    "MicroPropertySet": (lambda: hidden_variables.MicroPropertySet(("f",)), "labels"),
     "MicrostateModel": (_microstates, "weights"),
     "CorrelationTarget": (lambda: hidden_variables.CorrelationTarget((0, 0), 0.5), "tolerance"),
     "FeasibilityProblem": (_problem, "n_vars"),

@@ -307,6 +307,10 @@ class TestSampling:
         assert rng.bit_generator.state == before
 
 
+def _draw(n):
+    return sample_indices(np.array([0.5, 0.5]), np.random.default_rng(0), n)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -315,8 +319,19 @@ class TestSampling:
             lambda: unitary_evolve(ket_density(0, 3), z_observable(), 1.0),
             "dimension mismatch: state is 3-dim, hamiltonian is 2-dim",
         ),
+        (lambda: _draw(2.5), "n must be an integer, got 2.5"),
+        (lambda: _draw(True), "n must be an integer, got True"),
+        (lambda: _draw(math.inf), "n must be an integer, got inf"),
+        (lambda: _draw(-1), "n must be nonnegative, got -1"),
     ],
-    ids=["duplicate-sigma", "evolve-dimension-mismatch"],
+    ids=[
+        "duplicate-sigma",
+        "evolve-dimension-mismatch",
+        "fractional-draws",
+        "bool-draws",
+        "infinite-draws",
+        "negative-draws",
+    ],
 )
 def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError) as excinfo:

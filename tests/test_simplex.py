@@ -12,6 +12,7 @@ from esrsim import simplex
 from esrsim.correlations import (
     GHZ_CONTEXTS,
     GHZScenario,
+    ghz_local_model_search,
     ghz_quantum_correlations,
 )
 from esrsim.hidden_variables import (
@@ -150,10 +151,12 @@ class TestDeterminismAndBounds:
         with pytest.raises(ValueError, match="constraints"):
             solve_lp_simplex(problem)
 
-    def test_pivot_budget_guard(self):
+    def test_pivot_budget_guard(self, monkeypatch):
+        # A zero budget per line leaves both attempts no pivot to make.
         problem = _simplex_problem(5, extra_eq=[[1.0, 0.0, 0.0, 0.0, -1.0]], extra_b=[0.5])
-        with pytest.raises(RuntimeError, match="pivot budget"):
-            solve_lp_simplex(problem, max_pivots=1)
+        monkeypatch.setattr(simplex, "_PIVOTS_PER_LINE", 0)
+        with pytest.raises(RuntimeError, match="pivot budget 0 exhausted"):
+            solve_lp_simplex(problem)
 
 
 class TestAgainstScipy:
@@ -665,6 +668,25 @@ class TestDantzigFirst:
         assert feasibility_residuals(problem, result.x).satisfied()
         assert result.pivots == 42 + _solve_bland(problem).pivots
 
+    def test_retry_that_ends_infeasible(self):
+        # A sweeps-range search (seed 117, round 14): Dantzig stops
+        # "infeasible" after 46 pivots at a basis whose phase-one dual is no
+        # Farkas certificate, and the Bland retry ends infeasible, as HiGHS.
+        min_efficiency, tolerance = 0.9797707598630538, 1.6933261882233317e-06
+        problem = _ghz_problem(min_efficiency, tolerance, 1e-6)
+        with pytest.raises(RuntimeError, match="fails its infeasibility certificate") as info:
+            simplex._phase_one(problem, None, dantzig=True)
+        bland = _solve_bland(problem)
+        assert not bland.feasible and not _highs_feasible(problem)
+        result = solve_lp_simplex(problem)
+        assert result.status == bland.status
+        assert result.phase1_objective.hex() == bland.phase1_objective.hex()
+        assert result.pivots == info.value.pivots + bland.pivots
+        found = ghz_local_model_search(GHZScenario.standard(), min_efficiency, tolerance=tolerance)
+        assert not found.feasible
+        assert found.phase1_objective == result.phase1_objective
+        assert found.pivots == result.pivots == 127
+
     @pytest.mark.parametrize("min_efficiency", [0.85, 0.9, 1.0])
     def test_infeasible_verdicts_carry_a_farkas_certificate(self, min_efficiency):
         problem = _ghz_problem(min_efficiency, 0.0, 1e-6)
@@ -735,12 +757,23 @@ class TestDantzigFirst:
             "inequalities: non-finite coefficients",
         ),
         (lambda: FeasibilityProblem(0), "n_vars must be positive"),
+        (lambda: FeasibilityProblem(2.5), "n_vars must be an integer, got 2.5"),
+        (lambda: FeasibilityProblem(True), "n_vars must be an integer, got True"),
+        (lambda: FeasibilityProblem(np.inf), "n_vars must be an integer, got inf"),
         (
             lambda: feasibility_residuals(_simplex_problem(3), [0.5, 0.5]),
             "point has 2 entries, expected 3",
         ),
     ],
-    ids=["row-bound-mismatch", "non-finite-entry", "no-variables", "point-length"],
+    ids=[
+        "row-bound-mismatch",
+        "non-finite-entry",
+        "no-variables",
+        "fractional-variables",
+        "bool-variables",
+        "infinite-variables",
+        "point-length",
+    ],
 )
 def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError) as excinfo:

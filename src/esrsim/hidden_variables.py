@@ -268,6 +268,14 @@ def build_feasibility_lp(
     so the all-undetected distribution cannot satisfy the constraints
     vacuously.  ``min_efficiency`` lower-bounds every (party, setting) marginal
     detection probability.
+
+    Row 0 is always sum_s w_s = 1, so each detection floor is written as the
+    matching ceiling on the undetected mass, a ``<=`` row with a bound >= 0
+    that the solver can start on its slack: det_c.w >= j becomes
+    (1 - det_c).w <= 1 - j, and marg.w >= eta becomes (1 - marg).w <= 1 - eta.
+    The labels keep their ``>=`` names.  The rows are exact (the indicators
+    are 0 or 1); 1 - j and 1 - eta are rounded once, by at most 1.1e-16, and
+    at eta = 1 the bound is exactly 0.
     """
     if len(strategies) == 0:
         raise ValueError("no strategies supplied")
@@ -305,8 +313,8 @@ def build_feasibility_lp(
 
     if min_joint_detection > 0.0:
         for settings_tuple, det in contexts.items():
-            a_ub_rows.append(-det)
-            b_ub.append(-min_joint_detection)
+            a_ub_rows.append(1.0 - det)
+            b_ub.append(1.0 - min_joint_detection)
             ub_labels.append(f"joint-detection{settings_tuple}>={min_joint_detection}")
 
     bound = 0.0 if min_efficiency is None else float(min_efficiency)
@@ -316,8 +324,8 @@ def build_feasibility_lp(
         marginals = rows.marginals()
         for party in range(parties):
             for setting in range(settings):
-                a_ub_rows.append(-marginals[party, setting])
-                b_ub.append(-bound)
+                a_ub_rows.append(1.0 - marginals[party, setting])
+                b_ub.append(1.0 - bound)
                 ub_labels.append(f"efficiency[party={party},setting={setting}]>={bound}")
 
     from .simplex import FeasibilityProblem  # loaded only where an LP is made

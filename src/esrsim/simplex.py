@@ -9,10 +9,18 @@ dual that, recomputed from the rows as built, is no Farkas certificate, the
 solver re-solves with Bland's anti-cycling rule: the entering column is the
 lowest-index negative reduced cost.  Under both rules the leaving row breaks
 ratio ties by lowest basic-variable index.
-Dantzig's rule takes about half of Bland's pivots on the GHZ LP, but it can
-pivot on an entry just above the pivot tolerance and end at a basis that is
-neither feasible nor optimal; Bland's rule prevents cycling only in exact
-arithmetic, and round-off can break it too.
+
+The two attempts start from different bases.  The Dantzig attempt starts
+each ``<=`` row whose bound is >= 0 on its own slack, so only the equality
+rows and the rows negated for a negative bound get an artificial.  The Bland
+retry starts every row on an artificial, as the entry-by-entry loop did.
+``build_feasibility_lp`` writes its detection floors as ``<=`` rows with
+bounds >= 0, so on a sweeps-range GHZ search (tolerance > 0) only the
+normalization row starts on an artificial, and the Dantzig attempt takes
+about 10 pivots.  Dantzig's rule can still pivot on an entry just above the
+pivot tolerance and end at a basis that is neither feasible nor optimal;
+Bland's rule prevents cycling only in exact arithmetic, and round-off can
+break it too.
 
 The tableau is built only over the distinct variable columns (the first copy
 of each byte-identical column), found with one stable lexsort over the
@@ -40,7 +48,7 @@ the full-width tableau.
 One tolerance, ``FEASIBILITY_TOL``, gates both the residual certificate and
 the Farkas check of a Dantzig "infeasible" verdict.
 
-Phase one minimizes the sum of artificial variables; a strictly positive
+Phase one minimizes the sum of its artificial variables; a strictly positive
 optimum certifies infeasibility.  No phase-two objective is needed because the
 callers only ask for feasibility plus a residual certificate, which is
 recomputed independently of the solver's tableau by
@@ -198,10 +206,12 @@ def _proves_infeasible(rows: np.ndarray, basis: list[int]) -> bool:
     """Whether the phase-one dual y of ``basis`` is a Farkas certificate.
 
     ``rows`` are the phase-one rows [A | b] as built, a row with a negative
-    bound negated; y solves B^T y = c_B over the basic columns of [A | I],
-    where an artificial costs 1.  If y.A <= 0 and y <= 1 (within
-    ``FEASIBILITY_TOL``), weak duality bounds every phase-one objective below
-    by y.b, so y.b > ``FEASIBILITY_TOL`` certifies infeasibility.
+    bound negated, where A holds the variable and slack columns; y solves
+    B^T y = c_B over the basic columns of [A | I], where an artificial costs
+    1.  By Farkas' lemma, y.A <= 0 and y.b > 0 leave no x >= 0 with A x = b;
+    both are checked within ``FEASIBILITY_TOL``.  An artificial's own column
+    is not checked: one that has left the basis is never priced again, and a
+    row that started on its slack has none.
     """
     m, width = rows.shape
     a, b = rows[:, :-1], rows[:, -1]
@@ -214,11 +224,7 @@ def _proves_infeasible(rows: np.ndarray, basis: list[int]) -> bool:
         y = np.linalg.solve(matrix.T, artificial.astype(float))
     except np.linalg.LinAlgError:  # a singular basis proves nothing
         return False
-    return bool(
-        y @ b > FEASIBILITY_TOL
-        and (y @ a).max() <= FEASIBILITY_TOL
-        and y.max() <= 1.0 + FEASIBILITY_TOL
-    )
+    return bool(y @ b > FEASIBILITY_TOL and (y @ a).max() <= FEASIBILITY_TOL)
 
 
 class _PivotFailure(RuntimeError):
@@ -272,10 +278,11 @@ def solve_lp_simplex(problem: FeasibilityProblem) -> LPResult:
 def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: bool) -> LPResult:
     """One phase-one pivot loop.  The entering column is the most negative
     reduced cost, first index on ties (Dantzig), or the first negative one
-    (Bland); the leaving row is the same ratio test under both rules.
-    ``max_pivots`` of None is the default budget of
-    :func:`solve_lp_simplex`.  Raises :class:`_PivotFailure` when the loop
-    stops without a verdict."""
+    (Bland); the leaving row is the same ratio test under both rules.  The
+    Dantzig loop starts each ``<=`` row with a bound >= 0 on its slack, the
+    Bland loop every row on an artificial.  ``max_pivots`` of None is the
+    default budget of :func:`solve_lp_simplex`.  Raises
+    :class:`_PivotFailure` when the loop stops without a verdict."""
     m_eq = problem.a_eq.shape[0]
     m_ub = problem.a_ub.shape[0]
     m = m_eq + m_ub
@@ -296,17 +303,26 @@ def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: boo
     rhs = tableau[:m, -1]
     rhs[:m_eq] = problem.b_eq
     rhs[m_eq:] = problem.b_ub
-    tableau[:m][rhs < 0.0] *= -1.0
+    negated = rhs < 0.0
+    tableau[:m][negated] *= -1.0
+    # Row i's artificial is column n_tot + i.  The Dantzig attempt starts each
+    # <= row with a bound >= 0 on its slack instead, and only the rows with an
+    # artificial enter the phase-one cost.
+    start = np.arange(n_tot, n_tot + m)
+    if dantzig:
+        on_slack = np.flatnonzero(~negated[m_eq:])
+        start[m_eq + on_slack] = n + on_slack
+    basis = start.tolist()
+    cost_rows = tableau[:m][start >= n_tot] if dantzig else tableau[:m]
     # Summed over two or more columns, numpy adds row after row; a lone column
     # would be summed pairwise, in another order, and round differently.
-    tableau[m, :n_tot] = -tableau[:m].sum(axis=0)[:n_tot]
-    tableau[m, -1] = -rhs.sum()
+    tableau[m, :n_tot] = -cost_rows.sum(axis=0)[:n_tot]
+    tableau[m, -1] = -cost_rows[:, -1].sum()
     rows = tableau[:m].copy() if dantzig else None
     if max_pivots is None:
         # Rows plus columns of the phase-one tableau, artificials counted.
         max_pivots = _PIVOTS_PER_LINE * ((m + 1) + (n_tot + m + 1))
 
-    basis = list(range(n_tot, n_tot + m))
     cost = tableau[m, :n_tot]
 
     pivots = 0

@@ -705,8 +705,9 @@ class TestGHZLocalModelSearch:
         # under the Bland path alone.  The Bland path's points include
         # round-off failures of both kinds ("fails its feasibility
         # certificate", "phase-one unbounded") but skip the slow pivot-budget
-        # ones; one added grid point sends the Dantzig attempt to its retry.
-        phase_one, retries = simplex._phase_one, []
+        # ones.  No grid or noisy-GHZ search sends the Dantzig attempt to its
+        # retry, so one added grid point makes that attempt fail.
+        phase_one, retries, forced = simplex._phase_one, [], [False]
         if solver == "bland":
             monkeypatch.setattr(
                 simplex,
@@ -716,30 +717,37 @@ class TestGHZLocalModelSearch:
 
         def counted(problem, max_pivots, dantzig):
             retries.append(not dantzig)
+            if dantzig and forced[0]:
+                raise simplex._PivotFailure("phase-one unbounded: no valid pivot row", 5)
             return phase_one(problem, max_pivots, dantzig)
 
         monkeypatch.setattr(simplex, "_phase_one", counted)
-        grid = np.linspace(0.0, 1.0, 41)[[0, 7, 15, 23, 32, 33, 34, 40]]
+        # Bland's rule exhausts its budget at some (tolerance,
+        # min_joint_detection) for every index in 1-20 and at 24.
+        grid = np.linspace(0.0, 1.0, 41)[[0, 21, 23, 27, 32, 33, 34, 40]]
         standard = GHZScenario.standard()
         cases = [
-            (standard, float(eta), mjd, tol)
+            (standard, float(eta), mjd, tol, False)
             for tol in (0.0, 1e-6, 1e-3)
             for mjd in (0.0, 1e-6, 0.3)
             for eta in grid
         ]
-        # The one grid point whose Dantzig point fails its certificate.
-        cases.append((standard, float(np.linspace(0.0, 1.0, 41)[8]), 1e-6, 1e-6))
+        # A grid point where Bland's rule meets a phase-one unbounded
+        # direction, and one whose Dantzig attempt is made to fail.
+        cases.append((standard, float(np.linspace(0.0, 1.0, 41)[4]), 0.0, 1e-6, False))
+        cases.append((standard, float(np.linspace(0.0, 1.0, 41)[22]), 1e-6, 1e-3, True))
         ghz = correlations.ghz_state().matrix
         for p in np.linspace(0.3, 1.0, 36)[[25, 32, 33]]:
             noisy = GHZScenario(DensityOperator(p * ghz + (1 - p) * np.eye(8) / 8))
             cases += [
-                (noisy, float(eta), mjd, 0.0)
+                (noisy, float(eta), mjd, 0.0, False)
                 for mjd in (0.0, 1e-6, 0.3)
                 for eta in np.linspace(0.0, 1.0, 21)[[0, 1, 2, 12, 17, 18]]
             ]
 
         outcomes = []
-        for scenario, min_efficiency, min_joint_detection, tolerance in cases:
+        for scenario, min_efficiency, min_joint_detection, tolerance, force in cases:
+            forced[0] = force
             got = _search_verdict(
                 scenario, min_efficiency, min_joint_detection, tolerance
             )

@@ -334,16 +334,43 @@ def _oracle(problem, max_pivots):
     return _scalar_bland_oracle(problem, max_pivots=max_pivots)[0]
 
 
-def _ghz_problem(min_efficiency, tolerance, min_joint_detection):
-    targets = [
+def _ghz_targets(tolerance):
+    return [
         CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
         for ctx, value in zip(GHZ_CONTEXTS, ghz_quantum_correlations(GHZScenario.standard()))
     ]
-    return build_feasibility_lp(
-        enumerate_local_strategies(parties=3, settings=2),
-        targets,
-        min_joint_detection=min_joint_detection,
-        min_efficiency=min_efficiency if min_efficiency > 0.0 else None,
+
+
+def _ghz_problem(min_efficiency, tolerance, min_joint_detection):
+    """The standard GHZ LP with each detection floor negated by hand,
+    -det_c.w <= -j and -marg.w <= -eta, as ``bench/oracle.py`` writes it.
+
+    ``build_feasibility_lp`` writes the same floors as ceilings on the
+    undetected mass; this form keeps every row on an artificial at the start
+    and gives the long, cycling and round-off-failing Bland paths that the
+    tests below pin."""
+    outcomes = enumerate_local_strategies(parties=3, settings=2)
+    base = build_feasibility_lp(outcomes, _ghz_targets(tolerance), min_joint_detection=0.0)
+    rows, bounds, labels = list(base.a_ub), list(base.b_ub), list(base.ub_labels)
+    if min_joint_detection > 0.0:
+        for ctx in GHZ_CONTEXTS:
+            rows.append(-np.all(outcomes[:, [0, 1, 2], list(ctx)] != 0, axis=1).astype(float))
+            bounds.append(-min_joint_detection)
+            labels.append(f"joint-detection{ctx}>={min_joint_detection}")
+    if min_efficiency > 0.0:
+        for party in range(3):
+            for setting in range(2):
+                rows.append(-(outcomes[:, party, setting] != 0).astype(float))
+                bounds.append(-min_efficiency)
+                labels.append(f"efficiency[party={party},setting={setting}]>={min_efficiency}")
+    return FeasibilityProblem(
+        n_vars=base.n_vars,
+        a_eq=base.a_eq,
+        b_eq=base.b_eq,
+        a_ub=np.vstack(rows) if rows else None,
+        b_ub=np.asarray(bounds) if rows else None,
+        eq_labels=base.eq_labels,
+        ub_labels=labels,
     )
 
 
@@ -657,22 +684,47 @@ class TestDantzigFirst:
             assert feasibility_residuals(problem, result.x).satisfied()
 
     def test_false_infeasible_optimum_goes_to_the_retry(self):
-        # A sweeps-range LP (standard state, min_joint_detection 1e-6) where
-        # Dantzig pivots on an entry of 1.2e-10 and stops "infeasible" at a
-        # basis whose recomputed phase-one dual gives y.b = -0.62.
-        problem = _ghz_problem(0.7918039473603151, 1.6339777202080222e-06, 1e-6)
+        # A sweeps-range GHZ LP with negated floors (min_joint_detection 1e-6)
+        # where Dantzig stops "infeasible" after 39 pivots at a basis whose
+        # recomputed phase-one dual gives y.b = -0.34.
+        problem = _ghz_problem(0.7759008378054676, 2.092388906887236e-05, 1e-6)
         with pytest.raises(RuntimeError, match="fails its infeasibility certificate"):
             simplex._phase_one(problem, None, dantzig=True)
         result = solve_lp_simplex(problem)
         assert result.feasible and _highs_feasible(problem)
         assert feasibility_residuals(problem, result.x).satisfied()
-        assert result.pivots == 42 + _solve_bland(problem).pivots
+        assert result.pivots == 39 + _solve_bland(problem).pivots
+
+    def test_basis_with_a_negative_dual_bound_is_refused(self):
+        # The basis an all-artificial Dantzig start reached on this LP after
+        # a pivot on an entry of 1.2e-10: presolved columns 0-104, slacks
+        # 105-122, and 140 the artificial of row 17.  Its phase-one dual
+        # gives y.b = -0.62, so it proves nothing.
+        problem = _ghz_problem(0.7918039473603151, 1.6339777202080222e-06, 1e-6)
+        stacked = np.vstack([problem.a_eq, problem.a_ub])
+        keep = simplex._first_distinct_columns(stacked)
+        m, m_ub = stacked.shape[0], problem.a_ub.shape[0]
+        rows = np.zeros((m, keep.size + m_ub + 1))
+        rows[:, : keep.size] = stacked[:, keep]
+        rows[m - m_ub :, keep.size : -1] = np.eye(m_ub)
+        rows[:, -1] = np.concatenate([problem.b_eq, problem.b_ub])
+        rows[rows[:, -1] < 0.0] *= -1.0
+        basis = [73, 105, 116, 15, 113, 115, 110, 45, 112, 122, 3, 6, 114, 23, 25, 0, 64, 140, 26]
+        matrix = np.zeros((m, m))
+        for i, j in enumerate(basis):
+            if j < rows.shape[1] - 1:
+                matrix[:, i] = rows[:, j]
+            else:
+                matrix[j - (rows.shape[1] - 1), i] = 1.0
+        y = np.linalg.solve(matrix.T, (np.array(basis) >= rows.shape[1] - 1).astype(float))
+        assert y @ rows[:, -1] == pytest.approx(-0.6246, abs=1e-4)
+        assert not simplex._proves_infeasible(rows, basis)
 
     def test_retry_that_ends_infeasible(self):
-        # A sweeps-range search (seed 117, round 14): Dantzig stops
-        # "infeasible" after 46 pivots at a basis whose phase-one dual is no
+        # A sweeps-range GHZ LP with negated floors: Dantzig stops
+        # "infeasible" after 34 pivots at a basis whose phase-one dual is no
         # Farkas certificate, and the Bland retry ends infeasible, as HiGHS.
-        min_efficiency, tolerance = 0.9797707598630538, 1.6933261882233317e-06
+        min_efficiency, tolerance = 0.8896015485743414, 1.4117892238356352e-06
         problem = _ghz_problem(min_efficiency, tolerance, 1e-6)
         with pytest.raises(RuntimeError, match="fails its infeasibility certificate") as info:
             simplex._phase_one(problem, None, dantzig=True)
@@ -681,11 +733,26 @@ class TestDantzigFirst:
         result = solve_lp_simplex(problem)
         assert result.status == bland.status
         assert result.phase1_objective.hex() == bland.phase1_objective.hex()
-        assert result.pivots == info.value.pivots + bland.pivots
+        assert result.pivots == info.value.pivots + bland.pivots == 115
+
+    def test_search_reports_the_retry(self, monkeypatch):
+        # No GHZ search LP of the grid, the noisy-GHZ probe or the sweeps
+        # range sends the Dantzig attempt to its retry, so make it fail: the
+        # search reports the Bland retry's verdict and both attempts' pivots.
+        min_efficiency, tolerance = 0.8896015485743414, 1.4117892238356352e-06
+        phase_one, bland = simplex._phase_one, []
+
+        def failing_dantzig(problem, max_pivots, dantzig):
+            if dantzig:
+                raise simplex._PivotFailure("phase-one optimum fails its infeasibility certificate", 34)
+            bland.append(phase_one(problem, max_pivots, dantzig))
+            return bland[-1]
+
+        monkeypatch.setattr(simplex, "_phase_one", failing_dantzig)
         found = ghz_local_model_search(GHZScenario.standard(), min_efficiency, tolerance=tolerance)
-        assert not found.feasible
-        assert found.phase1_objective == result.phase1_objective
-        assert found.pivots == result.pivots == 127
+        assert not found.feasible and len(bland) == 1
+        assert found.phase1_objective == bland[0].phase1_objective
+        assert found.pivots == 34 + bland[0].pivots
 
     @pytest.mark.parametrize("min_efficiency", [0.85, 0.9, 1.0])
     def test_infeasible_verdicts_carry_a_farkas_certificate(self, min_efficiency):
@@ -743,6 +810,49 @@ class TestDantzigFirst:
         monkeypatch.setattr(simplex, "_phase_one", lambda *args, **kwargs: bogus)
         with pytest.raises(RuntimeError, match="fails its feasibility certificate at 'eq\\[0\\]'"):
             solve_lp_simplex(_simplex_problem(3))
+
+
+class TestDetectionFloorsAsCeilings:
+    """``build_feasibility_lp`` writes each detection floor as a ceiling on
+    the undetected mass, which the Dantzig attempt starts on its slack."""
+
+    @pytest.mark.parametrize("min_joint_detection", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-6, 1e-3])
+    def test_both_forms_get_the_same_highs_verdict(self, tolerance, min_joint_detection):
+        outcomes = enumerate_local_strategies(parties=3, settings=2)
+        for min_efficiency in np.linspace(0.0, 1.0, 41):
+            negated = _ghz_problem(float(min_efficiency), tolerance, min_joint_detection)
+            ceilings = build_feasibility_lp(
+                outcomes, _ghz_targets(tolerance), min_joint_detection, float(min_efficiency)
+            )
+            assert ceilings.ub_labels == negated.ub_labels
+            assert np.all(ceilings.b_ub >= 0.0)
+            assert _highs_feasible(ceilings) == _highs_feasible(negated), min_efficiency
+
+    def test_sweeps_range_lps_take_one_short_attempt(self, monkeypatch):
+        # min_efficiency on either side of the 5/6 edge and a log-uniform
+        # tolerance, as the sweeps searches draw them.
+        phase_one, calls = simplex._phase_one, []
+
+        def counted(problem, max_pivots, dantzig):
+            calls.append(dantzig)
+            return phase_one(problem, max_pivots, dantzig)
+
+        monkeypatch.setattr(simplex, "_phase_one", counted)
+        outcomes = enumerate_local_strategies(parties=3, settings=2)
+        rng = np.random.default_rng(2029)
+        for trial in range(200):
+            feasible_side = trial % 2 == 0
+            min_efficiency = rng.uniform(*((0.55, 0.80) if feasible_side else (0.87, 1.0)))
+            tolerance = 10.0 ** rng.uniform(-6.0, -3.0)
+            problem = build_feasibility_lp(
+                outcomes, _ghz_targets(tolerance), min_efficiency=min_efficiency
+            )
+            calls.clear()
+            result = solve_lp_simplex(problem)
+            assert calls == [True], (min_efficiency, tolerance)
+            assert result.pivots <= 15, (min_efficiency, tolerance, result.pivots)
+            assert result.feasible == feasible_side
 
 
 @pytest.mark.parametrize(

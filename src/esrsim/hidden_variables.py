@@ -151,13 +151,17 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
 class _StrategyRows:
     """The indicator rows of a strategy array, each built on first use and
     then kept read-only: per context the outcome product and the joint
-    detection, per (party, setting) slot the detection marginal; and per
-    tuple of contexts the first strategy of each class of coinciding rows."""
+    detection, per (party, setting) slot the detection marginal, and the
+    undetected rows 1 - joint detection and 1 - marginal of the detection
+    floors; and per tuple of contexts the first strategy of each class of
+    coinciding rows."""
 
     def __init__(self, outcomes: np.ndarray):
         self.outcomes = outcomes
         self._contexts: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._undetected: dict[tuple[int, ...], np.ndarray] = {}
         self._marginals: np.ndarray | None = None
+        self._undetected_marginals: np.ndarray | None = None
         self._distinct: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
 
     def context(self, settings_tuple: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +184,15 @@ class _StrategyRows:
             self._contexts[settings_tuple] = rows
         return rows
 
+    def undetected(self, settings_tuple: tuple[int, ...]) -> np.ndarray:
+        """1 - joint detection at one context."""
+        row = self._undetected.get(settings_tuple)
+        if row is None:
+            row = 1.0 - self.context(settings_tuple)[1]
+            row.setflags(write=False)
+            self._undetected[settings_tuple] = row
+        return row
+
     def marginals(self) -> np.ndarray:
         """Detection indicators as a ``(parties, settings, strategies)`` array."""
         if self._marginals is None:
@@ -187,6 +200,13 @@ class _StrategyRows:
             self._marginals = np.ascontiguousarray(detected, dtype=float)
             self._marginals.setflags(write=False)
         return self._marginals
+
+    def undetected_marginals(self) -> np.ndarray:
+        """1 - marginal as a ``(slots, strategies)`` array, slots party-major."""
+        if self._undetected_marginals is None:
+            self._undetected_marginals = 1.0 - self.marginals().reshape(-1, len(self.outcomes))
+            self._undetected_marginals.setflags(write=False)
+        return self._undetected_marginals
 
     def distinct_strategies(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
         """Sorted index of the first strategy of each class whose rows coincide.
@@ -276,6 +296,15 @@ def build_feasibility_lp(
     The labels keep their ``>=`` names.  The rows are exact (the indicators
     are 0 or 1); 1 - j and 1 - eta are rounded once, by at most 1.1e-16, and
     at eta = 1 the bound is exactly 0.
+
+    The rows are written in a few whole-array blocks into preallocated
+    arrays: the targets' product rows P and detection rows D are stacked,
+    the equality rows are P - v*D, and the band rows P - (v + tol)*D and
+    -(P - (v - tol)*D), interleaved per target; the floor rows are copied
+    from read-only rows kept with the strategies' indicator rows.  Every
+    entry goes through the IEEE operations it would get in a row built on
+    its own, so the bits, row order, labels and errors are those of a
+    row-by-row build.
     """
     if len(strategies) == 0:
         raise ValueError("no strategies supplied")
@@ -287,55 +316,63 @@ def build_feasibility_lp(
     n, parties, settings = outcomes.shape
     rows = _strategy_rows(outcomes)
 
-    a_eq_rows = [np.ones(n)]
-    b_eq = [1.0]
+    exact = []  # (prod, det, v) of each target without a tolerance
+    banded = []  # (prod, det, (v + tol, v - tol)) of each target with one
     eq_labels = ["normalization"]
-    a_ub_rows: list[np.ndarray] = []
-    b_ub: list[float] = []
-    ub_labels: list[str] = []
-
-    contexts: dict[tuple[int, ...], np.ndarray] = {}
+    ub_labels = []
     for target in targets:
         prod, det = rows.context(target.settings)
-        contexts.setdefault(target.settings, det)
-        name = f"corr{target.settings}"
+        name, value = f"corr{target.settings}", f"{target.value}"
         if target.tolerance == 0.0:
-            a_eq_rows.append(prod - target.value * det)
-            b_eq.append(0.0)
-            eq_labels.append(f"{name}={target.value}")
+            exact.append((prod, det, target.value))
+            eq_labels.append(f"{name}={value}")
         else:
-            a_ub_rows.append(prod - (target.value + target.tolerance) * det)
-            b_ub.append(0.0)
-            ub_labels.append(f"{name}<={target.value}+{target.tolerance}")
-            a_ub_rows.append(-(prod - (target.value - target.tolerance) * det))
-            b_ub.append(0.0)
-            ub_labels.append(f"{name}>={target.value}-{target.tolerance}")
-
-    if min_joint_detection > 0.0:
-        for settings_tuple, det in contexts.items():
-            a_ub_rows.append(1.0 - det)
-            b_ub.append(1.0 - min_joint_detection)
-            ub_labels.append(f"joint-detection{settings_tuple}>={min_joint_detection}")
+            edges = (target.value + target.tolerance, target.value - target.tolerance)
+            banded.append((prod, det, edges))
+            tolerance = f"{target.tolerance}"
+            ub_labels += (f"{name}<={value}+{tolerance}", f"{name}>={value}-{tolerance}")
+    floored = list(dict.fromkeys(t.settings for t in targets)) if min_joint_detection > 0.0 else []
+    if floored:
+        joint = f"{min_joint_detection}"
+        ub_labels.extend(f"joint-detection{ctx}>={joint}" for ctx in floored)
 
     bound = 0.0 if min_efficiency is None else float(min_efficiency)
     if not 0.0 <= bound <= 1.0:
         raise ValueError(f"efficiency bound {bound} outside [0, 1]")
-    if bound > 0.0:
-        marginals = rows.marginals()
-        for party in range(parties):
-            for setting in range(settings):
-                a_ub_rows.append(1.0 - marginals[party, setting])
-                b_ub.append(1.0 - bound)
-                ub_labels.append(f"efficiency[party={party},setting={setting}]>={bound}")
+    slots = parties * settings if bound > 0.0 else 0
+    if slots:
+        eta = f"{bound}"
+        ub_labels.extend(
+            f"efficiency[party={party},setting={setting}]>={eta}"
+            for party in range(parties)
+            for setting in range(settings)
+        )
+
+    k = 2 * len(banded)
+    a_eq = np.empty((1 + len(exact), n))
+    b_eq = np.zeros(1 + len(exact))
+    a_ub = np.empty((len(ub_labels), n))
+    b_ub = np.zeros(len(ub_labels))
+    a_eq[0] = 1.0
+    b_eq[0] = 1.0
+    if exact:
+        prod, det, value = zip(*exact)
+        np.multiply(np.array(value, dtype=float)[:, None], np.array(det), out=a_eq[1:])
+        np.subtract(np.array(prod), a_eq[1:], out=a_eq[1:])
+    if banded:
+        # Rows 2i and 2i + 1: prod - (v + tol) * det and -(prod - (v - tol) * det).
+        prod, det, edges = zip(*banded)
+        band = a_ub[:k].reshape(-1, 2, n)
+        np.multiply(np.array(edges, dtype=float)[:, :, None], np.array(det)[:, None], out=band)
+        np.subtract(np.array(prod)[:, None], band, out=band)
+        np.negative(a_ub[1:k:2], out=a_ub[1:k:2])
+    if floored:
+        a_ub[k:k + len(floored)] = [rows.undetected(ctx) for ctx in floored]
+        b_ub[k:k + len(floored)] = 1.0 - min_joint_detection
+    if slots:
+        a_ub[k + len(floored):] = rows.undetected_marginals()
+        b_ub[k + len(floored):] = 1.0 - bound
 
     from .simplex import FeasibilityProblem  # loaded only where an LP is made
 
-    return FeasibilityProblem(
-        n_vars=n,
-        a_eq=np.vstack(a_eq_rows),
-        b_eq=np.asarray(b_eq),
-        a_ub=np.vstack(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.asarray(b_ub) if a_ub_rows else None,
-        eq_labels=eq_labels,
-        ub_labels=ub_labels,
-    )
+    return FeasibilityProblem(n, a_eq, b_eq, a_ub, b_ub, eq_labels, ub_labels)

@@ -23,16 +23,20 @@ Bland's rule prevents cycling only in exact arithmetic, and round-off can
 break it too.
 
 The tableau is built only over the distinct variable columns (the first copy
-of each byte-identical column), found with one stable lexsort over the
-columns' bits: copies stay identical under every column-wise update, keep
-equal reduced costs, and both rules enter the lowest index among equals, so a
-later copy never enters and gets weight zero.  The GHZ search hands the
-solver one strategy per class of coinciding indicator rows (105 of the 729,
-found once per tuple of contexts with the same lexsort); the presolve merges
-the classes whose LP columns coincide and keeps the columns, in the order, it
-keeps over all 729.  The artificial columns are left out too: a basic
-artificial's column stays an exact unit vector with zero reduced cost, and
-one that leaves never re-enters, so no artificial column is read.
+of each byte-identical column): copies stay identical under every column-wise
+update, keep equal reduced costs, and both rules enter the lowest index among
+equals, so a later copy never enters and gets weight zero.  The presolve
+first folds each column's bits into one fingerprint, a wrapping uint64
+multiply-add with fixed odd weights.  Equal columns have equal fingerprints,
+so when all fingerprints differ every column is distinct and no sort runs;
+otherwise one stable lexsort over the columns' bits finds the copies.  The
+GHZ search hands the solver one strategy per class of coinciding indicator
+rows (105 of the 729, found once per tuple of contexts with the same
+presolve); the presolve merges the classes whose LP columns coincide and
+keeps the columns, in the order, it keeps over all 729.  The artificial
+columns are left out too: a basic artificial's column stays an exact unit
+vector with zero reduced cost, and one that leaves never re-enters, so no
+artificial column is read.
 
 Each pivot makes the entry-by-entry loop's choices and its floating-point
 operations: the ratio test runs over the entering column as Python floats,
@@ -98,13 +102,17 @@ class FeasibilityProblem(Frozen):
 
         def _rows(a, b, what):
             if a is None:
-                return np.zeros((0, n)), np.zeros(0)
-            a = np.asarray(a, dtype=float).reshape(-1, n)
-            b = np.asarray(b, dtype=float).reshape(-1)
+                a, b = (), ()
+            # Read-only copies: a later write to the caller's arrays cannot
+            # get past the finiteness check.
+            a = np.array(a, dtype=float).reshape(-1, n)
+            b = np.array(b, dtype=float).reshape(-1)
             if a.shape[0] != b.shape[0]:
                 raise ValueError(f"{what}: {a.shape[0]} rows but {b.shape[0]} bounds")
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
                 raise ValueError(f"{what}: non-finite coefficients")
+            a.setflags(write=False)
+            b.setflags(write=False)
             return a, b
 
         a_eq, b_eq = _rows(a_eq, b_eq, "equalities")
@@ -186,13 +194,29 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
     )
 
 
+def _fingerprint_weights(rows: int) -> np.ndarray:
+    """Fixed odd uint64 weights, one per row: the powers of an odd constant."""
+    return np.full(rows, 0x9E3779B97F4A7C15, dtype=np.uint64).cumprod()
+
+
 def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
     """Sorted index of the first copy of each byte-identical column of the
     float array ``a``.
 
-    A stable lexsort over the columns' bits puts the copies side by side,
-    each run in index order, so each run's first entry is its first copy.
+    A fast exit first takes one fingerprint per column: each entry's bits,
+    the high half xor-ed onto the low half so that the sign and exponent
+    reach the low bits, summed with fixed odd weights in wrapping uint64
+    arithmetic.  Equal columns have equal fingerprints, so when all
+    fingerprints differ every column is distinct and the answer is every
+    index.  Otherwise a stable lexsort over the columns' bits puts the
+    copies side by side, each run in index order, so each run's first entry
+    is its first copy.
     """
+    words = a.view(np.uint64)
+    fingerprints = _fingerprint_weights(a.shape[0]) @ (words ^ (words >> np.uint64(32)))
+    fingerprints.sort()
+    if (fingerprints[1:] != fingerprints[:-1]).all():
+        return np.arange(a.shape[1])
     bits = a.view(np.int64)
     order = np.lexsort(bits)
     grouped = bits[:, order]

@@ -226,6 +226,111 @@ class TestBuildFeasibilityLP:
         assert 0.45 - 1e-9 <= achieved <= 0.55 + 1e-9
 
 
+def _per_row_lp(outcomes, targets, min_joint_detection, min_efficiency):
+    """The LP built one numpy row at a time and stacked with ``np.vstack``:
+    the reference the block builder must match bit for bit."""
+    n, parties, settings = outcomes.shape
+
+    def context(ctx):
+        sel = outcomes[:, np.arange(parties), list(ctx)]
+        return np.prod(sel, axis=1).astype(float), np.all(sel != 0, axis=1).astype(float)
+
+    a_eq_rows, b_eq, eq_labels = [np.ones(n)], [1.0], ["normalization"]
+    a_ub_rows, b_ub, ub_labels = [], [], []
+    contexts = {}
+    for target in targets:
+        prod, det = context(target.settings)
+        contexts.setdefault(target.settings, det)
+        name = f"corr{target.settings}"
+        if target.tolerance == 0.0:
+            a_eq_rows.append(prod - target.value * det)
+            b_eq.append(0.0)
+            eq_labels.append(f"{name}={target.value}")
+        else:
+            a_ub_rows.append(prod - (target.value + target.tolerance) * det)
+            b_ub.append(0.0)
+            ub_labels.append(f"{name}<={target.value}+{target.tolerance}")
+            a_ub_rows.append(-(prod - (target.value - target.tolerance) * det))
+            b_ub.append(0.0)
+            ub_labels.append(f"{name}>={target.value}-{target.tolerance}")
+    if min_joint_detection > 0.0:
+        for ctx, det in contexts.items():
+            a_ub_rows.append(1.0 - det)
+            b_ub.append(1.0 - min_joint_detection)
+            ub_labels.append(f"joint-detection{ctx}>={min_joint_detection}")
+    bound = 0.0 if min_efficiency is None else float(min_efficiency)
+    if bound > 0.0:
+        marginals = (outcomes != 0).astype(float)
+        for party in range(parties):
+            for setting in range(settings):
+                a_ub_rows.append(1.0 - marginals[:, party, setting])
+                b_ub.append(1.0 - bound)
+                ub_labels.append(f"efficiency[party={party},setting={setting}]>={bound}")
+    a_ub = np.vstack(a_ub_rows) if a_ub_rows else np.zeros((0, n))
+    return (np.vstack(a_eq_rows), np.asarray(b_eq), a_ub, np.asarray(b_ub),
+            tuple(eq_labels), tuple(ub_labels))
+
+
+def _lp_bytes(a_eq, b_eq, a_ub, b_ub, eq_labels, ub_labels):
+    arrays = (a_eq, b_eq, a_ub, b_ub)
+    return [(a.shape, a.tobytes()) for a in arrays] + [eq_labels, ub_labels]
+
+
+# Each shape's contexts name one of them twice.
+_BLOCK_CONTEXTS = {
+    (1, 3): [(0,), (2,), (1,), (2,)],
+    (2, 2): [(0, 0), (0, 1), (1, 0), (1, 1), (0, 1)],
+    (3, 2): [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)],
+}
+
+
+class TestBlockBuilder:
+    """``build_feasibility_lp`` writes its rows in whole-array blocks; every
+    byte and label equals the LP built one row at a time."""
+
+    @pytest.mark.parametrize("min_efficiency", [None, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("min_joint_detection", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("tolerances", ["zero", "positive", "mixed", "no-targets"])
+    @pytest.mark.parametrize("shape", list(_BLOCK_CONTEXTS), ids=str)
+    def test_equals_the_per_row_builder(
+        self, shape, tolerances, min_joint_detection, min_efficiency
+    ):
+        rng = np.random.default_rng(3030)
+        contexts = _BLOCK_CONTEXTS[shape]
+        # Exact +-1, a signed zero and random values; random tolerances.
+        values = [1.0, -1.0, -0.0] + list(rng.uniform(-1.0, 1.0, len(contexts)))
+        spread = {
+            "zero": [0.0] * len(contexts),
+            "positive": list(10.0 ** rng.uniform(-6.0, -0.5, len(contexts))),
+            "mixed": [0.0, 1e-6, 0.0, 0.25, 1e-3][: len(contexts)],
+            "no-targets": [],
+        }[tolerances]
+        targets = [
+            CorrelationTarget(settings=ctx, value=float(v), tolerance=float(t))
+            for ctx, v, t in zip(contexts, values, spread)
+        ]
+        shared = enumerate_local_strategies(*shape)
+        # A fresh strategy array, not the shared enumeration: its rows are
+        # built for this call alone.
+        fresh = shared[rng.permutation(len(shared))[: len(shared) // 2 + 1]]
+        for strategies in (shared, fresh):
+            problem = build_feasibility_lp(
+                strategies, targets, min_joint_detection, min_efficiency
+            )
+            built = _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
+                              problem.eq_labels, problem.ub_labels)
+            reference = _per_row_lp(strategies, targets, min_joint_detection, min_efficiency)
+            assert built == _lp_bytes(*reference)
+
+    def test_a_bad_context_is_reported_before_a_bad_efficiency_bound(self):
+        targets = (
+            CorrelationTarget(settings=(0, 0, 0), value=1.0),
+            CorrelationTarget(settings=(0, 2, 0), value=1.0),
+        )
+        with pytest.raises(ValueError, match=re.escape("context (0, 2, 0)")):
+            build_feasibility_lp(enumerate_local_strategies(3, 2), targets, 1e-6, 1.5)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -8,6 +8,7 @@ import math
 import operator
 import pickle
 
+import numpy as np
 import pytest
 
 from conftest import ket_density, z_generalized, z_observable, z_property
@@ -164,3 +165,24 @@ def test_rejected_changes_leave_results_unchanged():
             dm.assignment[("S", 1.0)] = 7.0
         assert correlations.trichotomic_expectation(sc, "a", "b").value == before
         assert sc.settings == settings
+
+
+def test_feasibility_problem_keeps_read_only_copies():
+    # A write to the caller's arrays after construction used to get past the
+    # finiteness check and end as "fails its feasibility certificate".
+    a_eq, b_eq = np.array([[1.0, 1.0]]), np.array([1.0])
+    a_ub, b_ub = np.array([[1.0, 0.0]]), np.array([0.5])
+    problem = simplex.FeasibilityProblem(2, a_eq, b_eq, a_ub, b_ub)
+    no_rows = simplex.FeasibilityProblem(2, a_eq, b_eq)
+    for array in (a_eq, b_eq, a_ub, b_ub):
+        array.flat[0] = math.nan
+    for record in (problem, no_rows):
+        for name in ("a_eq", "b_eq", "a_ub", "b_ub"):
+            array = getattr(record, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = math.inf
+    assert problem.a_eq.tolist() == [[1.0, 1.0]] and problem.b_ub.tolist() == [0.5]
+    result = simplex.solve_lp_simplex(problem)
+    assert result.feasible
+    assert simplex.feasibility_residuals(problem, result.x).satisfied()

@@ -619,6 +619,71 @@ class TestColumnPresolve:
         assert min(feasible.values()) >= 10, feasible
 
 
+def _lexsort_first_columns(a):
+    """The presolve's answer by the lexsort alone, with no fingerprint exit."""
+    bits = a.view(np.int64)
+    order = np.lexsort(bits)
+    grouped = bits[:, order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.any(grouped[:, 1:] != grouped[:, :-1], axis=0, out=first[1:])
+    return np.sort(order[first])
+
+
+def _planted_matrices(rng):
+    """Small-integer matrices, some with copies of columns planted at random
+    places, some with zeros of either sign, and single columns."""
+    for trial in range(300):
+        m = int(rng.integers(1, 8))
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        if trial % 3 == 0:
+            a[:, rng.integers(0, n, n // 2)] = a[:, rng.integers(0, n, n // 2)]
+        if trial % 3 == 1:
+            a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
+        yield a
+
+
+class TestFingerprintExit:
+    """The presolve skips its lexsort when every column fingerprint differs;
+    its answer stays the lexsort's."""
+
+    def test_equals_the_lexsort(self):
+        exits = 0
+        for a in _planted_matrices(np.random.default_rng(3031)):
+            expected = _lexsort_first_columns(a)
+            assert np.array_equal(simplex._first_distinct_columns(a), expected), a
+            exits += expected.size == a.shape[1]
+        assert exits >= 50
+
+    def test_colliding_fingerprints_fall_back_to_the_lexsort(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_fingerprint_weights", lambda rows: np.zeros(rows, np.uint64))
+        for a in _planted_matrices(np.random.default_rng(3032)):
+            assert np.array_equal(simplex._first_distinct_columns(a), _lexsort_first_columns(a))
+
+    def test_sweeps_range_searches_never_lexsort(self, monkeypatch):
+        # min_efficiency on either side of the 5/6 edge and a log-uniform
+        # tolerance, as the sweeps searches draw them.  The strategy classes
+        # are found once per tuple of contexts, before the spy is set.
+        scenario = GHZScenario.standard()
+        ghz_local_model_search(scenario, 0.7, tolerance=1e-4)
+        lexsort, calls = np.lexsort, []
+
+        def counted(keys, *args, **kwargs):
+            calls.append(np.shape(keys))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        rng = np.random.default_rng(3033)
+        for trial in range(200):
+            feasible_side = trial % 2 == 0
+            min_efficiency = rng.uniform(*((0.55, 0.80) if feasible_side else (0.87, 1.0)))
+            tolerance = 10.0 ** rng.uniform(-6.0, -3.0)
+            found = ghz_local_model_search(scenario, min_efficiency, tolerance=tolerance)
+            assert found.feasible == feasible_side
+        assert calls == []
+
+
 class TestDefaultPivotBudget:
     """The default budget scales with the presolved tableau: a cycling Bland
     path fails promptly, and the longest grid path that finishes still does."""

@@ -75,6 +75,7 @@ EXIT_COMPUTE = 3
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 10000
 MAX_DIMENSION = 64
+MAX_SAMPLES = 10**9  # about 20 s of Monte Carlo draws at ~21 ms per 10^6
 _MC_CHUNK = 1 << 16  # Monte Carlo draws per sample_indices call
 
 
@@ -353,7 +354,7 @@ _TRIPLE = {
 
 _MONTE_CARLO = {
     **_TRIPLE,
-    "samples": (_number(1, integer=True), DEFAULT_SAMPLES),
+    "samples": (_number(1, MAX_SAMPLES, integer=True), DEFAULT_SAMPLES),
     "seed": (_number(0, integer=True), DEFAULT_SEED),
 }
 

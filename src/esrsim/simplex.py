@@ -1,62 +1,33 @@
 """Dense two-phase simplex for LP feasibility on strategy simplices.
 
 Problems are small (hundreds of variables, tens of rows) and deterministic
-reproducibility matters most, so this is a dense tableau.  It prices by
-Dantzig's rule first: the entering column is the most negative reduced cost,
-the first index on ties.  If that attempt raises, or its point fails
-:func:`feasibility_residuals`, or its "infeasible" basis gives a phase-one
-dual that, recomputed from the rows as built, is no Farkas certificate, the
-solver re-solves with Bland's anti-cycling rule: the entering column is the
-lowest-index negative reduced cost.  Under both rules the leaving row breaks
-ratio ties by lowest basic-variable index.
-
-The two attempts start from different bases.  The Dantzig attempt starts
-each ``<=`` row whose bound is >= 0 on its own slack, so only the equality
-rows and the rows negated for a negative bound get an artificial.  The Bland
-retry starts every row on an artificial, as the entry-by-entry loop did.
-``build_feasibility_lp`` writes its detection floors as ``<=`` rows with
-bounds >= 0, so on a sweeps-range GHZ search (tolerance > 0) only the
-normalization row starts on an artificial, and the Dantzig attempt takes
-about 10 pivots.  Dantzig's rule can still pivot on an entry just above the
-pivot tolerance and end at a basis that is neither feasible nor optimal;
-Bland's rule prevents cycling only in exact arithmetic, and round-off can
-break it too.
+reproducibility matters most, so this is a dense tableau.  One float pivot
+loop prices by Dantzig's rule: the entering column is the most negative
+reduced cost, the first index on ties, and the leaving row breaks ratio ties
+by lowest basic-variable index.  It starts each ``<=`` row whose bound is
+>= 0 on its own slack, so only the equality rows and the rows negated for a
+negative bound get an artificial; on a sweeps-range GHZ search, whose
+detection floors ``build_feasibility_lp`` writes as such rows, only the
+normalization row does, and the loop takes about 10 pivots.  Dantzig's rule
+can pivot on an entry just above the pivot tolerance and end at a basis that
+is neither feasible nor optimal, so an exact fallback decides any LP on
+which the float loop fails: Bland's rule over ``fractions.Fraction``, which
+cannot cycle in exact arithmetic (Bland, Math. Oper. Res. 2, 103, 1977).
 
 The tableau is built only over the distinct variable columns (the first copy
 of each byte-identical column): copies stay identical under every column-wise
 update, keep equal reduced costs, and both rules enter the lowest index among
-equals, so a later copy never enters and gets weight zero.  The presolve
-first folds each column's bits into one fingerprint, a wrapping uint64
-multiply-add with fixed odd weights.  Equal columns have equal fingerprints,
-so when all fingerprints differ every column is distinct and no sort runs;
-otherwise one stable lexsort over the columns' bits finds the copies.  The
-GHZ search hands the solver one strategy per class of coinciding indicator
-rows (105 of the 729, found once per tuple of contexts with the same
-presolve); the presolve merges the classes whose LP columns coincide and
-keeps the columns, in the order, it keeps over all 729.  The artificial
-columns are left out too: a basic artificial's column stays an exact unit
-vector with zero reduced cost, and one that leaves never re-enters, so no
+equals, so a later copy never enters and gets weight zero.  The artificial
+columns are left out too: a basic artificial's column stays a unit vector
+with zero reduced cost, and one that leaves never re-enters, so no
 artificial column is read.
 
-Each pivot makes the entry-by-entry loop's choices and its floating-point
-operations: the ratio test runs over the entering column as Python floats,
-and one broadcast multiply and one subtraction eliminate the entering column.
-The subtraction also runs over the rows whose entering entry is zero, which
-the loop skips; subtracting a zero multiple of a finite row leaves every
-value as it was and can only flip the sign of a zero.  A zero's sign reaches
-the result only through the right-hand column (the point and the phase-one
-objective), so those rows' right-hand zeros are put back.  Results of the
-Bland path are therefore bit-identical to the entry-by-entry Bland loop over
-the full-width tableau.
-
-One tolerance, ``FEASIBILITY_TOL``, gates both the residual certificate and
-the Farkas check of a Dantzig "infeasible" verdict.
-
-Phase one minimizes the sum of its artificial variables; a strictly positive
-optimum certifies infeasibility.  No phase-two objective is needed because the
-callers only ask for feasibility plus a residual certificate, which is
-recomputed independently of the solver's tableau by
-:func:`feasibility_residuals`.
+Phase one minimizes the sum of its artificial variables; an optimum above
+``FEASIBILITY_TOL`` certifies infeasibility.  No phase-two objective is
+needed because the callers only ask for feasibility plus a residual
+certificate, which :func:`feasibility_residuals` recomputes independently of
+the solver's tableau; the same tolerance gates it and the Farkas check of a
+float "infeasible" verdict.
 """
 
 from __future__ import annotations
@@ -262,18 +233,13 @@ class _PivotFailure(RuntimeError):
 def solve_lp_simplex(problem: FeasibilityProblem) -> LPResult:
     """Find a feasible point of ``problem`` or certify infeasibility.
 
-    Deterministic for fixed input.  Prices by Dantzig's rule first; if that
-    attempt raises, returns a point that fails :func:`feasibility_residuals`
-    on ``problem``, or ends "infeasible" at a basis whose phase-one dual is
-    no Farkas certificate, re-solves with Bland's rule, and ``pivots``
-    counts both attempts.  Raises ``ValueError`` when the stated dimension
-    bounds are exceeded and ``RuntimeError`` when the Bland attempt meets a
-    phase-one unbounded direction, exhausts its pivot budget or ends at a
-    point that fails its certificate.  Each attempt gets a budget of 200
-    pivots per row and column of the presolved phase-one tableau, artificial
-    columns counted: about 30,000 for the GHZ LP, over 10x the longest Bland
-    path that finishes on the GHZ grid.  So round-off cycling fails within
-    about half a second on a 2-CPU Linux machine instead of running on.
+    Deterministic for fixed input.  When the float Dantzig loop raises,
+    returns a point that fails :func:`feasibility_residuals` on ``problem``,
+    or ends "infeasible" at a basis whose phase-one dual is no Farkas
+    certificate, the exact Bland loop decides the LP, and ``pivots`` counts
+    both loops.  Raises ``ValueError`` when the stated dimension bounds are
+    exceeded, and ``RuntimeError`` only when the exact loop's point, once
+    rounded to floats, fails its certificate.
     """
     if problem.n_vars > MAX_VARIABLES:
         raise ValueError(f"problem has {problem.n_vars} variables, bound is {MAX_VARIABLES}")
@@ -282,45 +248,37 @@ def solve_lp_simplex(problem: FeasibilityProblem) -> LPResult:
             f"problem has {problem.n_constraints} constraints, bound is {MAX_CONSTRAINTS}"
         )
     try:
-        first = _phase_one(problem, None, dantzig=True)
+        first = _phase_one(problem)
     except _PivotFailure as failure:
         spent = failure.pivots
     else:
         if not first.feasible or feasibility_residuals(problem, first.x).satisfied():
             return first
         spent = first.pivots
-    retry = _phase_one(problem, None, dantzig=False)
-    if retry.feasible:
-        certificate = feasibility_residuals(problem, retry.x)
+    exact = _exact_phase_one(problem)
+    if exact.feasible:
+        certificate = feasibility_residuals(problem, exact.x)
         if not certificate.satisfied():
             raise RuntimeError(
                 f"LP point fails its feasibility certificate at {certificate.worst_row!r}"
             )
-    return LPResult(retry.status, retry.x, retry.phase1_objective, spent + retry.pivots)
+    return LPResult(exact.status, exact.x, exact.phase1_objective, spent + exact.pivots)
 
 
-def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: bool) -> LPResult:
-    """One phase-one pivot loop.  The entering column is the most negative
-    reduced cost, first index on ties (Dantzig), or the first negative one
-    (Bland); the leaving row is the same ratio test under both rules.  The
-    Dantzig loop starts each ``<=`` row with a bound >= 0 on its slack, the
-    Bland loop every row on an artificial.  ``max_pivots`` of None is the
-    default budget of :func:`solve_lp_simplex`.  Raises
-    :class:`_PivotFailure` when the loop stops without a verdict."""
-    m_eq = problem.a_eq.shape[0]
-    m_ub = problem.a_ub.shape[0]
+def _start(problem: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The phase-one tableau [A | S | b] over the kept variable columns A and
+    the slack columns S, each row with a negative bound negated, with a zero
+    cost row; the kept columns; and the start basis: each ``<=`` row with a
+    bound >= 0 on its slack, every other row i on its artificial, column
+    n_tot + i, past the stored columns."""
+    m_eq, m_ub = problem.a_eq.shape[0], problem.a_ub.shape[0]
     m = m_eq + m_ub
-    if m == 0:
-        return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 0)
-
     # Presolve: the first copy of each byte-identical column, in index order.
-    stacked = np.vstack([problem.a_eq, problem.a_ub])
+    stacked = np.concatenate([problem.a_eq, problem.a_ub])
     keep = _first_distinct_columns(stacked)
     n = keep.size
     n_tot = n + m_ub
 
-    # Phase-one tableau over the variable and slack columns: the artificial
-    # basis (cost = sum of artificials) keeps no columns of its own.
     tableau = np.zeros((m + 1, n_tot + 1))
     tableau[:m, :n] = stacked[:, keep]
     tableau[m_eq:m, n:n_tot] = np.eye(m_ub)
@@ -329,43 +287,52 @@ def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: boo
     rhs[m_eq:] = problem.b_ub
     negated = rhs < 0.0
     tableau[:m][negated] *= -1.0
-    # Row i's artificial is column n_tot + i.  The Dantzig attempt starts each
-    # <= row with a bound >= 0 on its slack instead, and only the rows with an
-    # artificial enter the phase-one cost.
-    start = np.arange(n_tot, n_tot + m)
-    if dantzig:
-        on_slack = np.flatnonzero(~negated[m_eq:])
-        start[m_eq + on_slack] = n + on_slack
-    basis = start.tolist()
-    cost_rows = tableau[:m][start >= n_tot] if dantzig else tableau[:m]
-    # Summed over two or more columns, numpy adds row after row; a lone column
-    # would be summed pairwise, in another order, and round differently.
+    basis = np.arange(n_tot, n_tot + m)
+    on_slack = np.flatnonzero(~negated[m_eq:])
+    basis[m_eq + on_slack] = n + on_slack
+    return tableau, keep, basis.tolist()
+
+
+def _point(n_vars: int, keep: np.ndarray, basis: list[int], values) -> np.ndarray:
+    """The point whose basic variables take ``values``, row by row."""
+    x = np.zeros(n_vars)
+    for var, value in zip(basis, values):
+        if var < keep.size:
+            x[keep[var]] = max(value, 0.0)
+    return x
+
+
+def _phase_one(problem: FeasibilityProblem) -> LPResult:
+    """The float pivot loop under Dantzig's rule.  Raises
+    :class:`_PivotFailure` when it finds no valid pivot row, spends its
+    budget of 200 pivots per row and column of the phase-one tableau,
+    artificials counted (about 30,000 for the GHZ LP), or ends at an
+    "infeasible" basis that :func:`_proves_infeasible` refuses."""
+    if problem.n_constraints == 0:
+        return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 0)
+    tableau, keep, basis = _start(problem)
+    m, n_tot = tableau.shape[0] - 1, tableau.shape[1] - 1
+    rows = tableau[:m].copy()
+    # Only the rows on an artificial enter the phase-one cost.  Summed over
+    # two or more columns, numpy adds row after row; a lone column would be
+    # summed pairwise, in another order, and round differently.
+    cost_rows = rows[np.array(basis) >= n_tot]
     tableau[m, :n_tot] = -cost_rows.sum(axis=0)[:n_tot]
     tableau[m, -1] = -cost_rows[:, -1].sum()
-    rows = tableau[:m].copy() if dantzig else None
-    if max_pivots is None:
-        # Rows plus columns of the phase-one tableau, artificials counted.
-        max_pivots = _PIVOTS_PER_LINE * ((m + 1) + (n_tot + m + 1))
-
+    max_pivots = _PIVOTS_PER_LINE * ((m + 1) + (n_tot + m + 1))
     cost = tableau[m, :n_tot]
+    rhs = tableau[:m, -1]
 
     pivots = 0
     while True:
-        if dantzig:
-            entering = int(cost.argmin())
-            if not cost[entering] < -_PIVOT_TOL:
-                break
-        else:
-            below = cost < -_PIVOT_TOL
-            entering = int(below.argmax())
-            if not below[entering]:
-                break
+        entering = int(cost.argmin())
+        if not cost[entering] < -_PIVOT_TOL:
+            break
 
         column = tableau[:, entering].tolist()
         ratios = rhs.tolist()
         leaving = -1
         best_ratio = np.inf
-        signed_zeros = []
         for i in range(m):
             c = column[i]
             if c > _PIVOT_TOL:
@@ -376,13 +343,10 @@ def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: boo
                 ):
                     best_ratio = ratio
                     leaving = i
-            elif c == 0.0 and ratios[i] == 0.0:
-                signed_zeros.append(i)
         if leaving < 0:
             raise _PivotFailure("phase-one unbounded: no valid pivot row", pivots)
         if pivots >= max_pivots:
             raise _PivotFailure(f"pivot budget {max_pivots} exhausted", pivots)
-
         pivots += 1
 
         pivot_row = tableau[leaving]
@@ -390,20 +354,54 @@ def _phase_one(problem: FeasibilityProblem, max_pivots: int | None, dantzig: boo
         update = tableau[:, entering, None] * pivot_row
         update[leaving] = 0.0
         tableau -= update
-        for i in signed_zeros:  # rows the entry-by-entry loop leaves alone
-            rhs[i] = ratios[i]
         basis[leaving] = entering
 
     objective = -float(tableau[m, -1])
     if objective > FEASIBILITY_TOL:
-        if dantzig and not _proves_infeasible(rows, basis):
+        if not _proves_infeasible(rows, basis):
             raise _PivotFailure("phase-one optimum fails its infeasibility certificate", pivots)
         return LPResult("infeasible", None, objective, pivots)
-
-    x_full = np.zeros(n_tot)
-    for i, var in enumerate(basis):
-        if var < n_tot:
-            x_full[var] = tableau[i, -1]
-    x = np.zeros(problem.n_vars)
-    x[keep] = np.maximum(x_full[:n], 0.0)
+    x = _point(problem.n_vars, keep, basis, rhs.tolist())
     return LPResult("feasible", x, max(objective, 0.0), pivots)
+
+
+def _exact_phase_one(problem: FeasibilityProblem) -> LPResult:
+    """Phase one under Bland's rule over the exact values of the float loop's
+    rows, columns and start basis: each float converts to a ``Fraction``
+    exactly.  The entering column is the lowest-index negative reduced cost,
+    the leaving row the least ratio, ties to the lowest basic index.  This
+    cannot cycle, and the objective is bounded below by zero, so some row
+    always qualifies and the loop ends.  Needs at least one row."""
+    from fractions import Fraction
+
+    tableau, keep, basis = _start(problem)
+    m, n_tot = tableau.shape[0] - 1, tableau.shape[1] - 1
+    rows = [[Fraction(value) for value in row] for row in tableau[:m].tolist()]
+    cost = [Fraction(0)] * (n_tot + 1)
+    for row, var in zip(rows, basis):
+        if var >= n_tot:
+            cost = [c - value for c, value in zip(cost, row)]
+
+    pivots = 0
+    while (entering := next((j for j in range(n_tot) if cost[j] < 0), None)) is not None:
+        leaving = min(
+            (i for i in range(m) if rows[i][entering] > 0),
+            key=lambda i: (rows[i][-1] / rows[i][entering], basis[i]),
+        )
+        pivots += 1
+        pivot_row = rows[leaving]
+        pivot = pivot_row[entering]
+        pivot_row[:] = [value / pivot for value in pivot_row]
+        nonzero = [(j, value) for j, value in enumerate(pivot_row) if value]
+        for row in (*rows, cost):
+            factor = row[entering]
+            if factor and row is not pivot_row:
+                for j, value in nonzero:
+                    row[j] -= factor * value
+        basis[leaving] = entering
+
+    objective = -cost[-1]
+    if objective > FEASIBILITY_TOL:
+        return LPResult("infeasible", None, float(objective), pivots)
+    x = _point(problem.n_vars, keep, basis, [float(row[-1]) for row in rows])
+    return LPResult("feasible", x, float(objective), pivots)

@@ -860,6 +860,21 @@ class TestCommandLine:
             assert result.returncode == 2, result.stderr
             assert f"field '{flag}'" in result.stderr
 
+    def test_samples_above_the_cap_exit_2(self, tmp_path, esr_sim):
+        # An accepted config must finish: 10^12 draws would take hours.
+        assert validate_config({**monte_carlo_config(), "samples": cli.MAX_SAMPLES})
+        for samples in (cli.MAX_SAMPLES + 1, 2**53):
+            with pytest.raises(ConfigError, match="field 'samples'"):
+                validate_config({**monte_carlo_config(), "samples": samples})
+        large = tmp_path / "large.json"
+        large.write_text(json.dumps({**monte_carlo_config(), "samples": 10**12}))
+        runs = [("--scenario", str(large)), ("--scenario", str(CONFIG_DIR / "monte_carlo.json"),
+                                             "--samples", "9007199254740992")]
+        for args in runs:
+            result = esr_sim("run", *args)
+            assert result.returncode == 2, result.stderr
+            assert "field 'samples'" in result.stderr
+
     def test_malformed_json_exits_2_with_line(self, tmp_path, esr_sim):
         path = tmp_path / "broken.json"
         path.write_text('{"scenario_type": "ghz-quantum",\n  "oops"\n}')
@@ -980,7 +995,8 @@ class TestCommandLine:
                 ("esrsim.correlations",),
                 ("esrsim.hidden_variables", "esrsim.simplex", "esrsim.selftest"),
             ),
-            ("ghz_local_model", ("esrsim.hidden_variables", "esrsim.simplex"), ()),
+            # The exact LP fallback imports fractions only when it runs.
+            ("ghz_local_model", ("esrsim.hidden_variables", "esrsim.simplex"), ("fractions",)),
         ],
         ids=["triple", "bell", "chsh", "ghz-lp"],
     )
@@ -1063,7 +1079,7 @@ def node_paths(node, prefix=()):
 
 
 class TestConfigFuzz:
-    """Mutated shipped configs: rejected with ConfigError, or run without a crash."""
+    """Mutated shipped configs: rejected with ConfigError, or run to completion."""
 
     @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -1089,7 +1105,4 @@ class TestConfigFuzz:
             validate_config(config)
         except ConfigError:
             return
-        try:
-            run_scenario(config)
-        except (ValueError, RuntimeError):
-            pass  # a numeric failure of an accepted config: exit 3, not a crash
+        run_scenario(config)

@@ -697,33 +697,21 @@ class TestGHZLocalModelSearch:
             assert efficiency == pytest.approx(marginal, abs=1e-12)
             assert efficiency >= 0.7 - 1e-9
 
-    @pytest.mark.parametrize("solver", ["dantzig-first", "bland"])
-    def test_bit_identical_to_solving_all_729_columns(self, monkeypatch, solver):
+    def test_bit_identical_to_solving_all_729_columns(self, monkeypatch):
         # The search hands the solver one strategy per class; solving the
-        # unreduced LP as it is built must give the same verdict, pivots,
-        # bits and errors, under Dantzig pricing with its Bland retry and
-        # under the Bland path alone.  The Bland path's points include
-        # round-off failures of both kinds ("fails its feasibility
-        # certificate", "phase-one unbounded") but skip the slow pivot-budget
-        # ones.  No grid or noisy-GHZ search sends the Dantzig attempt to its
-        # retry, so one added grid point makes that attempt fail.
+        # unreduced LP as it is built must give the same verdict, pivots and
+        # bits.  No grid or noisy-GHZ search sends the Dantzig attempt to the
+        # exact loop, so one added grid point makes that attempt fail.
         phase_one, retries, forced = simplex._phase_one, [], [False]
-        if solver == "bland":
-            monkeypatch.setattr(
-                simplex,
-                "solve_lp_simplex",
-                lambda problem: phase_one(problem, None, dantzig=False),
-            )
 
-        def counted(problem, max_pivots, dantzig):
-            retries.append(not dantzig)
-            if dantzig and forced[0]:
+        def counted(problem):
+            retries.append(forced[0])
+            if forced[0]:
                 raise simplex._PivotFailure("phase-one unbounded: no valid pivot row", 5)
-            return phase_one(problem, max_pivots, dantzig)
+            return phase_one(problem)
 
         monkeypatch.setattr(simplex, "_phase_one", counted)
-        # Bland's rule exhausts its budget at some (tolerance,
-        # min_joint_detection) for every index in 1-20 and at 24.
+        # Grid points from both ends and both sides of the 5/6 edge.
         grid = np.linspace(0.0, 1.0, 41)[[0, 21, 23, 27, 32, 33, 34, 40]]
         standard = GHZScenario.standard()
         cases = [
@@ -732,8 +720,7 @@ class TestGHZLocalModelSearch:
             for mjd in (0.0, 1e-6, 0.3)
             for eta in grid
         ]
-        # A grid point where Bland's rule meets a phase-one unbounded
-        # direction, and one whose Dantzig attempt is made to fail.
+        # A low-efficiency point, and one whose Dantzig attempt is made to fail.
         cases.append((standard, float(np.linspace(0.0, 1.0, 41)[4]), 0.0, 1e-6, False))
         cases.append((standard, float(np.linspace(0.0, 1.0, 41)[22]), 1e-6, 1e-3, True))
         ghz = correlations.ghz_state().matrix
@@ -756,16 +743,11 @@ class TestGHZLocalModelSearch:
             )
             assert got == want, (min_efficiency, min_joint_detection, tolerance)
             outcomes.append(got[0])
-        # Not vacuous: feasible and infeasible occur; the Bland path meets
-        # both kinds of error, and the Dantzig attempt goes to its retry.
-        errors = [o for o in outcomes if isinstance(o, str)]
+        # Not vacuous: feasible and infeasible occur, nothing raises, and the
+        # Dantzig attempt goes to the exact loop.
         assert True in outcomes and False in outcomes
-        if solver == "bland":
-            assert any("phase-one unbounded" in e for e in errors)
-            assert any("fails its feasibility certificate" in e for e in errors)
-        else:
-            assert errors == []
-            assert any(retries)
+        assert all(isinstance(o, bool) for o in outcomes)
+        assert any(retries)
 
     def test_no_perfect_strategy_exists_at_unit_detection(self):
         # Exhaustive cross-check of the infeasibility verdict: no always-

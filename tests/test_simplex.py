@@ -1,8 +1,6 @@
 """Two-phase simplex: trivial cases, certificates, determinism, scipy oracle,
-bit equivalence of the Bland path with the scalar Bland loop, the column
-presolve, the default pivot budget and Dantzig pricing with its Bland retry."""
-
-import re
+the column presolve, its fingerprint exit, and Dantzig pricing with its exact
+Bland fallback."""
 
 import numpy as np
 import pytest
@@ -31,15 +29,6 @@ from esrsim.simplex import (
     feasibility_residuals,
     solve_lp_simplex,
 )
-
-MAX_PIVOTS = 10**6  # a large explicit budget; the default scales with the tableau
-
-
-def _solve_bland(problem, max_pivots=None):
-    """The solver's Bland path alone, with no Dantzig attempt and no
-    certificate check: the retry of ``solve_lp_simplex``."""
-    return simplex._phase_one(problem, max_pivots, dantzig=False)
-
 
 def _simplex_problem(n, extra_eq=None, extra_b=None, a_ub=None, b_ub=None):
     rows = [np.ones(n)]
@@ -152,11 +141,15 @@ class TestDeterminismAndBounds:
             solve_lp_simplex(problem)
 
     def test_pivot_budget_guard(self, monkeypatch):
-        # A zero budget per line leaves both attempts no pivot to make.
+        # A zero budget per line leaves the float loop no pivot to make, so
+        # the exact loop decides the LP.
         problem = _simplex_problem(5, extra_eq=[[1.0, 0.0, 0.0, 0.0, -1.0]], extra_b=[0.5])
         monkeypatch.setattr(simplex, "_PIVOTS_PER_LINE", 0)
         with pytest.raises(RuntimeError, match="pivot budget 0 exhausted"):
-            solve_lp_simplex(problem)
+            simplex._phase_one(problem)
+        result = solve_lp_simplex(problem)
+        assert result.feasible and feasibility_residuals(problem, result.x).satisfied()
+        assert result.pivots == simplex._exact_phase_one(problem).pivots > 0
 
 
 class TestAgainstScipy:
@@ -226,114 +219,6 @@ class TestAgainstScipy:
                 assert feasibility_residuals(problem, ours.x).satisfied()
 
 
-def _scalar_bland_oracle(problem, feas_tol=1e-9, max_pivots=10**6):
-    """The element-by-element Bland loop the solver used before its pivots
-    were vectorized; kept only as a bit-for-bit reference.
-
-    Returns ``(LPResult, ties)``; ``ties`` counts ratio-test rows that fell
-    within 1e-15 of the running best, i.e. reached the basic-index rule.
-    """
-    tol = 1e-10
-    n = problem.n_vars
-    m_eq = problem.a_eq.shape[0]
-    m_ub = problem.a_ub.shape[0]
-    m = m_eq + m_ub
-    n_tot = n + m_ub
-    if m == 0:
-        return LPResult("feasible", np.zeros(n), 0.0, 0), 0
-
-    a = np.zeros((m, n_tot))
-    b = np.zeros(m)
-    a[:m_eq, :n] = problem.a_eq
-    b[:m_eq] = problem.b_eq
-    a[m_eq:, :n] = problem.a_ub
-    a[m_eq:, n:n_tot] = np.eye(m_ub)
-    b[m_eq:] = problem.b_ub
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    tableau = np.zeros((m + 1, n_tot + m + 1))
-    tableau[:m, :n_tot] = a
-    tableau[:m, n_tot:n_tot + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[m, :n_tot] = -a.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-    basis = list(range(n_tot, n_tot + m))
-    eligible = np.ones(n_tot + m, dtype=bool)
-
-    pivots = 0
-    ties = 0
-    while True:
-        reduced = tableau[m, :n_tot + m]
-        entering = -1
-        for j in range(n_tot + m):
-            if eligible[j] and reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            break
-
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(m):
-            coeff = tableau[i, entering]
-            if coeff > tol:
-                ratio = tableau[i, -1] / coeff
-                if leaving >= 0 and abs(ratio - best_ratio) <= 1e-15:
-                    ties += 1
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            raise RuntimeError("phase-one unbounded: no valid pivot row")
-
-        pivots += 1
-        if pivots > max_pivots:
-            raise RuntimeError(f"pivot budget {max_pivots} exhausted")
-
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        for i in range(m + 1):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i, :] -= tableau[i, entering] * tableau[leaving, :]
-
-        left_var = basis[leaving]
-        if left_var >= n_tot:
-            eligible[left_var] = False
-        basis[leaving] = entering
-
-    objective = -float(tableau[m, -1])
-    if objective > feas_tol:
-        return LPResult("infeasible", None, objective, pivots), ties
-    x_full = np.zeros(n_tot)
-    for i, var in enumerate(basis):
-        if var < n_tot:
-            x_full[var] = tableau[i, -1]
-    x = np.maximum(x_full[:n], 0.0)
-    return LPResult("feasible", x, max(objective, 0.0), pivots), ties
-
-
-def _fields(result):
-    """Result fields with the point as exact bytes."""
-    x = None if result.x is None else result.x.tobytes()
-    return (result.status, result.pivots, result.phase1_objective, x)
-
-
-def _outcome(solve, problem, max_pivots):
-    try:
-        return _fields(solve(problem, max_pivots=max_pivots))
-    except RuntimeError as exc:
-        return ("error", str(exc))
-
-
-def _oracle(problem, max_pivots):
-    return _scalar_bland_oracle(problem, max_pivots=max_pivots)[0]
-
-
 def _ghz_targets(tolerance):
     return [
         CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
@@ -346,9 +231,10 @@ def _ghz_problem(min_efficiency, tolerance, min_joint_detection):
     -det_c.w <= -j and -marg.w <= -eta, as ``bench/oracle.py`` writes it.
 
     ``build_feasibility_lp`` writes the same floors as ceilings on the
-    undetected mass; this form keeps every row on an artificial at the start
-    and gives the long, cycling and round-off-failing Bland paths that the
-    tests below pin."""
+    undetected mass; this form keeps every row on an artificial at the start.
+    There a float Bland loop cycles or drifts on some grid LPs, the float
+    Dantzig loop fails more often, and the exact loop takes its longest
+    paths."""
     outcomes = enumerate_local_strategies(parties=3, settings=2)
     base = build_feasibility_lp(outcomes, _ghz_targets(tolerance), min_joint_detection=0.0)
     rows, bounds, labels = list(base.a_ub), list(base.b_ub), list(base.ub_labels)
@@ -372,92 +258,6 @@ def _ghz_problem(min_efficiency, tolerance, min_joint_detection):
         eq_labels=base.eq_labels,
         ub_labels=labels,
     )
-
-
-class TestBitEquivalenceWithScalarOracle:
-    """The Bland path's vectorized pivots make the same choices and the same
-    floating-point operations as the scalar loop, so every output matches
-    to the bit."""
-
-    # 300 of the 369 grid LPs finish within this budget. The rest need up to
-    # ~2,200 pivots, cycle under the 1e-15 tie rule or hit a numerically
-    # unbounded phase one; both solvers must then fail alike.
-    BUDGET = 250
-
-    @pytest.mark.parametrize("min_joint_detection", [0.0, 1e-6, 0.3])
-    @pytest.mark.parametrize("tolerance", [0.0, 1e-6, 1e-3])
-    def test_ghz_grid(self, tolerance, min_joint_detection):
-        for min_efficiency in np.linspace(0.0, 1.0, 41):
-            problem = _ghz_problem(float(min_efficiency), tolerance, min_joint_detection)
-            fast = _outcome(_solve_bland, problem, self.BUDGET)
-            slow = _outcome(_oracle, problem, self.BUDGET)
-            assert fast == slow, (min_efficiency, fast[:2], slow[:2])
-
-    @pytest.mark.parametrize(
-        "min_efficiency, tolerance, min_joint_detection",
-        [(0.2, 1e-6, 0.0), (0.3, 1e-6, 0.0), (0.45, 1e-3, 0.0), (0.6, 1e-3, 1e-6)],
-    )
-    def test_ghz_long_pivot_paths(self, min_efficiency, tolerance, min_joint_detection):
-        problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
-        fast = _outcome(_solve_bland, problem, MAX_PIVOTS)
-        slow = _outcome(_oracle, problem, MAX_PIVOTS)
-        assert fast[0] != "error"
-        assert fast == slow
-
-    def test_random_lps_with_tied_ratios(self):
-        rng = np.random.default_rng(7)
-        ties = 0
-        for _ in range(150):
-            n = int(rng.integers(2, 30))
-            k_eq = int(rng.integers(0, 8))
-            k_ub = int(rng.integers(0, 5))
-            # Small integer data makes many ratios equal to the last bit;
-            # repeated rows and zero right-hand sides add degenerate ties.
-            a_eq = rng.integers(-2, 3, size=(k_eq, n)).astype(float)
-            b_eq = rng.integers(-2, 3, size=k_eq).astype(float)
-            if k_eq > 1:
-                a_eq[-1] = a_eq[0]
-                b_eq[-1] = b_eq[0]
-            a_ub = rng.integers(-2, 3, size=(k_ub, n)).astype(float)
-            b_ub = rng.integers(0, 3, size=k_ub).astype(float)
-            problem = FeasibilityProblem(
-                n_vars=n,
-                a_eq=np.vstack([np.ones(n), a_eq]),
-                b_eq=np.concatenate([[1.0], b_eq]),
-                a_ub=a_ub,
-                b_ub=b_ub,
-            )
-            try:
-                result, result_ties = _scalar_bland_oracle(problem, max_pivots=2000)
-                slow = _fields(result)
-                ties += result_ties
-            except RuntimeError as exc:
-                slow = ("error", str(exc))
-            assert _outcome(_solve_bland, problem, 2000) == slow
-        assert ties > 0
-
-    def test_homogeneous_lps_with_signed_zeros(self):
-        # Every bound is a signed zero, so the phase-one objective stays a
-        # zero whose sign reaches the result; that sign follows the signs of
-        # the right-hand zeros the pivots divide and subtract.
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            m_eq = int(rng.integers(0, 3))
-            m_ub = int(rng.integers(0, 3))
-            n = int(rng.integers(1, 6))
-            a = rng.integers(-1, 2, size=(1 + m_eq + m_ub, n)).astype(float)
-            a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
-            b = np.where(rng.random(a.shape[0]) < 0.5, -0.0, 0.0)
-            problem = FeasibilityProblem(
-                n_vars=n,
-                a_eq=a[: 1 + m_eq],
-                b_eq=b[: 1 + m_eq],
-                a_ub=a[1 + m_eq :] if m_ub else None,
-                b_ub=b[1 + m_eq :] if m_ub else None,
-            )
-            assert _hex_outcome(_solve_bland, problem, 500) == _hex_outcome(
-                _oracle, problem, 500
-            )
 
 
 def _hex_fields(result):
@@ -514,19 +314,34 @@ def _random_presolve_lp(rng, kind):
     )
 
 
-def _hex_outcome(solve, problem, max_pivots):
+def _hex_outcome(solve, problem):
     try:
-        return _hex_fields(solve(problem, max_pivots=max_pivots))
+        return _hex_fields(solve(problem))
     except RuntimeError as exc:
         return ("error", str(exc))
 
 
+def _full_width(solve, problem):
+    """The outcome of ``solve`` with a presolve that keeps every column."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_first_distinct_columns", lambda a: np.arange(a.shape[1]))
+        return _hex_outcome(solve, problem)
+
+
+# The float Dantzig loop and the exact Bland loop: both read the presolved
+# columns, and both must match their own run over every column bit for bit.
+LOOPS = pytest.mark.parametrize(
+    "solve", [simplex._phase_one, simplex._exact_phase_one], ids=["float", "exact"]
+)
+
+
 class TestColumnPresolve:
     """The tableau keeps only the first copy of each byte-identical column;
-    nothing of that may show in the Bland path's results."""
+    nothing of that may show in either loop's results."""
 
     @pytest.mark.parametrize("min_efficiency", [0.0, 0.7, 0.9])
     def test_duplicating_every_column_changes_nothing(self, min_efficiency):
+        # The exact loop; the float loop's case is test_a_later_copy_never_enters.
         problem = _ghz_problem(min_efficiency, 0.0, 1e-6)
         n = problem.n_vars
         doubled = FeasibilityProblem(
@@ -536,26 +351,24 @@ class TestColumnPresolve:
             a_ub=np.hstack([problem.a_ub, problem.a_ub]),
             b_ub=problem.b_ub,
         )
-        single = _solve_bland(problem)
-        twice = _solve_bland(doubled)
+        single = simplex._exact_phase_one(problem)
+        twice = simplex._exact_phase_one(doubled)
         assert _hex_fields(twice)[:3] == _hex_fields(single)[:3]
-        # The presolved solve matches the full-width scalar loop bit for bit.
-        assert _hex_fields(twice) == _hex_fields(_oracle(doubled, MAX_PIVOTS))
         if single.feasible:
             assert twice.x[:n].tobytes() == single.x.tobytes()
             assert twice.x[n:].tobytes() == np.zeros(n).tobytes()
 
-    def test_signed_zero_columns_stay_apart(self):
+    @LOOPS
+    def test_signed_zero_columns_stay_apart(self, solve):
         # Columns 0 and 1 differ only in the sign of a zero: equal as floats,
         # different as bytes, so both stay in the tableau.
         a_eq = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, -0.0, 1.0, 2.0]])
         a_ub = np.array([[-1.0, -1.0, 0.0, 1.0], [-0.0, 0.0, -1.0, -1.0]])
         for b_eq, b_ub in [([1.0, 0.5], [0.5, -0.25]), ([1.0, 0.0], [-0.5, 0.0])]:
             problem = FeasibilityProblem(n_vars=4, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-            assert _hex_fields(_solve_bland(problem)) == _hex_fields(
-                _oracle(problem, MAX_PIVOTS)
-            )
+            assert _hex_outcome(solve, problem) == _full_width(solve, problem)
 
+    @LOOPS
     @pytest.mark.parametrize(
         "column, b_eq",
         [
@@ -566,7 +379,7 @@ class TestColumnPresolve:
             ),
         ],
     )
-    def test_one_distinct_column(self, column, b_eq):
+    def test_one_distinct_column(self, solve, column, b_eq):
         # Eight rows and three copies of one column.  numpy sums a lone column
         # pairwise, in another order than row after row, so the cost row must
         # not be summed over the presolved columns alone.
@@ -576,24 +389,24 @@ class TestColumnPresolve:
             a_eq=np.tile(column[:, None], (1, 3)),
             b_eq=column if b_eq is None else b_eq,
         )
-        assert _hex_fields(_solve_bland(problem)) == _hex_fields(
-            _oracle(problem, MAX_PIVOTS)
-        )
+        assert _hex_outcome(solve, problem) == _full_width(solve, problem)
 
-    def test_inequality_rows_only(self):
+    @LOOPS
+    def test_inequality_rows_only(self, solve):
         # x0 + x1 >= 1 and x2 <= 0.5, with column 3 a copy of column 0.
         problem = FeasibilityProblem(
             n_vars=4,
             a_ub=[[-1.0, -1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]],
             b_ub=[-1.0, 0.5],
         )
-        result = _solve_bland(problem)
+        result = solve(problem)
         assert result.feasible
         assert result.x[3] == 0.0
         assert feasibility_residuals(problem, result.x).satisfied()
-        assert _hex_fields(result) == _hex_fields(_oracle(problem, MAX_PIVOTS))
+        assert _hex_fields(result) == _full_width(solve, problem)
 
-    def test_random_lps_match_the_full_width_oracle(self):
+    @LOOPS
+    def test_random_lps_match_the_full_width_tableau(self, solve):
         # Repeated, shuffled, signed-zero and distinct columns: every later
         # copy of a column gets weight +0.0.
         rng = np.random.default_rng(1515)
@@ -602,8 +415,8 @@ class TestColumnPresolve:
         for trial in range(240):
             kind = kinds[trial % len(kinds)]
             problem = _random_presolve_lp(rng, kind)
-            fast = _hex_outcome(_solve_bland, problem, 2000)
-            assert fast == _hex_outcome(_oracle, problem, 2000), (trial, kind)
+            fast = _hex_outcome(solve, problem)
+            assert fast == _full_width(solve, problem), (trial, kind)
             if fast[0] != "feasible":
                 continue
             feasible[kind] += 1
@@ -684,39 +497,6 @@ class TestFingerprintExit:
         assert calls == []
 
 
-class TestDefaultPivotBudget:
-    """The default budget scales with the presolved tableau: a cycling Bland
-    path fails promptly, and the longest grid path that finishes still does."""
-
-    # Longest path that finishes on the ROADMAP grid, at
-    # (linspace(0, 1, 41)[14], 1e-6, 0).
-    LONGEST_PATH = 2170
-
-    @pytest.mark.parametrize(
-        "min_efficiency, tolerance, min_joint_detection",
-        [
-            (0.025, 1e-6, 0.0),  # still cycling after 10^6 pivots
-            # Under a budget of 10^6 this one ends after 148,942 pivots with a
-            # "feasible" point whose own certificate fails (normalization
-            # residual 1.46): round-off drift, not an answer.
-            (0.2, 1e-3, 0.3),
-        ],
-    )
-    def test_cycling_lp_fails_promptly(self, min_efficiency, tolerance, min_joint_detection):
-        problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
-        with pytest.raises(RuntimeError, match="pivot budget") as info:
-            _solve_bland(problem)
-        budget = int(re.search(r"pivot budget (\d+) exhausted", str(info.value)).group(1))
-        # At least 10x the longest finishing path, and about a second of pivots.
-        assert 10 * self.LONGEST_PATH <= budget <= 50_000
-
-    def test_longest_finishing_path_still_finishes(self):
-        problem = _ghz_problem(float(np.linspace(0.0, 1.0, 41)[14]), 1e-6, 0.0)
-        result = _solve_bland(problem)
-        assert result.pivots == self.LONGEST_PATH
-        assert _hex_fields(result) == _hex_fields(_solve_bland(problem, MAX_PIVOTS))
-
-
 def _highs_feasible(problem):
     result = linprog(
         c=np.zeros(problem.n_vars),
@@ -731,9 +511,31 @@ def _highs_feasible(problem):
     return result.status == 0
 
 
+def _exact_results(monkeypatch):
+    """Every result the exact loop returns from now on, in order."""
+    exact, results = simplex._exact_phase_one, []
+
+    def recorded(problem):
+        results.append(exact(problem))
+        return results[-1]
+
+    monkeypatch.setattr(simplex, "_exact_phase_one", recorded)
+    return results
+
+
+def _fail_with(pivots):
+    """A float loop that raises after ``pivots`` pivots."""
+
+    def failing(problem):
+        raise simplex._PivotFailure("phase-one unbounded: no valid pivot row", pivots)
+
+    return failing
+
+
 class TestDantzigFirst:
-    """``solve_lp_simplex`` prices by Dantzig's rule and re-solves with the
-    Bland path when that attempt raises or its point fails the certificate."""
+    """``solve_lp_simplex`` prices by Dantzig's rule and hands the LP to the
+    exact Bland loop when that attempt raises or its point fails the
+    certificate."""
 
     @pytest.mark.parametrize(
         "min_efficiency, tolerance, min_joint_detection",
@@ -748,17 +550,19 @@ class TestDantzigFirst:
         if result.feasible:
             assert feasibility_residuals(problem, result.x).satisfied()
 
-    def test_false_infeasible_optimum_goes_to_the_retry(self):
+    def test_false_infeasible_optimum_goes_to_the_retry(self, monkeypatch):
         # A sweeps-range GHZ LP with negated floors (min_joint_detection 1e-6)
         # where Dantzig stops "infeasible" after 39 pivots at a basis whose
         # recomputed phase-one dual gives y.b = -0.34.
         problem = _ghz_problem(0.7759008378054676, 2.092388906887236e-05, 1e-6)
-        with pytest.raises(RuntimeError, match="fails its infeasibility certificate"):
-            simplex._phase_one(problem, None, dantzig=True)
+        with pytest.raises(RuntimeError, match="fails its infeasibility certificate") as info:
+            simplex._phase_one(problem)
+        exact = _exact_results(monkeypatch)
         result = solve_lp_simplex(problem)
         assert result.feasible and _highs_feasible(problem)
         assert feasibility_residuals(problem, result.x).satisfied()
-        assert result.pivots == 39 + _solve_bland(problem).pivots
+        assert _hex_fields(result)[2:] == _hex_fields(exact[0])[2:]
+        assert result.pivots == info.value.pivots + exact[0].pivots == 39 + 78
 
     def test_basis_with_a_negative_dual_bound_is_refused(self):
         # The basis an all-artificial Dantzig start reached on this LP after
@@ -785,46 +589,43 @@ class TestDantzigFirst:
         assert y @ rows[:, -1] == pytest.approx(-0.6246, abs=1e-4)
         assert not simplex._proves_infeasible(rows, basis)
 
-    def test_retry_that_ends_infeasible(self):
+    def test_retry_that_ends_infeasible(self, monkeypatch):
         # A sweeps-range GHZ LP with negated floors: Dantzig stops
         # "infeasible" after 34 pivots at a basis whose phase-one dual is no
-        # Farkas certificate, and the Bland retry ends infeasible, as HiGHS.
+        # Farkas certificate, and the exact loop ends infeasible, as HiGHS.
         min_efficiency, tolerance = 0.8896015485743414, 1.4117892238356352e-06
         problem = _ghz_problem(min_efficiency, tolerance, 1e-6)
         with pytest.raises(RuntimeError, match="fails its infeasibility certificate") as info:
-            simplex._phase_one(problem, None, dantzig=True)
-        bland = _solve_bland(problem)
-        assert not bland.feasible and not _highs_feasible(problem)
+            simplex._phase_one(problem)
+        exact = _exact_results(monkeypatch)
         result = solve_lp_simplex(problem)
-        assert result.status == bland.status
-        assert result.phase1_objective.hex() == bland.phase1_objective.hex()
-        assert result.pivots == info.value.pivots + bland.pivots == 115
+        assert not result.feasible and not _highs_feasible(problem)
+        assert result.phase1_objective.hex() == exact[0].phase1_objective.hex()
+        assert result.phase1_objective > FEASIBILITY_TOL
+        assert result.pivots == info.value.pivots + exact[0].pivots == 34 + 70
 
     def test_search_reports_the_retry(self, monkeypatch):
         # No GHZ search LP of the grid, the noisy-GHZ probe or the sweeps
         # range sends the Dantzig attempt to its retry, so make it fail: the
-        # search reports the Bland retry's verdict and both attempts' pivots.
-        min_efficiency, tolerance = 0.8896015485743414, 1.4117892238356352e-06
-        phase_one, bland = simplex._phase_one, []
-
-        def failing_dantzig(problem, max_pivots, dantzig):
-            if dantzig:
-                raise simplex._PivotFailure("phase-one optimum fails its infeasibility certificate", 34)
-            bland.append(phase_one(problem, max_pivots, dantzig))
-            return bland[-1]
-
-        monkeypatch.setattr(simplex, "_phase_one", failing_dantzig)
-        found = ghz_local_model_search(GHZScenario.standard(), min_efficiency, tolerance=tolerance)
-        assert not found.feasible and len(bland) == 1
-        assert found.phase1_objective == bland[0].phase1_objective
-        assert found.pivots == 34 + bland[0].pivots
+        # search reports the exact loop's verdict and both loops' pivots.
+        monkeypatch.setattr(simplex, "_phase_one", _fail_with(34))
+        exact = _exact_results(monkeypatch)
+        scenario = GHZScenario.standard()
+        for min_efficiency, tolerance in [(0.7, 1e-4), (0.8896015485743414, 1.4117892238356352e-06)]:
+            found = ghz_local_model_search(scenario, min_efficiency, tolerance=tolerance)
+            assert found.feasible == (min_efficiency < 5 / 6)
+            assert found.phase1_objective == exact[-1].phase1_objective
+            assert found.pivots == 34 + exact[-1].pivots
+            if found.feasible:
+                assert found.max_residual <= FEASIBILITY_TOL
+        assert len(exact) == 2
 
     @pytest.mark.parametrize("min_efficiency", [0.85, 0.9, 1.0])
     def test_infeasible_verdicts_carry_a_farkas_certificate(self, min_efficiency):
         problem = _ghz_problem(min_efficiency, 0.0, 1e-6)
         result = solve_lp_simplex(problem)
         assert not result.feasible and not _highs_feasible(problem)
-        assert result.pivots == simplex._phase_one(problem, None, dantzig=True).pivots
+        assert result.pivots == simplex._phase_one(problem).pivots
 
     @pytest.mark.parametrize("min_efficiency", [0.0, 0.7, 0.9])
     def test_a_later_copy_never_enters(self, min_efficiency):
@@ -838,43 +639,98 @@ class TestDantzigFirst:
             a_ub=np.hstack([problem.a_ub, problem.a_ub]),
             b_ub=problem.b_ub,
         )
-        single = simplex._phase_one(problem, None, dantzig=True)
-        twice = simplex._phase_one(doubled, None, dantzig=True)
+        single = simplex._phase_one(problem)
+        twice = simplex._phase_one(doubled)
         assert _hex_fields(twice)[:3] == _hex_fields(single)[:3]
+        assert _hex_fields(twice) == _full_width(simplex._phase_one, doubled)
         if single.feasible:
             assert twice.x[:n].tobytes() == single.x.tobytes()
             assert twice.x[n:].tobytes() == np.zeros(n).tobytes()
 
-    def test_fewer_pivots_than_bland_on_the_standard_lp(self):
-        problem = _ghz_problem(0.7, 1e-6, 1e-6)
-        dantzig, bland = solve_lp_simplex(problem), _solve_bland(problem)
-        assert dantzig.feasible and bland.feasible
-        assert dantzig.pivots < bland.pivots
-
     @pytest.mark.parametrize("failure", ["raises", "bad point"])
-    def test_retry_is_the_bland_path(self, monkeypatch, failure):
-        problem = _ghz_problem(0.7, 1e-6, 1e-6)
-        phase_one = simplex._phase_one
+    def test_retry_is_the_exact_loop(self, monkeypatch, failure):
+        problem = build_feasibility_lp(
+            enumerate_local_strategies(3, 2), _ghz_targets(1e-6), 1e-6, 0.7
+        )
 
-        def failing_dantzig(problem, max_pivots, dantzig):
-            if not dantzig:
-                return phase_one(problem, max_pivots, dantzig)
+        def failing(problem):
             if failure == "raises":
                 raise simplex._PivotFailure("phase-one unbounded: no valid pivot row", 7)
             return LPResult("feasible", np.full(problem.n_vars, 1.0), 0.0, 7)
 
-        monkeypatch.setattr(simplex, "_phase_one", failing_dantzig)
+        monkeypatch.setattr(simplex, "_phase_one", failing)
         result = solve_lp_simplex(problem)
-        bland = _solve_bland(problem)
-        assert _hex_fields(result)[2:] == _hex_fields(bland)[2:]
-        assert result.status == bland.status
-        assert result.pivots == 7 + bland.pivots
+        exact = simplex._exact_phase_one(problem)
+        assert _hex_fields(result)[2:] == _hex_fields(exact)[2:]
+        assert result.status == exact.status == "feasible"
+        assert result.pivots == 7 + exact.pivots
 
-    def test_bland_point_failing_its_certificate_raises(self, monkeypatch):
+    def test_exact_point_failing_its_certificate_raises(self, monkeypatch):
         bogus = LPResult("feasible", np.array([0.5, 0.1, 0.1]), 0.0, 1)
-        monkeypatch.setattr(simplex, "_phase_one", lambda *args, **kwargs: bogus)
+        monkeypatch.setattr(simplex, "_phase_one", _fail_with(0))
+        monkeypatch.setattr(simplex, "_exact_phase_one", lambda problem: bogus)
         with pytest.raises(RuntimeError, match="fails its feasibility certificate at 'eq\\[0\\]'"):
             solve_lp_simplex(_simplex_problem(3))
+
+
+# The standard GHZ LP's grid: nine (tolerance, min_joint_detection) blocks,
+# each over 41 values of min_efficiency.
+GRID_BLOCKS = [
+    (tolerance, min_joint_detection)
+    for tolerance in (0.0, 1e-6, 1e-3)
+    for min_joint_detection in (0.0, 1e-6, 0.3)
+]
+GRID_EFFICIENCIES = np.linspace(0.0, 1.0, 41)
+
+
+def _exact_verdict(problem):
+    """The exact loop's verdict, checked against HiGHS's and, for a feasible
+    point, against the point's own certificate."""
+    result = simplex._exact_phase_one(problem)
+    assert result.feasible == _highs_feasible(problem)
+    if result.feasible:
+        assert feasibility_residuals(problem, result.x).satisfied()
+    else:
+        assert result.phase1_objective > FEASIBILITY_TOL
+    return result.feasible
+
+
+class TestExactLoop:
+    """The exact Bland loop, called directly, decides each LP as HiGHS does.
+    Over the whole grid in both forms it agrees on all 738 LPs; the negated
+    form takes up to ~1.7 s per LP, so the tests take a stride of each block."""
+
+    @pytest.mark.parametrize("tolerance, min_joint_detection", GRID_BLOCKS)
+    @pytest.mark.parametrize("form", ["ceilings", "negated"])
+    def test_strided_grid(self, form, tolerance, min_joint_detection):
+        # Ceilings: min_efficiency 0, 0.3, 0.6 and 0.9 in every block.
+        # Negated: one min_efficiency per block, stepping 19 grid points from
+        # block to block so that the nine picks spread over [0, 1].
+        block = GRID_BLOCKS.index((tolerance, min_joint_detection))
+        if form == "ceilings":
+            outcomes = enumerate_local_strategies(parties=3, settings=2)
+            targets = _ghz_targets(tolerance)
+            for min_efficiency in GRID_EFFICIENCIES[::12]:
+                problem = build_feasibility_lp(
+                    outcomes, targets, min_joint_detection, float(min_efficiency)
+                )
+                assert _exact_verdict(problem) == (min_efficiency < 5 / 6)
+        else:
+            min_efficiency = float(GRID_EFFICIENCIES[19 * block % 41])
+            problem = _ghz_problem(min_efficiency, tolerance, min_joint_detection)
+            assert _exact_verdict(problem) == (min_efficiency < 5 / 6)
+
+    @pytest.mark.parametrize(
+        "min_efficiency, tolerance, min_joint_detection",
+        [
+            (0.025, 1e-6, 0.0),  # float Bland cycles
+            (0.2, 1e-3, 0.3),  # float Bland drifts to a point that fails its certificate
+            (0.7759008378054676, 2.092388906887236e-05, 1e-6),  # Dantzig's false "infeasible"
+            (0.8896015485743414, 1.4117892238356352e-06, 1e-6),  # refused basis, infeasible
+        ],
+    )
+    def test_lps_where_a_float_loop_fails(self, min_efficiency, tolerance, min_joint_detection):
+        _exact_verdict(_ghz_problem(min_efficiency, tolerance, min_joint_detection))
 
 
 class TestDetectionFloorsAsCeilings:
@@ -897,13 +753,7 @@ class TestDetectionFloorsAsCeilings:
     def test_sweeps_range_lps_take_one_short_attempt(self, monkeypatch):
         # min_efficiency on either side of the 5/6 edge and a log-uniform
         # tolerance, as the sweeps searches draw them.
-        phase_one, calls = simplex._phase_one, []
-
-        def counted(problem, max_pivots, dantzig):
-            calls.append(dantzig)
-            return phase_one(problem, max_pivots, dantzig)
-
-        monkeypatch.setattr(simplex, "_phase_one", counted)
+        exact = _exact_results(monkeypatch)
         outcomes = enumerate_local_strategies(parties=3, settings=2)
         rng = np.random.default_rng(2029)
         for trial in range(200):
@@ -913,9 +763,8 @@ class TestDetectionFloorsAsCeilings:
             problem = build_feasibility_lp(
                 outcomes, _ghz_targets(tolerance), min_efficiency=min_efficiency
             )
-            calls.clear()
             result = solve_lp_simplex(problem)
-            assert calls == [True], (min_efficiency, tolerance)
+            assert exact == [], (min_efficiency, tolerance)
             assert result.pivots <= 15, (min_efficiency, tolerance, result.pivots)
             assert result.feasible == feasible_side
 

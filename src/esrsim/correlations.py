@@ -372,84 +372,68 @@ def ghz_local_model_search(
 ) -> GHZLocalModelResult:
     """Search for a strategy distribution reproducing the GHZ conditional correlations.
 
-    Enumerates the 729 deterministic trichotomic strategies and solves the
-    cross-multiplied feasibility LP.  ``min_efficiency`` lower-bounds every
+    Of the 729 deterministic trichotomic strategies, the LP is built and
+    solved over one per class of strategies whose context products, joint
+    detections and detection marginals coincide: 105 classes.  Every LP row
+    is built entry by entry from those indicators, so the other strategies'
+    columns are byte-identical copies of their class's first, which the
+    solver's presolve would drop anyway; the LP it gets is the one it would
+    keep of the 729-column LP.  ``min_efficiency`` lower-bounds every
     (party, setting) marginal detection probability; at 1.0 every supported
     strategy must always detect, which contradicts the four perfect GHZ
-    correlations, so the verdict flips to infeasible.  Feasible outputs are
-    re-verified by direct constraint evaluation, independent of the solver.
+    correlations, so the verdict flips to infeasible.  A feasible point is
+    accepted only with the certificate the solver computed on that LP, each
+    constraint evaluated directly from the rows, independent of the
+    tableau.  ``weights`` spans all 729 strategies and is exactly zero off
+    the class representatives, whose columns every other strategy repeats,
+    so the certificate and the reported values are the 729-column LP's sums
+    up to the order of addition.  They are numpy's elementwise products and
+    row sums, not BLAS products, so they do not depend on the BLAS kernel.
     """
     # The LP modules load here, so the scans and ghz-quantum never import them.
-    from .hidden_variables import (
-        CorrelationTarget,
-        _strategy_rows,
-        build_feasibility_lp,
-        enumerate_local_strategies,
-    )
-    from .simplex import FeasibilityProblem, feasibility_residuals, solve_lp_simplex
+    from .hidden_variables import CorrelationTarget, _enumerated, build_feasibility_lp
+    from .simplex import solve_lp_simplex
 
-    outcomes = enumerate_local_strategies(parties=3, settings=2)
-    rows = _strategy_rows(outcomes)
     target_values = ghz_quantum_correlations(g)
     targets = [
         CorrelationTarget(settings=ctx, value=val, tolerance=tolerance)
         for ctx, val in zip(GHZ_CONTEXTS, target_values)
     ]
-    problem = build_feasibility_lp(
-        outcomes,
+    strategies = _enumerated(3, 2)
+    classes = strategies.class_representatives(GHZ_CONTEXTS)
+    result = solve_lp_simplex(build_feasibility_lp(
+        classes.outcomes,
         targets,
         min_joint_detection=min_joint_detection,
         min_efficiency=min_efficiency,
-    )
-    # The solver sees one strategy per class of coinciding indicator rows.
-    # Each class of equal LP columns is a union of these, so its presolve
-    # keeps the columns, in the order, it keeps over all 729: pivots and bits
-    # are unchanged.  The certificate below reads all 729 columns.
-    cols = rows.distinct_strategies(GHZ_CONTEXTS)
-    result = solve_lp_simplex(FeasibilityProblem(
-        n_vars=cols.size,
-        a_eq=problem.a_eq[:, cols],
-        b_eq=problem.b_eq,
-        a_ub=problem.a_ub[:, cols],
-        b_ub=problem.b_ub,
-        eq_labels=problem.eq_labels,
-        ub_labels=problem.ub_labels,
     ))
     if not result.feasible:
         return GHZLocalModelResult(False, target_values, result.phase1_objective, result.pivots)
 
-    weights = np.zeros(problem.n_vars)
-    weights[cols] = result.x
-    certificate = feasibility_residuals(problem, weights)
+    certificate = result.certificate
     if not certificate.satisfied():
         raise RuntimeError(f"LP point fails its feasibility certificate at {certificate.worst_row!r}")
-    correlations = []
-    joint = {}
-    for ctx in GHZ_CONTEXTS:
-        prod, det = rows.context(ctx)
-        mass = float(weights @ det)
-        joint[ctx] = mass
-        correlations.append(float(weights @ prod) / mass if mass > 0 else math.nan)
-
-    marginals = rows.marginals()
-    efficiencies = {}
-    for party in range(3):
-        for setting in range(2):
-            efficiencies[(party, setting)] = float(weights @ marginals[party, setting])
-
-    max_residual = max(
-        certificate.max_equality_residual, certificate.max_inequality_violation
+    # The block's rows: each context's product and joint detection, then the
+    # six marginals, each summed by numpy in a fixed order.
+    sums = (classes.indicators(GHZ_CONTEXTS) * result.x).sum(axis=1).tolist()
+    joint = dict(zip(GHZ_CONTEXTS, sums[1:8:2]))
+    correlations = tuple(
+        product / mass if mass > 0 else math.nan
+        for product, mass in zip(sums[0:8:2], sums[1:8:2])
     )
+    slots = [(party, setting) for party in range(3) for setting in range(2)]
+    weights = np.zeros(len(strategies.outcomes))
+    weights[strategies.distinct_strategies(GHZ_CONTEXTS)] = result.x
     return GHZLocalModelResult(
         feasible=True,
         targets=target_values,
         phase1_objective=result.phase1_objective,
         pivots=result.pivots,
         weights=weights,
-        correlations=tuple(correlations),
-        efficiencies=efficiencies,
+        correlations=correlations,
+        efficiencies=dict(zip(slots, sums[8:])),
         joint_detection=joint,
-        max_residual=max_residual,
+        max_residual=max(certificate.max_equality_residual, certificate.max_inequality_violation),
         support_size=int(np.sum(weights > ARITHMETIC_TOL)),
     )
 

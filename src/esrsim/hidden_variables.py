@@ -153,8 +153,9 @@ class _StrategyRows:
     then kept read-only: per context the outcome product and the joint
     detection, per (party, setting) slot the detection marginal, and the
     undetected rows 1 - joint detection and 1 - marginal of the detection
-    floors; and per tuple of contexts the first strategy of each class of
-    coinciding rows."""
+    floors; per tuple of contexts those rows stacked into one block, and the
+    first strategy of each class of coinciding columns of that block, with
+    the rows of those strategies."""
 
     def __init__(self, outcomes: np.ndarray):
         self.outcomes = outcomes
@@ -162,7 +163,8 @@ class _StrategyRows:
         self._undetected: dict[tuple[int, ...], np.ndarray] = {}
         self._marginals: np.ndarray | None = None
         self._undetected_marginals: np.ndarray | None = None
-        self._distinct: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
+        self._indicators: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
+        self._distinct: dict[tuple[tuple[int, ...], ...], tuple[np.ndarray, _StrategyRows]] = {}
 
     def context(self, settings_tuple: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(product, joint detection) of the outcomes at one setting per party."""
@@ -208,26 +210,48 @@ class _StrategyRows:
             self._undetected_marginals.setflags(write=False)
         return self._undetected_marginals
 
-    def distinct_strategies(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
-        """Sorted index of the first strategy of each class whose rows coincide.
-
-        The rows are each context's product and joint detection and every
-        slot's detection marginal.  Every row ``build_feasibility_lp`` makes
-        over these contexts is built entry by entry from those rows, so one
-        class has byte-identical LP columns, and the first copy of each LP
-        column is among the indices returned; the solver's presolve merges
-        the classes an LP's rows do not tell apart.
-        """
-        index = self._distinct.get(contexts)
-        if index is None:
+    def indicators(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+        """Each context's product and joint-detection rows, in context order,
+        then every slot's detection marginal, slots party-major, as one
+        ``(2 * len(contexts) + slots, strategies)`` array."""
+        block = self._indicators.get(contexts)
+        if block is None:
             rows = [row for ctx in contexts for row in self.context(ctx)]
             rows.extend(self.marginals().reshape(-1, len(self.outcomes)))
+            block = np.vstack(rows)
+            block.setflags(write=False)
+            self._indicators[contexts] = block
+        return block
+
+    def distinct_strategies(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+        """Sorted index of the first strategy of each class whose
+        :meth:`indicators` columns coincide.
+
+        Every row ``build_feasibility_lp`` makes over these contexts is built
+        entry by entry from those rows, so one class has byte-identical LP
+        columns, and the first copy of each LP column is among the indices
+        returned; the solver's presolve merges the classes an LP's rows do
+        not tell apart.
+        """
+        return self._classes(contexts)[0]
+
+    def class_representatives(self, contexts: tuple[tuple[int, ...], ...]) -> _StrategyRows:
+        """The rows of the strategies :meth:`distinct_strategies` indexes,
+        over a read-only array of those strategies in index order, which
+        ``build_feasibility_lp`` recognizes as shared."""
+        return self._classes(contexts)[1]
+
+    def _classes(self, contexts: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, _StrategyRows]:
+        found = self._distinct.get(contexts)
+        if found is None:
             from .simplex import _first_distinct_columns  # the solver's presolve
 
-            index = _first_distinct_columns(np.vstack(rows))
+            index = _first_distinct_columns(self.indicators(contexts))
             index.setflags(write=False)
-            self._distinct[contexts] = index
-        return index
+            representatives = self.outcomes[index]
+            representatives.setflags(write=False)
+            found = self._distinct[contexts] = (index, _StrategyRows(representatives))
+        return found
 
 
 @functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
@@ -240,13 +264,18 @@ def _enumerated(parties: int, settings: int) -> _StrategyRows:
 
 
 def _strategy_rows(outcomes: np.ndarray) -> _StrategyRows:
-    """The shared rows when ``outcomes`` is an enumeration's own array, else fresh ones."""
+    """The shared rows when ``outcomes`` is an enumeration's own array or the
+    class representatives found over it, else fresh ones.  Both shared
+    arrays are read-only, so a writeable array is never looked up."""
     n, parties, settings = outcomes.shape
     slots = parties * settings
-    if 1 <= slots <= MAX_ENUMERATION_SLOTS and n == 3**slots:
+    if 1 <= slots <= MAX_ENUMERATION_SLOTS and n <= 3**slots and not outcomes.flags.writeable:
         rows = _enumerated(parties, settings)
         if rows.outcomes is outcomes:
             return rows
+        for _, classes in rows._distinct.values():
+            if classes.outcomes is outcomes:
+                return classes
     return _StrategyRows(outcomes)
 
 

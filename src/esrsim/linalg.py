@@ -159,6 +159,13 @@ def validate_density_operator(m) -> ValidityReport:
     return _density_report(as_complex_matrix(m))
 
 
+# A finite entry near the float limit overflows in the checks below.  Each
+# such input still fails a check, with an inf deviation or on another
+# invariant, so numpy's overflow warning would only come before that report.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def _density_report(a: np.ndarray) -> ValidityReport:
     """``validate_density_operator`` on an array ``as_complex_matrix`` returned."""
     violations: list[InvariantViolation] = []
@@ -182,8 +189,11 @@ def _density_report(a: np.ndarray) -> ValidityReport:
         violations.append(
             InvariantViolation("trace", trace_dev, f"trace deviates from 1 by {trace_dev:.3e}")
         )
-    # eigvalsh returns the eigenvalues in ascending order.
-    min_eig = float(np.linalg.eigvalsh((a + adjoint) / 2.0)[0])
+    # eigvalsh returns the eigenvalues in ascending order.  The halves are
+    # summed, not the entries: the same bits, but finite for every finite
+    # input, so an entry near the float limit gives a negative eigenvalue,
+    # not a NaN that no check flags.
+    min_eig = float(np.linalg.eigvalsh(a * 0.5 + adjoint * 0.5)[0])
     if min_eig < -STRUCTURAL_TOL:
         violations.append(
             InvariantViolation(
@@ -273,6 +283,7 @@ class SpectralObservable(Frozen):
         raise ValueError(f"eigenvalue {eigenvalue} not in spectrum {self.eigenvalues}")
 
 
+@_QUIET_OVERFLOW
 def validate_spectral_observable(o) -> ValidityReport:
     """Report on idempotence, orthogonality, completeness and eigenvalue distinctness.
 

@@ -25,9 +25,10 @@ artificial column is read.
 Phase one minimizes the sum of its artificial variables; an optimum above
 ``FEASIBILITY_TOL`` certifies infeasibility.  No phase-two objective is
 needed because the callers only ask for feasibility plus a residual
-certificate, which :func:`feasibility_residuals` recomputes independently of
-the solver's tableau; the same tolerance gates it and the Farkas check of a
-float "infeasible" verdict.
+certificate, which :func:`feasibility_residuals` recomputes from the
+problem's rows, independently of the solver's tableau, and which a feasible
+:class:`LPResult` carries; the same tolerance gates it and the Farkas check
+of a float "infeasible" verdict.
 """
 
 from __future__ import annotations
@@ -102,13 +103,18 @@ class FeasibilityProblem(Frozen):
 
 
 class LPResult(Frozen):
-    __slots__ = ("status", "x", "phase1_objective", "pivots")
+    """A verdict; ``certificate`` is the :func:`feasibility_residuals` of a
+    feasible ``x`` on the problem solved, None on an infeasible verdict."""
 
-    def __init__(self, status: str, x: np.ndarray | None, phase1_objective: float, pivots: int):
+    __slots__ = ("status", "x", "phase1_objective", "pivots", "certificate")
+
+    def __init__(self, status: str, x: np.ndarray | None, phase1_objective: float, pivots: int,
+                 certificate: FeasibilityCertificate | None = None):
         object.__setattr__(self, "status", status)  # "feasible" | "infeasible"
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "phase1_objective", phase1_objective)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def feasible(self) -> bool:
@@ -136,7 +142,12 @@ class FeasibilityCertificate(Frozen):
 
 
 def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertificate:
-    """Evaluate every constraint directly; independent of any solver state."""
+    """Evaluate every constraint directly; independent of any solver state.
+
+    Each row's value is numpy's own sum of the elementwise products
+    ``(a * x).sum(axis=1)``, which adds in a fixed order, not a BLAS
+    product, so the residuals do not depend on the BLAS kernel in use.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != problem.n_vars:
         raise ValueError(f"point has {x.shape[0]} entries, expected {problem.n_vars}")
@@ -144,14 +155,14 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
     worst_row = ""
     max_eq = 0.0
     if problem.a_eq.shape[0]:
-        eq_res = np.abs(problem.a_eq @ x - problem.b_eq)
+        eq_res = np.abs((problem.a_eq * x).sum(axis=1) - problem.b_eq)
         i = int(np.argmax(eq_res))
         max_eq = float(eq_res[i])
         worst_row = problem.eq_labels[i] if i < len(problem.eq_labels) else f"eq[{i}]"
 
     max_ub = 0.0
     if problem.a_ub.shape[0]:
-        ub_res = problem.a_ub @ x - problem.b_ub
+        ub_res = (problem.a_ub * x).sum(axis=1) - problem.b_ub
         i = int(np.argmax(ub_res))
         if float(ub_res[i]) > max_eq:
             worst_row = problem.ub_labels[i] if i < len(problem.ub_labels) else f"ub[{i}]"
@@ -237,7 +248,8 @@ def solve_lp_simplex(problem: FeasibilityProblem) -> LPResult:
     returns a point that fails :func:`feasibility_residuals` on ``problem``,
     or ends "infeasible" at a basis whose phase-one dual is no Farkas
     certificate, the exact Bland loop decides the LP, and ``pivots`` counts
-    both loops.  Raises ``ValueError`` when the stated dimension bounds are
+    both loops.  A feasible result carries the satisfied certificate of its
+    point.  Raises ``ValueError`` when the stated dimension bounds are
     exceeded, and ``RuntimeError`` only when the exact loop's point, once
     rounded to floats, fails its certificate.
     """
@@ -252,17 +264,22 @@ def solve_lp_simplex(problem: FeasibilityProblem) -> LPResult:
     except _PivotFailure as failure:
         spent = failure.pivots
     else:
-        if not first.feasible or feasibility_residuals(problem, first.x).satisfied():
+        if not first.feasible:
             return first
+        certificate = feasibility_residuals(problem, first.x)
+        if certificate.satisfied():
+            return LPResult("feasible", first.x, first.phase1_objective, first.pivots, certificate)
         spent = first.pivots
     exact = _exact_phase_one(problem)
+    certificate = None
     if exact.feasible:
         certificate = feasibility_residuals(problem, exact.x)
         if not certificate.satisfied():
             raise RuntimeError(
                 f"LP point fails its feasibility certificate at {certificate.worst_row!r}"
             )
-    return LPResult(exact.status, exact.x, exact.phase1_objective, spent + exact.pivots)
+    return LPResult(exact.status, exact.x, exact.phase1_objective, spent + exact.pivots,
+                    certificate)
 
 
 def _start(problem: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray, list[int]]:

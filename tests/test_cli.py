@@ -1025,6 +1025,35 @@ class TestCommandLine:
         assert [name for name in unused if name in loaded] == []
 
     @pytest.mark.parametrize(
+        "path, field, message",
+        [
+            (("observable", "projectors", 0, 0, 0, 0), "observable",
+             "projector for 1.0 fails P^2 = P = P^dagger by inf; "
+             "projectors sum deviates from identity by 1.000e+308"),
+            (("state", 0, 0, 0), "state", "trace deviates from 1 by 1.000e+308"),
+        ],
+        ids=["projector", "state"],
+    )
+    def test_overflowing_entry_exits_2_without_a_numpy_warning(
+        self, tmp_path, path, field, message
+    ):
+        # An entry of 1e308 overflows inside the validators; the report names
+        # the field and numpy prints nothing before it, so a warning turned
+        # into an error cannot make the run exit 3.
+        config = json.loads((CONFIG_DIR / "probability_triple.json").read_text())
+        node_at(config, path[:-1])[path[-1]] = 1e308
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps(config))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "esrsim",
+             "run", "--scenario", str(scenario)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"config error: field '{field}': {message}\n"
+
+    @pytest.mark.parametrize(
         "args",
         [("run", "--scenario", str(CONFIG_DIR / "ghz_local_model.json")), ("self-test",)],
         ids=["run-ghz-local-model", "self-test"],
@@ -1067,7 +1096,7 @@ class TestCommandLine:
         assert parsed["results"][0]["value"] == 1.0
 
 
-SWAP_VALUES = [None, True, "x", [], {}, float("nan"), float("inf"), -1, 0, 65]
+SWAP_VALUES = [None, True, "x", [], {}, float("nan"), float("inf"), -1, 0, 65, 1e308]
 
 
 def node_paths(node, prefix=()):

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,19 +154,20 @@ class TestBitEquivalenceWithPublicOperators:
 
 
 def _search_verdict(scenario, min_efficiency, min_joint_detection, tolerance):
-    """(feasible or error message, pivots, weight bytes, phase-one objective
-    and max residual as hex) of one GHZ local-model search."""
+    """((feasible or error message, pivots, weight bytes, phase-one objective
+    as hex), max residual or None) of one GHZ local-model search."""
     try:
         r = ghz_local_model_search(scenario, min_efficiency, min_joint_detection, tolerance)
     except RuntimeError as err:
-        return (str(err), None, None, None, None)
+        return (str(err), None, None, None), None
     if not r.feasible:
-        return (False, r.pivots, None, r.phase1_objective.hex(), None)
-    return (True, r.pivots, r.weights.tobytes(), r.phase1_objective.hex(), r.max_residual.hex())
+        return (False, r.pivots, None, r.phase1_objective.hex()), None
+    return (True, r.pivots, r.weights.tobytes(), r.phase1_objective.hex()), r.max_residual
 
 
 def _reference_verdict(scenario, min_efficiency, min_joint_detection, tolerance):
-    """The same, from the 729-column LP handed to the solver as it is built."""
+    """The same, from the 729-column LP handed to the solver as it is built,
+    with the residual of that LP's own certificate."""
     targets = [
         CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
         for ctx, value in zip(GHZ_CONTEXTS, ghz_quantum_correlations(scenario))
@@ -175,15 +178,15 @@ def _reference_verdict(scenario, min_efficiency, min_joint_detection, tolerance)
     try:
         r = simplex.solve_lp_simplex(problem)
     except RuntimeError as err:
-        return (str(err), None, None, None, None)
+        return (str(err), None, None, None), None
     if not r.feasible:
-        return (False, r.pivots, None, r.phase1_objective.hex(), None)
+        return (False, r.pivots, None, r.phase1_objective.hex()), None
     c = feasibility_residuals(problem, r.x)
     if not c.satisfied():
         return (f"LP point fails its feasibility certificate at {c.worst_row!r}",
-                None, None, None, None)
+                None, None, None), None
     residual = max(c.max_equality_residual, c.max_inequality_violation)
-    return (True, r.pivots, r.x.tobytes(), r.phase1_objective.hex(), residual.hex())
+    return (True, r.pivots, r.x.tobytes(), r.phase1_objective.hex()), residual
 
 
 def _search_bits(result):
@@ -642,9 +645,11 @@ class TestGHZLocalModelSearch:
 
     def test_point_failing_its_certificate_raises(self, monkeypatch):
         # A solver round-off path that ends "feasible" must not be reported
-        # as a local model: all-zero weights break the normalization row.
+        # as a local model: all-zero weights break the normalization row, and
+        # the search reads the certificate the result carries.
         def bogus(problem):
-            return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 1)
+            x = np.zeros(problem.n_vars)
+            return LPResult("feasible", x, 0.0, 1, feasibility_residuals(problem, x))
 
         # The search imports the solver from ``simplex`` when it runs.
         monkeypatch.setattr(simplex, "solve_lp_simplex", bogus)
@@ -698,10 +703,13 @@ class TestGHZLocalModelSearch:
             assert efficiency >= 0.7 - 1e-9
 
     def test_bit_identical_to_solving_all_729_columns(self, monkeypatch):
-        # The search hands the solver one strategy per class; solving the
-        # unreduced LP as it is built must give the same verdict, pivots and
-        # bits.  No grid or noisy-GHZ search sends the Dantzig attempt to the
-        # exact loop, so one added grid point makes that attempt fail.
+        # The search builds and solves the LP over one strategy per class;
+        # solving the unreduced LP as it is built must give the same verdict,
+        # pivots and bits.  No grid or noisy-GHZ search sends the Dantzig
+        # attempt to the exact loop, so one added grid point makes that
+        # attempt fail.  The two certificates sum the same products over
+        # different columns and in another order, so their residuals agree
+        # to round-off, not bit for bit.
         phase_one, retries, forced = simplex._phase_one, [], [False]
 
         def counted(problem):
@@ -735,19 +743,70 @@ class TestGHZLocalModelSearch:
         outcomes = []
         for scenario, min_efficiency, min_joint_detection, tolerance, force in cases:
             forced[0] = force
-            got = _search_verdict(
+            got, got_residual = _search_verdict(
                 scenario, min_efficiency, min_joint_detection, tolerance
             )
-            want = _reference_verdict(
+            want, want_residual = _reference_verdict(
                 scenario, min_efficiency, min_joint_detection, tolerance
             )
             assert got == want, (min_efficiency, min_joint_detection, tolerance)
+            if got[0] is True:
+                assert got_residual <= simplex.FEASIBILITY_TOL
+                assert want_residual <= simplex.FEASIBILITY_TOL
+                assert abs(got_residual - want_residual) <= 1e-15
             outcomes.append(got[0])
         # Not vacuous: feasible and infeasible occur, nothing raises, and the
         # Dantzig attempt goes to the exact loop.
         assert True in outcomes and False in outcomes
         assert all(isinstance(o, bool) for o in outcomes)
         assert any(retries)
+
+    def test_values_match_dot_products_over_all_729_strategies(self):
+        # The search sums over its 105 class representatives; the values it
+        # reports are those of the 729 weights it returns, on the 369-LP
+        # grid and the 2,268-search noisy-GHZ probe.
+        outcomes = enumerate_local_strategies(3, 2)
+        rows = []
+        for ctx in GHZ_CONTEXTS:
+            sel = outcomes[:, [0, 1, 2], list(ctx)]
+            rows += [np.prod(sel, axis=1), np.all(sel != 0, axis=1)]
+        rows += [outcomes[:, party, setting] != 0 for party in range(3) for setting in range(2)]
+        indicators = np.array(rows, dtype=float)
+
+        standard = GHZScenario.standard()
+        searches = [
+            (standard, float(eta), joint, tolerance)
+            for tolerance in (0.0, 1e-6, 1e-3)
+            for joint in (0.0, 1e-6, 0.3)
+            for eta in np.linspace(0.0, 1.0, 41)
+        ]
+        ghz = correlations.ghz_state().matrix
+        for p in np.linspace(0.3, 1.0, 36):
+            noisy = GHZScenario(DensityOperator(p * ghz + (1 - p) * np.eye(8) / 8))
+            searches += [
+                (noisy, float(eta), joint, 0.0)
+                for joint in (0.0, 1e-6, 0.3)
+                for eta in np.linspace(0.0, 1.0, 21)
+            ]
+        assert len(searches) == 369 + 2268
+        feasible = 0
+        for args in searches:
+            found = ghz_local_model_search(*args)
+            if not found.feasible:
+                continue
+            feasible += 1
+            values = np.dot(indicators, found.weights)
+            products, masses, marginals = values[0:8:2], values[1:8:2], values[8:]
+            assert list(found.joint_detection) == list(GHZ_CONTEXTS)
+            assert np.allclose(list(found.joint_detection.values()), masses, rtol=0, atol=1e-12)
+            for got, product, mass in zip(found.correlations, products, masses):
+                if mass == 0.0:
+                    assert math.isnan(got), args[1:]
+                else:
+                    assert abs(got - product / mass) <= 1e-12, args[1:]
+            assert list(found.efficiencies) == [(q, s) for q in range(3) for s in range(2)]
+            assert np.allclose(list(found.efficiencies.values()), marginals, rtol=0, atol=1e-12)
+        assert 0 < feasible < len(searches)
 
     def test_no_perfect_strategy_exists_at_unit_detection(self):
         # Exhaustive cross-check of the infeasibility verdict: no always-
@@ -762,6 +821,70 @@ class TestGHZLocalModelSearch:
                 s[0, c[0]] * s[1, c[1]] * s[2, c[2]] for c in contexts
             ]
             assert tuple(products) != wanted
+
+
+def _kernel_probe_reprs() -> str:
+    """``repr`` of every field of a few GHZ searches, one line per field:
+    standard-state grid points on both sides of 5/6 and two noisy-state
+    searches whose values once moved with the BLAS kernel."""
+    standard = GHZScenario.standard()
+    ghz = correlations.ghz_state().matrix
+    grid = np.linspace(0.0, 1.0, 41)[[23, 30, 33, 34, 38]]
+    searches = [(standard, float(eta), 1e-6, 1e-6) for eta in grid]
+    searches.append((standard, 0.7, 0.3, 1e-3))
+    for p, eta, joint in ((0.8, 0.6, 1e-6), (0.94, 0.05, 0.0)):
+        noisy = GHZScenario(DensityOperator(p * ghz + (1 - p) * np.eye(8) / 8))
+        searches.append((noisy, eta, joint, 0.0))
+    lines = []
+    for args in searches:
+        found = ghz_local_model_search(*args)
+        for name in type(found).__slots__:
+            value = getattr(found, name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            lines.append(f"{args[1:]} {name} {value!r}")
+    return "\n".join(lines)
+
+
+def _openblas_core(**env) -> str | None:
+    """The core OpenBLAS reports loading under ``env``, or None when it says nothing."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import numpy"],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_VERBOSE": "2", **env},
+    )
+    cores = [line.split(":", 1)[1].strip() for line in result.stderr.splitlines()
+             if line.startswith("Core:")]
+    return cores[0] if cores else None
+
+
+class TestBlasKernelIndependence:
+    """GHZ search values are numpy's own sums, so another OpenBLAS kernel in
+    a child process gives the same ``repr`` of every result field."""
+
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_search_fields_match_under_another_kernel(self, kernel):
+        default, forced = _openblas_core(), _openblas_core(OPENBLAS_CORETYPE=kernel)
+        if forced is None:
+            pytest.skip("OPENBLAS_VERBOSE=2 reports no core: this numpy build does not "
+                        "honor OPENBLAS_CORETYPE")
+        if forced == default:
+            pytest.skip(f"OPENBLAS_CORETYPE={kernel} loads core {forced}, the one this "
+                        "process uses already: nothing to compare")
+        tests = Path(__file__).resolve().parent
+        script = "from test_correlations import _kernel_probe_reprs; print(_kernel_probe_reprs())"
+        path = os.pathsep.join(
+            filter(None, [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        want = _kernel_probe_reprs().splitlines()
+        got = result.stdout.splitlines()
+        assert len(got) == len(want) == 8 * 10
+        assert [line for line, other in zip(got, want) if line != other] == []
 
 
 def _highs_verdict(scenario, min_efficiency, min_joint_detection, tolerance):

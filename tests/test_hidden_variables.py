@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from esrsim import hidden_variables
 from esrsim.correlations import GHZScenario, ghz_local_model_search
 from esrsim.hidden_variables import (
     CorrelationTarget,
@@ -321,6 +322,43 @@ class TestBlockBuilder:
                               problem.eq_labels, problem.ub_labels)
             reference = _per_row_lp(strategies, targets, min_joint_detection, min_efficiency)
             assert built == _lp_bytes(*reference)
+
+    @pytest.mark.parametrize("min_efficiency", [None, 0.7])
+    @pytest.mark.parametrize("min_joint_detection", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-4])
+    def test_class_representatives_give_the_gathered_columns(
+        self, tolerance, min_joint_detection, min_efficiency
+    ):
+        # The GHZ search builds its LP over one strategy per class; that LP
+        # is the 729-column LP's columns at the class index, byte for byte,
+        # and the representatives' rows are the shared, read-only ones.
+        from esrsim.correlations import GHZ_CONTEXTS
+
+        everything = hidden_variables._enumerated(3, 2)
+        index = everything.distinct_strategies(GHZ_CONTEXTS)
+        classes = everything.class_representatives(GHZ_CONTEXTS)
+        assert classes.outcomes.shape == (105, 3, 2) and index.size == 105
+        assert np.array_equal(classes.outcomes, everything.outcomes[index])
+        assert hidden_variables._strategy_rows(classes.outcomes) is classes
+        copy = classes.outcomes.copy()
+        assert hidden_variables._strategy_rows(copy) is not classes
+        for a in (classes.outcomes, classes.indicators(GHZ_CONTEXTS)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+
+        targets = [
+            CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
+            for ctx, value in zip(GHZ_CONTEXTS, (0.8, -0.8, -0.8, -0.8))
+        ]
+        full = build_feasibility_lp(
+            everything.outcomes, targets, min_joint_detection, min_efficiency
+        )
+        gathered = _lp_bytes(full.a_eq[:, index], full.b_eq, full.a_ub[:, index], full.b_ub,
+                             full.eq_labels, full.ub_labels)
+        for strategies in (classes.outcomes, copy):
+            problem = build_feasibility_lp(strategies, targets, min_joint_detection, min_efficiency)
+            assert _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
+                             problem.eq_labels, problem.ub_labels) == gathered
 
     def test_a_bad_context_is_reported_before_a_bad_efficiency_bound(self):
         targets = (

@@ -74,6 +74,16 @@ class TestValidateDensityOperator:
         assert not report.valid
         assert any(v.invariant == "trace" for v in report.violations)
 
+    @pytest.mark.parametrize("entry", [1e308, 1e308j, -1e300])
+    def test_entry_near_the_float_limit_is_reported_without_warning(self, entry):
+        # Hermitian with unit trace, so only positivity can fail; the
+        # Hermitian part must not overflow to a NaN eigenvalue that no check
+        # flags (tier-1 turns any numpy warning into an error).
+        report = validate_density_operator(np.array([[0.5, entry], [np.conj(entry), 0.5]]))
+        assert [(v.invariant, v.message) for v in report.violations] == [
+            ("positivity", f"negative eigenvalue {-abs(entry):.3e}")
+        ]
+
     def test_never_raises(self):
         report = validate_density_operator(np.ones((2, 3)))
         assert not report.valid

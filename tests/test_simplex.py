@@ -96,6 +96,23 @@ class TestCertificates:
         assert cert.min_variable >= -1e-12
         assert cert.satisfied()
 
+    @pytest.mark.parametrize("path", ["float", "exact"])
+    def test_result_carries_the_certificate_of_its_point(self, monkeypatch, path):
+        # A feasible result carries its point's certificate, whichever loop
+        # found the point; an infeasible one carries none.
+        if path == "exact":
+            monkeypatch.setattr(simplex, "_phase_one", _fail_with(3))
+        problem = build_feasibility_lp(
+            enumerate_local_strategies(3, 2), _ghz_targets(1e-6), 1e-6, 0.7
+        )
+        result = solve_lp_simplex(problem)
+        assert result.feasible and result.certificate.satisfied()
+        assert repr(result.certificate) == repr(feasibility_residuals(problem, result.x))
+        infeasible = solve_lp_simplex(build_feasibility_lp(
+            enumerate_local_strategies(3, 2), _ghz_targets(0.0), 1e-6, 1.0
+        ))
+        assert not infeasible.feasible and infeasible.certificate is None
+
     def test_certificate_thresholds_are_the_named_tolerances(self):
         def cert(eq=0.0, ub=0.0, low=0.0):
             return FeasibilityCertificate(eq, ub, low, "")

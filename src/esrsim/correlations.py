@@ -376,9 +376,10 @@ def ghz_local_model_search(
     solved over one per class of strategies whose context products, joint
     detections and detection marginals coincide: 105 classes.  Every LP row
     is built entry by entry from those indicators, so the other strategies'
-    columns are byte-identical copies of their class's first, which the
-    solver's presolve would drop anyway; the LP it gets is the one it would
-    keep of the 729-column LP.  ``min_efficiency`` lower-bounds every
+    columns are byte-identical copies of their class's first, which would
+    never enter a basis and would get weight zero; the class finder in
+    ``hidden_variables`` drops them once per process, and the solver compares
+    no columns.  ``min_efficiency`` lower-bounds every
     (party, setting) marginal detection probability; at 1.0 every supported
     strategy must always detect, which contradicts the four perfect GHZ
     correlations, so the verdict flips to infeasible.  A feasible point is

@@ -229,9 +229,9 @@ class _StrategyRows:
 
         Every row ``build_feasibility_lp`` makes over these contexts is built
         entry by entry from those rows, so one class has byte-identical LP
-        columns, and the first copy of each LP column is among the indices
-        returned; the solver's presolve merges the classes an LP's rows do
-        not tell apart.
+        columns, and an LP over the strategies indexed here is the LP over
+        all of them with each later copy of a column left out.  This is the
+        only place that compares columns; the solver compares none.
         """
         return self._classes(contexts)[0]
 
@@ -244,14 +244,26 @@ class _StrategyRows:
     def _classes(self, contexts: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, _StrategyRows]:
         found = self._distinct.get(contexts)
         if found is None:
-            from .simplex import _first_distinct_columns  # the solver's presolve
-
             index = _first_distinct_columns(self.indicators(contexts))
             index.setflags(write=False)
             representatives = self.outcomes[index]
             representatives.setflags(write=False)
             found = self._distinct[contexts] = (index, _StrategyRows(representatives))
         return found
+
+
+def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
+    """Sorted index of the first copy of each byte-identical column of the
+    float array ``a``: a stable lexsort over the columns' bits puts the
+    copies side by side, each run in index order, so each run's first entry
+    is its first copy."""
+    bits = a.view(np.int64)
+    order = np.lexsort(bits)
+    grouped = bits[:, order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.any(grouped[:, 1:] != grouped[:, :-1], axis=0, out=first[1:])
+    return np.sort(order[first])
 
 
 @functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
@@ -263,20 +275,29 @@ def _enumerated(parties: int, settings: int) -> _StrategyRows:
     return _StrategyRows(outcomes)
 
 
-def _strategy_rows(outcomes: np.ndarray) -> _StrategyRows:
-    """The shared rows when ``outcomes`` is an enumeration's own array or the
-    class representatives found over it, else fresh ones.  Both shared
-    arrays are read-only, so a writeable array is never looked up."""
-    n, parties, settings = outcomes.shape
-    slots = parties * settings
-    if 1 <= slots <= MAX_ENUMERATION_SLOTS and n <= 3**slots and not outcomes.flags.writeable:
-        rows = _enumerated(parties, settings)
-        if rows.outcomes is outcomes:
-            return rows
-        for _, classes in rows._distinct.values():
-            if classes.outcomes is outcomes:
-                return classes
-    return _StrategyRows(outcomes)
+def _strategy_rows(strategies) -> _StrategyRows:
+    """The shared rows when ``strategies`` is an enumeration's own array or
+    the class representatives found over it, else fresh ones over a checked
+    copy.  Both shared arrays are read-only, so a writeable array is never
+    looked up, and only a fresh array is checked: it must be 3-D, of outcomes
+    in {-1, 0, +1}."""
+    outcomes = np.asarray(strategies)
+    if outcomes.ndim == 3 and not outcomes.flags.writeable:
+        n, parties, settings = outcomes.shape
+        if 1 <= parties * settings <= MAX_ENUMERATION_SLOTS and n <= 3 ** (parties * settings):
+            rows = _enumerated(parties, settings)
+            if rows.outcomes is outcomes:
+                return rows
+            for _, classes in rows._distinct.values():
+                if classes.outcomes is outcomes:
+                    return classes
+    if outcomes.ndim != 3:
+        raise ValueError(
+            f"strategies must be a 3-D (strategy, party, setting) array, got {outcomes.ndim}-D"
+        )
+    if not np.isin(outcomes, (-1, 0, 1)).all():
+        raise ValueError("strategies must hold integer outcomes in {-1, 0, +1}")
+    return _StrategyRows(outcomes.astype(int))
 
 
 class CorrelationTarget(Frozen):
@@ -341,9 +362,8 @@ def build_feasibility_lp(
         raise ValueError("min_joint_detection must be nonnegative")
     if not min_joint_detection <= 1.0:
         raise ValueError("min_joint_detection must be at most 1")
-    outcomes = np.asarray(strategies, dtype=int)
-    n, parties, settings = outcomes.shape
-    rows = _strategy_rows(outcomes)
+    rows = _strategy_rows(strategies)
+    n, parties, settings = rows.outcomes.shape
 
     exact = []  # (prod, det, v) of each target without a tolerance
     banded = []  # (prod, det, (v + tol, v - tol)) of each target with one

@@ -14,13 +14,14 @@ is neither feasible nor optimal, so an exact fallback decides any LP on
 which the float loop fails: Bland's rule over ``fractions.Fraction``, which
 cannot cycle in exact arithmetic (Bland, Math. Oper. Res. 2, 103, 1977).
 
-The tableau is built only over the distinct variable columns (the first copy
-of each byte-identical column): copies stay identical under every column-wise
-update, keep equal reduced costs, and both rules enter the lowest index among
-equals, so a later copy never enters and gets weight zero.  The artificial
-columns are left out too: a basic artificial's column stays a unit vector
-with zero reduced cost, and one that leaves never re-enters, so no
-artificial column is read.
+The tableau holds every variable column; it compares none.  A later copy of
+a byte-identical column stays identical to its first under every
+column-wise update and keeps an equal reduced cost, and both rules enter the
+lowest index among equals, so the copy never enters and gets weight +0.0.
+A caller that knows its copies, as the GHZ search knows its strategy
+classes, passes only the first of each.  The artificial columns are left
+out: a basic artificial's column stays a unit vector with zero reduced cost,
+and one that leaves never re-enters, so no artificial column is read.
 
 Phase one minimizes the sum of its artificial variables; an optimum above
 ``FEASIBILITY_TOL`` certifies infeasibility.  No phase-two objective is
@@ -32,6 +33,8 @@ of a float "infeasible" verdict.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -146,11 +149,17 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
 
     Each row's value is numpy's own sum of the elementwise products
     ``(a * x).sum(axis=1)``, which adds in a fixed order, not a BLAS
-    product, so the residuals do not depend on the BLAS kernel in use.
+    product, so the residuals do not depend on the BLAS kernel in use.  A
+    point with an infinite or NaN entry gets NaN residuals, which no
+    certificate check passes, and names its first such entry; a NaN residual
+    of a finite point (an overflow) is reported as it is.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != problem.n_vars:
         raise ValueError(f"point has {x.shape[0]} entries, expected {problem.n_vars}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        return FeasibilityCertificate(math.nan, math.nan, math.nan, f"x[{int(finite.argmin())}]")
 
     worst_row = ""
     max_eq = 0.0
@@ -163,10 +172,11 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
     max_ub = 0.0
     if problem.a_ub.shape[0]:
         ub_res = (problem.a_ub * x).sum(axis=1) - problem.b_ub
-        i = int(np.argmax(ub_res))
-        if float(ub_res[i]) > max_eq:
+        i = int(np.argmax(ub_res))  # the first NaN, if any
+        worst = float(ub_res[i])
+        if worst > max_eq or (math.isnan(worst) and not math.isnan(max_eq)):
             worst_row = problem.ub_labels[i] if i < len(problem.ub_labels) else f"ub[{i}]"
-        max_ub = max(0.0, float(ub_res[i]))
+        max_ub = worst if math.isnan(worst) else max(0.0, worst)
 
     return FeasibilityCertificate(
         max_equality_residual=max_eq,
@@ -174,38 +184,6 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
         min_variable=float(np.min(x)) if x.size else 0.0,
         worst_row=worst_row,
     )
-
-
-def _fingerprint_weights(rows: int) -> np.ndarray:
-    """Fixed odd uint64 weights, one per row: the powers of an odd constant."""
-    return np.full(rows, 0x9E3779B97F4A7C15, dtype=np.uint64).cumprod()
-
-
-def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
-    """Sorted index of the first copy of each byte-identical column of the
-    float array ``a``.
-
-    A fast exit first takes one fingerprint per column: each entry's bits,
-    the high half xor-ed onto the low half so that the sign and exponent
-    reach the low bits, summed with fixed odd weights in wrapping uint64
-    arithmetic.  Equal columns have equal fingerprints, so when all
-    fingerprints differ every column is distinct and the answer is every
-    index.  Otherwise a stable lexsort over the columns' bits puts the
-    copies side by side, each run in index order, so each run's first entry
-    is its first copy.
-    """
-    words = a.view(np.uint64)
-    fingerprints = _fingerprint_weights(a.shape[0]) @ (words ^ (words >> np.uint64(32)))
-    fingerprints.sort()
-    if (fingerprints[1:] != fingerprints[:-1]).all():
-        return np.arange(a.shape[1])
-    bits = a.view(np.int64)
-    order = np.lexsort(bits)
-    grouped = bits[:, order]
-    first = np.empty(order.size, dtype=bool)
-    first[0] = True
-    np.any(grouped[:, 1:] != grouped[:, :-1], axis=0, out=first[1:])
-    return np.sort(order[first])
 
 
 def _proves_infeasible(rows: np.ndarray, basis: list[int]) -> bool:
@@ -282,22 +260,20 @@ def solve_lp_simplex(problem: FeasibilityProblem) -> LPResult:
                     certificate)
 
 
-def _start(problem: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The phase-one tableau [A | S | b] over the kept variable columns A and
-    the slack columns S, each row with a negative bound negated, with a zero
-    cost row; the kept columns; and the start basis: each ``<=`` row with a
-    bound >= 0 on its slack, every other row i on its artificial, column
-    n_tot + i, past the stored columns."""
+def _start(problem: FeasibilityProblem) -> tuple[np.ndarray, list[int]]:
+    """The phase-one tableau [A | S | b] over the variable columns A and the
+    slack columns S, each row with a negative bound negated, with a zero cost
+    row; and the start basis: each ``<=`` row with a bound >= 0 on its slack,
+    every other row i on its artificial, column n_tot + i, past the stored
+    columns."""
     m_eq, m_ub = problem.a_eq.shape[0], problem.a_ub.shape[0]
     m = m_eq + m_ub
-    # Presolve: the first copy of each byte-identical column, in index order.
-    stacked = np.concatenate([problem.a_eq, problem.a_ub])
-    keep = _first_distinct_columns(stacked)
-    n = keep.size
+    n = problem.n_vars
     n_tot = n + m_ub
 
     tableau = np.zeros((m + 1, n_tot + 1))
-    tableau[:m, :n] = stacked[:, keep]
+    tableau[:m_eq, :n] = problem.a_eq
+    tableau[m_eq:m, :n] = problem.a_ub
     tableau[m_eq:m, n:n_tot] = np.eye(m_ub)
     rhs = tableau[:m, -1]
     rhs[:m_eq] = problem.b_eq
@@ -307,15 +283,15 @@ def _start(problem: FeasibilityProblem) -> tuple[np.ndarray, np.ndarray, list[in
     basis = np.arange(n_tot, n_tot + m)
     on_slack = np.flatnonzero(~negated[m_eq:])
     basis[m_eq + on_slack] = n + on_slack
-    return tableau, keep, basis.tolist()
+    return tableau, basis.tolist()
 
 
-def _point(n_vars: int, keep: np.ndarray, basis: list[int], values) -> np.ndarray:
+def _point(n_vars: int, basis: list[int], values) -> np.ndarray:
     """The point whose basic variables take ``values``, row by row."""
     x = np.zeros(n_vars)
     for var, value in zip(basis, values):
-        if var < keep.size:
-            x[keep[var]] = max(value, 0.0)
+        if var < n_vars:
+            x[var] = max(value, 0.0)
     return x
 
 
@@ -327,7 +303,7 @@ def _phase_one(problem: FeasibilityProblem) -> LPResult:
     "infeasible" basis that :func:`_proves_infeasible` refuses."""
     if problem.n_constraints == 0:
         return LPResult("feasible", np.zeros(problem.n_vars), 0.0, 0)
-    tableau, keep, basis = _start(problem)
+    tableau, basis = _start(problem)
     m, n_tot = tableau.shape[0] - 1, tableau.shape[1] - 1
     rows = tableau[:m].copy()
     # Only the rows on an artificial enter the phase-one cost.  Summed over
@@ -378,7 +354,7 @@ def _phase_one(problem: FeasibilityProblem) -> LPResult:
         if not _proves_infeasible(rows, basis):
             raise _PivotFailure("phase-one optimum fails its infeasibility certificate", pivots)
         return LPResult("infeasible", None, objective, pivots)
-    x = _point(problem.n_vars, keep, basis, rhs.tolist())
+    x = _point(problem.n_vars, basis, rhs.tolist())
     return LPResult("feasible", x, max(objective, 0.0), pivots)
 
 
@@ -391,7 +367,7 @@ def _exact_phase_one(problem: FeasibilityProblem) -> LPResult:
     always qualifies and the loop ends.  Needs at least one row."""
     from fractions import Fraction
 
-    tableau, keep, basis = _start(problem)
+    tableau, basis = _start(problem)
     m, n_tot = tableau.shape[0] - 1, tableau.shape[1] - 1
     rows = [[Fraction(value) for value in row] for row in tableau[:m].tolist()]
     cost = [Fraction(0)] * (n_tot + 1)
@@ -420,5 +396,5 @@ def _exact_phase_one(problem: FeasibilityProblem) -> LPResult:
     objective = -cost[-1]
     if objective > FEASIBILITY_TOL:
         return LPResult("infeasible", None, float(objective), pivots)
-    x = _point(problem.n_vars, keep, basis, [float(row[-1]) for row in rows])
+    x = _point(problem.n_vars, basis, [float(row[-1]) for row in rows])
     return LPResult("feasible", x, float(objective), pivots)

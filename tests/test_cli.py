@@ -1107,31 +1107,94 @@ def node_paths(node, prefix=()):
             yield from node_paths(child, prefix + (key,))
 
 
+_DROP = object()
+
+
+def changed(node, path: tuple, value=_DROP):
+    """A copy of ``node`` with the value at ``path`` set to ``value``, or
+    dropped, sharing every subtree off the path.  Raises ``LookupError``
+    when ``path`` leads nowhere."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if not isinstance(node, dict if isinstance(key, str) else list):
+        raise LookupError(path)
+    copied = dict(node) if isinstance(node, dict) else list(node)
+    if rest:
+        copied[key] = changed(node[key], rest, value)
+    elif value is _DROP:
+        del copied[key]
+    else:
+        copied[key] = value
+    return copied
+
+
+def fuzz_config(config: dict, paths: list, data) -> None:
+    """Drop a key, add one, swap a value, or drop one key and swap one to
+    three values at once; then require a ConfigError or a finished run."""
+    kind = data.draw(st.sampled_from(["drop", "add", "swap", "several"]))
+    if kind == "add":
+        objects = [p for p in paths if isinstance(node_at(config, p), dict)]
+        config = changed(config, data.draw(st.sampled_from(objects)) + ("unknown_key",), 1)
+        with pytest.raises(ConfigError, match="unknown_key"):
+            validate_config(config)
+        return
+    edits = []
+    if kind in ("drop", "several"):
+        keyed = [p for p in paths if p and isinstance(p[-1], str)]
+        edits.append((data.draw(st.sampled_from(keyed)), _DROP))
+    if kind in ("swap", "several"):
+        for _ in range(data.draw(st.integers(1, 3)) if kind == "several" else 1):
+            edits.append(
+                (data.draw(st.sampled_from(paths[1:])), data.draw(st.sampled_from(SWAP_VALUES)))
+            )
+    for path, value in edits:
+        try:
+            config = changed(config, path, value)
+        except LookupError:  # under a place already dropped or swapped
+            pass
+    try:
+        validate_config(config)
+    except ConfigError:
+        return
+    run_scenario(config)
+
+
+SHIPPED_PATHS = {name: list(node_paths(config)) for name, config in SHIPPED.items()}
+
+
+@pytest.fixture(scope="module")
+def generated_configs(tmp_path_factory):
+    """The seed-301 configs ``bench/gen.py`` writes for the cli-batch
+    benchmark, each with its node paths."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(CONFIG_DIR.parent / "bench"))
+        from gen import write_cli_inputs
+
+        manifest = write_cli_inputs(301, CONFIG_DIR, tmp_path_factory.mktemp("generated"))
+    configs = {
+        entry["name"]: json.loads(Path(entry["path"]).read_text())
+        for entry in manifest["entries"]
+        if not entry["name"].startswith("shipped:")
+    }
+    return {name: (config, list(node_paths(config))) for name, config in configs.items()}
+
+
 class TestConfigFuzz:
-    """Mutated shipped configs: rejected with ConfigError, or run to completion."""
+    """Mutated shipped and generated configs: rejected with ConfigError, or
+    run to completion."""
 
     @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_mutated_shipped_configs(self, data):
         name = data.draw(st.sampled_from(sorted(SHIPPED)))
-        config = copy.deepcopy(SHIPPED[name])
-        paths = list(node_paths(config))
-        kind = data.draw(st.sampled_from(["drop", "add", "swap"]))
-        if kind == "add":
-            objects = [p for p in paths if isinstance(node_at(config, p), dict)]
-            node_at(config, data.draw(st.sampled_from(objects)))["unknown_key"] = 1
-            with pytest.raises(ConfigError, match="unknown_key"):
-                validate_config(config)
-            return
-        if kind == "drop":
-            keyed = [p for p in paths if p and isinstance(p[-1], str)]
-            path = data.draw(st.sampled_from(keyed))
-            del node_at(config, path[:-1])[path[-1]]
-        else:
-            path = data.draw(st.sampled_from(paths[1:]))
-            node_at(config, path[:-1])[path[-1]] = data.draw(st.sampled_from(SWAP_VALUES))
-        try:
-            validate_config(config)
-        except ConfigError:
-            return
-        run_scenario(config)
+        fuzz_config(copy.deepcopy(SHIPPED[name]), SHIPPED_PATHS[name], data)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_mutated_generated_configs(self, generated_configs, data):
+        # The seed-301 configs of the cli-batch benchmark, up to a 0.9 MB
+        # dimension-64 spectral observable.
+        name = data.draw(st.sampled_from(sorted(generated_configs)))
+        config, paths = generated_configs[name]
+        fuzz_config(config, paths, data)

@@ -398,28 +398,27 @@ class TestPerCallCost:
     def test_ghz_search_solves_one_column_per_strategy_class(self, monkeypatch):
         # The classes are keyed on the contexts alone, so they are found once,
         # on the first search, and the solver sees only them, with or without
-        # efficiency rows; its presolve merges the classes that coincide.
+        # efficiency rows.
         clear_operator_caches()
         assert hidden_variables._enumerated(3, 2)._distinct == {}
         lookups, solved = [], []
-        first_distinct, solve = simplex._first_distinct_columns, simplex.solve_lp_simplex
+        first_distinct, solve = hidden_variables._first_distinct_columns, simplex.solve_lp_simplex
 
         def lookup(a):
-            if a.shape[1] == 729:  # the class lookup; the presolve sees fewer
-                lookups.append(a.shape[0])
+            lookups.append(a.shape)
             return first_distinct(a)
 
         def solver(problem):
             solved.append(problem.n_vars)
             return solve(problem)
 
-        monkeypatch.setattr(simplex, "_first_distinct_columns", lookup)
+        monkeypatch.setattr(hidden_variables, "_first_distinct_columns", lookup)
         monkeypatch.setattr(simplex, "solve_lp_simplex", solver)
         g = GHZScenario.standard()
         for min_efficiency in (0.7, 0.0, 0.9, 0.0, 0.5):
             ghz_local_model_search(g, min_efficiency=min_efficiency)
         # 8 context rows and the 6 detection marginals.
-        assert lookups == [14]
+        assert lookups == [(14, 729)]
         assert solved == [105] * 5
 
     def test_import_builds_no_strategy_classes(self):

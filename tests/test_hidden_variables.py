@@ -211,6 +211,34 @@ class TestBuildFeasibilityLP:
         with pytest.raises(ValueError, match=re.escape(f"context {context}") + " " + message):
             build_feasibility_lp(strategies, targets)
 
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            ([[[0.5]], [[1.0]]], "integer outcomes"),
+            ([[[2]], [[-1]]], "integer outcomes"),
+            ([[[math.nan]], [[1.0]]], "integer outcomes"),
+            ([[1, 0], [0, 1]], "3-D (strategy, party, setting) array, got 2-D"),
+        ],
+        ids=["fractional", "out-of-range", "nan", "two-dimensional"],
+    )
+    def test_malformed_strategies_rejected(self, strategies, message, read_only):
+        array = np.array(strategies)
+        array.setflags(write=not read_only)
+        target = (CorrelationTarget(settings=(0,), value=1.0),)
+        with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+            build_feasibility_lp(array, target)
+        assert str(excinfo.value).startswith("strategies must ")
+
+    def test_integer_valued_float_strategies_build_the_int_lp(self):
+        strategies = enumerate_local_strategies(2, 2)
+        targets = (CorrelationTarget(settings=(0, 1), value=0.5, tolerance=0.1),)
+        want = build_feasibility_lp(strategies, targets, 1e-6, 0.5)
+        got = build_feasibility_lp(strategies.astype(float), targets, 1e-6, 0.5)
+        assert _lp_bytes(got.a_eq, got.b_eq, got.a_ub, got.b_ub, got.eq_labels,
+                         got.ub_labels) == _lp_bytes(want.a_eq, want.b_eq, want.a_ub,
+                                                     want.b_ub, want.eq_labels, want.ub_labels)
+
     def test_tolerance_band_becomes_inequalities(self):
         strategies = enumerate_local_strategies(2, 2)
         targets = (CorrelationTarget(settings=(0, 0), value=0.5, tolerance=0.05),)
@@ -450,3 +478,49 @@ def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def _planted_matrices(rng):
+    """Small-integer matrices, some with copies of columns planted at random
+    places, some with zeros of either sign, and single columns."""
+    for trial in range(300):
+        m = int(rng.integers(1, 8))
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        if trial % 3 == 0:
+            a[:, rng.integers(0, n, n // 2)] = a[:, rng.integers(0, n, n // 2)]
+        if trial % 3 == 1:
+            a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
+        yield a
+
+
+def _first_copies(a):
+    """The oracle: np.unique's first index of each distinct column of bits."""
+    _, first = np.unique(a.view(np.int64), axis=1, return_index=True)
+    return np.sort(first)
+
+
+class TestClassFinder:
+    """``_first_distinct_columns``, the one place that compares LP columns,
+    against ``np.unique`` over the columns' bits."""
+
+    def test_planted_matrices(self):
+        with_copies = signed_zeros = 0
+        for a in _planted_matrices(np.random.default_rng(3031)):
+            expected = _first_copies(a)
+            assert np.array_equal(hidden_variables._first_distinct_columns(a), expected), a
+            with_copies += expected.size < a.shape[1]
+            signed_zeros += bool(np.signbit(a[a == 0.0]).any())
+        assert with_copies >= 50 and signed_zeros >= 50
+
+    @pytest.mark.parametrize("shape", list(_BLOCK_CONTEXTS), ids=str)
+    def test_strategy_classes_of_other_contexts(self, shape):
+        rows = hidden_variables._enumerated(*shape)
+        contexts = tuple(_BLOCK_CONTEXTS[shape])
+        index = rows.distinct_strategies(contexts)
+        assert np.array_equal(index, _first_copies(rows.indicators(contexts)))
+        # (1, 3) reads every slot, so every strategy is its own class.
+        assert (index.size == len(rows.outcomes)) == (shape == (1, 3))
+        classes = rows.class_representatives(contexts)
+        assert np.array_equal(classes.outcomes, rows.outcomes[index])
+        assert hidden_variables._strategy_rows(classes.outcomes) is classes

@@ -377,9 +377,11 @@ def ghz_local_model_search(
     detections and detection marginals coincide: 105 classes.  Every LP row
     is built entry by entry from those indicators, so the other strategies'
     columns are byte-identical copies of their class's first, which would
-    never enter a basis and would get weight zero; the class finder in
-    ``hidden_variables`` drops them once per process, and the solver compares
-    no columns.  ``min_efficiency`` lower-bounds every
+    never enter a basis and would get weight zero.  ``hidden_variables``
+    finds the classes once per process, keyed by ``GHZ_CONTEXTS``, and the
+    LP rows and the reported sums both come from the representatives' one
+    indicator block over those contexts; the solver compares no columns.
+    ``min_efficiency`` lower-bounds every
     (party, setting) marginal detection probability; at 1.0 every supported
     strategy must always detect, which contradicts the four perfect GHZ
     correlations, so the verdict flips to infeasible.  A feasible point is
@@ -401,7 +403,7 @@ def ghz_local_model_search(
         for ctx, val in zip(GHZ_CONTEXTS, target_values)
     ]
     strategies = _enumerated(3, 2)
-    classes = strategies.class_representatives(GHZ_CONTEXTS)
+    index, classes = strategies.classes(GHZ_CONTEXTS)
     result = solve_lp_simplex(build_feasibility_lp(
         classes.outcomes,
         targets,
@@ -424,7 +426,7 @@ def ghz_local_model_search(
     )
     slots = [(party, setting) for party in range(3) for setting in range(2)]
     weights = np.zeros(len(strategies.outcomes))
-    weights[strategies.distinct_strategies(GHZ_CONTEXTS)] = result.x
+    weights[index] = result.x
     return GHZLocalModelResult(
         feasible=True,
         targets=target_values,

@@ -12,14 +12,17 @@ encoding no detection.  Reproducing target conditional correlations with a
 distribution over strategies is a linear feasibility problem: the conditional
 constraints (ratios of linear forms) are cross-multiplied by the
 joint-detection mass, which is kept away from zero by an explicit lower bound.
-The inequality bounds read the same enumeration.  ``simplex`` is imported
-only where that LP is built, so a microstate model (hv-verify) never loads
-the solver.
+Every LP row is read from one read-only indicator block per strategy array
+and tuple of contexts, kept beside the classes of strategies whose columns
+in that block coincide.  The inequality bounds read the same enumeration.
+``simplex`` is imported only where that LP is built, so a microstate model
+(hv-verify) never loads the solver.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -149,107 +152,71 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
 
 
 class _StrategyRows:
-    """The indicator rows of a strategy array, each built on first use and
-    then kept read-only: per context the outcome product and the joint
-    detection, per (party, setting) slot the detection marginal, and the
-    undetected rows 1 - joint detection and 1 - marginal of the detection
-    floors; per tuple of contexts those rows stacked into one block, and the
-    first strategy of each class of coinciding columns of that block, with
-    the rows of those strategies."""
+    """The indicator rows of a strategy array, kept read-only per tuple of
+    contexts in two caches: the indicator block, and the first strategy of
+    each class of coinciding columns of that block, with the rows of those
+    strategies."""
 
     def __init__(self, outcomes: np.ndarray):
         self.outcomes = outcomes
-        self._contexts: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._undetected: dict[tuple[int, ...], np.ndarray] = {}
-        self._marginals: np.ndarray | None = None
-        self._undetected_marginals: np.ndarray | None = None
         self._indicators: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
-        self._distinct: dict[tuple[tuple[int, ...], ...], tuple[np.ndarray, _StrategyRows]] = {}
-
-    def context(self, settings_tuple: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(product, joint detection) of the outcomes at one setting per party."""
-        rows = self._contexts.get(settings_tuple)
-        if rows is None:
-            _, parties, settings = self.outcomes.shape
-            if len(settings_tuple) != parties:
-                raise ValueError(
-                    f"context {settings_tuple} does not match {parties} parties"
-                )
-            if not all(0 <= s < settings for s in settings_tuple):
-                raise ValueError(
-                    f"context {settings_tuple} has a setting outside [0, {settings})"
-                )
-            sel = self.outcomes[:, np.arange(parties), list(settings_tuple)]
-            rows = (np.prod(sel, axis=1).astype(float), np.all(sel != 0, axis=1).astype(float))
-            for row in rows:
-                row.setflags(write=False)
-            self._contexts[settings_tuple] = rows
-        return rows
-
-    def undetected(self, settings_tuple: tuple[int, ...]) -> np.ndarray:
-        """1 - joint detection at one context."""
-        row = self._undetected.get(settings_tuple)
-        if row is None:
-            row = 1.0 - self.context(settings_tuple)[1]
-            row.setflags(write=False)
-            self._undetected[settings_tuple] = row
-        return row
-
-    def marginals(self) -> np.ndarray:
-        """Detection indicators as a ``(parties, settings, strategies)`` array."""
-        if self._marginals is None:
-            detected = (self.outcomes != 0).transpose(1, 2, 0)
-            self._marginals = np.ascontiguousarray(detected, dtype=float)
-            self._marginals.setflags(write=False)
-        return self._marginals
-
-    def undetected_marginals(self) -> np.ndarray:
-        """1 - marginal as a ``(slots, strategies)`` array, slots party-major."""
-        if self._undetected_marginals is None:
-            self._undetected_marginals = 1.0 - self.marginals().reshape(-1, len(self.outcomes))
-            self._undetected_marginals.setflags(write=False)
-        return self._undetected_marginals
+        self._classes: dict[tuple[tuple[int, ...], ...], tuple[np.ndarray, _StrategyRows]] = {}
 
     def indicators(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
         """Each context's product and joint-detection rows, in context order,
         then every slot's detection marginal, slots party-major, as one
-        ``(2 * len(contexts) + slots, strategies)`` array."""
+        read-only ``(2 * len(contexts) + slots, strategies)`` array.  Each
+        context must hold one setting per party, each in ``[0, settings)``;
+        that is checked before any indexing."""
         block = self._indicators.get(contexts)
         if block is None:
-            rows = [row for ctx in contexts for row in self.context(ctx)]
-            rows.extend(self.marginals().reshape(-1, len(self.outcomes)))
-            block = np.vstack(rows)
+            n, parties, settings = self.outcomes.shape
+            block = np.empty((2 * len(contexts) + parties * settings, n))
+            for i, ctx in enumerate(contexts):
+                if len(ctx) != parties:
+                    raise ValueError(f"context {ctx} does not match {parties} parties")
+                if not all(0 <= s < settings for s in ctx):
+                    raise ValueError(f"context {ctx} has a setting outside [0, {settings})")
+                sel = self.outcomes[:, np.arange(parties), list(ctx)]
+                block[2 * i] = np.prod(sel, axis=1)
+                block[2 * i + 1] = np.all(sel != 0, axis=1)
+            block[2 * len(contexts):] = (self.outcomes != 0).reshape(n, -1).T
             block.setflags(write=False)
             self._indicators[contexts] = block
         return block
 
-    def distinct_strategies(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
-        """Sorted index of the first strategy of each class whose
-        :meth:`indicators` columns coincide.
+    def classes(self, contexts: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, _StrategyRows]:
+        """The sorted index of the first strategy of each class whose
+        :meth:`indicators` columns coincide, and the rows of the strategies
+        it indexes, over a read-only array of them in index order, which
+        ``build_feasibility_lp`` recognizes as shared.
 
         Every row ``build_feasibility_lp`` makes over these contexts is built
         entry by entry from those rows, so one class has byte-identical LP
-        columns, and an LP over the strategies indexed here is the LP over
-        all of them with each later copy of a column left out.  This is the
-        only place that compares columns; the solver compares none.
+        columns, and an LP over the indexed strategies is the LP over all of
+        them with each later copy of a column left out.  This is the only
+        place that compares columns; the solver compares none.
         """
-        return self._classes(contexts)[0]
-
-    def class_representatives(self, contexts: tuple[tuple[int, ...], ...]) -> _StrategyRows:
-        """The rows of the strategies :meth:`distinct_strategies` indexes,
-        over a read-only array of those strategies in index order, which
-        ``build_feasibility_lp`` recognizes as shared."""
-        return self._classes(contexts)[1]
-
-    def _classes(self, contexts: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, _StrategyRows]:
-        found = self._distinct.get(contexts)
+        found = self._classes.get(contexts)
         if found is None:
             index = _first_distinct_columns(self.indicators(contexts))
             index.setflags(write=False)
-            representatives = self.outcomes[index]
-            representatives.setflags(write=False)
-            found = self._distinct[contexts] = (index, _StrategyRows(representatives))
+            found = self._classes[contexts] = (index, _shared_rows(self.outcomes[index]))
         return found
+
+
+# The shared rows by the id of their read-only strategy array.  A value keeps
+# its array alive, so no other array can hold that id while it is listed, and
+# an entry goes when its rows do: when ``_enumerated``'s cache drops them, or
+# drops the rows whose class representatives they are.
+_SHARED_ROWS: weakref.WeakValueDictionary[int, _StrategyRows] = weakref.WeakValueDictionary()
+
+
+def _shared_rows(outcomes: np.ndarray) -> _StrategyRows:
+    """Rows over ``outcomes``, made read-only and listed as shared."""
+    outcomes.setflags(write=False)
+    rows = _SHARED_ROWS[id(outcomes)] = _StrategyRows(outcomes)
+    return rows
 
 
 def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
@@ -270,27 +237,19 @@ def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
 def _enumerated(parties: int, settings: int) -> _StrategyRows:
     slots = parties * settings
     digits = np.indices((3,) * slots).reshape(slots, -1).T - 1
-    outcomes = digits.reshape(-1, parties, settings)
-    outcomes.setflags(write=False)
-    return _StrategyRows(outcomes)
+    return _shared_rows(digits.reshape(-1, parties, settings))
 
 
 def _strategy_rows(strategies) -> _StrategyRows:
     """The shared rows when ``strategies`` is an enumeration's own array or
-    the class representatives found over it, else fresh ones over a checked
-    copy.  Both shared arrays are read-only, so a writeable array is never
-    looked up, and only a fresh array is checked: it must be 3-D, of outcomes
-    in {-1, 0, +1}."""
+    class representatives found over one, else fresh ones over a checked
+    copy.  The lookup only reads ``_SHARED_ROWS``, so it builds nothing, and
+    only a fresh array is checked: it must be 3-D, of outcomes in
+    {-1, 0, +1}."""
     outcomes = np.asarray(strategies)
-    if outcomes.ndim == 3 and not outcomes.flags.writeable:
-        n, parties, settings = outcomes.shape
-        if 1 <= parties * settings <= MAX_ENUMERATION_SLOTS and n <= 3 ** (parties * settings):
-            rows = _enumerated(parties, settings)
-            if rows.outcomes is outcomes:
-                return rows
-            for _, classes in rows._distinct.values():
-                if classes.outcomes is outcomes:
-                    return classes
+    rows = _SHARED_ROWS.get(id(outcomes))
+    if rows is not None and rows.outcomes is outcomes:
+        return rows
     if outcomes.ndim != 3:
         raise ValueError(
             f"strategies must be a 3-D (strategy, party, setting) array, got {outcomes.ndim}-D"
@@ -348,42 +307,45 @@ def build_feasibility_lp(
     at eta = 1 the bound is exactly 0.
 
     The rows are written in a few whole-array blocks into preallocated
-    arrays: the targets' product rows P and detection rows D are stacked,
-    the equality rows are P - v*D, and the band rows P - (v + tol)*D and
-    -(P - (v - tol)*D), interleaved per target; the floor rows are copied
-    from read-only rows kept with the strategies' indicator rows.  Every
+    arrays from the strategies' read-only indicator block over the targets'
+    distinct contexts: the targets' product rows P and detection rows D are
+    gathered from it, the equality rows are P - v*D, and the band rows
+    P - (v + tol)*D and -(P - (v - tol)*D), interleaved per target; the floor
+    rows are 1 minus the block's joint-detection and marginal rows.  Every
     entry goes through the IEEE operations it would get in a row built on
     its own, so the bits, row order, labels and errors are those of a
     row-by-row build.
     """
-    if len(strategies) == 0:
+    rows = _strategy_rows(strategies)
+    n, parties, settings = rows.outcomes.shape
+    if n == 0:
         raise ValueError("no strategies supplied")
     if not min_joint_detection >= 0.0:  # NaN fails this too
         raise ValueError("min_joint_detection must be nonnegative")
     if not min_joint_detection <= 1.0:
         raise ValueError("min_joint_detection must be at most 1")
-    rows = _strategy_rows(strategies)
-    n, parties, settings = rows.outcomes.shape
+    contexts = tuple(dict.fromkeys(t.settings for t in targets))
+    block = rows.indicators(contexts)
 
-    exact = []  # (prod, det, v) of each target without a tolerance
-    banded = []  # (prod, det, (v + tol, v - tol)) of each target with one
+    exact = []  # (P row, v) of each target without a tolerance; D is the next row
+    banded = []  # (P row, (v + tol, v - tol)) of each target with one
     eq_labels = ["normalization"]
     ub_labels = []
     for target in targets:
-        prod, det = rows.context(target.settings)
+        at = 2 * contexts.index(target.settings)
         name, value = f"corr{target.settings}", f"{target.value}"
         if target.tolerance == 0.0:
-            exact.append((prod, det, target.value))
+            exact.append((at, target.value))
             eq_labels.append(f"{name}={value}")
         else:
             edges = (target.value + target.tolerance, target.value - target.tolerance)
-            banded.append((prod, det, edges))
+            banded.append((at, edges))
             tolerance = f"{target.tolerance}"
             ub_labels += (f"{name}<={value}+{tolerance}", f"{name}>={value}-{tolerance}")
-    floored = list(dict.fromkeys(t.settings for t in targets)) if min_joint_detection > 0.0 else []
+    floored = len(contexts) if min_joint_detection > 0.0 else 0
     if floored:
         joint = f"{min_joint_detection}"
-        ub_labels.extend(f"joint-detection{ctx}>={joint}" for ctx in floored)
+        ub_labels.extend(f"joint-detection{ctx}>={joint}" for ctx in contexts)
 
     bound = 0.0 if min_efficiency is None else float(min_efficiency)
     if not 0.0 <= bound <= 1.0:
@@ -405,22 +367,24 @@ def build_feasibility_lp(
     a_eq[0] = 1.0
     b_eq[0] = 1.0
     if exact:
-        prod, det, value = zip(*exact)
-        np.multiply(np.array(value, dtype=float)[:, None], np.array(det), out=a_eq[1:])
-        np.subtract(np.array(prod), a_eq[1:], out=a_eq[1:])
+        at, value = zip(*exact)
+        at = np.array(at)
+        np.multiply(np.array(value, dtype=float)[:, None], block[at + 1], out=a_eq[1:])
+        np.subtract(block[at], a_eq[1:], out=a_eq[1:])
     if banded:
-        # Rows 2i and 2i + 1: prod - (v + tol) * det and -(prod - (v - tol) * det).
-        prod, det, edges = zip(*banded)
+        # Rows 2i and 2i + 1: P - (v + tol) * D and -(P - (v - tol) * D).
+        at, edges = zip(*banded)
+        at = np.array(at)
         band = a_ub[:k].reshape(-1, 2, n)
-        np.multiply(np.array(edges, dtype=float)[:, :, None], np.array(det)[:, None], out=band)
-        np.subtract(np.array(prod)[:, None], band, out=band)
+        np.multiply(np.array(edges, dtype=float)[:, :, None], block[at + 1][:, None], out=band)
+        np.subtract(block[at][:, None], band, out=band)
         np.negative(a_ub[1:k:2], out=a_ub[1:k:2])
     if floored:
-        a_ub[k:k + len(floored)] = [rows.undetected(ctx) for ctx in floored]
-        b_ub[k:k + len(floored)] = 1.0 - min_joint_detection
+        np.subtract(1.0, block[1:2 * floored:2], out=a_ub[k:k + floored])
+        b_ub[k:k + floored] = 1.0 - min_joint_detection
     if slots:
-        a_ub[k + len(floored):] = rows.undetected_marginals()
-        b_ub[k + len(floored):] = 1.0 - bound
+        np.subtract(1.0, block[2 * len(contexts):], out=a_ub[k + floored:])
+        b_ub[k + floored:] = 1.0 - bound
 
     from .simplex import FeasibilityProblem  # loaded only where an LP is made
 

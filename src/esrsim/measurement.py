@@ -100,8 +100,9 @@ class DetectionModel(Frozen):
 
     Unlisted pairs fall back to ``default_value``; no ``assignment`` means an
     empty table.  Detection is an empirical parameter of the model, so the
-    table is plain data; the only requirement is that every value lies in
-    [0, 1].  The table is read-only, so no value escapes that check.
+    table is plain data; the only requirements are that every eigenvalue key
+    is finite, since no spectrum could look up another, and that every value
+    lies in [0, 1].  The table is read-only, so no value escapes that check.
     """
 
     __slots__ = ("assignment", "default_value")
@@ -112,12 +113,15 @@ class DetectionModel(Frozen):
         if assignment:
             normalized = {}
             for (label, ev), value in dict(assignment).items():
+                ev = float(ev)
+                if not math.isfinite(ev):
+                    raise ValueError(f"detection eigenvalue {ev} for {label!r} is not finite")
                 v = float(value)
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(
                         f"detection probability {v} for ({label!r}, {ev}) outside [0, 1]"
                     )
-                normalized[(label, float(ev))] = v
+                normalized[(label, ev)] = v
             table = _ReadOnlyDict(normalized)
         if not 0.0 <= float(default_value) <= 1.0:
             raise ValueError(f"default detection {default_value} outside [0, 1]")

@@ -266,11 +266,12 @@ class TestMemoizedOperators:
         # written through, so no caller can change a later search.
         rows = hidden_variables._enumerated(3, 2)
         assert rows.outcomes is enumerate_local_strategies(3, 2)
-        shared = [rows.outcomes, rows.marginals()]
-        for ctx in GHZ_CONTEXTS:
-            shared.extend(rows.context(ctx))
-        shared.append(rows.distinct_strategies(GHZ_CONTEXTS))
-        assert list(rows._distinct) == [GHZ_CONTEXTS]  # the one class index
+        index, classes = rows.classes(GHZ_CONTEXTS)
+        shared = [rows.outcomes, rows.indicators(GHZ_CONTEXTS), index,
+                  classes.outcomes, classes.indicators(GHZ_CONTEXTS)]
+        # The one indicator block and the one class index.
+        assert list(rows._indicators) == list(rows._classes) == [GHZ_CONTEXTS]
+        assert list(classes._indicators) == [GHZ_CONTEXTS] and classes._classes == {}
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
@@ -400,7 +401,7 @@ class TestPerCallCost:
         # on the first search, and the solver sees only them, with or without
         # efficiency rows.
         clear_operator_caches()
-        assert hidden_variables._enumerated(3, 2)._distinct == {}
+        assert hidden_variables._enumerated(3, 2)._classes == {}
         lookups, solved = [], []
         first_distinct, solve = hidden_variables._first_distinct_columns, simplex.solve_lp_simplex
 

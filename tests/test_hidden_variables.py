@@ -3,10 +3,12 @@
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from conftest import clear_operator_caches
 from esrsim import hidden_variables
 from esrsim.correlations import GHZScenario, ghz_local_model_search
 from esrsim.hidden_variables import (
@@ -219,8 +221,9 @@ class TestBuildFeasibilityLP:
             ([[[2]], [[-1]]], "integer outcomes"),
             ([[[math.nan]], [[1.0]]], "integer outcomes"),
             ([[1, 0], [0, 1]], "3-D (strategy, party, setting) array, got 2-D"),
+            (5, "3-D (strategy, party, setting) array, got 0-D"),
         ],
-        ids=["fractional", "out-of-range", "nan", "two-dimensional"],
+        ids=["fractional", "out-of-range", "nan", "two-dimensional", "zero-dimensional"],
     )
     def test_malformed_strategies_rejected(self, strategies, message, read_only):
         array = np.array(strategies)
@@ -363,14 +366,14 @@ class TestBlockBuilder:
         from esrsim.correlations import GHZ_CONTEXTS
 
         everything = hidden_variables._enumerated(3, 2)
-        index = everything.distinct_strategies(GHZ_CONTEXTS)
-        classes = everything.class_representatives(GHZ_CONTEXTS)
+        index, classes = everything.classes(GHZ_CONTEXTS)
+        assert everything.classes(GHZ_CONTEXTS)[1] is classes
         assert classes.outcomes.shape == (105, 3, 2) and index.size == 105
         assert np.array_equal(classes.outcomes, everything.outcomes[index])
         assert hidden_variables._strategy_rows(classes.outcomes) is classes
         copy = classes.outcomes.copy()
         assert hidden_variables._strategy_rows(copy) is not classes
-        for a in (classes.outcomes, classes.indicators(GHZ_CONTEXTS)):
+        for a in (index, classes.outcomes, classes.indicators(GHZ_CONTEXTS)):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
 
@@ -387,6 +390,42 @@ class TestBlockBuilder:
             problem = build_feasibility_lp(strategies, targets, min_joint_detection, min_efficiency)
             assert _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
                              problem.eq_labels, problem.ub_labels) == gathered
+
+    def test_a_callers_read_only_array_builds_no_enumeration(self):
+        # Only the enumeration's own array and the class representatives
+        # found over it are shared.  A caller's read-only array whose shape
+        # the enumeration covers gets fresh rows, and the 3^12-strategy
+        # enumeration of its shape is not built.
+        clear_operator_caches()
+        strategies = np.random.default_rng(3032).integers(-1, 2, (2, 3, 4))
+        strategies.setflags(write=False)
+        targets = [
+            CorrelationTarget(settings=(0, 3, 1), value=0.5, tolerance=1e-3),
+            CorrelationTarget(settings=(2, 2, 2), value=-0.25),
+        ]
+        before = hidden_variables._enumerated.cache_info().currsize
+        problem = build_feasibility_lp(strategies, targets, 1e-6, 0.5)
+        assert hidden_variables._enumerated.cache_info().currsize == before
+        assert _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
+                         problem.eq_labels, problem.ub_labels) == _lp_bytes(
+            *_per_row_lp(strategies, targets, 1e-6, 0.5))
+
+    def test_cleared_caches_leave_no_shared_rows(self):
+        # The shared-rows lookup holds its rows weakly: clearing the
+        # enumeration cache frees them and empties the lookup, so the cache
+        # bound also bounds the memory the lookup reaches.
+        from esrsim.correlations import GHZ_CONTEXTS
+
+        clear_operator_caches()
+        assert len(hidden_variables._SHARED_ROWS) == 0
+        everything = hidden_variables._enumerated(3, 2)
+        rows = weakref.ref(everything)
+        classes = weakref.ref(everything.classes(GHZ_CONTEXTS)[1])
+        assert hidden_variables._strategy_rows(classes().outcomes) is classes()
+        del everything
+        clear_operator_caches()
+        assert rows() is None and classes() is None
+        assert len(hidden_variables._SHARED_ROWS) == 0
 
     def test_a_bad_context_is_reported_before_a_bad_efficiency_bound(self):
         targets = (
@@ -517,10 +556,9 @@ class TestClassFinder:
     def test_strategy_classes_of_other_contexts(self, shape):
         rows = hidden_variables._enumerated(*shape)
         contexts = tuple(_BLOCK_CONTEXTS[shape])
-        index = rows.distinct_strategies(contexts)
+        index, classes = rows.classes(contexts)
         assert np.array_equal(index, _first_copies(rows.indicators(contexts)))
         # (1, 3) reads every slot, so every strategy is its own class.
         assert (index.size == len(rows.outcomes)) == (shape == (1, 3))
-        classes = rows.class_representatives(contexts)
         assert np.array_equal(classes.outcomes, rows.outcomes[index])
         assert hidden_variables._strategy_rows(classes.outcomes) is classes

@@ -50,6 +50,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="outside"):
             DetectionModel.uniform(-0.1)
 
+    @pytest.mark.parametrize("eigenvalue", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detection_eigenvalue_rejected(self, eigenvalue):
+        # No finite spectrum could ever look such a key up.
+        with pytest.raises(ValueError, match=f"detection eigenvalue {eigenvalue} for 'S'"):
+            DetectionModel(assignment={("S", eigenvalue): 0.5})
+
     def test_detection_lookup_and_default(self):
         dm = DetectionModel(assignment={("S", 1.0): 0.4}, default_value=0.8)
         assert dm.value("S", 1.0) == 0.4

@@ -274,7 +274,7 @@ def _ghz_targets(tolerance):
 
 def _class_outcomes():
     """The GHZ search's strategies: the first of each of its 105 classes."""
-    return _enumerated(3, 2).class_representatives(GHZ_CONTEXTS).outcomes
+    return _enumerated(3, 2).classes(GHZ_CONTEXTS)[1].outcomes
 
 
 def _ghz_problem(min_efficiency, tolerance, min_joint_detection):

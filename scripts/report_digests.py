@@ -72,6 +72,17 @@ def _noisy_ghz_config(p: float, min_efficiency: float, min_joint_detection: floa
     return config
 
 
+def noisy_ghz_configs() -> dict[str, dict]:
+    """{report name stem: config} of the NOISY_GHZ configs, in that order."""
+    configs = {}
+    for p, eta, joint in NOISY_GHZ:
+        name = f"ghz-local-model-noisy-p{p}-eta{eta}"
+        if joint is not None:
+            name += f"-joint{joint}"
+        configs[name] = _noisy_ghz_config(p, eta, joint)
+    return configs
+
+
 def digests() -> tuple[dict[str, str], dict[str, str]]:
     """({input name: digest of its config}, {report name: digest of its
     bytes}), each in a fixed order."""
@@ -83,12 +94,9 @@ def digests() -> tuple[dict[str, str], dict[str, str]]:
             path = tmp / f"{scenario}.json"
             path.write_text(json.dumps({"scenario_type": scenario}))
             entries.append({"name": scenario, "path": str(path), "samples": None})
-        for p, eta, joint in NOISY_GHZ:
-            name = f"ghz-local-model-noisy-p{p}-eta{eta}"
-            if joint is not None:
-                name += f"-joint{joint}"
+        for name, config in noisy_ghz_configs().items():
             path = tmp / f"{name}.json"
-            path.write_text(json.dumps(_noisy_ghz_config(p, eta, joint)))
+            path.write_text(json.dumps(config))
             entries.append({"name": name, "path": str(path), "samples": None})
         for entry in entries:
             inputs[entry["name"]] = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()

@@ -378,10 +378,12 @@ def ghz_local_model_search(
     is built entry by entry from those indicators, so the other strategies'
     columns are byte-identical copies of their class's first, which would
     never enter a basis and would get weight zero.  ``hidden_variables``
-    finds the classes once per process, keyed by ``GHZ_CONTEXTS``, and the
-    LP rows and the reported sums both come from the representatives' one
-    indicator block over those contexts; the solver compares no columns.
-    ``min_efficiency`` lower-bounds every
+    finds the classes and the representatives' indicator block over
+    ``GHZ_CONTEXTS`` once per process, cached by value; the LP rows and the
+    reported sums both come from that block, and the solver compares no
+    columns.  The four targets reach the row writer as plain (context,
+    value, tolerance) triples, and ``tolerance`` is checked once, with
+    ``CorrelationTarget``'s messages.  ``min_efficiency`` lower-bounds every
     (party, setting) marginal detection probability; at 1.0 every supported
     strategy must always detect, which contradicts the four perfect GHZ
     correlations, so the verdict flips to infeasible.  A feasible point is
@@ -394,21 +396,15 @@ def ghz_local_model_search(
     row sums, not BLAS products, so they do not depend on the BLAS kernel.
     """
     # The LP modules load here, so the scans and ghz-quantum never import them.
-    from .hidden_variables import CorrelationTarget, _enumerated, build_feasibility_lp
+    from .hidden_variables import _checked_tolerance, _feasibility_lp, _strategy_classes
     from .simplex import solve_lp_simplex
 
     target_values = ghz_quantum_correlations(g)
-    targets = [
-        CorrelationTarget(settings=ctx, value=val, tolerance=tolerance)
-        for ctx, val in zip(GHZ_CONTEXTS, target_values)
-    ]
-    strategies = _enumerated(3, 2)
-    index, classes = strategies.classes(GHZ_CONTEXTS)
-    result = solve_lp_simplex(build_feasibility_lp(
-        classes.outcomes,
-        targets,
-        min_joint_detection=min_joint_detection,
-        min_efficiency=min_efficiency,
+    _checked_tolerance(tolerance)
+    index, block = _strategy_classes(3, 2, GHZ_CONTEXTS)
+    targets = [(ctx, value, tolerance) for ctx, value in zip(GHZ_CONTEXTS, target_values)]
+    result = solve_lp_simplex(_feasibility_lp(
+        block, GHZ_CONTEXTS, targets, 3, 2, min_joint_detection, min_efficiency
     ))
     if not result.feasible:
         return GHZLocalModelResult(False, target_values, result.phase1_objective, result.pivots)
@@ -418,14 +414,14 @@ def ghz_local_model_search(
         raise RuntimeError(f"LP point fails its feasibility certificate at {certificate.worst_row!r}")
     # The block's rows: each context's product and joint detection, then the
     # six marginals, each summed by numpy in a fixed order.
-    sums = (classes.indicators(GHZ_CONTEXTS) * result.x).sum(axis=1).tolist()
+    sums = (block * result.x).sum(axis=1).tolist()
     joint = dict(zip(GHZ_CONTEXTS, sums[1:8:2]))
     correlations = tuple(
         product / mass if mass > 0 else math.nan
         for product, mass in zip(sums[0:8:2], sums[1:8:2])
     )
     slots = [(party, setting) for party in range(3) for setting in range(2)]
-    weights = np.zeros(len(strategies.outcomes))
+    weights = np.zeros(3 ** 6)  # one per enumerated strategy
     weights[index] = result.x
     return GHZLocalModelResult(
         feasible=True,

@@ -12,9 +12,12 @@ encoding no detection.  Reproducing target conditional correlations with a
 distribution over strategies is a linear feasibility problem: the conditional
 constraints (ratios of linear forms) are cross-multiplied by the
 joint-detection mass, which is kept away from zero by an explicit lower bound.
-Every LP row is read from one read-only indicator block per strategy array
-and tuple of contexts, kept beside the classes of strategies whose columns
-in that block coincide.  The inequality bounds read the same enumeration.
+Every LP row is read from one indicator block over the strategies and the
+targets' contexts.  The GHZ search reads it from the block of its strategy
+classes, the strategies whose columns in that block coincide, kept
+read-only in one cache keyed by (parties, settings, contexts); any other
+caller's block is built fresh.  The inequality bounds read the same
+enumeration.
 ``simplex`` is imported only where that LP is built, so a microstate model
 (hv-verify) never loads the solver.
 """
@@ -22,7 +25,6 @@ in that block coincide.  The inequality bounds read the same enumeration.
 from __future__ import annotations
 
 import functools
-import weakref
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_SLOTS = 12
-_ENUMERATION_CACHE_SIZE = 4  # (parties, settings) shapes kept with their rows
+_ENUMERATION_CACHE_SIZE = 4  # shapes kept, and (shape, contexts) keys of strategy classes
 
 
 class MicrostateModel(Frozen):
@@ -84,15 +86,17 @@ class MicrostateModel(Frozen):
         if not abs(left_to_right_sum(weights) - 1.0) <= ARITHMETIC_TOL:
             raise ValueError(f"weights sum to {left_to_right_sum(weights)}, not 1")
         detection = {}
-        for (idx, label), value in dict(micro_detection or {}).items():
-            if not 0 <= int(idx) < len(states):
+        for key, value in dict(micro_detection or {}).items():
+            idx, label = key
+            idx = _checked_int(f"microstate index of micro_detection key {key!r}", idx)
+            if not 0 <= idx < len(states):
                 raise ValueError(f"micro_detection references microstate {idx}")
             if label not in known:
                 raise ValueError(f"micro_detection references unknown property {label!r}")
             v = float(value)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"micro detection {v} outside [0, 1]")
-            detection[(int(idx), label)] = v
+            detection[(idx, label)] = v
         if not 0.0 <= float(default_detection) <= 1.0:
             raise ValueError("default_detection outside [0, 1]")
         object.__setattr__(self, "labels", labels)
@@ -148,75 +152,36 @@ def enumerate_local_strategies(parties: int, settings: int) -> np.ndarray:
             f"{parties} parties x {settings} settings = {slots} slots "
             f"exceeds the enumeration bound {MAX_ENUMERATION_SLOTS}"
         )
-    return _enumerated(parties, settings).outcomes
+    return _enumerated(parties, settings)
 
 
-class _StrategyRows:
-    """The indicator rows of a strategy array, kept read-only per tuple of
-    contexts in two caches: the indicator block, and the first strategy of
-    each class of coinciding columns of that block, with the rows of those
-    strategies."""
-
-    def __init__(self, outcomes: np.ndarray):
-        self.outcomes = outcomes
-        self._indicators: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
-        self._classes: dict[tuple[tuple[int, ...], ...], tuple[np.ndarray, _StrategyRows]] = {}
-
-    def indicators(self, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
-        """Each context's product and joint-detection rows, in context order,
-        then every slot's detection marginal, slots party-major, as one
-        read-only ``(2 * len(contexts) + slots, strategies)`` array.  Each
-        context must hold one setting per party, each in ``[0, settings)``;
-        that is checked before any indexing."""
-        block = self._indicators.get(contexts)
-        if block is None:
-            n, parties, settings = self.outcomes.shape
-            block = np.empty((2 * len(contexts) + parties * settings, n))
-            for i, ctx in enumerate(contexts):
-                if len(ctx) != parties:
-                    raise ValueError(f"context {ctx} does not match {parties} parties")
-                if not all(0 <= s < settings for s in ctx):
-                    raise ValueError(f"context {ctx} has a setting outside [0, {settings})")
-                sel = self.outcomes[:, np.arange(parties), list(ctx)]
-                block[2 * i] = np.prod(sel, axis=1)
-                block[2 * i + 1] = np.all(sel != 0, axis=1)
-            block[2 * len(contexts):] = (self.outcomes != 0).reshape(n, -1).T
-            block.setflags(write=False)
-            self._indicators[contexts] = block
-        return block
-
-    def classes(self, contexts: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, _StrategyRows]:
-        """The sorted index of the first strategy of each class whose
-        :meth:`indicators` columns coincide, and the rows of the strategies
-        it indexes, over a read-only array of them in index order, which
-        ``build_feasibility_lp`` recognizes as shared.
-
-        Every row ``build_feasibility_lp`` makes over these contexts is built
-        entry by entry from those rows, so one class has byte-identical LP
-        columns, and an LP over the indexed strategies is the LP over all of
-        them with each later copy of a column left out.  This is the only
-        place that compares columns; the solver compares none.
-        """
-        found = self._classes.get(contexts)
-        if found is None:
-            index = _first_distinct_columns(self.indicators(contexts))
-            index.setflags(write=False)
-            found = self._classes[contexts] = (index, _shared_rows(self.outcomes[index]))
-        return found
-
-
-# The shared rows by the id of their read-only strategy array.  A value keeps
-# its array alive, so no other array can hold that id while it is listed, and
-# an entry goes when its rows do: when ``_enumerated``'s cache drops them, or
-# drops the rows whose class representatives they are.
-_SHARED_ROWS: weakref.WeakValueDictionary[int, _StrategyRows] = weakref.WeakValueDictionary()
-
-
-def _shared_rows(outcomes: np.ndarray) -> _StrategyRows:
-    """Rows over ``outcomes``, made read-only and listed as shared."""
+@functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
+def _enumerated(parties: int, settings: int) -> np.ndarray:
+    slots = parties * settings
+    digits = np.indices((3,) * slots).reshape(slots, -1).T - 1
+    outcomes = digits.reshape(-1, parties, settings)
     outcomes.setflags(write=False)
-    rows = _SHARED_ROWS[id(outcomes)] = _StrategyRows(outcomes)
-    return rows
+    return outcomes
+
+
+def _indicators(outcomes: np.ndarray, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Each context's product and joint-detection rows, in context order,
+    then every slot's detection marginal, slots party-major, as one
+    ``(2 * len(contexts) + slots, strategies)`` array over the int
+    ``outcomes``.  Each context must hold one setting per party, each in
+    ``[0, settings)``; that is checked before any indexing."""
+    n, parties, settings = outcomes.shape
+    block = np.empty((2 * len(contexts) + parties * settings, n))
+    for i, ctx in enumerate(contexts):
+        if len(ctx) != parties:
+            raise ValueError(f"context {ctx} does not match {parties} parties")
+        if not all(0 <= s < settings for s in ctx):
+            raise ValueError(f"context {ctx} has a setting outside [0, {settings})")
+        sel = outcomes[:, np.arange(parties), list(ctx)]
+        block[2 * i] = np.prod(sel, axis=1)
+        block[2 * i + 1] = np.all(sel != 0, axis=1)
+    block[2 * len(contexts):] = (outcomes != 0).reshape(n, -1).T
+    return block
 
 
 def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
@@ -234,29 +199,33 @@ def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
-def _enumerated(parties: int, settings: int) -> _StrategyRows:
-    slots = parties * settings
-    digits = np.indices((3,) * slots).reshape(slots, -1).T - 1
-    return _shared_rows(digits.reshape(-1, parties, settings))
+def _strategy_classes(parties: int, settings: int, contexts) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted index of the first enumerated strategy of each class whose
+    :func:`_indicators` columns over ``contexts`` coincide, and the indicator
+    block of the strategies it indexes, both read-only.
+
+    Every row :func:`_feasibility_lp` writes is built entry by entry from
+    that block, so one class has byte-identical LP columns, and an LP over
+    the indexed strategies is the LP over all of them with each later copy
+    of a column left out.  This is the only place that compares columns;
+    the solver compares none.  The block is built over the representatives'
+    own outcomes, not gathered from the enumeration's block, so it is
+    C-ordered and its row sums add in a fixed order.
+    """
+    outcomes = _enumerated(parties, settings)
+    index = _first_distinct_columns(_indicators(outcomes, contexts))
+    block = _indicators(outcomes[index], contexts)
+    index.setflags(write=False)
+    block.setflags(write=False)
+    return index, block
 
 
-def _strategy_rows(strategies) -> _StrategyRows:
-    """The shared rows when ``strategies`` is an enumeration's own array or
-    class representatives found over one, else fresh ones over a checked
-    copy.  The lookup only reads ``_SHARED_ROWS``, so it builds nothing, and
-    only a fresh array is checked: it must be 3-D, of outcomes in
-    {-1, 0, +1}."""
-    outcomes = np.asarray(strategies)
-    rows = _SHARED_ROWS.get(id(outcomes))
-    if rows is not None and rows.outcomes is outcomes:
-        return rows
-    if outcomes.ndim != 3:
-        raise ValueError(
-            f"strategies must be a 3-D (strategy, party, setting) array, got {outcomes.ndim}-D"
-        )
-    if not np.isin(outcomes, (-1, 0, 1)).all():
-        raise ValueError("strategies must hold integer outcomes in {-1, 0, +1}")
-    return _StrategyRows(outcomes.astype(int))
+def _checked_tolerance(tolerance: float) -> None:
+    """A target tolerance must be finite and nonnegative."""
+    if not tolerance >= 0.0:  # NaN fails this too
+        raise ValueError(f"inconsistent tolerance sign: {tolerance}")
+    if tolerance == np.inf:
+        raise ValueError("tolerance must be finite, got inf")
 
 
 class CorrelationTarget(Frozen):
@@ -272,10 +241,7 @@ class CorrelationTarget(Frozen):
         settings = tuple(_checked_int("settings", s) for s in settings)
         if not -1.0 <= value <= 1.0:
             raise ValueError(f"target correlation {value} outside [-1, 1]")
-        if not tolerance >= 0.0:  # NaN fails this too
-            raise ValueError(f"inconsistent tolerance sign: {tolerance}")
-        if tolerance == np.inf:
-            raise ValueError("tolerance must be finite, got inf")
+        _checked_tolerance(tolerance)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "tolerance", tolerance)
@@ -307,41 +273,56 @@ def build_feasibility_lp(
     at eta = 1 the bound is exactly 0.
 
     The rows are written in a few whole-array blocks into preallocated
-    arrays from the strategies' read-only indicator block over the targets'
-    distinct contexts: the targets' product rows P and detection rows D are
-    gathered from it, the equality rows are P - v*D, and the band rows
-    P - (v + tol)*D and -(P - (v - tol)*D), interleaved per target; the floor
-    rows are 1 minus the block's joint-detection and marginal rows.  Every
-    entry goes through the IEEE operations it would get in a row built on
-    its own, so the bits, row order, labels and errors are those of a
-    row-by-row build.
+    arrays from the strategies' indicator block over the targets' distinct
+    contexts, built fresh on every call: the targets' product rows P and
+    detection rows D are gathered from it, the equality rows are P - v*D,
+    and the band rows P - (v + tol)*D and -(P - (v - tol)*D), interleaved
+    per target; the floor rows are 1 minus the block's joint-detection and
+    marginal rows.  Every entry goes through the IEEE operations it would
+    get in a row built on its own, so the bits, row order, labels and
+    errors are those of a row-by-row build.
     """
-    rows = _strategy_rows(strategies)
-    n, parties, settings = rows.outcomes.shape
+    outcomes = np.asarray(strategies)
+    if outcomes.ndim != 3:
+        raise ValueError(
+            f"strategies must be a 3-D (strategy, party, setting) array, got {outcomes.ndim}-D"
+        )
+    if not np.isin(outcomes, (-1, 0, 1)).all():
+        raise ValueError("strategies must hold integer outcomes in {-1, 0, +1}")
+    n, parties, settings = outcomes.shape
     if n == 0:
         raise ValueError("no strategies supplied")
+    targets = [(t.settings, t.value, t.tolerance) for t in targets]
+    contexts = tuple(dict.fromkeys(ctx for ctx, _, _ in targets))
+    return _feasibility_lp(_indicators(outcomes.astype(int), contexts), contexts, targets,
+                           parties, settings, min_joint_detection, min_efficiency)
+
+
+def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings: int,
+                    min_joint_detection: float, min_efficiency: float | None) -> FeasibilityProblem:
+    """The rows of :func:`build_feasibility_lp` from the :func:`_indicators`
+    ``block`` of ``parties`` x ``settings`` strategies over ``contexts``, the
+    targets' distinct contexts in order.  Each target is a checked
+    ``(settings, value, tolerance)`` triple; the floors are checked here."""
+    n = block.shape[1]
     if not min_joint_detection >= 0.0:  # NaN fails this too
         raise ValueError("min_joint_detection must be nonnegative")
     if not min_joint_detection <= 1.0:
         raise ValueError("min_joint_detection must be at most 1")
-    contexts = tuple(dict.fromkeys(t.settings for t in targets))
-    block = rows.indicators(contexts)
 
     exact = []  # (P row, v) of each target without a tolerance; D is the next row
     banded = []  # (P row, (v + tol, v - tol)) of each target with one
     eq_labels = ["normalization"]
     ub_labels = []
-    for target in targets:
-        at = 2 * contexts.index(target.settings)
-        name, value = f"corr{target.settings}", f"{target.value}"
-        if target.tolerance == 0.0:
-            exact.append((at, target.value))
-            eq_labels.append(f"{name}={value}")
+    for ctx, value, tolerance in targets:
+        at = 2 * contexts.index(ctx)
+        name, shown = f"corr{ctx}", f"{value}"
+        if tolerance == 0.0:
+            exact.append((at, value))
+            eq_labels.append(f"{name}={shown}")
         else:
-            edges = (target.value + target.tolerance, target.value - target.tolerance)
-            banded.append((at, edges))
-            tolerance = f"{target.tolerance}"
-            ub_labels += (f"{name}<={value}+{tolerance}", f"{name}>={value}-{tolerance}")
+            banded.append((at, (value + tolerance, value - tolerance)))
+            ub_labels += (f"{name}<={shown}+{tolerance}", f"{name}>={shown}-{tolerance}")
     floored = len(contexts) if min_joint_detection > 0.0 else 0
     if floored:
         joint = f"{min_joint_detection}"

@@ -43,9 +43,7 @@ def rng() -> np.random.Generator:
 def clear_operator_caches() -> None:
     """Empty every ``functools`` cache of the correlation kernels and the
     strategy enumeration, so the next call builds cold.  The caches are found
-    by their ``cache_clear`` attribute, so a new one cannot be missed.  The
-    shared-rows lookup of ``hidden_variables`` holds its rows weakly, so it
-    empties with the enumeration cache."""
+    by their ``cache_clear`` attribute, so a new one cannot be missed."""
     for module in (correlations, hidden_variables):
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):

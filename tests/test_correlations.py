@@ -264,15 +264,14 @@ class TestMemoizedOperators:
             assert _search_bits(warm) == _search_bits(cold)
         # The shared strategy array and the rows built from it cannot be
         # written through, so no caller can change a later search.
-        rows = hidden_variables._enumerated(3, 2)
-        assert rows.outcomes is enumerate_local_strategies(3, 2)
-        index, classes = rows.classes(GHZ_CONTEXTS)
-        shared = [rows.outcomes, rows.indicators(GHZ_CONTEXTS), index,
-                  classes.outcomes, classes.indicators(GHZ_CONTEXTS)]
-        # The one indicator block and the one class index.
-        assert list(rows._indicators) == list(rows._classes) == [GHZ_CONTEXTS]
-        assert list(classes._indicators) == [GHZ_CONTEXTS] and classes._classes == {}
-        for a in shared:
+        outcomes = enumerate_local_strategies(3, 2)
+        assert outcomes is hidden_variables._enumerated(3, 2)
+        # The one class index and indicator block, built once, for the
+        # search's key: this lookup hits it.
+        index, block = hidden_variables._strategy_classes(3, 2, GHZ_CONTEXTS)
+        info = hidden_variables._strategy_classes.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+        for a in (outcomes, index, block):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
 
@@ -401,7 +400,7 @@ class TestPerCallCost:
         # on the first search, and the solver sees only them, with or without
         # efficiency rows.
         clear_operator_caches()
-        assert hidden_variables._enumerated(3, 2)._classes == {}
+        assert hidden_variables._strategy_classes.cache_info().currsize == 0
         lookups, solved = [], []
         first_distinct, solve = hidden_variables._first_distinct_columns, simplex.solve_lp_simplex
 
@@ -426,10 +425,11 @@ class TestPerCallCost:
         script = (
             "import sys; from esrsim import correlations, hidden_variables; "
             "print(hidden_variables._enumerated.cache_info().currsize, "
+            "hidden_variables._strategy_classes.cache_info().currsize, "
             "'esrsim.simplex' in sys.modules)"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert result.stdout.split() == ["0", "False"], result.stderr
+        assert result.stdout.split() == ["0", "0", "False"], result.stderr
 
     def test_named_states_are_built_once_and_read_only(self):
         for make in (correlations.singlet_state, correlations.ghz_state):

@@ -362,18 +362,20 @@ class TestBlockBuilder:
     ):
         # The GHZ search builds its LP over one strategy per class; that LP
         # is the 729-column LP's columns at the class index, byte for byte,
-        # and the representatives' rows are the shared, read-only ones.
+        # and the class index and the representatives' block are cached,
+        # read-only and C-ordered, so their row sums add in a fixed order.
         from esrsim.correlations import GHZ_CONTEXTS
 
-        everything = hidden_variables._enumerated(3, 2)
-        index, classes = everything.classes(GHZ_CONTEXTS)
-        assert everything.classes(GHZ_CONTEXTS)[1] is classes
-        assert classes.outcomes.shape == (105, 3, 2) and index.size == 105
-        assert np.array_equal(classes.outcomes, everything.outcomes[index])
-        assert hidden_variables._strategy_rows(classes.outcomes) is classes
-        copy = classes.outcomes.copy()
-        assert hidden_variables._strategy_rows(copy) is not classes
-        for a in (index, classes.outcomes, classes.indicators(GHZ_CONTEXTS)):
+        everything = enumerate_local_strategies(3, 2)
+        index, block = hidden_variables._strategy_classes(3, 2, GHZ_CONTEXTS)
+        assert hidden_variables._strategy_classes(3, 2, GHZ_CONTEXTS)[1] is block
+        representatives = everything[index]
+        assert representatives.shape == (105, 3, 2) and index.size == 105
+        assert np.array_equal(
+            block, hidden_variables._indicators(everything, GHZ_CONTEXTS)[:, index]
+        )
+        assert block.flags.c_contiguous
+        for a in (index, block):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
 
@@ -381,13 +383,17 @@ class TestBlockBuilder:
             CorrelationTarget(settings=ctx, value=value, tolerance=tolerance)
             for ctx, value in zip(GHZ_CONTEXTS, (0.8, -0.8, -0.8, -0.8))
         ]
-        full = build_feasibility_lp(
-            everything.outcomes, targets, min_joint_detection, min_efficiency
-        )
+        full = build_feasibility_lp(everything, targets, min_joint_detection, min_efficiency)
         gathered = _lp_bytes(full.a_eq[:, index], full.b_eq, full.a_ub[:, index], full.b_ub,
                              full.eq_labels, full.ub_labels)
-        for strategies in (classes.outcomes, copy):
-            problem = build_feasibility_lp(strategies, targets, min_joint_detection, min_efficiency)
+        searched = hidden_variables._feasibility_lp(
+            block, GHZ_CONTEXTS, [(t.settings, t.value, t.tolerance) for t in targets],
+            3, 2, min_joint_detection, min_efficiency,
+        )
+        for problem in (
+            build_feasibility_lp(representatives, targets, min_joint_detection, min_efficiency),
+            searched,
+        ):
             assert _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
                              problem.eq_labels, problem.ub_labels) == gathered
 
@@ -410,22 +416,21 @@ class TestBlockBuilder:
                          problem.eq_labels, problem.ub_labels) == _lp_bytes(
             *_per_row_lp(strategies, targets, 1e-6, 0.5))
 
-    def test_cleared_caches_leave_no_shared_rows(self):
-        # The shared-rows lookup holds its rows weakly: clearing the
-        # enumeration cache frees them and empties the lookup, so the cache
-        # bound also bounds the memory the lookup reaches.
+    def test_cleared_caches_hold_no_strategy_classes(self):
+        # Clearing the caches empties both the enumeration's and the
+        # strategy classes' and frees their arrays, so the cache bounds also
+        # bound the memory they hold.
         from esrsim.correlations import GHZ_CONTEXTS
 
         clear_operator_caches()
-        assert len(hidden_variables._SHARED_ROWS) == 0
-        everything = hidden_variables._enumerated(3, 2)
-        rows = weakref.ref(everything)
-        classes = weakref.ref(everything.classes(GHZ_CONTEXTS)[1])
-        assert hidden_variables._strategy_rows(classes().outcomes) is classes()
-        del everything
+        ghz_local_model_search(GHZScenario.standard(), 0.5)
+        caches = (hidden_variables._enumerated, hidden_variables._strategy_classes)
+        assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+        held = [weakref.ref(enumerate_local_strategies(3, 2))]
+        held += map(weakref.ref, hidden_variables._strategy_classes(3, 2, GHZ_CONTEXTS))
         clear_operator_caches()
-        assert rows() is None and classes() is None
-        assert len(hidden_variables._SHARED_ROWS) == 0
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        assert [ref() for ref in held] == [None, None, None]
 
     def test_a_bad_context_is_reported_before_a_bad_efficiency_bound(self):
         targets = (
@@ -494,6 +499,27 @@ class TestBlockBuilder:
             lambda: MicrostateModel(("f", "f"), (frozenset({"f"}),), (1.0,)),
             "microscopic property labels must be distinct",
         ),
+        (
+            lambda: ghz_local_model_search(GHZScenario.standard(), tolerance=math.nan),
+            "inconsistent tolerance sign: nan",
+        ),
+        (
+            lambda: ghz_local_model_search(GHZScenario.standard(), tolerance=-0.1),
+            "inconsistent tolerance sign: -0.1",
+        ),
+        (
+            lambda: ghz_local_model_search(GHZScenario.standard(), tolerance=math.inf),
+            "tolerance must be finite, got inf",
+        ),
+        # Read with int() these would be microstates 0 and 1.
+        (
+            lambda: simple_model((0.5, 0.5), {(0.7, "f"): 0.5}),
+            "microstate index of micro_detection key (0.7, 'f') must be an integer, got 0.7",
+        ),
+        (
+            lambda: simple_model((0.5, 0.5), {(True, "f"): 0.5}),
+            "microstate index of micro_detection key (True, 'f') must be an integer, got True",
+        ),
     ],
     ids=[
         "default-detection-above-one",
@@ -511,6 +537,11 @@ class TestBlockBuilder:
         "fractional-setting",
         "bool-setting",
         "repeated-label",
+        "nan-search-tolerance",
+        "negative-search-tolerance",
+        "infinite-search-tolerance",
+        "fractional-microstate-key",
+        "bool-microstate-key",
     ],
 )
 def test_malformed_input_rejected(call, message):
@@ -554,11 +585,11 @@ class TestClassFinder:
 
     @pytest.mark.parametrize("shape", list(_BLOCK_CONTEXTS), ids=str)
     def test_strategy_classes_of_other_contexts(self, shape):
-        rows = hidden_variables._enumerated(*shape)
+        outcomes = enumerate_local_strategies(*shape)
         contexts = tuple(_BLOCK_CONTEXTS[shape])
-        index, classes = rows.classes(contexts)
-        assert np.array_equal(index, _first_copies(rows.indicators(contexts)))
+        index, block = hidden_variables._strategy_classes(*shape, contexts)
+        assert np.array_equal(index, _first_copies(hidden_variables._indicators(outcomes, contexts)))
         # (1, 3) reads every slot, so every strategy is its own class.
-        assert (index.size == len(rows.outcomes)) == (shape == (1, 3))
-        assert np.array_equal(classes.outcomes, rows.outcomes[index])
-        assert hidden_variables._strategy_rows(classes.outcomes) is classes
+        assert (index.size == len(outcomes)) == (shape == (1, 3))
+        assert np.array_equal(block, hidden_variables._indicators(outcomes[index], contexts))
+        assert hidden_variables._strategy_classes(*shape, contexts)[1] is block

@@ -19,7 +19,7 @@ from esrsim.correlations import (
 )
 from esrsim.hidden_variables import (
     CorrelationTarget,
-    _enumerated,
+    _strategy_classes,
     build_feasibility_lp,
     enumerate_local_strategies,
 )
@@ -274,7 +274,7 @@ def _ghz_targets(tolerance):
 
 def _class_outcomes():
     """The GHZ search's strategies: the first of each of its 105 classes."""
-    return _enumerated(3, 2).classes(GHZ_CONTEXTS)[1].outcomes
+    return enumerate_local_strategies(3, 2)[_strategy_classes(3, 2, GHZ_CONTEXTS)[0]]
 
 
 def _ghz_problem(min_efficiency, tolerance, min_joint_detection):

@@ -13,6 +13,10 @@ p·|GHZ⟩⟨GHZ| + (1−p)·I/8 (p = 0.8, whose targets are ±0.8, not ±1: one
 stdout of ``esr-sim self-test``.  Each run goes through
 ``esrsim.cli.main`` in-process.  ``bench/`` is only read.
 
+The manifest's ``searches`` entry is one sha256 over every result field of
+3,237 ``ghz_local_model_search`` calls (:func:`ghz_searches`): a change to
+the search that keeps its bits keeps this digest.
+
 The manifest also holds the sha256 of every input config, so ``--check``
 tells a moved report whose input moved (input drift, e.g. ``bench/gen.py``
 on another BLAS kernel) from one whose input did not (a program change).
@@ -31,6 +35,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "scripts" / "report_digests.json"
 SEED = 301
@@ -43,6 +49,13 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from esrsim import cli  # noqa: E402
+from esrsim.correlations import (  # noqa: E402
+    GHZLocalModelResult,
+    GHZScenario,
+    ghz_local_model_search,
+    ghz_state,
+)
+from esrsim.linalg import DensityOperator  # noqa: E402
 from gen import write_cli_inputs  # noqa: E402
 
 
@@ -83,6 +96,52 @@ def noisy_ghz_configs() -> dict[str, dict]:
     return configs
 
 
+def ghz_searches() -> list[tuple]:
+    """(scenario, min_efficiency, min_joint_detection, tolerance) of 3,237
+    searches: the 369-LP grid on the standard GHZ state (41 values of
+    min_efficiency x joint floor {0, 1e-6, 0.3} x tolerance {0, 1e-6, 1e-3}),
+    the 2,268-search probe of p·|GHZ⟩⟨GHZ| + (1−p)·I/8 (36 p x 21
+    min_efficiency x the same joint floors, tolerance 0) and 600 searches in
+    the sweeps workload's ranges from ``default_rng(7)`` (min_efficiency
+    alternately in [0.55, 0.80) and [0.87, 1.0), a log-uniform tolerance in
+    [1e-6, 1e-3), joint floor 1e-6)."""
+    standard = GHZScenario.standard()
+    searches = [
+        (standard, float(eta), joint, tolerance)
+        for tolerance in (0.0, 1e-6, 1e-3)
+        for joint in (0.0, 1e-6, 0.3)
+        for eta in np.linspace(0.0, 1.0, 41)
+    ]
+    ghz = ghz_state().matrix
+    for p in np.linspace(0.3, 1.0, 36):
+        noisy = GHZScenario(DensityOperator(p * ghz + (1 - p) * np.eye(8) / 8))
+        searches += [
+            (noisy, float(eta), joint, 0.0)
+            for joint in (0.0, 1e-6, 0.3)
+            for eta in np.linspace(0.0, 1.0, 21)
+        ]
+    rng = np.random.default_rng(7)
+    for i in range(600):
+        low, high = (0.55, 0.80) if i % 2 == 0 else (0.87, 1.0)
+        eta = float(rng.uniform(low, high))
+        searches.append((standard, eta, 1e-6, float(10.0 ** rng.uniform(-6.0, -3.0))))
+    return searches
+
+
+def search_digest() -> str:
+    """sha256 over the ``repr`` of every result field of :func:`ghz_searches`
+    (an array field by its dtype, shape and bytes), in order."""
+    digest = hashlib.sha256()
+    for args in ghz_searches():
+        found = ghz_local_model_search(*args)
+        for name in GHZLocalModelResult.__slots__:
+            value = getattr(found, name)
+            if hasattr(value, "tobytes"):
+                value = (value.dtype.str, value.shape, value.tobytes())
+            digest.update(f"{name} {value!r}\n".encode())
+    return digest.hexdigest()
+
+
 def digests() -> tuple[dict[str, str], dict[str, str]]:
     """({input name: digest of its config}, {report name: digest of its
     bytes}), each in a fixed order."""
@@ -121,13 +180,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     inputs, found = digests()
+    searches = search_digest()
     failed = [name for name, digest in found.items() if digest.startswith("exit")]
     if args.write and failed:
         print(f"not written: {', '.join(failed)} failed")
         return 1
     if args.write:
-        MANIFEST.write_text(json.dumps({"inputs": inputs, "reports": found}, indent=1) + "\n")
-        print(f"wrote {len(inputs)} input and {len(found)} report digests to "
+        manifest = {"inputs": inputs, "reports": found, "searches": searches}
+        MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
+        print(f"wrote {len(inputs)} input, {len(found)} report and 1 search digests to "
               f"{MANIFEST.relative_to(ROOT)}")
         return 0
     want = json.loads(MANIFEST.read_text())
@@ -138,9 +199,13 @@ def main(argv=None) -> int:
     for name in moved:
         cause = "input changed" if name.rpartition(".")[0] in drifted else "same input"
         print(f"MOVED {name} ({cause}): manifest {want['reports'].get(name)}, now {found.get(name)}")
+    searched = searches == want.get("searches")
+    if not searched:
+        print(f"MOVED searches: manifest {want.get('searches')}, now {searches}")
     print(f"{len(inputs) - len(drifted)} of {len(inputs)} inputs and "
-          f"{len(found) - len(moved)} of {len(found)} digests match the manifest")
-    return 1 if drifted or moved else 0
+          f"{len(found) - len(moved)} of {len(found)} digests match the manifest; "
+          f"the search digest {'matches' if searched else 'moved'}")
+    return 1 if drifted or moved or not searched else 0
 
 
 if __name__ == "__main__":

@@ -22,11 +22,10 @@ rows and columns; a GHZ correlation is one entry of the three-qubit tensor.
 
 The classical side reads ``hidden_variables``' one enumeration of the
 deterministic trichotomic strategies: the inequality bounds over its rows,
-and the LP search for local GHZ models under detection-efficiency
-constraints over one strategy per class, keyed on the contexts alone; a
-feasible point that fails its own certificate raises ``RuntimeError``.  The
-LP modules are imported inside those functions, so the scans and GHZ
-predictions never load them.  The named singlet and GHZ states are built once.
+and its local-model search, which the GHZ search under detection-efficiency
+constraints calls with the GHZ contexts and targets.  The LP modules are
+imported inside those functions, so the scans and GHZ predictions never
+load them.  The named singlet and GHZ states are built once.
 """
 
 from __future__ import annotations
@@ -372,65 +371,34 @@ def ghz_local_model_search(
 ) -> GHZLocalModelResult:
     """Search for a strategy distribution reproducing the GHZ conditional correlations.
 
-    Of the 729 deterministic trichotomic strategies, the LP is built and
-    solved over one per class of strategies whose context products, joint
-    detections and detection marginals coincide: 105 classes.  Every LP row
-    is built entry by entry from those indicators, so the other strategies'
-    columns are byte-identical copies of their class's first, which would
-    never enter a basis and would get weight zero.  ``hidden_variables``
-    finds the classes and the representatives' indicator block over
-    ``GHZ_CONTEXTS`` once per process, cached by value; the LP rows and the
-    reported sums both come from that block, and the solver compares no
-    columns.  The four targets reach the row writer as plain (context,
-    value, tolerance) triples, and ``tolerance`` is checked once, with
-    ``CorrelationTarget``'s messages.  ``min_efficiency`` lower-bounds every
-    (party, setting) marginal detection probability; at 1.0 every supported
-    strategy must always detect, which contradicts the four perfect GHZ
-    correlations, so the verdict flips to infeasible.  A feasible point is
-    accepted only with the certificate the solver computed on that LP, each
-    constraint evaluated directly from the rows, independent of the
-    tableau.  ``weights`` spans all 729 strategies and is exactly zero off
-    the class representatives, whose columns every other strategy repeats,
-    so the certificate and the reported values are the 729-column LP's sums
-    up to the order of addition.  They are numpy's elementwise products and
-    row sums, not BLAS products, so they do not depend on the BLAS kernel.
+    ``hidden_variables``' local-model search, which owns the indicator
+    block, its classes and the LP, runs over the 729 strategies of 3
+    parties x 2 settings and ``GHZ_CONTEXTS``.  ``min_efficiency``
+    lower-bounds every (party, setting) marginal detection probability; at
+    1.0 every supported strategy must always detect, which contradicts the
+    four perfect GHZ correlations, so the verdict flips to infeasible.
     """
-    # The LP modules load here, so the scans and ghz-quantum never import them.
-    from .hidden_variables import _checked_tolerance, _feasibility_lp, _strategy_classes
-    from .simplex import solve_lp_simplex
+    from .hidden_variables import _local_model_search  # the LP modules load here
 
     target_values = ghz_quantum_correlations(g)
-    _checked_tolerance(tolerance)
-    index, block = _strategy_classes(3, 2, GHZ_CONTEXTS)
-    targets = [(ctx, value, tolerance) for ctx, value in zip(GHZ_CONTEXTS, target_values)]
-    result = solve_lp_simplex(_feasibility_lp(
-        block, GHZ_CONTEXTS, targets, 3, 2, min_joint_detection, min_efficiency
-    ))
-    if not result.feasible:
-        return GHZLocalModelResult(False, target_values, result.phase1_objective, result.pivots)
-
-    certificate = result.certificate
-    if not certificate.satisfied():
-        raise RuntimeError(f"LP point fails its feasibility certificate at {certificate.worst_row!r}")
-    # The block's rows: each context's product and joint detection, then the
-    # six marginals, each summed by numpy in a fixed order.
-    sums = (block * result.x).sum(axis=1).tolist()
-    joint = dict(zip(GHZ_CONTEXTS, sums[1:8:2]))
-    correlations = tuple(
-        product / mass if mass > 0 else math.nan
-        for product, mass in zip(sums[0:8:2], sums[1:8:2])
+    result, model = _local_model_search(
+        3, 2, GHZ_CONTEXTS, target_values, tolerance, min_joint_detection, min_efficiency
     )
-    slots = [(party, setting) for party in range(3) for setting in range(2)]
-    weights = np.zeros(3 ** 6)  # one per enumerated strategy
-    weights[index] = result.x
+    if model is None:
+        return GHZLocalModelResult(False, target_values, result.phase1_objective, result.pivots)
+    weights, products, joint, efficiencies = model
+    certificate = result.certificate
     return GHZLocalModelResult(
         feasible=True,
         targets=target_values,
         phase1_objective=result.phase1_objective,
         pivots=result.pivots,
         weights=weights,
-        correlations=correlations,
-        efficiencies=dict(zip(slots, sums[8:])),
+        correlations=tuple(
+            product / mass if mass > 0 else math.nan
+            for product, mass in zip(products, joint.values())
+        ),
+        efficiencies=efficiencies,
         joint_detection=joint,
         max_residual=max(certificate.max_equality_residual, certificate.max_inequality_violation),
         support_size=int(np.sum(weights > ARITHMETIC_TOL)),

@@ -13,13 +13,12 @@ distribution over strategies is a linear feasibility problem: the conditional
 constraints (ratios of linear forms) are cross-multiplied by the
 joint-detection mass, which is kept away from zero by an explicit lower bound.
 Every LP row is read from one indicator block over the strategies and the
-targets' contexts.  The GHZ search reads it from the block of its strategy
-classes, the strategies whose columns in that block coincide, kept
-read-only in one cache keyed by (parties, settings, contexts); any other
-caller's block is built fresh.  The inequality bounds read the same
-enumeration.
-``simplex`` is imported only where that LP is built, so a microstate model
-(hv-verify) never loads the solver.
+targets' contexts; this module alone builds and reads it.  Its local-model
+search, which ``correlations``' GHZ search only calls, solves the LP over
+the strategy classes of :func:`_strategy_classes` and returns the verdict,
+weights and row sums.  The inequality bounds read the same enumeration.
+``simplex`` is imported only where that LP is built or solved, so a
+microstate model (hv-verify) never loads the solver.
 """
 
 from __future__ import annotations
@@ -164,14 +163,15 @@ def _enumerated(parties: int, settings: int) -> np.ndarray:
     return outcomes
 
 
-def _indicators(outcomes: np.ndarray, contexts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _indicators(outcomes: np.ndarray, contexts: tuple[tuple[int, ...], ...],
+                marginals: bool = True) -> np.ndarray:
     """Each context's product and joint-detection rows, in context order,
-    then every slot's detection marginal, slots party-major, as one
-    ``(2 * len(contexts) + slots, strategies)`` array over the int
-    ``outcomes``.  Each context must hold one setting per party, each in
-    ``[0, settings)``; that is checked before any indexing."""
+    then, with ``marginals``, every slot's detection marginal, slots
+    party-major, as one ``(2 * len(contexts) + slots, strategies)`` array
+    over the int ``outcomes``.  Each context must hold one setting per
+    party, each in ``[0, settings)``; that is checked before any indexing."""
     n, parties, settings = outcomes.shape
-    block = np.empty((2 * len(contexts) + parties * settings, n))
+    block = np.empty((2 * len(contexts) + (parties * settings if marginals else 0), n))
     for i, ctx in enumerate(contexts):
         if len(ctx) != parties:
             raise ValueError(f"context {ctx} does not match {parties} parties")
@@ -180,22 +180,19 @@ def _indicators(outcomes: np.ndarray, contexts: tuple[tuple[int, ...], ...]) -> 
         sel = outcomes[:, np.arange(parties), list(ctx)]
         block[2 * i] = np.prod(sel, axis=1)
         block[2 * i + 1] = np.all(sel != 0, axis=1)
-    block[2 * len(contexts):] = (outcomes != 0).reshape(n, -1).T
+    if marginals:
+        block[2 * len(contexts):] = (outcomes != 0).reshape(n, -1).T
     return block
 
 
 def _first_distinct_columns(a: np.ndarray) -> np.ndarray:
     """Sorted index of the first copy of each byte-identical column of the
-    float array ``a``: a stable lexsort over the columns' bits puts the
-    copies side by side, each run in index order, so each run's first entry
-    is its first copy."""
-    bits = a.view(np.int64)
-    order = np.lexsort(bits)
-    grouped = bits[:, order]
-    first = np.empty(order.size, dtype=bool)
-    first[0] = True
-    np.any(grouped[:, 1:] != grouped[:, :-1], axis=0, out=first[1:])
-    return np.sort(order[first])
+    float array ``a``: each column of the C-contiguous transpose is one
+    void key, and ``np.unique`` sorts the keys stably, so its index is each
+    key's first copy."""
+    columns = np.ascontiguousarray(a.T)
+    keys = columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 @functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
@@ -274,7 +271,8 @@ def build_feasibility_lp(
 
     The rows are written in a few whole-array blocks into preallocated
     arrays from the strategies' indicator block over the targets' distinct
-    contexts, built fresh on every call: the targets' product rows P and
+    contexts, built fresh on every call, with the slot marginals only
+    under an efficiency bound: the targets' product rows P and
     detection rows D are gathered from it, the equality rows are P - v*D,
     and the band rows P - (v + tol)*D and -(P - (v - tol)*D), interleaved
     per target; the floor rows are 1 minus the block's joint-detection and
@@ -294,8 +292,9 @@ def build_feasibility_lp(
         raise ValueError("no strategies supplied")
     targets = [(t.settings, t.value, t.tolerance) for t in targets]
     contexts = tuple(dict.fromkeys(ctx for ctx, _, _ in targets))
-    return _feasibility_lp(_indicators(outcomes.astype(int), contexts), contexts, targets,
-                           parties, settings, min_joint_detection, min_efficiency)
+    block = _indicators(outcomes.astype(int), contexts, marginals=bool(min_efficiency))
+    return _feasibility_lp(block, contexts, targets, parties, settings,
+                           min_joint_detection, min_efficiency)
 
 
 def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings: int,
@@ -370,3 +369,36 @@ def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings
     from .simplex import FeasibilityProblem  # loaded only where an LP is made
 
     return FeasibilityProblem(n, a_eq, b_eq, a_ub, b_ub, eq_labels, ub_labels)
+
+
+def _local_model_search(parties: int, settings: int, contexts, values, tolerance: float,
+                        min_joint_detection: float, min_efficiency: float | None):
+    """Solve :func:`build_feasibility_lp`'s LP for ``values``, one per
+    context, each within ``tolerance``, over the classes of
+    :func:`_strategy_classes`.  Returns the solver's result and, for a
+    feasible point, ``(weights, products, joint, efficiencies)``, else None:
+    the weight of every enumerated strategy (zero off the representatives),
+    each context's product sum, {context: joint-detection sum} and
+    {(party, setting): detection marginal}, the block's row sums in numpy's
+    fixed order, not BLAS's.  A point that fails the certificate the solver
+    computed raises ``RuntimeError``."""
+    _checked_tolerance(tolerance)
+    index, block = _strategy_classes(parties, settings, contexts)
+    targets = [(ctx, value, tolerance) for ctx, value in zip(contexts, values)]
+    from .simplex import solve_lp_simplex  # loaded only where an LP is solved
+
+    result = solve_lp_simplex(_feasibility_lp(
+        block, contexts, targets, parties, settings, min_joint_detection, min_efficiency
+    ))
+    if not result.feasible:
+        return result, None
+    if not result.certificate.satisfied():
+        raise RuntimeError(
+            f"LP point fails its feasibility certificate at {result.certificate.worst_row!r}"
+        )
+    sums = (block * result.x).sum(axis=1).tolist()
+    k = 2 * len(contexts)
+    weights = np.zeros(3 ** (parties * settings))
+    weights[index] = result.x
+    return result, (weights, sums[0:k:2], dict(zip(contexts, sums[1:k:2])),
+                    dict(zip(np.ndindex(parties, settings), sums[k:])))

@@ -397,6 +397,33 @@ class TestBlockBuilder:
             assert _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
                              problem.eq_labels, problem.ub_labels) == gathered
 
+    @pytest.mark.parametrize("min_efficiency", [None, 0.0, 0.5])
+    @pytest.mark.parametrize("shape", list(_BLOCK_CONTEXTS), ids=str)
+    def test_slot_marginals_are_built_only_under_an_efficiency_bound(
+        self, shape, min_efficiency, monkeypatch
+    ):
+        # Only efficiency rows read a fresh block's slot marginals; the LP
+        # bytes equal those written from the block with every row.
+        contexts = tuple(dict.fromkeys(_BLOCK_CONTEXTS[shape]))
+        targets = [CorrelationTarget(settings=ctx, value=0.5, tolerance=1e-3) for ctx in contexts]
+        strategies = enumerate_local_strategies(*shape).copy()
+        rows, write = [], hidden_variables._feasibility_lp
+
+        def writer(block, *args):
+            rows.append(block.shape[0])
+            return write(block, *args)
+
+        monkeypatch.setattr(hidden_variables, "_feasibility_lp", writer)
+        problem = build_feasibility_lp(strategies, targets, 1e-6, min_efficiency)
+        slots = shape[0] * shape[1] if min_efficiency else 0
+        assert rows == [2 * len(contexts) + slots]
+        full = write(hidden_variables._indicators(strategies, contexts), contexts,
+                     [(t.settings, t.value, t.tolerance) for t in targets],
+                     *shape, 1e-6, min_efficiency)
+        assert _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
+                         problem.eq_labels, problem.ub_labels) == _lp_bytes(
+            full.a_eq, full.b_eq, full.a_ub, full.b_ub, full.eq_labels, full.ub_labels)
+
     def test_a_callers_read_only_array_builds_no_enumeration(self):
         # Only the enumeration's own array and the class representatives
         # found over it are shared.  A caller's read-only array whose shape

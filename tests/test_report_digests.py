@@ -5,8 +5,10 @@ C-ordered indicator block, not BLAS products, so its reports do not depend
 on the BLAS kernel and their bytes can be pinned here: the shipped
 ``configs/ghz_local_model.json`` and the noisy-GHZ configs of
 ``scripts/report_digests.py``, each as csv and json, run in-process and
-compared with ``scripts/report_digests.json``.  The script alone checks the
-manifest's other entries.  ``bench/`` is only read.
+compared with ``scripts/report_digests.json``, and the manifest's one
+sha256 over every result field of 3,237 searches, which matches under
+``OPENBLAS_CORETYPE`` Haswell and Prescott too.  The script alone checks
+the manifest's other entries.  ``bench/`` is only read.
 """
 
 import hashlib
@@ -40,3 +42,8 @@ def test_ghz_report_bytes_match_the_manifest(name, fmt, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MANIFEST["inputs"][name]
     argv = ["run", "--scenario", str(path), "--format", fmt]
     assert report_digests._digest(argv) == MANIFEST["reports"][f"{name}.{fmt}"]
+
+
+def test_ghz_search_fields_match_the_manifest():
+    assert len(report_digests.ghz_searches()) == 3237
+    assert report_digests.search_digest() == MANIFEST["searches"]

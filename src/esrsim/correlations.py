@@ -401,7 +401,7 @@ def ghz_local_model_search(
         efficiencies=efficiencies,
         joint_detection=joint,
         max_residual=max(certificate.max_equality_residual, certificate.max_inequality_violation),
-        support_size=int(np.sum(weights > ARITHMETIC_TOL)),
+        support_size=int(np.count_nonzero(result.x > ARITHMETIC_TOL)),
     )
 
 

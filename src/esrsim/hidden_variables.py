@@ -16,7 +16,12 @@ Every LP row is read from one indicator block over the strategies and the
 targets' contexts; this module alone builds and reads it.  Its local-model
 search, which ``correlations``' GHZ search only calls, solves the LP over
 the strategy classes of :func:`_strategy_classes` and returns the verdict,
-weights and row sums.  The inequality bounds read the same enumeration.
+weights and row sums.  What depends only on the shape, that is on
+(parties, settings, contexts), is built once and kept in small ``functools``
+caches keyed by value: the class block, its ceiling rows ``1 - D`` and
+``1 - marginal``, the row-label prefixes and the slot keys.  Per call only
+the target rows, the bounds and the labels' number strings are written.
+The inequality bounds read the same enumeration.
 ``simplex`` is imported only where that LP is built or solved, so a
 microstate model (hv-verify) never loads the solver.
 """
@@ -217,6 +222,43 @@ def _strategy_classes(parties: int, settings: int, contexts) -> tuple[np.ndarray
     return index, block
 
 
+def _ceilings(block: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ceiling rows ``1 - D`` of the ``count`` contexts' joint-detection
+    rows and ``1 - marginal`` of the slot marginals of an :func:`_indicators`
+    ``block``."""
+    return 1.0 - block[1:2 * count:2], 1.0 - block[2 * count:]
+
+
+@functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
+def _class_ceilings(parties: int, settings: int, contexts) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ceilings` of the :func:`_strategy_classes` block, read-only:
+    they do not depend on the targets or the floors."""
+    rows = _ceilings(_strategy_classes(parties, settings, contexts)[1], len(contexts))
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+@functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
+def _label_prefixes(parties: int, settings: int, contexts) -> tuple[tuple[str, ...], ...]:
+    """The per-shape parts of the LP's row labels: each context's
+    ``corr(...)`` name and ``joint-detection(...)>=`` prefix, in context
+    order, and each slot's ``efficiency[party=...,setting=...]>=`` prefix,
+    party-major."""
+    return (
+        tuple(f"corr{ctx}" for ctx in contexts),
+        tuple(f"joint-detection{ctx}>=" for ctx in contexts),
+        tuple(f"efficiency[party={party},setting={setting}]>="
+              for party in range(parties) for setting in range(settings)),
+    )
+
+
+@functools.lru_cache(maxsize=_ENUMERATION_CACHE_SIZE)
+def _slot_keys(parties: int, settings: int) -> tuple[tuple[int, int], ...]:
+    """Every ``(party, setting)`` slot, party-major."""
+    return tuple(np.ndindex(parties, settings))
+
+
 def _checked_tolerance(tolerance: float) -> None:
     """A target tolerance must be finite and nonnegative."""
     if not tolerance >= 0.0:  # NaN fails this too
@@ -276,9 +318,10 @@ def build_feasibility_lp(
     detection rows D are gathered from it, the equality rows are P - v*D,
     and the band rows P - (v + tol)*D and -(P - (v - tol)*D), interleaved
     per target; the floor rows are 1 minus the block's joint-detection and
-    marginal rows.  Every entry goes through the IEEE operations it would
-    get in a row built on its own, so the bits, row order, labels and
-    errors are those of a row-by-row build.
+    marginal rows.  Only the labels' prefixes are per shape and cached.
+    Every entry goes through the IEEE operations it would get in a row built
+    on its own, so the bits, row order, labels and errors are those of a
+    row-by-row build.
     """
     outcomes = np.asarray(strategies)
     if outcomes.ndim != 3:
@@ -298,46 +341,50 @@ def build_feasibility_lp(
 
 
 def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings: int,
-                    min_joint_detection: float, min_efficiency: float | None) -> FeasibilityProblem:
+                    min_joint_detection: float, min_efficiency: float | None,
+                    ceilings: tuple[np.ndarray, np.ndarray] | None = None) -> FeasibilityProblem:
     """The rows of :func:`build_feasibility_lp` from the :func:`_indicators`
     ``block`` of ``parties`` x ``settings`` strategies over ``contexts``, the
     targets' distinct contexts in order.  Each target is a checked
-    ``(settings, value, tolerance)`` triple; the floors are checked here."""
+    ``(settings, value, tolerance)`` triple; the floors are checked here,
+    before any row is written.
+
+    The label prefixes come from the per-shape :func:`_label_prefixes`;
+    ``ceilings`` are the block's ``1 - D`` and ``1 - marginal`` rows,
+    :func:`_class_ceilings` for a class block, or built here from a fresh
+    one.  Per call only the target rows, the bounds and the number strings
+    in the labels are written."""
     n = block.shape[1]
     if not min_joint_detection >= 0.0:  # NaN fails this too
         raise ValueError("min_joint_detection must be nonnegative")
     if not min_joint_detection <= 1.0:
         raise ValueError("min_joint_detection must be at most 1")
+    bound = 0.0 if min_efficiency is None else float(min_efficiency)
+    if not 0.0 <= bound <= 1.0:
+        raise ValueError(f"efficiency bound {bound} outside [0, 1]")
 
+    names, joint_prefixes, slot_prefixes = _label_prefixes(parties, settings, contexts)
     exact = []  # (P row, v) of each target without a tolerance; D is the next row
     banded = []  # (P row, (v + tol, v - tol)) of each target with one
     eq_labels = ["normalization"]
     ub_labels = []
     for ctx, value, tolerance in targets:
-        at = 2 * contexts.index(ctx)
-        name, shown = f"corr{ctx}", f"{value}"
+        i = contexts.index(ctx)
+        name, shown = names[i], f"{value}"
         if tolerance == 0.0:
-            exact.append((at, value))
+            exact.append((2 * i, value))
             eq_labels.append(f"{name}={shown}")
         else:
-            banded.append((at, (value + tolerance, value - tolerance)))
+            banded.append((2 * i, (value + tolerance, value - tolerance)))
             ub_labels += (f"{name}<={shown}+{tolerance}", f"{name}>={shown}-{tolerance}")
     floored = len(contexts) if min_joint_detection > 0.0 else 0
     if floored:
         joint = f"{min_joint_detection}"
-        ub_labels.extend(f"joint-detection{ctx}>={joint}" for ctx in contexts)
-
-    bound = 0.0 if min_efficiency is None else float(min_efficiency)
-    if not 0.0 <= bound <= 1.0:
-        raise ValueError(f"efficiency bound {bound} outside [0, 1]")
+        ub_labels += [prefix + joint for prefix in joint_prefixes]
     slots = parties * settings if bound > 0.0 else 0
     if slots:
         eta = f"{bound}"
-        ub_labels.extend(
-            f"efficiency[party={party},setting={setting}]>={eta}"
-            for party in range(parties)
-            for setting in range(settings)
-        )
+        ub_labels += [prefix + eta for prefix in slot_prefixes]
 
     k = 2 * len(banded)
     a_eq = np.empty((1 + len(exact), n))
@@ -359,11 +406,13 @@ def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings
         np.multiply(np.array(edges, dtype=float)[:, :, None], block[at + 1][:, None], out=band)
         np.subtract(block[at][:, None], band, out=band)
         np.negative(a_ub[1:k:2], out=a_ub[1:k:2])
+    if floored or slots:
+        joint_rows, slot_rows = _ceilings(block, len(contexts)) if ceilings is None else ceilings
     if floored:
-        np.subtract(1.0, block[1:2 * floored:2], out=a_ub[k:k + floored])
+        a_ub[k:k + floored] = joint_rows
         b_ub[k:k + floored] = 1.0 - min_joint_detection
     if slots:
-        np.subtract(1.0, block[2 * len(contexts):], out=a_ub[k + floored:])
+        a_ub[k + floored:] = slot_rows
         b_ub[k + floored:] = 1.0 - bound
 
     from .simplex import FeasibilityProblem  # loaded only where an LP is made
@@ -388,7 +437,8 @@ def _local_model_search(parties: int, settings: int, contexts, values, tolerance
     from .simplex import solve_lp_simplex  # loaded only where an LP is solved
 
     result = solve_lp_simplex(_feasibility_lp(
-        block, contexts, targets, parties, settings, min_joint_detection, min_efficiency
+        block, contexts, targets, parties, settings, min_joint_detection, min_efficiency,
+        _class_ceilings(parties, settings, contexts),
     ))
     if not result.feasible:
         return result, None
@@ -401,4 +451,4 @@ def _local_model_search(parties: int, settings: int, contexts, values, tolerance
     weights = np.zeros(3 ** (parties * settings))
     weights[index] = result.x
     return result, (weights, sums[0:k:2], dict(zip(contexts, sums[1:k:2])),
-                    dict(zip(np.ndindex(parties, settings), sums[k:])))
+                    dict(zip(_slot_keys(parties, settings), sums[k:])))

@@ -92,8 +92,13 @@ def clamp(x: float, lo: float, hi: float, what: str) -> float:
     """Clip roundoff excursions of ``x`` outside [lo, hi]; reject larger ones.
 
     Values within ``ARITHMETIC_TOL`` of the interval are clipped into it;
-    anything farther out (or NaN) raises ``ValueError``.
+    anything farther out (or NaN) raises ``ValueError``.  A value already
+    in [lo, hi] is returned as ``float(x)`` at once: ``max`` and ``min``
+    return their first argument on ties, so the clip would return ``x``
+    itself, -0.0 included.
     """
+    if lo <= x <= hi:
+        return float(x)
     if not lo - ARITHMETIC_TOL <= x <= hi + ARITHMETIC_TOL:
         raise ValueError(f"{what} = {x} is outside [{lo:g}, {hi:g}]")
     return float(min(max(x, lo), hi))

@@ -23,6 +23,13 @@ classes, passes only the first of each.  The artificial columns are left
 out: a basic artificial's column stays a unit vector with zero reduced cost,
 and one that leaves never re-enters, so no artificial column is read.
 
+``hidden_variables`` builds an LP's per-shape rows (the detection-floor
+ceilings) once and writes only its target rows and bounds per call.  Here
+everything is per solve: the tableau [A | S | b] is one allocation, the
+slack identity S is written into it in place, a row is negated only when
+its bound is negative, and the Farkas check gathers its basis matrix from
+[A | I] in one step.
+
 Phase one minimizes the sum of its artificial variables; an optimum above
 ``FEASIBILITY_TOL`` certifies infeasibility.  No phase-two objective is
 needed because the callers only ask for feasibility plus a residual
@@ -199,13 +206,9 @@ def _proves_infeasible(rows: np.ndarray, basis: list[int]) -> bool:
     """
     m, width = rows.shape
     a, b = rows[:, :-1], rows[:, -1]
-    basic = np.array(basis)
-    artificial = basic >= width - 1
-    matrix = np.zeros((m, m))
-    matrix[:, ~artificial] = a[:, basic[~artificial]]
-    matrix[basic[artificial] - (width - 1), artificial.nonzero()[0]] = 1.0
+    matrix = np.concatenate((a, np.eye(m)), axis=1)[:, basis]
     try:
-        y = np.linalg.solve(matrix.T, artificial.astype(float))
+        y = np.linalg.solve(matrix.T, (np.array(basis) >= width - 1).astype(float))
     except np.linalg.LinAlgError:  # a singular basis proves nothing
         return False
     return bool(y @ b > FEASIBILITY_TOL and (y @ a).max() <= FEASIBILITY_TOL)
@@ -274,12 +277,13 @@ def _start(problem: FeasibilityProblem) -> tuple[np.ndarray, list[int]]:
     tableau = np.zeros((m + 1, n_tot + 1))
     tableau[:m_eq, :n] = problem.a_eq
     tableau[m_eq:m, :n] = problem.a_ub
-    tableau[m_eq:m, n:n_tot] = np.eye(m_ub)
+    tableau[m_eq:m, n:n_tot].flat[::m_ub + 1] = 1.0  # the slack identity, in place
     rhs = tableau[:m, -1]
     rhs[:m_eq] = problem.b_eq
     rhs[m_eq:] = problem.b_ub
     negated = rhs < 0.0
-    tableau[:m][negated] *= -1.0
+    if negated.any():
+        tableau[:m][negated] *= -1.0
     basis = np.arange(n_tot, n_tot + m)
     on_slack = np.flatnonzero(~negated[m_eq:])
     basis[m_eq + on_slack] = n + on_slack

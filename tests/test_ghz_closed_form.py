@@ -9,17 +9,31 @@ when both min_efficiency < 2(M' + 1)/(3M') and min_joint_detection < 2/M'.
 The expected verdict is computed from the targets alone, without
 ``simplex``.  A point within ``BAND`` of either threshold is skipped: there
 the rounding of the targets decides (at p = 0.5 the noisy targets are
-+-0.5000000000000001, and the threshold at min_efficiency 1 is hit).
++-0.5000000000000001, and the threshold at min_efficiency 1 is hit).  The
+four noisy-GHZ configs of ``scripts/report_digests.py`` also go through
+``cli.main`` in-process, and each report's ``feasible`` record is compared
+with the form.
 """
 
+import contextlib
+import importlib.util
+import io
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esrsim import correlations
+from esrsim import cli, correlations
 from esrsim.correlations import GHZScenario, ghz_local_model_search, ghz_quantum_correlations
-from esrsim.linalg import DensityOperator
+from esrsim.linalg import DEFAULT_MIN_JOINT_DETECTION, DensityOperator
+
+_SPEC = importlib.util.spec_from_file_location(
+    "report_digests", Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+)
+report_digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_digests)
 
 BAND = 1e-6
 SIGNS = [s for s in itertools.product((1, -1), repeat=4) if s[0] * s[1] * s[2] * s[3] == -1]
@@ -99,3 +113,23 @@ def test_seeded_mixtures(seed):
     )
     assert differ == []
     assert checked == 3 * 21 and verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", list(report_digests.noisy_ghz_configs()))
+def test_noisy_configs_through_the_cli(name, tmp_path):
+    config = report_digests.noisy_ghz_configs()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["run", "--scenario", str(path), "--format", "json"]) == 0
+    records = {record["name"]: record["value"] for record in json.loads(out.getvalue())["results"]}
+    state = DensityOperator([[complex(re, im) for re, im in row] for row in config["state"]])
+    want = _closed_form(
+        ghz_quantum_correlations(GHZScenario(state)),
+        config["min_efficiency"],
+        config.get("min_joint_detection", DEFAULT_MIN_JOINT_DETECTION),
+        0.0,
+    )
+    assert want is not None
+    assert records["feasible"] == float(want)

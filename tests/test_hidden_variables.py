@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -316,6 +317,10 @@ _BLOCK_CONTEXTS = {
 }
 
 
+# The per-shape caches beside _strategy_classes.
+_SHAPE_CACHES = ("_class_ceilings", "_label_prefixes", "_slot_keys")
+
+
 class TestBlockBuilder:
     """``build_feasibility_lp`` writes its rows in whole-array blocks; every
     byte and label equals the LP built one row at a time."""
@@ -451,13 +456,56 @@ class TestBlockBuilder:
 
         clear_operator_caches()
         ghz_local_model_search(GHZScenario.standard(), 0.5)
-        caches = (hidden_variables._enumerated, hidden_variables._strategy_classes)
-        assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+        caches = (hidden_variables._enumerated, hidden_variables._strategy_classes,
+                  *(getattr(hidden_variables, name) for name in _SHAPE_CACHES))
+        assert [cache.cache_info().currsize for cache in caches] == [1] * 5
         held = [weakref.ref(enumerate_local_strategies(3, 2))]
         held += map(weakref.ref, hidden_variables._strategy_classes(3, 2, GHZ_CONTEXTS))
+        held += map(weakref.ref, hidden_variables._class_ceilings(3, 2, GHZ_CONTEXTS))
         clear_operator_caches()
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
-        assert [ref() for ref in held] == [None, None, None]
+        assert [cache.cache_info().currsize for cache in caches] == [0] * 5
+        assert [ref() for ref in held] == [None] * 5
+
+    @pytest.mark.parametrize("name", _SHAPE_CACHES)
+    def test_per_shape_caches_are_bounded_and_read_only(self, name):
+        # Each is a functools cache, which clear_operator_caches finds by its
+        # cache_clear, holds at most _ENUMERATION_CACHE_SIZE keys and hands
+        # out values that no caller can write to.
+        clear_operator_caches()
+        cache = getattr(hidden_variables, name)
+        assert cache.cache_parameters()["maxsize"] == hidden_variables._ENUMERATION_CACHE_SIZE
+        keys = [(1, 1, ((0,),)), (1, 2, ((1,),)), (2, 1, ((0, 0),)), (2, 2, ((0, 1), (1, 1))),
+                (1, 3, ((2,), (0,))), (3, 2, ((0, 0, 0), (1, 1, 0)))]
+        assert len(keys) > hidden_variables._ENUMERATION_CACHE_SIZE
+        for key in keys:
+            args = key[:2] if name == "_slot_keys" else key
+            value = cache(*args)
+            assert cache(*args) is value
+            assert isinstance(value, tuple)
+            for part in value:
+                if isinstance(part, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        part[...] = 0.0
+                else:
+                    assert isinstance(part, tuple)
+            assert cache.cache_info().currsize <= hidden_variables._ENUMERATION_CACHE_SIZE
+
+    @pytest.mark.parametrize("shape", list(_BLOCK_CONTEXTS), ids=str)
+    def test_per_shape_caches_match_a_row_by_row_build(self, shape):
+        # The class LP written from the cached ceilings and label prefixes
+        # has the bytes and labels of the LP built one row at a time over
+        # the class representatives' outcomes.
+        targets = [CorrelationTarget(settings=ctx, value=0.5, tolerance=1e-3)
+                   for ctx in _BLOCK_CONTEXTS[shape]]
+        contexts = tuple(dict.fromkeys(t.settings for t in targets))
+        index, block = hidden_variables._strategy_classes(*shape, contexts)
+        problem = hidden_variables._feasibility_lp(
+            block, contexts, [(t.settings, t.value, t.tolerance) for t in targets],
+            *shape, 1e-6, 0.5, hidden_variables._class_ceilings(*shape, contexts))
+        assert _lp_bytes(problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub,
+                         problem.eq_labels, problem.ub_labels) == _lp_bytes(
+            *_per_row_lp(enumerate_local_strategies(*shape)[index], targets, 1e-6, 0.5))
+        assert hidden_variables._slot_keys(*shape) == tuple(np.ndindex(*shape))
 
     def test_a_bad_context_is_reported_before_a_bad_efficiency_bound(self):
         targets = (
@@ -575,6 +623,49 @@ def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+_GHZ_TARGETS = [CorrelationTarget(settings=ctx, value=0.5, tolerance=1e-3)
+                for ctx in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))]
+
+
+def _with_entry(value):
+    strategies = enumerate_local_strategies(3, 2).astype(float)
+    strategies[5, 1, 0] = value
+    return strategies
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "float64"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: CorrelationTarget(settings=(0, 0, 0), value=v),
+        lambda v: CorrelationTarget(settings=(0, 0, 0), value=0.5, tolerance=v),
+        lambda v: build_feasibility_lp(_with_entry(v), _GHZ_TARGETS, 1e-6, 0.5),
+        lambda v: build_feasibility_lp(enumerate_local_strategies(3, 2), _GHZ_TARGETS, v, 0.5),
+        lambda v: build_feasibility_lp(enumerate_local_strategies(3, 2), _GHZ_TARGETS, 1e-6, v),
+        lambda v: ghz_local_model_search(GHZScenario.standard(), v),
+        lambda v: ghz_local_model_search(GHZScenario.standard(), 0.5, v),
+        lambda v: ghz_local_model_search(GHZScenario.standard(), 0.5, 1e-6, v),
+        lambda v: FeasibilityProblem(2, [[1.0, 1.0]], [v]),
+        lambda v: FeasibilityProblem(2, a_ub=[[1.0, 1.0]], b_ub=[v]),
+        lambda v: FeasibilityProblem(2, [[1.0, v]], [1.0]),
+        lambda v: FeasibilityProblem(2, a_ub=[[v, 1.0]], b_ub=[1.0]),
+    ],
+    ids=[
+        "target-value", "target-tolerance", "strategies-entry", "lp-min-joint-detection",
+        "lp-min-efficiency", "search-min-efficiency", "search-min-joint-detection",
+        "search-tolerance", "b-eq", "b-ub", "a-eq", "a-ub",
+    ],
+)
+def test_nonfinite_lp_parameters_raise_before_any_numpy_warning(call, value, wrap):
+    # The per-shape caches hand over rows built before the call; a check that
+    # came after a numpy op on the value would show as a RuntimeWarning here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call(wrap(value))
 
 
 def _planted_matrices(rng):

@@ -1,13 +1,20 @@
 """Matrix layer: density operators and validators."""
 
+import math
+import re
+import struct
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P_DOWN, P_UP, ket_density, z_observable
 from esrsim.linalg import (
+    ARITHMETIC_TOL,
     DensityOperator,
+    clamp,
     SpectralObservable,
     as_complex_matrix,
     validate_density_operator,
@@ -236,3 +243,48 @@ def test_malformed_input_rejected(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+# The intervals the package clamps to.
+_CLAMP_BOUNDS = st.sampled_from([(-1.0, 1.0), (0.0, 1.0)])
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _as_given(data, x):
+    """``x`` as a float, a ``np.float64`` or, when integral, an ``int``."""
+    kinds = [float, np.float64] + ([int] if math.isfinite(x) and x == int(x) else [])
+    return data.draw(st.sampled_from(kinds))(x)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(bounds=_CLAMP_BOUNDS, data=st.data())
+def test_clamp_returns_the_clip_bit_for_bit(bounds, data):
+    # In range, the fast path returns float(x); within the tolerance outside
+    # it, the clip.  Either way, the bits of float(min(max(x, lo), hi)).
+    lo, hi = bounds
+    x = _as_given(data, data.draw(st.one_of(
+        st.floats(lo, hi),
+        st.floats(lo - ARITHMETIC_TOL, hi + ARITHMETIC_TOL),
+        st.sampled_from([lo, hi, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                         lo - ARITHMETIC_TOL, hi + ARITHMETIC_TOL]),
+    )))
+    got = clamp(x, lo, hi, "x")
+    assert type(got) is float
+    assert _bits(got) == _bits(float(min(max(x, lo), hi)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(bounds=_CLAMP_BOUNDS, data=st.data())
+def test_clamp_rejects_nan_and_values_beyond_the_tolerance(bounds, data):
+    lo, hi = bounds
+    x = _as_given(data, data.draw(st.one_of(
+        st.floats(max_value=lo - ARITHMETIC_TOL, exclude_max=True),
+        st.floats(min_value=hi + ARITHMETIC_TOL, exclude_min=True),
+        st.just(math.nan),
+    )))
+    message = f"x = {x} is outside [{lo:g}, {hi:g}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        clamp(x, lo, hi, "x")

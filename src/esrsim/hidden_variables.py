@@ -20,7 +20,8 @@ weights and row sums.  What depends only on the shape, that is on
 (parties, settings, contexts), is built once and kept in small ``functools``
 caches keyed by value: the class block, its ceiling rows ``1 - D`` and
 ``1 - marginal``, the row-label prefixes and the slot keys.  Per call only
-the target rows, the bounds and the labels' number strings are written.
+the target rows, the bounds and the labels' number strings are written, into
+fresh arrays that the solver's problem record takes over without a copy.
 The inequality bounds read the same enumeration.
 ``simplex`` is imported only where that LP is built or solved, so a
 microstate model (hv-verify) never loads the solver.
@@ -29,6 +30,7 @@ microstate model (hv-verify) never loads the solver.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -261,10 +263,10 @@ def _slot_keys(parties: int, settings: int) -> tuple[tuple[int, int], ...]:
 
 def _checked_tolerance(tolerance: float) -> None:
     """A target tolerance must be finite and nonnegative."""
-    if not tolerance >= 0.0:  # NaN fails this too
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
+    if tolerance < 0.0:
         raise ValueError(f"inconsistent tolerance sign: {tolerance}")
-    if tolerance == np.inf:
-        raise ValueError("tolerance must be finite, got inf")
 
 
 class CorrelationTarget(Frozen):
@@ -314,14 +316,14 @@ def build_feasibility_lp(
     The rows are written in a few whole-array blocks into preallocated
     arrays from the strategies' indicator block over the targets' distinct
     contexts, built fresh on every call, with the slot marginals only
-    under an efficiency bound: the targets' product rows P and
-    detection rows D are gathered from it, the equality rows are P - v*D,
-    and the band rows P - (v + tol)*D and -(P - (v - tol)*D), interleaved
-    per target; the floor rows are 1 minus the block's joint-detection and
-    marginal rows.  Only the labels' prefixes are per shape and cached.
-    Every entry goes through the IEEE operations it would get in a row built
-    on its own, so the bits, row order, labels and errors are those of a
-    row-by-row build.
+    under an efficiency bound: the targets' product rows P and detection
+    rows D are read from it, as slices when each target has its own context
+    in order, the equality rows are P - v*D, and the band rows
+    P - (v + tol)*D and -(P - (v - tol)*D), interleaved per target; the
+    floor rows are 1 minus the block's joint-detection and marginal rows.
+    Only the labels' prefixes are per shape and cached.  Every entry goes
+    through the IEEE operations it would get in a row built on its own, so
+    the bits, row order, labels and errors are those of a row-by-row build.
     """
     outcomes = np.asarray(strategies)
     if outcomes.ndim != 3:
@@ -353,9 +355,13 @@ def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings
     ``ceilings`` are the block's ``1 - D`` and ``1 - marginal`` rows,
     :func:`_class_ceilings` for a class block, or built here from a fresh
     one.  Per call only the target rows, the bounds and the number strings
-    in the labels are written."""
+    in the labels are written, into arrays allocated here that the returned
+    problem adopts: they are checked for finiteness and made read-only, not
+    copied."""
     n = block.shape[1]
-    if not min_joint_detection >= 0.0:  # NaN fails this too
+    if not math.isfinite(min_joint_detection):
+        raise ValueError(f"min_joint_detection must be finite, got {min_joint_detection}")
+    if min_joint_detection < 0.0:
         raise ValueError("min_joint_detection must be nonnegative")
     if not min_joint_detection <= 1.0:
         raise ValueError("min_joint_detection must be at most 1")
@@ -395,16 +401,16 @@ def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings
     b_eq[0] = 1.0
     if exact:
         at, value = zip(*exact)
-        at = np.array(at)
-        np.multiply(np.array(value, dtype=float)[:, None], block[at + 1], out=a_eq[1:])
-        np.subtract(block[at], a_eq[1:], out=a_eq[1:])
+        products, detections = _target_rows(block, at)
+        np.multiply(np.array(value, dtype=float)[:, None], detections, out=a_eq[1:])
+        np.subtract(products, a_eq[1:], out=a_eq[1:])
     if banded:
         # Rows 2i and 2i + 1: P - (v + tol) * D and -(P - (v - tol) * D).
         at, edges = zip(*banded)
-        at = np.array(at)
+        products, detections = _target_rows(block, at)
         band = a_ub[:k].reshape(-1, 2, n)
-        np.multiply(np.array(edges, dtype=float)[:, :, None], block[at + 1][:, None], out=band)
-        np.subtract(block[at][:, None], band, out=band)
+        np.multiply(np.array(edges, dtype=float)[:, :, None], detections[:, None], out=band)
+        np.subtract(products[:, None], band, out=band)
         np.negative(a_ub[1:k:2], out=a_ub[1:k:2])
     if floored or slots:
         joint_rows, slot_rows = _ceilings(block, len(contexts)) if ceilings is None else ceilings
@@ -417,7 +423,18 @@ def _feasibility_lp(block: np.ndarray, contexts, targets, parties: int, settings
 
     from .simplex import FeasibilityProblem  # loaded only where an LP is made
 
-    return FeasibilityProblem(n, a_eq, b_eq, a_ub, b_ub, eq_labels, ub_labels)
+    return FeasibilityProblem._adopt(n, a_eq, b_eq, a_ub, b_ub, eq_labels, ub_labels)
+
+
+def _target_rows(block: np.ndarray, at: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The product rows ``block[at]`` and the detection rows after them:
+    basic slices when ``at`` is 0, 2, 4, ..., each target on its own
+    context in order, as in every GHZ search; gathered otherwise."""
+    k = 2 * len(at)
+    if at == tuple(range(0, k, 2)):
+        return block[0:k:2], block[1:k:2]
+    at = np.array(at)
+    return block[at], block[at + 1]
 
 
 def _local_model_search(parties: int, settings: int, contexts, values, tolerance: float,

@@ -24,11 +24,14 @@ out: a basic artificial's column stays a unit vector with zero reduced cost,
 and one that leaves never re-enters, so no artificial column is read.
 
 ``hidden_variables`` builds an LP's per-shape rows (the detection-floor
-ceilings) once and writes only its target rows and bounds per call.  Here
-everything is per solve: the tableau [A | S | b] is one allocation, the
-slack identity S is written into it in place, a row is negated only when
-its bound is negative, and the Farkas check gathers its basis matrix from
-[A | I] in one step.
+ceilings) once and writes only its target rows and bounds per call, into
+arrays it hands to :class:`FeasibilityProblem` without a copy; the public
+constructor copies.  Here everything is per solve: the tableau [A | S | b]
+is one allocation, the slack identity S is written into it in place, a row
+is negated only when its bound is negative, a lone artificial row's cost is
+that row negated, every pivot writes its outer product into one buffer
+allocated with the tableau, and the Farkas check gathers its basis matrix
+from [A | I] in one step.
 
 Phase one minimizes the sum of its artificial variables; an optimum above
 ``FEASIBILITY_TOL`` certifies infeasibility.  No phase-two objective is
@@ -67,11 +70,28 @@ _PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 
 
+def _frozen_rows(a: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The float rows ``a`` and bounds ``b`` of one kind, one bound per row,
+    checked for finiteness and made read-only in place."""
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"{what}: {a.shape[0]} rows but {b.shape[0]} bounds")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(f"{what}: non-finite coefficients")
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
 class FeasibilityProblem(Frozen):
     """Linear feasibility over nonnegative variables.
 
     Seeks x >= 0 with ``a_eq @ x == b_eq`` and ``a_ub @ x <= b_ub``.  Row
-    labels are carried along for residual reports.
+    labels are carried along for residual reports.  The constructor copies
+    the rows and bounds it is given, so a later write to the caller's arrays
+    cannot get past the finiteness check; :meth:`_adopt` takes float arrays
+    that nothing else holds as they are.  Both check that each row has a
+    bound and that every entry is finite, and leave the stored arrays
+    read-only.
     """
 
     __slots__ = ("n_vars", "a_eq", "b_eq", "a_ub", "b_ub", "eq_labels", "ub_labels")
@@ -82,23 +102,28 @@ class FeasibilityProblem(Frozen):
         if n <= 0:
             raise ValueError("n_vars must be positive")
 
-        def _rows(a, b, what):
+        def copied(a, b, what):
             if a is None:
                 a, b = (), ()
-            # Read-only copies: a later write to the caller's arrays cannot
-            # get past the finiteness check.
             a = np.array(a, dtype=float).reshape(-1, n)
-            b = np.array(b, dtype=float).reshape(-1)
-            if a.shape[0] != b.shape[0]:
-                raise ValueError(f"{what}: {a.shape[0]} rows but {b.shape[0]} bounds")
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                raise ValueError(f"{what}: non-finite coefficients")
-            a.setflags(write=False)
-            b.setflags(write=False)
-            return a, b
+            return _frozen_rows(a, np.array(b, dtype=float).reshape(-1), what)
 
-        a_eq, b_eq = _rows(a_eq, b_eq, "equalities")
-        a_ub, b_ub = _rows(a_ub, b_ub, "inequalities")
+        self._store(n, *copied(a_eq, b_eq, "equalities"), *copied(a_ub, b_ub, "inequalities"),
+                    eq_labels, ub_labels)
+
+    @classmethod
+    def _adopt(cls, n_vars: int, a_eq: np.ndarray, b_eq: np.ndarray, a_ub: np.ndarray,
+               b_ub: np.ndarray, eq_labels, ub_labels) -> FeasibilityProblem:
+        """The problem over float arrays of shapes ``(k, n_vars)`` and
+        ``(k,)`` that the caller has just allocated and gives up: they are
+        checked as the constructor checks its copies and made read-only in
+        place, not copied."""
+        problem = cls.__new__(cls)
+        problem._store(n_vars, *_frozen_rows(a_eq, b_eq, "equalities"),
+                       *_frozen_rows(a_ub, b_ub, "inequalities"), eq_labels, ub_labels)
+        return problem
+
+    def _store(self, n, a_eq, b_eq, a_ub, b_ub, eq_labels, ub_labels) -> None:
         object.__setattr__(self, "n_vars", n)
         object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "b_eq", b_eq)
@@ -172,14 +197,14 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
     max_eq = 0.0
     if problem.a_eq.shape[0]:
         eq_res = np.abs((problem.a_eq * x).sum(axis=1) - problem.b_eq)
-        i = int(np.argmax(eq_res))
+        i = int(eq_res.argmax())
         max_eq = float(eq_res[i])
         worst_row = problem.eq_labels[i] if i < len(problem.eq_labels) else f"eq[{i}]"
 
     max_ub = 0.0
     if problem.a_ub.shape[0]:
         ub_res = (problem.a_ub * x).sum(axis=1) - problem.b_ub
-        i = int(np.argmax(ub_res))  # the first NaN, if any
+        i = int(ub_res.argmax())  # the first NaN, if any
         worst = float(ub_res[i])
         if worst > max_eq or (math.isnan(worst) and not math.isnan(max_eq)):
             worst_row = problem.ub_labels[i] if i < len(problem.ub_labels) else f"ub[{i}]"
@@ -188,7 +213,7 @@ def feasibility_residuals(problem: FeasibilityProblem, x) -> FeasibilityCertific
     return FeasibilityCertificate(
         max_equality_residual=max_eq,
         max_inequality_violation=max_ub,
-        min_variable=float(np.min(x)) if x.size else 0.0,
+        min_variable=float(x.min()) if x.size else 0.0,
         worst_row=worst_row,
     )
 
@@ -285,7 +310,7 @@ def _start(problem: FeasibilityProblem) -> tuple[np.ndarray, list[int]]:
     if negated.any():
         tableau[:m][negated] *= -1.0
     basis = np.arange(n_tot, n_tot + m)
-    on_slack = np.flatnonzero(~negated[m_eq:])
+    on_slack = (~negated[m_eq:]).nonzero()[0]
     basis[m_eq + on_slack] = n + on_slack
     return tableau, basis.tolist()
 
@@ -312,14 +337,22 @@ def _phase_one(problem: FeasibilityProblem) -> LPResult:
     rows = tableau[:m].copy()
     # Only the rows on an artificial enter the phase-one cost.  Summed over
     # two or more columns, numpy adds row after row; a lone column would be
-    # summed pairwise, in another order, and round differently.
-    cost_rows = rows[np.array(basis) >= n_tot]
-    tableau[m, :n_tot] = -cost_rows.sum(axis=0)[:n_tot]
-    tableau[m, -1] = -cost_rows[:, -1].sum()
+    # summed pairwise, in another order, and round differently.  numpy's sum
+    # of one row is 0.0 + row, so a lone row's cost is -(row + 0.0): a -0.0
+    # entry costs -0.0, as in the sum.
+    artificial = (np.array(basis) >= n_tot).nonzero()[0]
+    if artificial.size == 1:
+        np.add(rows[artificial[0]], 0.0, out=tableau[m])
+        np.negative(tableau[m], out=tableau[m])
+    else:
+        cost_rows = rows[artificial]
+        tableau[m, :n_tot] = -cost_rows.sum(axis=0)[:n_tot]
+        tableau[m, -1] = -cost_rows[:, -1].sum()
     max_pivots = _PIVOTS_PER_LINE * ((m + 1) + (n_tot + m + 1))
     cost = tableau[m, :n_tot]
     rhs = tableau[:m, -1]
 
+    update = np.empty_like(tableau)  # each pivot's outer product, written in place
     pivots = 0
     while True:
         entering = int(cost.argmin())
@@ -348,9 +381,9 @@ def _phase_one(problem: FeasibilityProblem) -> LPResult:
 
         pivot_row = tableau[leaving]
         pivot_row /= column[leaving]
-        update = tableau[:, entering, None] * pivot_row
+        np.multiply(tableau[:, entering, None], pivot_row, out=update)
         update[leaving] = 0.0
-        tableau -= update
+        np.subtract(tableau, update, out=tableau)
         basis[leaving] = entering
 
     objective = -float(tableau[m, -1])

@@ -315,6 +315,10 @@ _BLOCK_CONTEXTS = {
     (2, 2): [(0, 0), (0, 1), (1, 0), (1, 1), (0, 1)],
     (3, 2): [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)],
 }
+# The same, and the GHZ search's four distinct contexts in order, on which
+# the row writer reads the targets' rows as slices, not gathered.
+_LP_CASES = [*_BLOCK_CONTEXTS.items(), ((3, 2), [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)])]
+_LP_CASE_IDS = [*map(str, _BLOCK_CONTEXTS), "(3, 2)-distinct"]
 
 
 # The per-shape caches beside _strategy_classes.
@@ -328,12 +332,11 @@ class TestBlockBuilder:
     @pytest.mark.parametrize("min_efficiency", [None, 0.0, 0.5, 1.0])
     @pytest.mark.parametrize("min_joint_detection", [0.0, 1e-6, 0.3])
     @pytest.mark.parametrize("tolerances", ["zero", "positive", "mixed", "no-targets"])
-    @pytest.mark.parametrize("shape", list(_BLOCK_CONTEXTS), ids=str)
+    @pytest.mark.parametrize("shape, contexts", _LP_CASES, ids=_LP_CASE_IDS)
     def test_equals_the_per_row_builder(
-        self, shape, tolerances, min_joint_detection, min_efficiency
+        self, shape, contexts, tolerances, min_joint_detection, min_efficiency
     ):
         rng = np.random.default_rng(3030)
-        contexts = _BLOCK_CONTEXTS[shape]
         # Exact +-1, a signed zero and random values; random tolerances.
         values = [1.0, -1.0, -0.0] + list(rng.uniform(-1.0, 1.0, len(contexts)))
         spread = {
@@ -490,13 +493,14 @@ class TestBlockBuilder:
                     assert isinstance(part, tuple)
             assert cache.cache_info().currsize <= hidden_variables._ENUMERATION_CACHE_SIZE
 
-    @pytest.mark.parametrize("shape", list(_BLOCK_CONTEXTS), ids=str)
-    def test_per_shape_caches_match_a_row_by_row_build(self, shape):
+    @pytest.mark.parametrize("shape, contexts", _LP_CASES, ids=_LP_CASE_IDS)
+    def test_per_shape_caches_match_a_row_by_row_build(self, shape, contexts):
         # The class LP written from the cached ceilings and label prefixes
         # has the bytes and labels of the LP built one row at a time over
-        # the class representatives' outcomes.
+        # the class representatives' outcomes.  The writer hands its arrays
+        # to the problem without a copy, and they end read-only.
         targets = [CorrelationTarget(settings=ctx, value=0.5, tolerance=1e-3)
-                   for ctx in _BLOCK_CONTEXTS[shape]]
+                   for ctx in contexts]
         contexts = tuple(dict.fromkeys(t.settings for t in targets))
         index, block = hidden_variables._strategy_classes(*shape, contexts)
         problem = hidden_variables._feasibility_lp(
@@ -506,6 +510,11 @@ class TestBlockBuilder:
                          problem.eq_labels, problem.ub_labels) == _lp_bytes(
             *_per_row_lp(enumerate_local_strategies(*shape)[index], targets, 1e-6, 0.5))
         assert hidden_variables._slot_keys(*shape) == tuple(np.ndindex(*shape))
+        for name in ("a_eq", "b_eq", "a_ub", "b_ub"):
+            array = getattr(problem, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
     def test_a_bad_context_is_reported_before_a_bad_efficiency_bound(self):
         targets = (
@@ -536,7 +545,7 @@ class TestBlockBuilder:
         ),
         (
             lambda: ghz_local_model_search(GHZScenario.standard(), 0.0, math.nan),
-            "min_joint_detection must be nonnegative",
+            "min_joint_detection must be finite, got nan",
         ),
         (
             lambda: ghz_local_model_search(GHZScenario.standard(), math.nan),
@@ -548,7 +557,7 @@ class TestBlockBuilder:
         ),
         (
             lambda: CorrelationTarget(settings=(0, 0), value=0.5, tolerance=math.nan),
-            "inconsistent tolerance sign: nan",
+            "tolerance must be finite, got nan",
         ),
         (
             lambda: CorrelationTarget(settings=(0, 0), value=0.5, tolerance=math.inf),
@@ -576,7 +585,7 @@ class TestBlockBuilder:
         ),
         (
             lambda: ghz_local_model_search(GHZScenario.standard(), tolerance=math.nan),
-            "inconsistent tolerance sign: nan",
+            "tolerance must be finite, got nan",
         ),
         (
             lambda: ghz_local_model_search(GHZScenario.standard(), tolerance=-0.1),
@@ -638,20 +647,28 @@ def _with_entry(value):
 @pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "float64"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda v: CorrelationTarget(settings=(0, 0, 0), value=v),
-        lambda v: CorrelationTarget(settings=(0, 0, 0), value=0.5, tolerance=v),
-        lambda v: build_feasibility_lp(_with_entry(v), _GHZ_TARGETS, 1e-6, 0.5),
-        lambda v: build_feasibility_lp(enumerate_local_strategies(3, 2), _GHZ_TARGETS, v, 0.5),
-        lambda v: build_feasibility_lp(enumerate_local_strategies(3, 2), _GHZ_TARGETS, 1e-6, v),
-        lambda v: ghz_local_model_search(GHZScenario.standard(), v),
-        lambda v: ghz_local_model_search(GHZScenario.standard(), 0.5, v),
-        lambda v: ghz_local_model_search(GHZScenario.standard(), 0.5, 1e-6, v),
-        lambda v: FeasibilityProblem(2, [[1.0, 1.0]], [v]),
-        lambda v: FeasibilityProblem(2, a_ub=[[1.0, 1.0]], b_ub=[v]),
-        lambda v: FeasibilityProblem(2, [[1.0, v]], [1.0]),
-        lambda v: FeasibilityProblem(2, a_ub=[[v, 1.0]], b_ub=[1.0]),
+        (lambda v: CorrelationTarget(settings=(0, 0, 0), value=v), "^target correlation "),
+        (lambda v: CorrelationTarget(settings=(0, 0, 0), value=0.5, tolerance=v),
+         "^tolerance must be finite"),
+        (lambda v: build_feasibility_lp(_with_entry(v), _GHZ_TARGETS, 1e-6, 0.5),
+         "^strategies must hold integer outcomes"),
+        (lambda v: build_feasibility_lp(enumerate_local_strategies(3, 2), _GHZ_TARGETS, v, 0.5),
+         "^min_joint_detection must be finite"),
+        (lambda v: build_feasibility_lp(enumerate_local_strategies(3, 2), _GHZ_TARGETS, 1e-6, v),
+         "^efficiency bound "),
+        (lambda v: ghz_local_model_search(GHZScenario.standard(), v), "^efficiency bound "),
+        (lambda v: ghz_local_model_search(GHZScenario.standard(), 0.5, v),
+         "^min_joint_detection must be finite"),
+        (lambda v: ghz_local_model_search(GHZScenario.standard(), 0.5, 1e-6, v),
+         "^tolerance must be finite"),
+        (lambda v: FeasibilityProblem(2, [[1.0, 1.0]], [v]), "^equalities: non-finite"),
+        (lambda v: FeasibilityProblem(2, a_ub=[[1.0, 1.0]], b_ub=[v]),
+         "^inequalities: non-finite"),
+        (lambda v: FeasibilityProblem(2, [[1.0, v]], [1.0]), "^equalities: non-finite"),
+        (lambda v: FeasibilityProblem(2, a_ub=[[v, 1.0]], b_ub=[1.0]),
+         "^inequalities: non-finite"),
     ],
     ids=[
         "target-value", "target-tolerance", "strategies-entry", "lp-min-joint-detection",
@@ -659,13 +676,34 @@ def _with_entry(value):
         "search-tolerance", "b-eq", "b-ub", "a-eq", "a-ub",
     ],
 )
-def test_nonfinite_lp_parameters_raise_before_any_numpy_warning(call, value, wrap):
+def test_nonfinite_lp_parameters_raise_before_any_numpy_warning(call, message, value, wrap):
     # The per-shape caches hand over rows built before the call; a check that
     # came after a numpy op on the value would show as a RuntimeWarning here.
+    # Each message names the parameter or the block of rows at fault.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             call(wrap(value))
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "float64"])
+@pytest.mark.parametrize("tolerance, message", [(0.0, "^equalities: non-finite coefficients"),
+                                                (1e-3, "^inequalities: non-finite coefficients")],
+                         ids=["exact", "banded"])
+def test_adopted_lp_rows_are_checked_before_any_numpy_warning(tolerance, message, wrap):
+    # The row writer hands its arrays to the solver's record without a copy;
+    # that path keeps the finiteness check.  The writer itself takes checked
+    # targets, so a NaN value gets as far as the rows; NaN arithmetic warns
+    # of nothing, and the check names the block it ends up in.
+    from esrsim.correlations import GHZ_CONTEXTS
+
+    index, block = hidden_variables._strategy_classes(3, 2, GHZ_CONTEXTS)
+    targets = [(ctx, wrap(math.nan) if i == 2 else 0.5, tolerance)
+               for i, ctx in enumerate(GHZ_CONTEXTS)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            hidden_variables._feasibility_lp(block, GHZ_CONTEXTS, targets, 3, 2, 1e-6, 0.5)
 
 
 def _planted_matrices(rng):
